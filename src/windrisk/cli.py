@@ -45,9 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -179,12 +177,13 @@ def _gev_params(block) -> GevParams:
         raise ConfigError(f"invalid gev block {block!r}: {exc}") from exc
 
 
-def _parallel_map(fn, items, threads):
-    """Deterministic order regardless of thread count."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _max_distance(max_by_psi: dict, psi: float) -> float:
+    """The entry of ``max_by_psi`` whose key equals psi as a number, so
+    "1", "1.0" and "1e0" all name psi = 1."""
+    for key, h_max in max_by_psi.items():
+        if float(key) == psi:
+            return float(h_max)
+    raise ConfigError(f"distances.max_by_psi: no entry for psi = {psi:g}")
 
 
 def _distance_grid(block, psi) -> list:
@@ -192,14 +191,14 @@ def _distance_grid(block, psi) -> list:
         return [float(h) for h in block]
     h_min = float(block["min"])
     count = int(block["count"])
-    h_max = float(block["max_by_psi"][f"{psi:g}"])
+    h_max = _max_distance(block["max_by_psi"], psi)
     if not (h_min > 0.0 and h_max > h_min and count >= 2):
         raise ConfigError(f"bad distance grid: min={h_min} max={h_max} count={count}")
     grid = np.geomspace(h_min, h_max, count)
     return [0.0] + [float(h) for h in grid]
 
 
-def cmd_depsurface(cfg: dict, out_path, threads: int = 1) -> None:
+def cmd_depsurface(cfg: dict, out_path) -> None:
     block = cfg["depsurface"]
     params = _gev_params(block["gev"])
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
@@ -207,25 +206,19 @@ def cmd_depsurface(cfg: dict, out_path, threads: int = 1) -> None:
     psis = [float(p) for p in block["psi"]]
     kappa = float(block["kappa"])
 
-    cells = []
+    rows = []
     for psi in psis:
         distances = _distance_grid(block["distances"], psi)
-        for beta in betas:
-            for dist in distances:
-                cells.append((psi, beta, dist))
-
-    def one(cell):
-        psi, beta, dist = cell
         v = variogram.power(kappa, psi)
-        p = PowerSpec.gev(beta, params)
-        return dependence.dep_measure_from_gamma(p, v.radial(dist), spec)
-
-    values = _parallel_map(one, cells, threads)
-    rows = [(psi, beta, dist, val) for (psi, beta, dist), val in zip(cells, values)]
+        for beta in betas:
+            p = PowerSpec.gev(beta, params)
+            for dist in distances:
+                rows.append((psi, beta, dist,
+                             dependence.dep_measure_from_gamma(p, v.radial(dist), spec)))
     _write_csv(out_path, ["psi", "beta", "distance", "dependence"], rows)
 
 
-def cmd_r2curves(cfg: dict, out_path, threads: int = 1) -> None:
+def cmd_r2curves(cfg: dict, out_path) -> None:
     block = cfg["r2curves"]
     params = _gev_params(block["gev"])
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
@@ -243,25 +236,20 @@ def cmd_r2curves(cfg: dict, out_path, threads: int = 1) -> None:
         if shape not in ("disk", "square"):
             raise ConfigError(f"unknown shape {shape!r}")
 
-    cells = [(shape, psi, lam) for shape in shapes
-             for psi in block["psi"] for lam in lams]
-
-    def one(cell):
-        shape, psi, lam = cell
-        q = risk.RiskQuery(
-            region=Region(shape, float(block["R"])),
-            power=PowerSpec.gev(beta, params),
-            variogram=variogram.power(kappa, float(psi)),
-            quad=spec,
-        )
-        return risk.r2(q, lam)
-
-    values = _parallel_map(one, cells, threads)
-    rows = [(shape, psi, lam, val) for (shape, psi, lam), val in zip(cells, values)]
+    rows = []
+    for shape in shapes:
+        for psi in block["psi"]:
+            q = risk.RiskQuery(
+                region=Region(shape, float(block["R"])),
+                power=PowerSpec.gev(beta, params),
+                variogram=variogram.power(kappa, float(psi)),
+                quad=spec,
+            )
+            rows += [(shape, psi, lam, risk.r2(q, lam)) for lam in lams]
     _write_csv(out_path, ["shape", "psi", "lam", "r2"], rows)
 
 
-def cmd_riskreport(cfg: dict, out_path, threads: int = 1) -> None:
+def cmd_riskreport(cfg: dict, out_path) -> None:
     block = cfg["riskreport"]
     params = _gev_params(block["gev"])
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
@@ -274,6 +262,8 @@ def cmd_riskreport(cfg: dict, out_path, threads: int = 1) -> None:
     for a in alphas:
         header += [f"var_asym_{a:g}", f"es_asym_{a:g}"]
 
+    # the plane integral K is the one costly quantity: compute it once and
+    # derive every row's law from it
     rows = []
     mu = risk.mean_cost(p)
     k_num = risk.asymptotic_cov_integral(p, v, spec)
@@ -281,16 +271,15 @@ def cmd_riskreport(cfg: dict, out_path, threads: int = 1) -> None:
         region = Region(str(region_block["shape"]), float(region_block["R"]))
         for lam in block["lam"]:
             lam = float(lam)
-            sd = math.sqrt(k_num / (lam * lam * region.area()))
-            row = [f"{region.shape}_R{region.R:g}", lam, mu, sd]
+            clt = risk.CltApprox.from_integral(mu, k_num, region, lam)
+            row = [f"{region.shape}_R{region.R:g}", lam, clt.mean, clt.sd]
             for a in alphas:
-                q = risk.RiskQuery(region=region, power=p, variogram=v, quad=spec, alpha=a)
-                row += [risk.var_asymptotic(q, lam), risk.es_asymptotic(q, lam)]
+                row += [clt.var(a), clt.es(a)]
             rows.append(row)
     _write_csv(out_path, header, rows)
 
 
-def cmd_simulate(cfg: dict, out_path, threads: int = 1, seed_override=None) -> None:
+def cmd_simulate(cfg: dict, out_path, seed_override=None) -> None:
     block = cfg["simulate"]
     beta = int(block["beta"])
     region = Region(str(block["region"]["shape"]), float(block["region"]["R"]))
@@ -357,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config path (defaults to the built-in study)")
         cp.add_argument("--out", type=str, required=True, help="output CSV path")
         cp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cp.add_argument("--threads", type=int, default=1, help="worker threads")
+        cp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect (every "
+                             "command runs on one thread)")
     return parser
 
 
@@ -366,9 +357,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else normalize_config({})
         if args.command == "simulate":
-            cmd_simulate(cfg, args.out, threads=args.threads, seed_override=args.seed)
+            cmd_simulate(cfg, args.out, seed_override=args.seed)
         else:
-            _COMMANDS[args.command](cfg, args.out, threads=args.threads)
+            _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

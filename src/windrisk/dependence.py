@@ -223,8 +223,7 @@ def cov_simple(
     spec: QuadSpec = DEFAULT_QUAD,
 ) -> float:
     """Cov(Z(x1)^beta1, Z(x2)^beta2) for a simple Brown-Resnick field."""
-    h = math.sqrt(v(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)))
-    return g_simple(beta1, beta2, h, spec) - gamma(1.0 - beta1) * gamma(1.0 - beta2)
+    return cov_gev(PowerSpec.simple(beta1), PowerSpec.simple(beta2), v, x1, x2, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +332,38 @@ def _pair_arrays(p1: PowerSpec, p2: PowerSpec):
     return W, B1, B2
 
 
+def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
+    """Cov(Z(x1)^beta1, Z(x2)^beta2) as a function of the variogram-root lag
+    h = sqrt(gamma(x2 - x1)).
+
+    The binomial pair arrays and the moments are built once, so the returned
+    function is the single place the covariance is evaluated: the closed-form
+    variance below SMALL_H, the fused mixture minus the product of the means
+    above it.  Gumbel margins route each value through the xi -> 0 limit.
+    """
+    if _has_zero_xi(p1) or _has_zero_xi(p2):
+        def limit(h: float) -> float:
+            def at(xi):
+                q1 = _with_xi(p1, xi) if _has_zero_xi(p1) else p1
+                q2 = _with_xi(p2, xi) if _has_zero_xi(p2) else p2
+                return _cov_at(q1, q2, spec)(h)
+            value, _ = _xi_limit(at)
+            return value
+        return limit
+
+    W, B1, B2 = _pair_arrays(p1, p2)
+    at_zero = float(np.sum(W * (np.exp(gammaln(1.0 - B1 - B2))
+                                - np.exp(gammaln(1.0 - B1) + gammaln(1.0 - B2)))))
+    mu2 = first_moment(p1) * first_moment(p2)
+
+    def cov(h: float) -> float:
+        if h < SMALL_H:
+            return at_zero
+        return _fused_pair_integral(W, B1, B2, h, spec) - mu2
+
+    return cov
+
+
 def g_gev(p: PowerSpec, h: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Binomial mixture of pair functions for equal GEV margins at both sites."""
     if p.is_simple:
@@ -362,16 +393,9 @@ def first_moment(p: PowerSpec) -> float:
 
 
 def var_gev(p: PowerSpec) -> float:
-    """Var(Z(0)^beta); reduces to the simple-margin form when p is simple."""
+    """Var(Z(0)^beta): the covariance at lag 0, for either margin mode."""
     _require_second_moment(p)
-    if p.is_simple:
-        return var_simple(p.beta)
-    if _has_zero_xi(p):
-        value, _ = _xi_limit(lambda xi: var_gev(_with_xi(p, xi)))
-        return value
-    W, B1, B2 = _pair_arrays(p, p)
-    return float(np.sum(W * (np.exp(gammaln(1.0 - B1 - B2))
-                             - np.exp(gammaln(1.0 - B1) + gammaln(1.0 - B2)))))
+    return _cov_at(p, p, DEFAULT_QUAD)(0.0)
 
 
 def cov_gev(
@@ -385,21 +409,8 @@ def cov_gev(
     """Cov(Z(x1)^beta1, Z(x2)^beta2) with per-site power and margin specs."""
     _require_second_moment(p1)
     _require_second_moment(p2)
-    if _has_zero_xi(p1) or _has_zero_xi(p2):
-        def at(xi):
-            q1 = _with_xi(p1, xi) if _has_zero_xi(p1) else p1
-            q2 = _with_xi(p2, xi) if _has_zero_xi(p2) else p2
-            return cov_gev(q1, q2, v, x1, x2, spec)
-        value, _ = _xi_limit(at)
-        return value
     h = math.sqrt(v(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)))
-    W, B1, B2 = _pair_arrays(p1, p2)
-    if h < SMALL_H:
-        bracket = (np.exp(gammaln(1.0 - B1 - B2))
-                   - np.exp(gammaln(1.0 - B1) + gammaln(1.0 - B2)))
-        return float(np.sum(W * bracket))
-    mixture = _fused_pair_integral(W, B1, B2, h, spec)
-    return mixture - first_moment(p1) * first_moment(p2)
+    return _cov_at(p1, p2, spec)(h)
 
 
 def dep_measure(
@@ -423,21 +434,11 @@ def dep_measure_from_gamma(
     if gamma_value < 0.0:
         raise DomainError(f"variogram value must be >= 0, got {gamma_value}")
     _require_second_moment(p)
-    variance = var_gev(p)
+    cov = _cov_at(p, p, spec)
+    variance = cov(0.0)
     if not variance > 0.0:
         raise DomainError(f"degenerate power field (variance {variance}); beta=0?")
-    h = math.sqrt(gamma_value)
-    if h < SMALL_H:
-        return 1.0
-    if p.is_simple:
-        covariance = g_simple(p.beta, p.beta, h, spec) - gamma(1.0 - p.beta) ** 2
-    elif _has_zero_xi(p):
-        covariance, _ = _xi_limit(
-            lambda xi: g_gev(_with_xi(p, xi), h, spec) - first_moment(_with_xi(p, xi)) ** 2
-        )
-    else:
-        covariance = g_gev(p, h, spec) - first_moment(p) ** 2
-    return covariance / variance
+    return cov(math.sqrt(gamma_value)) / variance
 
 
 def cov_gev_xi_zero(

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dependence import (
     PowerSpec,
-    _fused_pair_integral,
+    _cov_at,
     _has_zero_xi,
-    _pair_arrays,
     _require_second_moment,
     _with_xi,
     _xi_limit,
@@ -65,16 +64,47 @@ class RiskQuery:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
+def _require_positive_lam(lam: float):
+    if not lam > 0.0:
+        raise DomainError(f"lam must be > 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class CltApprox:
-    """Normal approximation N(mean, variance) of the normalized loss."""
+    """Normal approximation N(mean, variance) of the normalized loss.
+
+    VaR and ES are the Gaussian quantile and shortfall of this law; these
+    two methods are the only place their formulas live.
+    """
 
     mean: float
     variance: float
 
+    @classmethod
+    def from_integral(cls, mean: float, k_num: float, region: Region, lam: float) -> "CltApprox":
+        """The law over lam A given the plane integral K of the covariance:
+        variance K / (lam^2 area(A))."""
+        _require_positive_lam(lam)
+        return cls(mean=mean, variance=k_num / (lam * lam * region.area()))
+
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
+
+    def var(self, alpha: float) -> float:
+        """VaR_alpha = mean + q_alpha sd."""
+        if alpha == 0.5:
+            warnings.warn(
+                "alpha = 1/2 degenerates the VaR correction (q_alpha = 0); returning the mean",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return self.mean
+        return self.mean + norm_quantile(alpha) * self.sd
+
+    def es(self, alpha: float) -> float:
+        """ES_alpha = mean + phi(q_alpha) / (1 - alpha) sd."""
+        return self.mean + norm_pdf(norm_quantile(alpha)) / (1.0 - alpha) * self.sd
 
 
 def mean_cost(p: PowerSpec) -> float:
@@ -99,46 +129,18 @@ def _inner_spec(spec: QuadSpec) -> QuadSpec:
     so the inner evaluations must be resolved well below the outer target
     for the cancellation to leave usable digits.
     """
-    return QuadSpec(
-        rel_tol=max(spec.rel_tol * 1e-3, 1e-13),
-        abs_floor=spec.abs_floor,
-        max_subdivisions=spec.max_subdivisions,
-        infinite_map=spec.infinite_map,
-        should_cancel=spec.should_cancel,
-    )
-
-
-def _pair_mixture_at(p: PowerSpec, spec: QuadSpec):
-    """Returns (mixture(h), mixture_at_zero) with xi=0 margins rejected
-    upstream; mixture(h) is the fused binomial pair integral."""
-    W, B1, B2 = _pair_arrays(p, p)
-    from scipy.special import gammaln
-
-    at_zero = float(np.sum(W * np.exp(gammaln(1.0 - B1 - B2))))
-
-    def mixture(harg: float) -> float:
-        if harg < 1e-6:
-            return at_zero
-        return _fused_pair_integral(W, B1, B2, harg, spec)
-
-    return mixture, at_zero
+    return replace(spec, rel_tol=max(spec.rel_tol * 1e-3, 1e-13))
 
 
 def _cov_radial_fn(p: PowerSpec, v: Variogram, spec: QuadSpec):
     """Stationary covariance of the power field as a function of distance."""
-    mixture, _ = _pair_mixture_at(p, _inner_spec(spec))
-    mu2 = first_moment(p) ** 2
-
-    def cov(dist: float) -> float:
-        return mixture(math.sqrt(v.radial(dist))) - mu2
-
-    return cov
+    cov = _cov_at(p, p, _inner_spec(spec))
+    return lambda dist: cov(math.sqrt(v.radial(dist)))
 
 
 def r2(q: RiskQuery, lam: float) -> float:
     """Var(L_N(lambda A, C)) for A a disk or square, by the 1-D reduction."""
-    if not lam > 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
+    _require_positive_lam(lam)
     _require_isotropic(q.variogram)
     _require_second_moment(q.power)
     if _has_zero_xi(q.power):
@@ -174,12 +176,8 @@ def r2(q: RiskQuery, lam: float) -> float:
         d = _invert_radial(q.variogram, target * target)
         if d is not None and 0.0 < d / lam < h_max:
             bps.append(d / lam)
-    outer = QuadSpec(
-        rel_tol=q.quad.rel_tol,
-        abs_floor=max(q.quad.abs_floor, q.quad.rel_tol * variance_scale * 1e-3),
-        max_subdivisions=q.quad.max_subdivisions,
-        infinite_map=q.quad.infinite_map,
-        should_cancel=q.quad.should_cancel,
+    outer = replace(
+        q.quad, abs_floor=max(q.quad.abs_floor, q.quad.rel_tol * variance_scale * 1e-3)
     )
     return integrate(integrand, 0.0, h_max, outer, breakpoints=bps).value
 
@@ -238,13 +236,7 @@ def asymptotic_cov_integral(
     # far chunks carry a vanishing share of the integral: accept them on an
     # absolute budget tied to the variance scale rather than stalling on
     # their own relative accuracy
-    chunk_spec = QuadSpec(
-        rel_tol=spec.rel_tol,
-        abs_floor=max(spec.abs_floor, spec.rel_tol * variance * 0.1),
-        max_subdivisions=spec.max_subdivisions,
-        infinite_map=spec.infinite_map,
-        should_cancel=spec.should_cancel,
-    )
+    chunk_spec = replace(spec, abs_floor=max(spec.abs_floor, spec.rel_tol * variance * 0.1))
     total = 0.0
     err = 0.0
     lo = 0.0
@@ -274,44 +266,17 @@ def asymptotic_cov_integral(
 
 def clt_approx(q: RiskQuery, lam: float) -> CltApprox:
     """Normal approximation of L_N(lambda A, C) for large lambda."""
-    if not lam > 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    nu_a = q.region.area()
+    _require_positive_lam(lam)
     k_num = asymptotic_cov_integral(q.power, q.variogram, q.quad)
-    return CltApprox(
-        mean=mean_cost(q.power),
-        variance=k_num / (lam * lam * nu_a),
-    )
+    return CltApprox.from_integral(mean_cost(q.power), k_num, q.region, lam)
 
 
 def var_asymptotic(q: RiskQuery, lam: float) -> float:
     """Asymptotic VaR_alpha(L_N(lambda A, C)) = mu + q_alpha sqrt(K)/(lam sqrt(nu(A)))."""
-    if not lam > 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    mu = mean_cost(q.power)
-    if q.alpha == 0.5:
-        warnings.warn(
-            "alpha = 1/2 degenerates the VaR correction (q_alpha = 0); returning the mean",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return mu
-    k_num = asymptotic_cov_integral(q.power, q.variogram, q.quad)
-    k2 = norm_quantile(q.alpha) * math.sqrt(k_num) / math.sqrt(q.region.area())
-    return mu + k2 / lam
+    return clt_approx(q, lam).var(q.alpha)
 
 
 def es_asymptotic(q: RiskQuery, lam: float) -> float:
     """Asymptotic ES_alpha(L_N(lambda A, C)) = mu + phi(q_alpha)/(1-alpha)
     sqrt(K)/(lam sqrt(nu(A)))."""
-    if not lam > 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    mu = mean_cost(q.power)
-    k_num = asymptotic_cov_integral(q.power, q.variogram, q.quad)
-    k2 = (
-        norm_pdf(norm_quantile(q.alpha))
-        / (1.0 - q.alpha)
-        * math.sqrt(k_num)
-        / math.sqrt(q.region.area())
-    )
-    return mu + k2 / lam
+    return clt_approx(q, lam).es(q.alpha)

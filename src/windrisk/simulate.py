@@ -160,13 +160,18 @@ def _anchored_cov(v: Variogram, points: np.ndarray, gamma_mat: np.ndarray) -> np
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor of cov; on failure, of a copy with a growing jitter
+    on its diagonal.  cov itself is never modified."""
     scale = max(float(np.trace(cov)) / max(len(cov), 1), 1.0)
-    jitter = 0.0
-    for attempt in range(4):
+    jittered = cov
+    for exponent in (None, -12, -10, -8):
+        if exponent is not None:
+            jittered = cov.copy()
+            jittered[np.diag_indices_from(jittered)] += scale * 10.0 ** exponent
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
+            return np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
-            jitter = scale * 10.0 ** (-12 + 2 * attempt)
+            pass
     raise ConvergenceError("covariance factorization failed even with jitter")
 
 
@@ -209,15 +214,15 @@ class _GaussianSampler:
 
     ``head`` returns the field at sites [0..k] from a per-replicate draw
     state; ``tail`` extends the same spectral function to sites [k+1..n-1].
+    ``gamma_mat`` is the caller's pairwise variogram matrix of ``points``.
     """
 
-    def __init__(self, v: Variogram, points: np.ndarray):
+    def __init__(self, v: Variogram, points: np.ndarray, gamma_mat: np.ndarray):
         self.n = len(points)
         if v.is_quadratic:
             self.proj = _quadratic_projection(v, points)
             self.chol = None
         else:
-            gamma_mat = _pairwise_variogram(v, points)
             self.chol = _cholesky_with_jitter(_anchored_cov(v, points, gamma_mat))
             self.proj = None
 
@@ -257,8 +262,8 @@ class _GaussianSampler:
 
 def _extremal_functions(v, points, n_rep, seed):
     n = len(points)
-    sampler = _GaussianSampler(v, points)
     gamma_mat = _pairwise_variogram(v, points)
+    sampler = _GaussianSampler(v, points, gamma_mat)
     rngs = _replicate_rngs(seed, n_rep)
     Z = np.zeros((n_rep, n))
     log_z = np.full((n_rep, n), -np.inf)
@@ -308,8 +313,8 @@ def _truncated_spectral(v, points, n_rep, seed, n_points):
     if n_points < 1:
         raise DomainError("n_points must be >= 1")
     n = len(points)
-    sampler = _GaussianSampler(v, points)
     gamma_mat = _pairwise_variogram(v, points)
+    sampler = _GaussianSampler(v, points, gamma_mat)
     var_w = gamma_mat[0]  # Var W(x_i) anchored at site 0
     rngs = _replicate_rngs(seed, n_rep)
     Z = np.zeros((n_rep, n))

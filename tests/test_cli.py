@@ -14,6 +14,7 @@ from windrisk import (
     power,
     var_gev,
 )
+from windrisk import RiskQuery, clt_approx, disk, es_asymptotic, risk, var_asymptotic
 from windrisk.cli import DEFAULT_CONFIG, load_config, main, normalize_config
 from windrisk.errors import ConfigError
 
@@ -202,6 +203,44 @@ class TestRiskReport:
         i_mean = header.index("mean")
         assert float(rows[0][i_mean]) == float(f"{mean_cost(p):.11e}")
 
+    @pytest.mark.filterwarnings("ignore:alpha = 1/2:RuntimeWarning")
+    def test_every_cell_matches_library(self, riskreport_output):
+        header, rows = riskreport_output
+        p = PowerSpec.gev(1, GevParams(ETA, TAU, XI))
+        v = power(1.0, 1.0)
+        for r in rows:
+            assert r[0] == "disk_R1"
+            lam = float(r[1])
+            cells = dict(zip(header, r))
+            lib = {"clt_sd": clt_approx(RiskQuery(region=disk(1.0), power=p, variogram=v),
+                                        lam).sd}
+            for a in (0.5, 0.95, 0.99):
+                q = RiskQuery(region=disk(1.0), power=p, variogram=v, alpha=a)
+                lib[f"var_asym_{a:g}"] = var_asymptotic(q, lam)
+                lib[f"es_asym_{a:g}"] = es_asymptotic(q, lam)
+            assert set(lib) | {"region", "lam", "mean"} == set(header)
+            for name, value in lib.items():
+                # CSV carries 12 significant digits of the library value
+                assert float(cells[name]) == float(f"{value:.11e}"), name
+
+    def test_plane_integral_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = risk.asymptotic_cov_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "asymptotic_cov_integral", counted)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"riskreport": {
+            "regions": [{"shape": "disk", "R": 1.0}, {"shape": "square", "R": 2.0}],
+            "lam": [10.0, 25.0, 50.0], "alpha": [0.95, 0.99]}}))
+        out = tmp_path / "rr.csv"
+        assert main(["riskreport", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert len(read_csv(out)[1]) == 6
+
 
 class TestSimulateCommand:
     CFG = {
@@ -260,3 +299,20 @@ class TestThreadDeterminism:
                          "--threads", str(threads)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestDefaultDepsurface:
+    def test_no_config_run_covers_the_default_grid(self, tmp_path):
+        out = tmp_path / "dep.csv"
+        assert main(["depsurface", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["psi", "beta", "distance", "dependence"]
+        assert len(rows) == 4 * 12 * 41
+        for psi, h_max in ((0.5, 1500.0), (1.0, 100.0), (1.5, 25.0), (2.0, 10.0)):
+            assert max(float(r[2]) for r in rows if float(r[0]) == psi) == pytest.approx(h_max)
+
+    def test_psi_without_max_distance_is_config_error(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"depsurface": {"psi": [3.0], "beta": [1]}}))
+        assert main(["depsurface", "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2

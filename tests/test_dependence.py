@@ -442,3 +442,27 @@ class TestPowerSpecValidation:
     def test_gev_params_validation(self):
         with pytest.raises(DomainError):
             GevParams(0.0, -1.0, 0.1)
+
+
+class TestSingleCovariancePath:
+    """Every closed-form covariance is one computation, so the public forms
+    agree exactly, not merely to the quadrature tolerance."""
+
+    ORIGIN = [0.0, 0.0]
+    SITES = ([0.0, 0.0], [0.3, 0.1], [2.0, 0.0], [9.0, 4.0])
+
+    def test_cov_simple_is_cov_gev_of_simple_specs(self):
+        v = power(1.0, 1.0)
+        for b in (-0.5, 0.0, 0.25, 0.45):
+            p = PowerSpec.simple(b)
+            for x2 in self.SITES:
+                assert cov_simple(b, b, v, self.ORIGIN, x2) == cov_gev(
+                    p, p, v, self.ORIGIN, x2)
+
+    def test_dependence_is_cov_over_var(self, paper_gev):
+        v = power(1.0, 1.5)
+        for p in (PowerSpec.gev(1, paper_gev), PowerSpec.gev(4, paper_gev),
+                  PowerSpec.simple(0.25)):
+            for x2 in self.SITES:
+                ratio = cov_gev(p, p, v, self.ORIGIN, x2) / var_gev(p)
+                assert dep_measure_from_gamma(p, float(v(np.asarray(x2)))) == ratio
