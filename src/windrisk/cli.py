@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,11 +113,32 @@ DEFAULT_CONFIG = {
 
 # keys that accept either an explicit list or the default grid object
 _POLYMORPHIC = {"config.depsurface.distances", "config.r2curves.lam"}
+# objects keyed by a positive number: an override entry replaces the default
+# entry whose key has the same value ("1" replaces "1.0") or adds a new one
+_NUMERIC_KEYS = {"config.depsurface.distances.max_by_psi"}
+
+
+def _merge_numeric_keys(defaults, override, path):
+    if not isinstance(override, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(override).__name__}")
+    out = dict(defaults)
+    for key, value in override.items():
+        try:
+            number = float(key)
+        except ValueError:
+            number = math.nan
+        if not (math.isfinite(number) and number > 0.0):
+            raise ConfigError(f"{path}.{key}: key is not a positive number")
+        out = {k: v for k, v in out.items() if float(k) != number}
+        out[key] = value
+    return json.loads(json.dumps(out))
 
 
 def _merge(defaults, override, path="config"):
     if override is None:
         return json.loads(json.dumps(defaults))
+    if path in _NUMERIC_KEYS:
+        return _merge_numeric_keys(defaults, override, path)
     if isinstance(defaults, dict):
         if not isinstance(override, dict):
             if path in _POLYMORPHIC and isinstance(override, list):
@@ -177,6 +199,27 @@ def _gev_params(block) -> GevParams:
         raise ConfigError(f"invalid gev block {block!r}: {exc}") from exc
 
 
+def _variogram(kappa, psi) -> variogram.Variogram:
+    try:
+        return variogram.power(float(kappa), float(psi))
+    except (TypeError, ValueError, WindriskError) as exc:
+        raise ConfigError(f"invalid variogram kappa={kappa!r} psi={psi!r}: {exc}") from exc
+
+
+def _alphas(block, path) -> list:
+    """The block's tail levels, each strictly inside (0, 1)."""
+    alphas = []
+    for a in block["alpha"]:
+        try:
+            alpha = float(a)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.alpha: {a!r} is not a number") from exc
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"{path}.alpha: {a!r} is not in (0, 1)")
+        alphas.append(alpha)
+    return alphas
+
+
 def _max_distance(max_by_psi: dict, psi: float) -> float:
     """The entry of ``max_by_psi`` whose key equals psi as a number, so
     "1", "1.0" and "1e0" all name psi = 1."""
@@ -204,12 +247,11 @@ def cmd_depsurface(cfg: dict, out_path) -> None:
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
     betas = [int(b) for b in block["beta"]]
     psis = [float(p) for p in block["psi"]]
-    kappa = float(block["kappa"])
+    variograms = [_variogram(block["kappa"], psi) for psi in psis]
+    grids = [_distance_grid(block["distances"], psi) for psi in psis]
 
     rows = []
-    for psi in psis:
-        distances = _distance_grid(block["distances"], psi)
-        v = variogram.power(kappa, psi)
+    for psi, v, distances in zip(psis, variograms, grids):
         for beta in betas:
             p = PowerSpec.gev(beta, params)
             for dist in distances:
@@ -223,7 +265,7 @@ def cmd_r2curves(cfg: dict, out_path) -> None:
     params = _gev_params(block["gev"])
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
     beta = int(block["beta"])
-    kappa = float(block["kappa"])
+    variograms = [_variogram(block["kappa"], psi) for psi in block["psi"]]
     lam_block = block["lam"]
     if isinstance(lam_block, list):
         lams = [float(x) for x in lam_block]
@@ -238,11 +280,11 @@ def cmd_r2curves(cfg: dict, out_path) -> None:
 
     rows = []
     for shape in shapes:
-        for psi in block["psi"]:
+        for psi, v in zip(block["psi"], variograms):
             q = risk.RiskQuery(
                 region=Region(shape, float(block["R"])),
                 power=PowerSpec.gev(beta, params),
-                variogram=variogram.power(kappa, float(psi)),
+                variogram=v,
                 quad=spec,
             )
             rows += [(shape, psi, lam, risk.r2(q, lam)) for lam in lams]
@@ -254,8 +296,8 @@ def cmd_riskreport(cfg: dict, out_path) -> None:
     params = _gev_params(block["gev"])
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
     beta = int(block["beta"])
-    v = variogram.power(float(block["kappa"]), float(block["psi"]))
-    alphas = [float(a) for a in block["alpha"]]
+    v = _variogram(block["kappa"], block["psi"])
+    alphas = _alphas(block, "config.riskreport")
     p = PowerSpec.gev(beta, params)
 
     header = ["region", "lam", "mean", "clt_sd"]
@@ -285,10 +327,13 @@ def cmd_simulate(cfg: dict, out_path, seed_override=None) -> None:
     region = Region(str(block["region"]["shape"]), float(block["region"]["R"]))
     lam = float(block["lam"])
     n_rep = int(block["n_rep"])
+    if n_rep < 2:
+        raise ConfigError(f"config.simulate.n_rep: {n_rep} < 2 (the loss variance needs two)")
     seed = int(seed_override if seed_override is not None else block["seed"])
     kappa = float(block["kappa"])
     psi = float(block["psi"])
-    v = variogram.power(kappa, psi)
+    v = _variogram(kappa, psi)
+    alphas = _alphas(block, "config.simulate")
 
     grid = simulate.region_grid(region, lam)
     if block["method"] == "smith":
@@ -317,9 +362,9 @@ def cmd_simulate(cfg: dict, out_path, seed_override=None) -> None:
     var_est = simulate.mc_risk(losses, "variance", seed=seed)
     rows.append(["mean", "", mean_est.value, mean_est.std_error])
     rows.append(["variance", "", var_est.value, var_est.std_error])
-    for a in block["alpha"]:
-        var_a = simulate.mc_risk(losses, "var", alpha=float(a), seed=seed)
-        es_a = simulate.mc_risk(losses, "es", alpha=float(a), seed=seed)
+    for a in alphas:
+        var_a = simulate.mc_risk(losses, "var", alpha=a, seed=seed)
+        es_a = simulate.mc_risk(losses, "es", alpha=a, seed=seed)
         rows.append(["var", f"{a:g}", var_a.value, var_a.std_error])
         rows.append(["es", f"{a:g}", es_a.value, es_a.std_error])
     _write_csv(out_path, ["measure", "alpha", "estimate", "std_error"], rows)

@@ -316,3 +316,45 @@ class TestDefaultDepsurface:
         cfg.write_text(json.dumps({"depsurface": {"psi": [3.0], "beta": [1]}}))
         assert main(["depsurface", "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 2
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize("command, block", [
+        ("riskreport", {"alpha": [1.0]}),
+        ("riskreport", {"alpha": [0.0]}),
+        ("riskreport", {"psi": 2.5}),
+        ("simulate", {"psi": 2.5}),
+        ("simulate", {"psi": 2.5, "method": "brown_resnick"}),
+        ("simulate", {"n_rep": 1}),
+        ("simulate", {"n_rep": 0}),
+        ("simulate", {"alpha": [1.0]}),
+        ("depsurface", {"psi": [2.5], "distances": [0.0, 1.0]}),
+        ("r2curves", {"psi": [2.5]}),
+        ("depsurface", {"distances": {"max_by_psi": {"one": 50.0}}}),
+        ("depsurface", {"distances": {"max_by_psi": {"-1": 50.0}}}),
+        ("depsurface", {"distances": {"max_by_psi": {"inf": 50.0}}}),
+    ])
+    def test_exits_2(self, tmp_path, command, block):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({command: block}))
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        assert not (tmp_path / "o.csv").exists()
+
+
+class TestMaxByPsiKeys:
+    def test_override_keyed_by_value_replaces_the_default(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"depsurface": {
+            "psi": [1.0], "beta": [1], "distances": {"max_by_psi": {"1": 50.0}}}}))
+        out = tmp_path / "dep.csv"
+        assert main(["depsurface", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert max(float(r[2]) for r in rows) == pytest.approx(50.0)
+
+    def test_merge_by_numeric_key(self):
+        cfg = normalize_config({"depsurface": {"distances": {
+            "max_by_psi": {"1": 50.0, "0.7": 300.0}}}})
+        assert cfg["depsurface"]["distances"]["max_by_psi"] == {
+            "0.5": 1500.0, "1.5": 25.0, "2.0": 10.0, "1": 50.0, "0.7": 300.0}
+        assert normalize_config(json.loads(json.dumps(cfg))) == cfg

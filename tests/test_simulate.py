@@ -36,6 +36,8 @@ from windrisk import (
     disk,
 )
 
+from windrisk import simulate as sim
+
 from conftest import ETA, TAU, XI, covariance_with_se
 
 
@@ -177,6 +179,80 @@ class TestBrownResnick:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             brown_resnick_at(power(1.0, 1.0), [[0.0, 0.0]], 5, seed=1, method="spectral")
+
+
+def _full_head_extremal_functions(v, points, n_rep, seed):
+    """Reference exact simulator, one replicate at a time: every candidate is
+    evaluated at all sites 0..k through the full field matrix before it is
+    tested.  Returns the values and the numbers of draws and acceptances."""
+    n = len(points)
+    gamma_mat = sim._pairwise_variogram(v, points)
+    if v.is_quadratic:
+        field, dim = sim._quadratic_projection(v, points), (lambda k: 2)
+    else:
+        field, dim = np.zeros((n, n - 1)), (lambda k: k)
+        field[1:] = sim._cholesky_with_jitter(sim._anchored_cov(v, points, gamma_mat))
+    out = np.empty((n_rep, n))
+    draws = accepted = 0
+    for r, rng in enumerate(sim._replicate_rngs(seed, n_rep)):
+        log_z = np.full(n, -np.inf)
+        for k in range(n):
+            gam = rng.exponential()
+            while -np.log(gam) > log_z[k]:
+                z_head = rng.standard_normal(dim(k))
+                head = field[: k + 1, : dim(k)] @ z_head
+                log_y = head - head[k] - 0.5 * gamma_mat[k, : k + 1]
+                draws += 1
+                if np.all(log_y[:k] - np.log(gam) < log_z[:k]):
+                    accepted += 1
+                    w = field @ np.concatenate(
+                        [z_head, rng.standard_normal(dim(n - 1) - dim(k))])
+                    log_y = w - w[k] - 0.5 * gamma_mat[k]
+                    log_y[k] = 0.0
+                    np.maximum(log_z, log_y - np.log(gam), out=log_z)
+                gam += rng.exponential()
+        out[r] = np.exp(log_z)
+    return out, draws, accepted
+
+
+_EQUIVALENCE_SITES = Grid(origin=(0.0, 0.0), nx=12, ny=11, spacing=0.25).points()[:131]
+
+
+class TestExtremalFunctionsEquivalence:
+    """The block-wise early rejection takes the same draws and the same
+    decisions as the full-head reference."""
+
+    @pytest.mark.parametrize("psi", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 131])
+    def test_matches_full_head_reference(self, n, psi):
+        self._check(power(1.0, psi), _EQUIVALENCE_SITES[:n], seed=100 + n)
+
+    def test_matches_full_head_reference_shuffled_sites(self):
+        order = np.random.default_rng(3).permutation(len(_EQUIVALENCE_SITES))
+        self._check(power(1.0, 1.0), _EQUIVALENCE_SITES[order], seed=99)
+
+    def test_matches_full_head_reference_site_zero_in_own_block(self):
+        # site 64 lies next to site 0 and far from sites 1..63, so its
+        # candidates are mostly rejected by site 0, alone in the last block
+        angle = np.linspace(0.0, 2.0 * np.pi, 63, endpoint=False)
+        ring = 5.0 * np.column_stack([np.cos(angle), np.sin(angle)])
+        points = np.vstack([[0.0, 0.0], ring, [0.05, 0.0]])
+        self._check(power(1.0, 1.0), points, seed=64, n_rep=20)
+
+    @staticmethod
+    def _check(v, points, seed, n_rep=3):
+        ref, draws, accepted = _full_head_extremal_functions(v, points, n_rep, seed)
+        values, meta = brown_resnick_at(v, points, n_rep, seed, return_meta=True)
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+        assert (meta["spectral_draws"], meta["accepted"]) == (draws, accepted)
+
+    def test_draw_counters(self):
+        n_rep = 4
+        _, meta = brown_resnick_at(power(1.0, 1.0), _EQUIVALENCE_SITES[:40], n_rep,
+                                   seed=21, return_meta=True)
+        assert all(type(meta[key]) is int for key in ("spectral_draws", "accepted"))
+        # the first draw at site 0 is always kept
+        assert n_rep <= meta["accepted"] <= meta["spectral_draws"]
 
 
 class TestSmith:
