@@ -47,6 +47,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,23 @@ def _write_csv(path, header, rows):
                               else str(v) for v in row) + "\n")
 
 
+@contextmanager
+def _parsing(path):
+    """Turn a config value that cannot be read (a wrong type, a missing key
+    or a value the library rejects) into a ConfigError naming the block,
+    so every command reads its whole block before it computes anything."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _region(block) -> Region:
+    return Region(str(block["shape"]), float(block["R"]))
+
+
 def _gev_params(block) -> GevParams:
     try:
         return GevParams(float(block["eta"]), float(block["tau"]), float(block["xi"]))
@@ -244,18 +262,18 @@ def _distance_grid(block, psi) -> list:
 def cmd_depsurface(cfg: dict, out_path) -> None:
     block = cfg["depsurface"]
     params = _gev_params(block["gev"])
-    spec = QuadSpec(rel_tol=float(block["rel_tol"]))
-    betas = [int(b) for b in block["beta"]]
-    psis = [float(p) for p in block["psi"]]
+    with _parsing("config.depsurface"):
+        spec = QuadSpec(rel_tol=float(block["rel_tol"]))
+        powers = [PowerSpec.gev(int(b), params) for b in block["beta"]]
+        psis = [float(p) for p in block["psi"]]
+        grids = [_distance_grid(block["distances"], psi) for psi in psis]
     variograms = [_variogram(block["kappa"], psi) for psi in psis]
-    grids = [_distance_grid(block["distances"], psi) for psi in psis]
 
     rows = []
     for psi, v, distances in zip(psis, variograms, grids):
-        for beta in betas:
-            p = PowerSpec.gev(beta, params)
+        for p in powers:
             for dist in distances:
-                rows.append((psi, beta, dist,
+                rows.append((psi, p.beta, dist,
                              dependence.dep_measure_from_gamma(p, v.radial(dist), spec)))
     _write_csv(out_path, ["psi", "beta", "distance", "dependence"], rows)
 
@@ -263,42 +281,37 @@ def cmd_depsurface(cfg: dict, out_path) -> None:
 def cmd_r2curves(cfg: dict, out_path) -> None:
     block = cfg["r2curves"]
     params = _gev_params(block["gev"])
-    spec = QuadSpec(rel_tol=float(block["rel_tol"]))
-    beta = int(block["beta"])
+    with _parsing("config.r2curves"):
+        spec = QuadSpec(rel_tol=float(block["rel_tol"]))
+        power = PowerSpec.gev(int(block["beta"]), params)
+        lam_block = block["lam"]
+        if isinstance(lam_block, list):
+            lams = [float(x) for x in lam_block]
+        else:
+            lams = [float(x) for x in np.geomspace(
+                float(lam_block["min"]), float(lam_block["max"]), int(lam_block["count"])
+            )]
+        regions = [Region(str(shape), float(block["R"])) for shape in block["shapes"]]
     variograms = [_variogram(block["kappa"], psi) for psi in block["psi"]]
-    lam_block = block["lam"]
-    if isinstance(lam_block, list):
-        lams = [float(x) for x in lam_block]
-    else:
-        lams = [float(x) for x in np.geomspace(
-            float(lam_block["min"]), float(lam_block["max"]), int(lam_block["count"])
-        )]
-    shapes = list(block["shapes"])
-    for shape in shapes:
-        if shape not in ("disk", "square"):
-            raise ConfigError(f"unknown shape {shape!r}")
 
     rows = []
-    for shape in shapes:
+    for region in regions:
         for psi, v in zip(block["psi"], variograms):
-            q = risk.RiskQuery(
-                region=Region(shape, float(block["R"])),
-                power=PowerSpec.gev(beta, params),
-                variogram=v,
-                quad=spec,
-            )
-            rows += [(shape, psi, lam, risk.r2(q, lam)) for lam in lams]
+            q = risk.RiskQuery(region=region, power=power, variogram=v, quad=spec)
+            rows += [(region.shape, psi, lam, risk.r2(q, lam)) for lam in lams]
     _write_csv(out_path, ["shape", "psi", "lam", "r2"], rows)
 
 
 def cmd_riskreport(cfg: dict, out_path) -> None:
     block = cfg["riskreport"]
     params = _gev_params(block["gev"])
-    spec = QuadSpec(rel_tol=float(block["rel_tol"]))
-    beta = int(block["beta"])
+    with _parsing("config.riskreport"):
+        spec = QuadSpec(rel_tol=float(block["rel_tol"]))
+        p = PowerSpec.gev(int(block["beta"]), params)
+        regions = [_region(b) for b in block["regions"]]
+        lams = [float(lam) for lam in block["lam"]]
     v = _variogram(block["kappa"], block["psi"])
     alphas = _alphas(block, "config.riskreport")
-    p = PowerSpec.gev(beta, params)
 
     header = ["region", "lam", "mean", "clt_sd"]
     for a in alphas:
@@ -309,10 +322,8 @@ def cmd_riskreport(cfg: dict, out_path) -> None:
     rows = []
     mu = risk.mean_cost(p)
     k_num = risk.asymptotic_cov_integral(p, v, spec)
-    for region_block in block["regions"]:
-        region = Region(str(region_block["shape"]), float(region_block["R"]))
-        for lam in block["lam"]:
-            lam = float(lam)
+    for region in regions:
+        for lam in lams:
             clt = risk.CltApprox.from_integral(mu, k_num, region, lam)
             row = [f"{region.shape}_R{region.R:g}", lam, clt.mean, clt.sd]
             for a in alphas:
@@ -323,19 +334,21 @@ def cmd_riskreport(cfg: dict, out_path) -> None:
 
 def cmd_simulate(cfg: dict, out_path, seed_override=None) -> None:
     block = cfg["simulate"]
-    beta = int(block["beta"])
-    region = Region(str(block["region"]["shape"]), float(block["region"]["R"]))
-    lam = float(block["lam"])
-    n_rep = int(block["n_rep"])
+    with _parsing("config.simulate"):
+        beta = int(block["beta"])
+        region = _region(block["region"])
+        lam = float(block["lam"])
+        grid = simulate.region_grid(region, lam)
+        n_rep = int(block["n_rep"])
+        seed = int(seed_override if seed_override is not None else block["seed"])
+        kappa = float(block["kappa"])
+        psi = float(block["psi"])
     if n_rep < 2:
         raise ConfigError(f"config.simulate.n_rep: {n_rep} < 2 (the loss variance needs two)")
-    seed = int(seed_override if seed_override is not None else block["seed"])
-    kappa = float(block["kappa"])
-    psi = float(block["psi"])
     v = _variogram(kappa, psi)
     alphas = _alphas(block, "config.simulate")
+    margin = None if block["gev"] is None else _gev_params(block["gev"])
 
-    grid = simulate.region_grid(region, lam)
     if block["method"] == "smith":
         if psi != 2.0:
             raise ConfigError("the smith method requires psi = 2")
@@ -345,11 +358,8 @@ def cmd_simulate(cfg: dict, out_path, seed_override=None) -> None:
         samples = simulate.simulate_brown_resnick(v, grid, n_rep, seed)
     else:
         raise ConfigError(f"unknown simulate method {block['method']!r}")
-
-    margin = block["gev"]
     if margin is not None:
-        params = _gev_params(margin)
-        samples = [simulate.gev_transform(s, params) for s in samples]
+        samples = [simulate.gev_transform(s, margin) for s in samples]
 
     losses = simulate.mc_normalized_loss(samples, region, lam, beta)
 

@@ -40,6 +40,19 @@ Mixed moving maxima (Smith and tube) simulate storm centers on the grid
 bounding box dilated by the effective storm radius (``dilation_sigmas``
 standard deviations for Gaussian shapes, the exact radius for tubes) and
 stop once the next Poisson magnitude cannot exceed the running minimum.
+Storms are taken in blocks: each storm's gap and center are drawn with
+scalar calls in the same order as one storm at a time, and a block is
+then evaluated at once on a fixed-size stencil per storm, masked to the
+storm's box and clipped to the grid, and applied with ``np.maximum.at``.
+The stopping test runs once per block, with the block's last magnitude u
+and the field after the block.  This gives the field of the storm-by-storm
+loop bit for bit: magnitudes decrease and the field only grows, and no
+storm exceeds u * f_max anywhere, so once u * f_max <= min Z no later
+storm can raise Z.  The storms of a block past the storm-by-storm stop
+therefore change nothing, the test holds at the latest at the end of the
+block holding that stop, and when it holds the storm-by-storm loop would
+have stopped by the next storm.  The draws past the stop come from the
+replicate's own stream, which nothing else reads.
 
 Reproducibility
 ---------------
@@ -156,14 +169,23 @@ class McEstimate(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _pairwise_variogram(v: Variogram, points: np.ndarray) -> np.ndarray:
-    """Dense matrix gamma(x_i - x_j), built in row blocks."""
+    """Dense matrix gamma(x_i - x_j), built in row blocks.
+
+    Row block i0:i1 is evaluated against columns i0: only and mirrored into
+    the transpose, so each pair is evaluated once.  This is exact: x_j - x_i
+    is -(x_i - x_j) bit for bit, and every variogram kind is even in its
+    argument bit for bit (hypot, and a quadratic form of products).  On the
+    1961 sites of the disk, blocks of 2^18 difference vectors (4 MB) took
+    half the time of the full matrix in blocks of 2e6."""
     n = len(points)
     out = np.empty((n, n))
-    block = max(1, int(2e6 // max(n, 1)))
+    block = max(1, (1 << 18) // max(n, 1))
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
-        diff = points[i0:i1, None, :] - points[None, :, :]
-        out[i0:i1] = v(diff.reshape(-1, 2)).reshape(i1 - i0, n)
+        diff = points[i0:i1, None, :] - points[None, i0:, :]
+        vals = v(diff.reshape(-1, 2)).reshape(i1 - i0, n - i0)
+        out[i0:i1, i0:] = vals
+        out[i0:, i0:i1] = vals.T
     return out
 
 
@@ -418,45 +440,73 @@ def simulate_brown_resnick(
 # mixed moving maxima: Smith and tube
 # ---------------------------------------------------------------------------
 
+# storms per block of the mixed-moving-maxima simulators, and the most
+# stencil cells one block evaluates at once (128 kB per float temporary):
+# of 8k, 16k and 32k cells, 16k was the fastest for Smith on the 51 x 51
+# disk grid, whose boxes of up to 21 x 21 sites make blocks of 37 storms
+_STORM_BLOCK = 128
+_BLOCK_CELLS = 1 << 14
+
+
+def _storm_axis(origin, count, spacing, radius, centers):
+    """One axis of the stencils of a block of storms, both of shape (width,
+    storms): the grid indices of a run from the start i0 of each storm's box
+    [i0, i1], as wide as the block's widest box, and the offsets of their
+    grid coordinates from the storm centers.  An index past i1 is replaced
+    by ``count``, a spare row or column of the padded field that the result
+    leaves out."""
+    i0 = np.maximum(0, np.ceil((centers - radius - origin) / spacing)).astype(np.intp)
+    i1 = np.minimum(count - 1, np.floor((centers + radius - origin) / spacing)).astype(np.intp)
+    idx = np.arange(max(1, int((i1 - i0).max()) + 1))[:, None] + i0
+    offsets = origin + spacing * idx - centers
+    idx[idx > i1] = count
+    return offsets, idx
+
+
 def _m3_simulate(grid, n_rep, seed, radius, f_max, shape_fn):
-    """Generic M3 driver: storms on the dilated bounding box, stopping once
-    the next Poisson magnitude cannot beat the running minimum."""
-    pts = grid.points()
-    xs = pts[:, 0]
-    ys = pts[:, 1]
-    lo_x, hi_x = xs.min() - radius, xs.max() + radius
-    lo_y, hi_y = ys.min() - radius, ys.max() + radius
-    nu_box = (hi_x - lo_x) * (hi_y - lo_y)
-    rngs = _replicate_rngs(seed, n_rep)
-    n = grid.n_points
-    out = np.zeros((n_rep, n))
-    ny = grid.ny
+    """Generic M3 simulation: storms on the dilated bounding box, a block at a
+    time, stopping once the next Poisson magnitude cannot beat the running
+    minimum."""
+    if n_rep < 1:
+        raise DomainError("n_rep must be >= 1")
+    nx, ny = grid.nx, grid.ny
     x0, y0 = grid.origin
     dx = grid.spacing
-    for r, rng in enumerate(rngs):
-        Z = out[r]
+    lo_x, hi_x = x0 - radius, x0 + dx * (nx - 1) + radius
+    lo_y, hi_y = y0 - radius, y0 + dx * (ny - 1) + radius
+    nu_box = (hi_x - lo_x) * (hi_y - lo_y)
+    if not (0.0 < nu_box < math.inf and 0.0 < f_max < math.inf):
+        raise DomainError(f"degenerate storm box or height: area {nu_box}, height {f_max}")
+    # a box spans at most 2 radius / dx + 1 grid lines per axis, clipped to
+    # the grid: the bound on a storm's stencil cells that sizes the blocks
+    span = 2.0 * radius / dx + 1.0
+    block = max(1, min(_STORM_BLOCK, int(_BLOCK_CELLS // (min(nx, span) * min(ny, span)))))
+    out = np.empty((n_rep, nx, ny))
+    for r, rng in enumerate(_replicate_rngs(seed, n_rep)):
+        # one spare row and column take the stencil cells outside the boxes
+        padded = np.zeros((nx + 1, ny + 1))
+        flat, Z = padded.reshape(-1), padded[:nx, :ny]
         gam = 0.0
         while True:
-            gam += rng.exponential()
-            u = nu_box / gam
+            storms = []
+            for _ in range(block):
+                gam += rng.standard_exponential()
+                storms.append((gam, lo_x + (hi_x - lo_x) * rng.random(),
+                               lo_y + (hi_y - lo_y) * rng.random()))
+            gams, cx, cy = np.array(storms).T
+            u = nu_box / gams
+            wx, ix = _storm_axis(x0, nx, dx, radius, cx)
+            wy, iy = _storm_axis(y0, ny, dx, radius, cy)
+            # cells are (x, y, storm): the storm axis is the innermost, so
+            # the broadcast operations run on rows of a whole block
+            vals = u * shape_fn(wx[:, None, :], wy[None, :, :])
+            cells = (ix * (ny + 1))[:, None, :] + iy[None, :, :]
+            np.maximum.at(flat, cells.ravel(), vals.ravel())
             zmin = Z.min()
-            if zmin > 0.0 and u * f_max <= zmin:
+            if zmin > 0.0 and u[-1] * f_max <= zmin:
                 break
-            cx = rng.uniform(lo_x, hi_x)
-            cy = rng.uniform(lo_y, hi_y)
-            ix0 = max(0, int(math.ceil((cx - radius - x0) / dx)))
-            ix1 = min(grid.nx - 1, int(math.floor((cx + radius - x0) / dx)))
-            iy0 = max(0, int(math.ceil((cy - radius - y0) / dx)))
-            iy1 = min(grid.ny - 1, int(math.floor((cy + radius - y0) / dx)))
-            if ix0 > ix1 or iy0 > iy1:
-                continue
-            wx = x0 + dx * np.arange(ix0, ix1 + 1) - cx
-            wy = y0 + dx * np.arange(iy0, iy1 + 1) - cy
-            vals = u * shape_fn(wx[:, None], wy[None, :])
-            rows = np.arange(ix0, ix1 + 1) * ny
-            idx = (rows[:, None] + np.arange(iy0, iy1 + 1)[None, :]).ravel()
-            Z[idx] = np.maximum(Z[idx], vals.ravel())
-    return out
+        out[r] = Z
+    return out.reshape(n_rep, nx * ny)
 
 
 def simulate_smith(
@@ -467,8 +517,11 @@ def simulate_smith(
     Storm centers live on the bounding box dilated by ``dilation_sigmas``
     standard deviations; contributions beyond that radius are dropped,
     biasing the per-site Frechet scale by at most exp(-dilation^2/2)
-    (3.4e-4 at the default 4 sigma).
+    (3.4e-4 at the default 4 sigma).  ``dilation_sigmas`` must be finite
+    and > 0.
     """
+    if not 0.0 < dilation_sigmas < math.inf:
+        raise DomainError(f"dilation_sigmas must be finite and > 0, got {dilation_sigmas}")
     sigma = np.asarray(sigma, dtype=float)
     from .variogram import quadratic_form
 
@@ -492,8 +545,8 @@ def simulate_smith(
 
 def simulate_tube(r_storm: float, grid: Grid, n_rep: int, seed: int) -> List[FieldSample]:
     """Tube model (M3 with uniform disk storms of radius r_storm); exact."""
-    if not r_storm > 0.0:
-        raise DomainError(f"storm radius must be > 0, got {r_storm}")
+    if not 0.0 < r_storm < math.inf:
+        raise DomainError(f"storm radius must be finite and > 0, got {r_storm}")
     height = 1.0 / (math.pi * r_storm**2)
 
     def shape(wx, wy):
@@ -512,6 +565,8 @@ def simulate_schlather(
     stationary standard Gaussian field.  Bias of the truncation is
     reported as with the Brown-Resnick truncated method.
     """
+    if n_rep < 1:
+        raise DomainError("n_rep must be >= 1")
     pts = grid.points()
     n = len(pts)
     if n > _MAX_DENSE_POINTS:

@@ -15,6 +15,7 @@ from windrisk import (
     var_gev,
 )
 from windrisk import RiskQuery, clt_approx, disk, es_asymptotic, risk, var_asymptotic
+from windrisk import dependence, simulate
 from windrisk.cli import DEFAULT_CONFIG, load_config, main, normalize_config
 from windrisk.errors import ConfigError
 
@@ -333,6 +334,9 @@ class TestInvalidValues:
         ("depsurface", {"distances": {"max_by_psi": {"one": 50.0}}}),
         ("depsurface", {"distances": {"max_by_psi": {"-1": 50.0}}}),
         ("depsurface", {"distances": {"max_by_psi": {"inf": 50.0}}}),
+        ("simulate", {"n_rep": "two"}),
+        ("riskreport", {"beta": "two"}),
+        ("riskreport", {"regions": [{"shape": "hexagon", "R": 1.0}]}),
     ])
     def test_exits_2(self, tmp_path, command, block):
         cfg = tmp_path / "c.json"
@@ -340,6 +344,30 @@ class TestInvalidValues:
         assert main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 2
         assert not (tmp_path / "o.csv").exists()
+
+
+class TestConfigReadBeforeComputing:
+    @pytest.mark.parametrize("command, block", [
+        ("simulate", {"n_rep": "two"}),
+        ("simulate", {"region": {"shape": "disk", "R": 1.0}, "gev": {"eta": "x"}}),
+        ("riskreport", {"beta": "two"}),
+        ("riskreport", {"regions": [{"shape": "disk", "R": 1.0},
+                                    {"shape": "hexagon", "R": 1.0}]}),
+        ("riskreport", {"lam": [10.0, "x"]}),
+        ("r2curves", {"shapes": ["disk", "hexagon"]}),
+        ("depsurface", {"beta": [1, 0]}),
+    ])
+    def test_exits_2_before_any_computation(self, tmp_path, monkeypatch, command, block):
+        def computed(*args, **kwargs):
+            pytest.fail("computed before the config was read")
+
+        for name in ("asymptotic_cov_integral", "r2"):
+            monkeypatch.setattr(risk, name, computed)
+        monkeypatch.setattr(simulate, "simulate_smith", computed)
+        monkeypatch.setattr(dependence, "dep_measure_from_gamma", computed)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({command: block}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
 
 class TestMaxByPsiKeys:

@@ -1,5 +1,6 @@
 """Monte-Carlo generators, estimators, and the binary dump."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from windrisk import (
     GevParams,
     Grid,
     PowerSpec,
+    anisotropic_power,
     brown_resnick_at,
     cov_simple,
     extremal_coefficient,
@@ -319,6 +321,163 @@ class TestTube:
             simulate_tube(0.0, g, 10, seed=1)
 
 
+def _per_storm_m3(grid, n_rep, seed, radius, f_max, shape_fn, storms=None):
+    """Reference mixed-moving-maxima loop, one storm at a time, with the
+    stopping test before every storm.  Appends each replicate's number of
+    storms to ``storms`` when given."""
+    pts = grid.points()
+    xs = pts[:, 0]
+    ys = pts[:, 1]
+    lo_x, hi_x = xs.min() - radius, xs.max() + radius
+    lo_y, hi_y = ys.min() - radius, ys.max() + radius
+    nu_box = (hi_x - lo_x) * (hi_y - lo_y)
+    rngs = sim._replicate_rngs(seed, n_rep)
+    n = grid.n_points
+    out = np.zeros((n_rep, n))
+    ny = grid.ny
+    x0, y0 = grid.origin
+    dx = grid.spacing
+    for r, rng in enumerate(rngs):
+        Z = out[r]
+        gam = 0.0
+        count = 0
+        while True:
+            gam += rng.exponential()
+            u = nu_box / gam
+            zmin = Z.min()
+            if zmin > 0.0 and u * f_max <= zmin:
+                break
+            count += 1
+            cx = rng.uniform(lo_x, hi_x)
+            cy = rng.uniform(lo_y, hi_y)
+            ix0 = max(0, int(math.ceil((cx - radius - x0) / dx)))
+            ix1 = min(grid.nx - 1, int(math.floor((cx + radius - x0) / dx)))
+            iy0 = max(0, int(math.ceil((cy - radius - y0) / dx)))
+            iy1 = min(grid.ny - 1, int(math.floor((cy + radius - y0) / dx)))
+            if ix0 > ix1 or iy0 > iy1:
+                continue
+            wx = x0 + dx * np.arange(ix0, ix1 + 1) - cx
+            wy = y0 + dx * np.arange(iy0, iy1 + 1) - cy
+            vals = u * shape_fn(wx[:, None], wy[None, :])
+            rows = np.arange(ix0, ix1 + 1) * ny
+            idx = (rows[:, None] + np.arange(iy0, iy1 + 1)[None, :]).ravel()
+            Z[idx] = np.maximum(Z[idx], vals.ravel())
+        if storms is not None:
+            storms.append(count)
+    return out
+
+
+def _smith(grid, n_rep, seed, sigma=np.eye(2), dilation_sigmas=4.0):
+    return simulate_smith(sigma, grid, n_rep, seed, dilation_sigmas=dilation_sigmas)
+
+
+def _tube(grid, n_rep, seed, r_storm=1.0):
+    return simulate_tube(r_storm, grid, n_rep, seed)
+
+
+class TestMixedMovingMaximaEquivalence:
+    """The block-wise Smith and tube simulators give the fields of the
+    storm-by-storm reference bit for bit."""
+
+    @staticmethod
+    def _check(monkeypatch, simulate, grid, n_rep, seed, **kwargs):
+        storms = []
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_m3_simulate", functools.partial(_per_storm_m3, storms=storms))
+            ref = simulate(grid, n_rep, seed, **kwargs)
+        got = simulate(grid, n_rep, seed, **kwargs)
+        assert len(got) == len(ref) == n_rep
+        assert np.array_equal(np.stack([s.values for s in got]),
+                              np.stack([s.values for s in ref]))
+        return storms
+
+    @pytest.mark.parametrize("simulate", [_smith, _tube])
+    def test_clipped_at_every_edge(self, monkeypatch, simulate):
+        # nx != ny; storm centers range a radius beyond every edge, so boxes
+        # are clipped on all four sides, and the replicates stop in
+        # different blocks
+        grid = Grid(origin=(-1.0, 2.0), nx=30, ny=20, spacing=0.5)
+        storms = self._check(monkeypatch, simulate, grid, 5, seed=41)
+        assert max(storms) - min(storms) > sim._STORM_BLOCK
+
+    @pytest.mark.parametrize("simulate", [_smith, _tube])
+    def test_one_site_stops_in_the_first_block(self, monkeypatch, simulate):
+        grid = Grid(origin=(0.3, -0.2), nx=1, ny=1, spacing=0.7)
+        storms = self._check(monkeypatch, simulate, grid, 6, seed=42)
+        assert max(storms) < sim._STORM_BLOCK
+
+    def test_anisotropic_sigma(self, monkeypatch):
+        sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+        grid = Grid(origin=(0.0, 0.0), nx=3, ny=3, spacing=1.0)
+        self._check(monkeypatch, _smith, grid, 20, seed=43, sigma=sigma)
+
+    def test_smith_cut_at_one_sigma(self, monkeypatch):
+        # the Gaussian storms are cut where they are still large, so a site
+        # just outside a storm's box would change the field
+        grid = Grid(origin=(0.0, 0.0), nx=12, ny=9, spacing=0.5)
+        self._check(monkeypatch, _smith, grid, 5, seed=46, dilation_sigmas=1.0)
+
+    def test_tube_radius_below_spacing(self, monkeypatch):
+        # most storm boxes hold no site at all
+        grid = Grid(origin=(0.0, 0.0), nx=6, ny=5, spacing=1.0)
+        self._check(monkeypatch, _tube, grid, 4, seed=44, r_storm=0.3)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    @pytest.mark.parametrize("simulate", [_smith, _tube])
+    def test_any_block_size(self, monkeypatch, simulate, block):
+        # small blocks put the stop of most replicates past the first block
+        monkeypatch.setattr(sim, "_STORM_BLOCK", block)
+        grid = Grid(origin=(0.0, 0.0), nx=4, ny=3, spacing=1.0)
+        self._check(monkeypatch, simulate, grid, 200, seed=47)
+
+    @pytest.mark.parametrize("simulate", [_smith, _tube])
+    def test_disk_grid(self, monkeypatch, simulate):
+        grid = region_grid(disk(1.0), 10.0)
+        self._check(monkeypatch, simulate, grid, 3, seed=45)
+
+
+class TestMixedMovingMaximaValidation:
+    """Arguments that would make the storm loop run forever, or fail outside
+    windrisk's errors, raise DomainError before any draw.  A storm radius of
+    1e-161 gives an infinite storm height."""
+
+    GRID = Grid(origin=(0.0, 0.0), nx=3, ny=3, spacing=1.0)
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        monkeypatch.setattr(sim, "_replicate_rngs",
+                            lambda *args: pytest.fail("the simulator drew storms"))
+
+    @pytest.mark.parametrize("dilation", [0.0, -1.0, math.inf, math.nan, 1e200])
+    def test_smith_dilation(self, dilation):
+        with pytest.raises(DomainError):
+            simulate_smith(np.eye(2), self.GRID, 1, seed=1, dilation_sigmas=dilation)
+
+    @pytest.mark.parametrize("r_storm", [math.inf, math.nan, 1e-161])
+    def test_tube_radius(self, r_storm):
+        with pytest.raises(DomainError):
+            simulate_tube(r_storm, self.GRID, 1, seed=1)
+
+    @pytest.mark.parametrize("n_rep", [0, -1])
+    @pytest.mark.parametrize("simulate", [_smith, _tube])
+    def test_no_replicates(self, simulate, n_rep):
+        with pytest.raises(DomainError):
+            simulate(self.GRID, n_rep, 1)
+
+
+class TestPairwiseVariogram:
+    @pytest.mark.parametrize("v", [
+        power(1.0, 1.0),
+        power(2.0, 2.0),
+        anisotropic_power(0.7, np.array([[2.0, 0.5], [0.5, 1.0]]), 1.5),
+    ])
+    def test_matches_every_pair_evaluated(self, v):
+        # 700 sites make two row blocks, so the mirrored half is checked
+        points = np.random.default_rng(8).uniform(-5.0, 5.0, (700, 2))
+        full = v((points[:, None, :] - points[None, :, :]).reshape(-1, 2)).reshape(700, 700)
+        assert np.array_equal(sim._pairwise_variogram(v, points), full)
+
+
 class TestSchlather:
     @staticmethod
     def correlation(dist):
@@ -355,6 +514,11 @@ class TestSchlather:
         g = Grid(origin=(0.0, 0.0), nx=2, ny=2, spacing=1.0)
         samples = simulate_schlather(self.correlation, g, 100, seed=23, n_points=200)
         assert samples[0].meta["late_update_fraction"] <= 1.0
+
+    def test_no_replicates(self):
+        g = Grid(origin=(0.0, 0.0), nx=2, ny=2, spacing=1.0)
+        with pytest.raises(DomainError):
+            simulate_schlather(self.correlation, g, 0, seed=24)
 
 
 class TestGevTransform:
