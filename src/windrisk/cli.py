@@ -265,6 +265,8 @@ def cmd_depsurface(cfg: dict, out_path) -> None:
     with _parsing("config.depsurface"):
         spec = QuadSpec(rel_tol=float(block["rel_tol"]))
         powers = [PowerSpec.gev(int(b), params) for b in block["beta"]]
+        for power in powers:
+            dependence._require_moments(power, 2)
         psis = [float(p) for p in block["psi"]]
         grids = [_distance_grid(block["distances"], psi) for psi in psis]
     variograms = [_variogram(block["kappa"], psi) for psi in psis]
@@ -284,6 +286,7 @@ def cmd_r2curves(cfg: dict, out_path) -> None:
     with _parsing("config.r2curves"):
         spec = QuadSpec(rel_tol=float(block["rel_tol"]))
         power = PowerSpec.gev(int(block["beta"]), params)
+        dependence._require_moments(power, 2)
         lam_block = block["lam"]
         if isinstance(lam_block, list):
             lams = [float(x) for x in lam_block]
@@ -308,6 +311,7 @@ def cmd_riskreport(cfg: dict, out_path) -> None:
     with _parsing("config.riskreport"):
         spec = QuadSpec(rel_tol=float(block["rel_tol"]))
         p = PowerSpec.gev(int(block["beta"]), params)
+        dependence._require_moments(p, 2)
         regions = [_region(b) for b in block["regions"]]
         lams = [float(lam) for lam in block["lam"]]
     v = _variogram(block["kappa"], block["psi"])

@@ -1,52 +1,67 @@
 """Closed-form covariance and correlation of powers of Brown-Resnick fields.
 
-The central object is the pair function
+A cost field f(Z) of a simple (standard Frechet) Brown-Resnick field Z is
+described by the derivative of its margin transform, a short table
 
-    g[b1,b2](h) = Gamma(1-b1-b2)                                   h = 0
-                = int_0^inf  theta^b2 [ C2 C1^(b1+b2-2) Gamma(2-b1-b2)
-                                      + C3 C1^(b1+b2-1) Gamma(1-b1-b2) ] dtheta,   h > 0
+    f'(z) = sum_k d_k z^(b_k - 1):
 
-with, for theta, h > 0 and W = h/2 + log(theta)/h, V = h/2 - log(theta)/h,
+    simple margins, f(z) = z^beta         the single entry (beta, beta)
+    GEV margins, f(z) = (a + c z^xi)^beta,
+      a = eta - tau/xi, c = tau/xi        d_k = beta C(beta-1, k) a^k c^(beta-1-k) tau,
+                                          b_k = (beta - k) xi,   k = 0 .. beta-1
+    Gumbel margins (xi = 0), beta = 1     the single entry (tau, 0)
 
-    C1 = Phi(W) + Phi(V)/theta
-    C2 = [Phi(W) + phi(W)/h - phi(V)/(h theta)]
-         x [Phi(V)/theta^2 + phi(V)/(h theta^2) - phi(W)/(h theta)]
-    C3 = V phi(W)/(h^2 theta) + W phi(V)/(h^2 theta^2).
+Gumbel margins with beta >= 2 have no such table; their operations raise
+DomainError.  Hoeffding's identity (Hoeffding 1940; Lehmann 1966),
 
-Two exact identities make the integrand computable at any h without loss
-of precision.  Since phi(V) = theta * phi(W), the C2 brackets collapse and
-C3 telescopes:
+    Cov(f(Z1), f(Z2)) = int int f'(z1) f'(z2) [F(z1, z2) - F(z1) F(z2)] dz1 dz2,
 
-    C2 = Phi(W) Phi(V) / theta^2,        C3 = phi(W) / (h theta).
+splits the covariance into one term per pair of table entries.  At
+variogram-root lag h the bivariate law is F(r, r theta) = exp(-C1(theta)/r)
+with, for W = h/2 + log(theta)/h and V = h/2 - log(theta)/h,
 
-Substituting theta = exp(s h) then turns the improper integral into two
-half-line integrals of a strictly positive integrand whose logarithm is
-cheap and stable:
+    C1 = Phi(W) + Phi(V)/theta.
 
-    g = int_R  exp(L1(s)) + exp(L2(s)) ds
-    L1 = log Gamma(2-b1-b2) + log h + log Phi(W) + log Phi(V)
-         + (b2 - 1) s h + (b1 + b2 - 2) log C1
-    L2 = log Gamma(1-b1-b2) + log phi(W) + b2 s h + (b1 + b2 - 1) log C1
+The r integral of each term is a Gamma function, and theta = exp(s h) leaves
 
-with W = h/2 + s, V = h/2 - s and log C1 = logaddexp(log Phi(W),
--s h + log Phi(V)).  Covariances of powers with general GEV margins are
-binomial mixtures of such pair functions; the mixture is integrated as a
-single fused integrand so each distance costs one adaptive quadrature.
+    cov = sum_jk d_j d_k int_R h theta^b_k Gamma(1-sig) D^sig (-L) exprel(sig L) ds
+
+with sig = b_j + b_k, D = 1 + 1/theta and L = log(C1/D) = log1p(-gap/D) <= 0.
+The gap D - C1 = Phi(-W) + Phi(-V)/theta is taken from log_ndtr, so no
+term cancels: each integrand is positive and is assembled in log space.  At
+lag 0 the same table gives the variance and the mean in closed form,
+
+    Var = sum_jk d_j d_k V(b_j, b_k),   V(b, c) = [Gamma(1-b-c) - Gamma(1-b) Gamma(1-c)] / (b c),
+    E f(Z) = f(1) + sum_k d_k M(b_k),  M(b) = (Gamma(1-b) - 1) / b,
+
+with V(0, 0) = pi^2/6 and M(0) = Euler's gamma (the b -> 0 limits, where
+(z^b - 1)/b becomes log z).
+
+The pair function g[b1,b2](h) = E[Z1^b1 Z2^b2] of the display form,
+
+    g = int_0^inf theta^b2 [ C2 C1^(b1+b2-2) Gamma(2-b1-b2)
+                           + C3 C1^(b1+b2-1) Gamma(1-b1-b2) ] dtheta,   h > 0,
+
+is kept as an independent oracle (:func:`g_simple`).  Since
+phi(V) = theta phi(W), its coefficients collapse to C2 = Phi(W) Phi(V) /
+theta^2 and C3 = phi(W) / (h theta), and theta = exp(s h) turns it into a
+line integral of a positive integrand whose logarithm is cheap and stable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr
+from scipy.special import digamma, exprel, gammaln, log_ndtr, zeta
+from scipy.special import gamma as gamma_fn
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .numerics import (
     DEFAULT_QUAD,
+    QuadResult,
     QuadSpec,
     gamma,
     integrate,
@@ -80,7 +95,11 @@ __all__ = [
 SMALL_H = 1e-6
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_XI_EPS = 1e-4
+
+# zeta(n)/n, n = 2..39, of the series of log Gamma(1 - x); used where
+# |b| + |c| <= _SERIES_RADIUS, so the terms fall below 2^-70 of the first
+_SERIES_RADIUS = 0.25
+_LGAMMA_SERIES = zeta(np.arange(2.0, 40.0)) / np.arange(2.0, 40.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +110,9 @@ _XI_EPS = 1e-4
 class GevParams:
     """GEV margin triple: location eta, scale tau, shape xi.
 
-    xi = 0 (Gumbel margins) is accepted; every closed-form operation then
-    routes through a symmetric-epsilon limit in xi.
+    xi = 0 (Gumbel margins) is accepted.  The closed-form operations support
+    it for beta = 1, where f'(z) = tau / z; with beta >= 2 they raise
+    DomainError (the binomial table needs xi != 0).
     """
 
     eta: float
@@ -155,45 +175,43 @@ def bivariate_coeffs(theta: float, h: float) -> BivariateCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# fused pair-function quadrature
+# line integrals in s = log(theta) / h
 # ---------------------------------------------------------------------------
 
-def _fused_pair_integral(weights, b1, b2, h, spec: QuadSpec) -> float:
-    """Integral of sum_w weights[w] * pair_integrand(b1[w], b2[w]; h).
-
-    weights may be signed; each elementary integrand is positive and is
-    assembled in log space, so the quadrature is stable for any h > 0.
-    """
-    weights = np.asarray(weights, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    sig = b1 + b2
-    lg2 = gammaln(2.0 - sig)
-    lg1 = gammaln(1.0 - sig)
-    logh = math.log(h)
-
-    def kernel(s):
-        s = np.asarray(s, dtype=float)[None, :]
-        w = h / 2.0 + s
-        v = h / 2.0 - s
-        lphi_w = log_ndtr(w)
-        lphi_v = log_ndtr(v)
-        log_c1 = np.logaddexp(lphi_w, -s * h + lphi_v)
-        sh = s * h
-        L1 = (lg2[:, None] + logh + lphi_w + lphi_v
-              + (b2[:, None] - 1.0) * sh + (sig[:, None] - 2.0) * log_c1)
-        L2 = (lg1[:, None] - 0.5 * w * w - _LOG_SQRT_2PI
-              + b2[:, None] * sh + (sig[:, None] - 1.0) * log_c1)
-        return weights @ (np.exp(L1) + np.exp(L2))
-
-    # the integrand lives on scales ~1/h around s=0 plus the Phi
+def _line_integral(kernel, h: float, spec: QuadSpec) -> QuadResult:
+    """Integral over the real line of a vectorized kernel(s) at lag h > 0."""
+    # the integrands live on scales ~1/h around s=0 plus the Phi
     # transitions near |s| = h/2
     bps = sorted({bp for bp in (
         0.25 / h, 1.0 / h, 4.0 / h, 16.0 / h, 1.0, 2.0, h / 2.0, h / 2.0 + 8.0
     ) if bp > 0.0})
     pos = integrate(kernel, 0.0, math.inf, spec, breakpoints=bps)
     neg = integrate(lambda s: kernel(-np.asarray(s)), 0.0, math.inf, spec, breakpoints=bps)
-    return pos.value + neg.value
+    return QuadResult(pos.value + neg.value, pos.err_estimate + neg.err_estimate,
+                      pos.subdivisions + neg.subdivisions,
+                      pos.absolute_mode or neg.absolute_mode)
+
+
+def _pair_integral(b1: float, b2: float, h: float, spec: QuadSpec) -> float:
+    """The pair function g[b1,b2](h) for h > 0 from the display form."""
+    sig = b1 + b2
+    lg2 = gammaln(2.0 - sig)
+    lg1 = gammaln(1.0 - sig)
+    logh = math.log(h)
+
+    def kernel(s):
+        s = np.asarray(s, dtype=float)
+        w = h / 2.0 + s
+        v = h / 2.0 - s
+        lphi_w = log_ndtr(w)
+        lphi_v = log_ndtr(v)
+        sh = s * h
+        log_c1 = np.logaddexp(lphi_w, -sh + lphi_v)
+        L1 = lg2 + logh + lphi_w + lphi_v + (b2 - 1.0) * sh + (sig - 2.0) * log_c1
+        L2 = lg1 - 0.5 * w * w - _LOG_SQRT_2PI + b2 * sh + (sig - 1.0) * log_c1
+        return np.exp(L1) + np.exp(L2)
+
+    return _line_integral(kernel, h, spec).value
 
 
 def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
@@ -204,14 +222,12 @@ def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD
         raise DomainError(f"h must be >= 0, got {h}")
     if h < SMALL_H:
         return gamma(1.0 - beta1 - beta2)
-    return _fused_pair_integral([1.0], [beta1], [beta2], h, spec)
+    return _pair_integral(float(beta1), float(beta2), h, spec)
 
 
 def var_simple(beta: float) -> float:
     """Var((Z^(s))^beta) for standard Frechet margins, beta < 1/2."""
-    if not beta < 0.5:
-        raise DomainError(f"second-moment condition requires beta < 1/2, got {beta}")
-    return gamma(1.0 - 2.0 * beta) - gamma(1.0 - beta) ** 2
+    return var_gev(PowerSpec.simple(beta))
 
 
 def cov_simple(
@@ -227,175 +243,142 @@ def cov_simple(
 
 
 # ---------------------------------------------------------------------------
-# GEV-margin machinery
+# covariance of powers from the derivative table
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _margin_table(beta: float, eta: float, tau: float, xi: float):
-    """One-dimensional mixture table (c_k, b_k) of a margin transform.
-
-    Z^beta = sum_k c_k (Z^(s))^(b_k): the binomial expansion of the GEV
-    transform for integer beta, or the single term (1, beta) for simple
-    margins (encoded as xi = nan).
-    """
-    if math.isnan(xi):
-        return np.array([1.0]), np.array([beta])
-    ks = np.arange(int(beta) + 1)
-    c = np.array([math.comb(int(beta), int(k)) for k in ks], dtype=float)
-    c *= (eta - tau / xi) ** ks * (tau / xi) ** (int(beta) - ks)
-    b = (int(beta) - ks) * xi
-    return c, b
-
-
-def _table(p: PowerSpec):
+def _require_moments(p: PowerSpec, order: int):
+    """DomainError unless E|Z^beta|^order is finite and the margin
+    transform has a derivative table."""
     if p.is_simple:
-        return _margin_table(float(p.beta), 0.0, 1.0, float("nan"))
-    m = p.margin
-    return _margin_table(float(p.beta), m.eta, m.tau, m.xi)
-
-
-def _require_second_moment(p: PowerSpec):
-    if p.is_simple:
-        if not p.beta < 0.5:
-            raise DomainError(f"simple margins require beta < 1/2, got {p.beta}")
-    else:
-        if not p.beta * p.margin.xi < 0.5:
-            raise DomainError(
-                f"second-moment condition beta*xi < 1/2 violated: "
-                f"beta={p.beta}, xi={p.margin.xi}"
-            )
-
-
-def _require_first_moment(p: PowerSpec):
-    if p.is_simple:
-        if not p.beta < 1.0:
-            raise DomainError(f"simple margins require beta < 1, got {p.beta}")
-    else:
-        if not p.beta * p.margin.xi < 1.0:
-            raise DomainError(
-                f"first-moment condition beta*xi < 1 violated: "
-                f"beta={p.beta}, xi={p.margin.xi}"
-            )
-
-
-def _has_zero_xi(p: PowerSpec) -> bool:
-    return (not p.is_simple) and p.margin.xi == 0.0
-
-
-def _with_xi(p: PowerSpec, xi: float) -> PowerSpec:
-    return PowerSpec(beta=p.beta, margin=GevParams(p.margin.eta, p.margin.tau, xi))
-
-
-def _xi_limit(fn, eps: float = _XI_EPS, rel_tol: float = 1e-2):
-    """Richardson limit of fn(xi) as xi -> 0 from symmetric evaluations.
-
-    Averaging fn(+e) and fn(-e) cancels the odd error term; a second level
-    at 2e extrapolates the even term and yields an error estimate.
-    """
-    f1 = 0.5 * (fn(eps) + fn(-eps))
-    f2 = 0.5 * (fn(2.0 * eps) + fn(-2.0 * eps))
-    value = (4.0 * f1 - f2) / 3.0
-    err = abs(f1 - f2) / 3.0
-    if err > rel_tol * abs(value) + 1e-12:
-        raise ConvergenceError(
-            f"xi->0 extrapolation levels disagree: {f1!r} vs {f2!r}",
-            best_estimate=value,
-            err_estimate=err,
+        if not p.beta * order < 1.0:
+            raise DomainError(f"simple margins require beta < {1.0 / order:g}, got {p.beta}")
+        return
+    if not p.beta * p.margin.xi * order < 1.0:
+        raise DomainError(
+            f"moment condition beta*xi < {1.0 / order:g} violated: "
+            f"beta={p.beta}, xi={p.margin.xi}"
         )
-    return value, err
+    if p.margin.xi == 0.0 and p.beta >= 2:
+        raise DomainError(f"Gumbel margins (xi = 0) support beta = 1 only, got beta={p.beta}")
 
 
-def b_coeff(k1: int, k2: int, p: PowerSpec) -> float:
-    """Binomial-product coefficient of the GEV covariance expansion."""
+def _derivative_table(p: PowerSpec):
+    """(f(1), d, b) with f'(z) = sum_k d_k z^(b_k - 1) for the transform f
+    taking a standard Frechet value to the power of the margin."""
     if p.is_simple:
-        raise DomainError("b_coeff is defined for GEV margins only")
-    beta = int(p.beta)
-    if not (0 <= k1 <= beta and 0 <= k2 <= beta):
-        raise DomainError(f"indices must lie in [0, {beta}], got ({k1}, {k2})")
-    m = p.margin
-    if m.xi == 0.0:
-        raise DomainError("b_coeff is undefined at xi = 0; use the xi->0 limit ops")
-    return (
-        math.comb(beta, k1)
-        * math.comb(beta, k2)
-        * (m.eta - m.tau / m.xi) ** (k1 + k2)
-        * (m.tau / m.xi) ** (2 * beta - k1 - k2)
-    )
+        return 1.0, np.array([p.beta]), np.array([p.beta])
+    beta, m = int(p.beta), p.margin
+    k = np.arange(beta)
+    if beta <= 1:  # f(z) = eta + tau (z^xi - 1)/xi, also at xi = 0
+        d = np.full(beta, m.tau)
+    else:
+        a, c = m.eta - m.tau / m.xi, m.tau / m.xi
+        d = np.array([beta * math.comb(beta - 1, j) * a**j * c ** (beta - 1 - j) * m.tau
+                      for j in range(beta)])
+    return m.eta ** beta, d, (beta - k) * m.xi
 
 
-def _pair_arrays(p1: PowerSpec, p2: PowerSpec):
-    c1, b1 = _table(p1)
-    c2, b2 = _table(p2)
-    W = np.outer(c1, c2).ravel()
-    B1 = np.repeat(b1, len(b2))
-    B2 = np.tile(b2, len(b1))
-    return W, B1, B2
+def _log_power_cov(b, c):
+    """V(b, c) = Cov((Z^b - 1)/b, (Z^c - 1)/c) elementwise for standard
+    Frechet Z, where (Z^0 - 1)/0 stands for log Z.
+
+    The closed form [Gamma(1-b-c) - Gamma(1-b) Gamma(1-c)] / (b c) cancels
+    as b, c -> 0.  There V = Gamma(1-b) Gamma(1-c) expm1(b c q) / (b c) with
+    b c q = log Gamma(1-b-c) - log Gamma(1-b) - log Gamma(1-c), and the
+    series log Gamma(1-x) = gamma_E x + sum_n zeta(n) x^n / n gives
+    q = sum_n zeta(n)/n P_n, P_n = ((b+c)^n - b^n - c^n) / (b c), through
+    P_2 = 2, P_(n+1) = (b+c) P_n + b^(n-1) + c^(n-1).
+    """
+    g_b, g_c = gamma_fn(1.0 - b), gamma_fn(1.0 - c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (gamma_fn(1.0 - b - c) - g_b * g_c) / (b * c)
+        # one power 0: Cov(Z^b, log Z) / b = -Gamma(1-b) (psi(1-b) + gamma_E) / b
+        v = np.where(c == 0.0, -g_b * (digamma(1.0 - b) + np.euler_gamma) / b, v)
+        v = np.where(b == 0.0, -g_c * (digamma(1.0 - c) + np.euler_gamma) / c, v)
+    near = np.abs(b) + np.abs(c) <= _SERIES_RADIUS
+    if near.any():
+        bn, cn = b[near], c[near]
+        p, q, b_pow, c_pow = 2.0, 0.0, bn, cn
+        for coef in _LGAMMA_SERIES:
+            q = q + coef * p
+            p, b_pow, c_pow = (bn + cn) * p + b_pow + c_pow, b_pow * bn, c_pow * cn
+        v[near] = g_b[near] * g_c[near] * q * exprel(bn * cn * q)
+    return v
 
 
 def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     """Cov(Z(x1)^beta1, Z(x2)^beta2) as a function of the variogram-root lag
-    h = sqrt(gamma(x2 - x1)).
+    h = sqrt(gamma(x2 - x1)), returned as a QuadResult.
 
-    The binomial pair arrays and the moments are built once, so the returned
+    The derivative tables and the variance are built once, so the returned
     function is the single place the covariance is evaluated: the closed-form
-    variance below SMALL_H, the fused mixture minus the product of the means
-    above it.  Gumbel margins route each value through the xi -> 0 limit.
+    variance below SMALL_H, the Hoeffding line integral above it.
     """
-    if _has_zero_xi(p1) or _has_zero_xi(p2):
-        def limit(h: float) -> float:
-            def at(xi):
-                q1 = _with_xi(p1, xi) if _has_zero_xi(p1) else p1
-                q2 = _with_xi(p2, xi) if _has_zero_xi(p2) else p2
-                return _cov_at(q1, q2, spec)(h)
-            value, _ = _xi_limit(at)
-            return value
-        return limit
+    _, d1, b1 = _derivative_table(p1)
+    _, d2, b2 = _derivative_table(p2)
+    wts = np.outer(d1, d2).ravel()
+    B1 = np.repeat(b1, len(b2))
+    B2 = np.tile(b2, len(b1))
+    at_zero = QuadResult(math.fsum(wts * _log_power_cov(B1, B2)), 0.0, 0)
+    sig = B1 + B2
+    lg = gammaln(1.0 - sig)
 
-    W, B1, B2 = _pair_arrays(p1, p2)
-    at_zero = float(np.sum(W * (np.exp(gammaln(1.0 - B1 - B2))
-                                - np.exp(gammaln(1.0 - B1) + gammaln(1.0 - B2)))))
-    mu2 = first_moment(p1) * first_moment(p2)
-
-    def cov(h: float) -> float:
+    def cov(h: float) -> QuadResult:
         if h < SMALL_H:
             return at_zero
-        return _fused_pair_integral(W, B1, B2, h, spec) - mu2
+
+        def kernel(s):
+            s = np.asarray(s, dtype=float)
+            sh = s * h
+            log_d = np.logaddexp(0.0, -sh)
+            # x = gap/D in (0, 1/2]: the exponent function is at least
+            # half of 1/z1 + 1/z2
+            log_x = np.logaddexp(log_ndtr(-h / 2.0 - s), log_ndtr(s - h / 2.0) - sh) - log_d
+            x = np.exp(log_x)
+            L = np.log1p(-x)
+            # log(-L), finite even where x underflows
+            xs = np.maximum(x, 1e-300)
+            log_neg_l = log_x + np.log(-np.log1p(-xs) / xs)
+            log_terms = (lg[:, None] + B2[:, None] * sh + sig[:, None] * log_d
+                         + log_neg_l)
+            return h * (wts @ (np.exp(log_terms) * exprel(sig[:, None] * L)))
+
+        return _line_integral(kernel, h, spec)
 
     return cov
 
 
 def g_gev(p: PowerSpec, h: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Binomial mixture of pair functions for equal GEV margins at both sites."""
+    """Second moment E[Z(x1)^beta Z(x2)^beta] for equal GEV margins at both
+    sites: the covariance plus the squared mean."""
     if p.is_simple:
         raise DomainError("g_gev requires GEV margins; use g_simple instead")
-    _require_second_moment(p)
+    _require_moments(p, 2)
     if h < 0.0:
         raise DomainError(f"h must be >= 0, got {h}")
-    if _has_zero_xi(p):
-        value, _ = _xi_limit(lambda xi: g_gev(_with_xi(p, xi), h, spec))
-        return value
-    W, B1, B2 = _pair_arrays(p, p)
-    if h < SMALL_H:
-        return float(np.sum(W * np.exp(gammaln(1.0 - B1 - B2))))
-    return _fused_pair_integral(W, B1, B2, h, spec)
+    return _cov_at(p, p, spec)(h).value + first_moment(p) ** 2
 
 
 def first_moment(p: PowerSpec) -> float:
     """E[Z(0)^beta] for either margin mode."""
-    _require_first_moment(p)
-    if p.is_simple:
-        return gamma(1.0 - p.beta)
-    if _has_zero_xi(p):
-        value, _ = _xi_limit(lambda xi: first_moment(_with_xi(p, xi)))
-        return value
-    c, b = _table(p)
-    return float(np.sum(c * np.exp(gammaln(1.0 - b))))
+    _require_moments(p, 1)
+    f1, d, b = _derivative_table(p)
+    m = [np.euler_gamma if bk == 0.0 else (gamma(1.0 - bk) - 1.0) / bk for bk in b]
+    return f1 + math.fsum(d * m)
 
 
 def var_gev(p: PowerSpec) -> float:
     """Var(Z(0)^beta): the covariance at lag 0, for either margin mode."""
-    _require_second_moment(p)
-    return _cov_at(p, p, DEFAULT_QUAD)(0.0)
+    _require_moments(p, 2)
+    return _cov_at(p, p, DEFAULT_QUAD)(0.0).value
+
+
+def _cov_result(p1: PowerSpec, p2: PowerSpec, v: Variogram, x1, x2,
+                spec: QuadSpec) -> QuadResult:
+    _require_moments(p1, 2)
+    _require_moments(p2, 2)
+    h = math.sqrt(v(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)))
+    return _cov_at(p1, p2, spec)(h)
 
 
 def cov_gev(
@@ -407,10 +390,7 @@ def cov_gev(
     spec: QuadSpec = DEFAULT_QUAD,
 ) -> float:
     """Cov(Z(x1)^beta1, Z(x2)^beta2) with per-site power and margin specs."""
-    _require_second_moment(p1)
-    _require_second_moment(p2)
-    h = math.sqrt(v(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)))
-    return _cov_at(p1, p2, spec)(h)
+    return _cov_result(p1, p2, v, x1, x2, spec).value
 
 
 def dep_measure(
@@ -433,12 +413,12 @@ def dep_measure_from_gamma(
     """Radial convenience form of :func:`dep_measure` keyed by the variogram value."""
     if gamma_value < 0.0:
         raise DomainError(f"variogram value must be >= 0, got {gamma_value}")
-    _require_second_moment(p)
+    _require_moments(p, 2)
     cov = _cov_at(p, p, spec)
-    variance = cov(0.0)
+    variance = cov(0.0).value
     if not variance > 0.0:
         raise DomainError(f"degenerate power field (variance {variance}); beta=0?")
-    return cov(math.sqrt(gamma_value)) / variance
+    return cov(math.sqrt(gamma_value)).value / variance
 
 
 def cov_gev_xi_zero(
@@ -449,24 +429,34 @@ def cov_gev_xi_zero(
     x1,
     x2,
     spec: QuadSpec = DEFAULT_QUAD,
-    eps: float = _XI_EPS,
     return_err: bool = False,
 ):
-    """Gumbel-margin (xi = 0) covariance via symmetric-epsilon extrapolation.
+    """Gumbel-margin (xi = 0) covariance: :func:`cov_gev` with xi = 0.
 
-    Evaluates the closed-form covariance at xi = +-eps and +-2 eps and
-    Richardson-extrapolates; raises ConvergenceError when the two levels
-    disagree by more than 1% of the value.
+    Supported for beta = 1; beta >= 2 raises DomainError.  With
+    ``return_err`` the quadrature's error estimate is returned as well.
     """
-    if beta != int(beta) or beta < 1:
-        raise DomainError(f"beta must be a positive integer, got {beta}")
+    p = PowerSpec.gev(beta, GevParams(eta, tau, 0.0))
+    res = _cov_result(p, p, v, x1, x2, spec)
+    return (res.value, res.err_estimate) if return_err else res.value
 
-    def at(xi):
-        p = PowerSpec.gev(int(beta), GevParams(eta, tau, xi))
-        return cov_gev(p, p, v, x1, x2, spec)
 
-    value, err = _xi_limit(at, eps=eps)
-    return (value, err) if return_err else value
+def b_coeff(k1: int, k2: int, p: PowerSpec) -> float:
+    """Binomial-product coefficient of the GEV second-moment expansion."""
+    if p.is_simple:
+        raise DomainError("b_coeff is defined for GEV margins only")
+    beta = int(p.beta)
+    if not (0 <= k1 <= beta and 0 <= k2 <= beta):
+        raise DomainError(f"indices must lie in [0, {beta}], got ({k1}, {k2})")
+    m = p.margin
+    if m.xi == 0.0:
+        raise DomainError("b_coeff is undefined at xi = 0")
+    return (
+        math.comb(beta, k1)
+        * math.comb(beta, k2)
+        * (m.eta - m.tau / m.xi) ** (k1 + k2)
+        * (m.tau / m.xi) ** (2 * beta - k1 - k2)
+    )
 
 
 def extremal_coefficient(v: Variogram, x1, x2) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "QuadResult",
     "DEFAULT_QUAD",
     "gamma",
-    "log_gamma",
     "norm_cdf",
     "norm_pdf",
     "norm_quantile",
@@ -100,13 +99,6 @@ def gamma(x: float) -> float:
         return math.gamma(x)
     except (ValueError, OverflowError) as exc:  # pragma: no cover - guarded above
         raise DomainError(f"gamma undefined or overflowing at x={x}") from exc
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def norm_cdf(x: float) -> float:
@@ -229,10 +221,6 @@ def _panel_estimates(fvals: np.ndarray, half_widths: np.ndarray):
     floor = resabs * (50.0 * eps)
     err = np.where(resabs > tiny / (50.0 * eps), np.maximum(err, floor), err)
     return value, err
-
-
-def _identity_map(t):
-    return t, np.ones_like(t)
 
 
 def _make_map(a: float, b: float, kind: str):

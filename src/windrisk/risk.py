@@ -22,16 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dependence import (
-    PowerSpec,
-    _cov_at,
-    _has_zero_xi,
-    _require_second_moment,
-    _with_xi,
-    _xi_limit,
-    first_moment,
-    var_gev,
-)
+from .dependence import PowerSpec, _cov_at, _require_moments, first_moment, var_gev
 from .errors import ConvergenceError, DomainError, UnsupportedVariogramError
 from .geometry import Region, disk_distance_density, square_distance_density
 from .numerics import DEFAULT_QUAD, QuadSpec, integrate, norm_pdf, norm_quantile
@@ -120,36 +111,17 @@ def _require_isotropic(v: Variogram):
         )
 
 
-def _inner_spec(spec: QuadSpec) -> QuadSpec:
-    """Tightened tolerance for the pair-function evaluations feeding an
-    outer integral.
-
-    The covariance is the mixture minus the squared mean; both are of
-    order mu^2 while their difference can be orders of magnitude smaller,
-    so the inner evaluations must be resolved well below the outer target
-    for the cancellation to leave usable digits.
-    """
-    return replace(spec, rel_tol=max(spec.rel_tol * 1e-3, 1e-13))
-
-
 def _cov_radial_fn(p: PowerSpec, v: Variogram, spec: QuadSpec):
     """Stationary covariance of the power field as a function of distance."""
-    cov = _cov_at(p, p, _inner_spec(spec))
-    return lambda dist: cov(math.sqrt(v.radial(dist)))
+    cov = _cov_at(p, p, spec)
+    return lambda dist: cov(math.sqrt(v.radial(dist))).value
 
 
 def r2(q: RiskQuery, lam: float) -> float:
     """Var(L_N(lambda A, C)) for A a disk or square, by the 1-D reduction."""
     _require_positive_lam(lam)
     _require_isotropic(q.variogram)
-    _require_second_moment(q.power)
-    if _has_zero_xi(q.power):
-        value, _ = _xi_limit(
-            lambda xi: r2(
-                RiskQuery(q.region, _with_xi(q.power, xi), q.variogram, q.quad, q.alpha), lam
-            )
-        )
-        return value
+    _require_moments(q.power, 2)
 
     R = q.region.scaled_size
     if q.region.shape == "disk":
@@ -157,10 +129,8 @@ def r2(q: RiskQuery, lam: float) -> float:
     else:
         density, h_max = (lambda h: square_distance_density(h, R)), R * math.sqrt(2.0)
 
-    # the distance density integrates to one, so the mean-squared term can
-    # be folded into the integrand; integrating f (mixture - mu^2) instead
-    # of subtracting afterwards keeps the result accurate when the
-    # variance contribution is orders below the mixture scale
+    # the distance density integrates to one, so the squared mean drops out
+    # and the density is integrated against the covariance itself
     cov = _cov_radial_fn(q.power, q.variogram, q.quad)
     variance_scale = var_gev(q.power)
 
@@ -207,12 +177,9 @@ def asymptotic_cov_integral(
     chunk until the last chunk is relatively negligible.
     """
     _require_isotropic(v)
-    _require_second_moment(p)
+    _require_moments(p, 2)
     if p.is_simple and p.beta == 0.0:
         return 0.0
-    if _has_zero_xi(p):
-        value, _ = _xi_limit(lambda xi: asymptotic_cov_integral(_with_xi(p, xi), v, spec))
-        return value
 
     variance = var_gev(p)
     cov = _cov_radial_fn(p, v, spec)

@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 import numpy as np
+from scipy.special import exprel
 
 from .dependence import GevParams
 from .errors import ConvergenceError, DomainError
@@ -547,7 +548,10 @@ def simulate_tube(r_storm: float, grid: Grid, n_rep: int, seed: int) -> List[Fie
     """Tube model (M3 with uniform disk storms of radius r_storm); exact."""
     if not 0.0 < r_storm < math.inf:
         raise DomainError(f"storm radius must be finite and > 0, got {r_storm}")
-    height = 1.0 / (math.pi * r_storm**2)
+    area = math.pi * r_storm**2
+    if not area > 0.0:
+        raise DomainError(f"storm radius {r_storm} is too small: its area underflows to 0")
+    height = 1.0 / area
 
     def shape(wx, wy):
         return np.where(wx**2 + wy**2 < r_storm**2, height, 0.0)
@@ -599,12 +603,11 @@ def simulate_schlather(
 # ---------------------------------------------------------------------------
 
 def gev_transform_values(values, p: GevParams):
-    """Map simple-margin values to GEV margins:
-    (eta - tau/xi) + tau z^xi / xi, or eta + tau log z when xi = 0."""
-    z = np.asarray(values, dtype=float)
-    if p.xi == 0.0:
-        return p.eta + p.tau * np.log(z)
-    return (p.eta - p.tau / p.xi) + p.tau * z**p.xi / p.xi
+    """Map simple-margin values to GEV margins, eta + tau (z^xi - 1)/xi,
+    written as eta + tau log(z) exprel(xi log z) so that xi = 0 gives the
+    Gumbel map eta + tau log z."""
+    log_z = np.log(np.asarray(values, dtype=float))
+    return p.eta + p.tau * log_z * exprel(p.xi * log_z)
 
 
 def gev_transform(sample: FieldSample, p: GevParams) -> FieldSample:

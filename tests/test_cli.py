@@ -337,6 +337,12 @@ class TestInvalidValues:
         ("simulate", {"n_rep": "two"}),
         ("riskreport", {"beta": "two"}),
         ("riskreport", {"regions": [{"shape": "hexagon", "R": 1.0}]}),
+        ("depsurface", {"gev": {"eta": 30, "tau": 3, "xi": 0.3}, "beta": [2]}),
+        ("r2curves", {"gev": {"eta": 30, "tau": 3, "xi": 0.3}, "beta": 2}),
+        ("riskreport", {"gev": {"eta": 30, "tau": 3, "xi": 0.3}, "beta": 2}),
+        ("depsurface", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": [2]}),
+        ("r2curves", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": 2}),
+        ("riskreport", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": 2}),
     ])
     def test_exits_2(self, tmp_path, command, block):
         cfg = tmp_path / "c.json"

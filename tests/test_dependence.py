@@ -8,29 +8,34 @@ import pytest
 from scipy.special import ndtr
 
 from windrisk import (
-    ConvergenceError,
     DomainError,
     GevParams,
     PowerSpec,
+    RiskQuery,
+    asymptotic_cov_integral,
     b_coeff,
     bivariate_coeffs,
+    clt_approx,
     cov_gev,
     cov_gev_xi_zero,
     cov_simple,
     dep_measure,
     dep_measure_from_gamma,
+    disk,
     extremal_coefficient,
     extremal_coefficient_radial,
     g_gev,
     g_simple,
     gamma,
+    mean_cost,
     norm_cdf,
     norm_pdf,
     power,
+    r2,
     var_gev,
     var_simple,
 )
-from windrisk.dependence import _xi_limit
+from windrisk import dependence, risk
 
 from conftest import ETA, TAU, XI
 
@@ -386,11 +391,6 @@ class TestXiZero:
         c = cov_gev(p, p, v, [0.0, 0.0], [1.0, 0.0])
         assert 0.0 < c < var_gev(p)
 
-    def test_extrapolation_disagreement_raises(self):
-        # |xi| has no even-order expansion: the two levels disagree at O(eps)
-        with pytest.raises(ConvergenceError):
-            _xi_limit(abs)
-
     def test_beta_validation(self):
         v = power(1.0, 1.0)
         with pytest.raises(DomainError):
@@ -466,3 +466,75 @@ class TestSingleCovariancePath:
             for x2 in self.SITES:
                 ratio = cov_gev(p, p, v, self.ORIGIN, x2) / var_gev(p)
                 assert dep_measure_from_gamma(p, float(v(np.asarray(x2)))) == ratio
+
+
+class TestHoeffdingCovariance:
+    """The covariance is a sum of positive line integrals, with no mixture
+    minus squared mean: dependence cannot leave [0, 1] at far lags."""
+
+    LAGS = np.linspace(0.0, 40.0, 60)
+
+    @pytest.mark.parametrize("mode, beta", [
+        ("gev", 1), ("gev", 2), ("gev", 6), ("gev", 12),
+        ("simple", -1.0), ("simple", 0.25), ("simple", 0.45),
+    ])
+    def test_dependence_in_unit_interval_and_non_increasing(self, paper_gev, mode, beta):
+        p = PowerSpec.gev(beta, paper_gev) if mode == "gev" else PowerSpec.simple(beta)
+        dep = np.array([dep_measure_from_gamma(p, h * h) for h in self.LAGS])
+        assert dep[0] == 1.0
+        assert np.all((dep >= 0.0) & (dep <= 1.0))
+        assert np.all(np.diff(dep) <= 0.0)
+
+    def test_gumbel_beta_one_moments(self):
+        p = PowerSpec.gev(1, GevParams(ETA, TAU, 0.0))
+        assert mean_cost(p) == pytest.approx(ETA + np.euler_gamma * TAU, rel=1e-13)
+        assert var_gev(p) == pytest.approx(TAU**2 * math.pi**2 / 6.0, rel=1e-13)
+
+    def test_gumbel_beta_two_rejected_before_computing(self, monkeypatch):
+        def computed(*args, **kwargs):
+            pytest.fail("computed for an unsupported margin")
+
+        for module in (dependence, risk):
+            monkeypatch.setattr(module, "integrate", computed)
+            monkeypatch.setattr(module, "_cov_at", computed)
+        p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))  # the spec itself is valid
+        v = power(1.0, 1.0)
+        q = RiskQuery(region=disk(1.0), power=p, variogram=v)
+        for op in (
+            lambda: var_gev(p),
+            lambda: mean_cost(p),
+            lambda: g_gev(p, 1.0),
+            lambda: cov_gev(p, p, v, [0.0, 0.0], [1.0, 0.0]),
+            lambda: dep_measure(p, v, [0.0, 0.0], [1.0, 0.0]),
+            lambda: cov_gev_xi_zero(2, ETA, TAU, v, [0.0, 0.0], [1.0, 0.0]),
+            lambda: r2(q, 1.0),
+            lambda: asymptotic_cov_integral(p, v),
+            lambda: clt_approx(q, 10.0),
+        ):
+            with pytest.raises(DomainError):
+                op()
+
+    # exact variances from the binomial moment sums in 60-digit arithmetic;
+    # near xi = 0 the closed-form bracket of each table pair cancels, so
+    # these pin its series form (the beta = 3 case cancels most)
+    @pytest.mark.parametrize("beta, xi, exact, rel", [
+        (1, 1e-4, 14.808280426029092806, 1e-12),
+        (1, -1e-4, 14.800534886540138766, 1e-12),
+        (2, -1e-3, 68575.538031399617321, 1e-10),
+        (3, 1e-3, 192395444.02000925015, 1e-7),
+    ])
+    def test_small_xi_variance(self, beta, xi, exact, rel):
+        assert var_gev(PowerSpec.gev(beta, GevParams(ETA, TAU, xi))) == pytest.approx(
+            exact, rel=rel)
+
+    @pytest.mark.parametrize("p1, p2", [
+        (PowerSpec.gev(1, GevParams(ETA, TAU, 0.0)), PowerSpec.gev(2, GevParams(ETA, TAU, XI))),
+        (PowerSpec.simple(-1.0), PowerSpec.gev(1, GevParams(ETA, TAU, 0.0))),
+        (PowerSpec.gev(12, GevParams(ETA, TAU, XI)), PowerSpec.gev(12, GevParams(ETA, TAU, XI))),
+        (PowerSpec.simple(0.45), PowerSpec.simple(0.45)),
+    ])
+    def test_closed_form_variance_is_the_line_integral_limit(self, p1, p2):
+        v = power(1.0, 1.0)
+        at_zero = cov_gev(p1, p2, v, [0.0, 0.0], [0.0, 0.0])
+        near_zero = cov_gev(p1, p2, v, [0.0, 0.0], [4e-12, 0.0])  # h = 2e-6
+        assert near_zero == pytest.approx(at_zero, rel=1e-8)

@@ -10,6 +10,7 @@ from windrisk import (
     DomainError,
     GevParams,
     PowerSpec,
+    QuadSpec,
     RiskQuery,
     UnsupportedVariogramError,
     anisotropic_power,
@@ -191,3 +192,17 @@ class TestVarEsAsymptotic:
         with pytest.raises(DomainError):
             RiskQuery(region=disk(1.0), power=PowerSpec.gev(1, paper_gev),
                       variogram=power(1.0, 1.0), alpha=1.0)
+
+
+class TestPlaneIntegralConvergence:
+    """K is integrated from the covariance itself, so it converges where the
+    difference of second moment and squared mean could not."""
+
+    def test_slow_variogram_converges(self, paper_gev):
+        val = asymptotic_cov_integral(PowerSpec.gev(1, paper_gev), power(1.0, 0.5))
+        assert val == pytest.approx(1186496.76, rel=1e-6)
+
+    def test_tight_tolerance_converges(self, paper_gev):
+        p = PowerSpec.gev(1, paper_gev)
+        tight = asymptotic_cov_integral(p, power(1.0, 1.0), QuadSpec(rel_tol=1e-8))
+        assert tight == pytest.approx(asymptotic_cov_integral(p, power(1.0, 1.0)), rel=3e-7)

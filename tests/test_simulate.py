@@ -439,7 +439,8 @@ class TestMixedMovingMaximaEquivalence:
 class TestMixedMovingMaximaValidation:
     """Arguments that would make the storm loop run forever, or fail outside
     windrisk's errors, raise DomainError before any draw.  A storm radius of
-    1e-161 gives an infinite storm height."""
+    1e-161 gives an infinite storm height, one of 1e-170 a storm area that
+    underflows to 0."""
 
     GRID = Grid(origin=(0.0, 0.0), nx=3, ny=3, spacing=1.0)
 
@@ -453,7 +454,7 @@ class TestMixedMovingMaximaValidation:
         with pytest.raises(DomainError):
             simulate_smith(np.eye(2), self.GRID, 1, seed=1, dilation_sigmas=dilation)
 
-    @pytest.mark.parametrize("r_storm", [math.inf, math.nan, 1e-161])
+    @pytest.mark.parametrize("r_storm", [math.inf, math.nan, 1e-161, 1e-170])
     def test_tube_radius(self, r_storm):
         with pytest.raises(DomainError):
             simulate_tube(r_storm, self.GRID, 1, seed=1)
