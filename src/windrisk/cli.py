@@ -224,18 +224,33 @@ def _variogram(kappa, psi) -> variogram.Variogram:
         raise ConfigError(f"invalid variogram kappa={kappa!r} psi={psi!r}: {exc}") from exc
 
 
+def _numbers(values, path, ok, what) -> list:
+    """The list at ``path`` as floats, each one satisfying ``ok``."""
+    numbers = []
+    for x in values:
+        try:
+            number = float(x)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {x!r} is not a number") from exc
+        if not ok(number):
+            raise ConfigError(f"{path}: {x!r} is not {what}")
+        numbers.append(number)
+    return numbers
+
+
 def _alphas(block, path) -> list:
     """The block's tail levels, each strictly inside (0, 1)."""
-    alphas = []
-    for a in block["alpha"]:
-        try:
-            alpha = float(a)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.alpha: {a!r} is not a number") from exc
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"{path}.alpha: {a!r} is not in (0, 1)")
-        alphas.append(alpha)
-    return alphas
+    return _numbers(block["alpha"], f"{path}.alpha", lambda a: 0.0 < a < 1.0, "in (0, 1)")
+
+
+def _lams(values, path) -> list:
+    """Dilation factors, each finite and > 0."""
+    return _numbers(values, path, lambda lam: 0.0 < lam < math.inf, "a finite lam > 0")
+
+
+def _beta(value, path) -> int:
+    """An integral damage power; 1.0 passes, 2.7 does not."""
+    return int(_numbers([value], path, float.is_integer, "an integer")[0])
 
 
 def _max_distance(max_by_psi: dict, psi: float) -> float:
@@ -249,7 +264,8 @@ def _max_distance(max_by_psi: dict, psi: float) -> float:
 
 def _distance_grid(block, psi) -> list:
     if isinstance(block, list):
-        return [float(h) for h in block]
+        return _numbers(block, "config.depsurface.distances",
+                        lambda h: 0.0 <= h < math.inf, "a finite distance >= 0")
     h_min = float(block["min"])
     count = int(block["count"])
     h_max = _max_distance(block["max_by_psi"], psi)
@@ -264,7 +280,8 @@ def cmd_depsurface(cfg: dict, out_path) -> None:
     params = _gev_params(block["gev"])
     with _parsing("config.depsurface"):
         spec = QuadSpec(rel_tol=float(block["rel_tol"]))
-        powers = [PowerSpec.gev(int(b), params) for b in block["beta"]]
+        powers = [PowerSpec.gev(_beta(b, "config.depsurface.beta"), params)
+                  for b in block["beta"]]
         for power in powers:
             dependence._require_moments(power, 2)
         psis = [float(p) for p in block["psi"]]
@@ -285,15 +302,14 @@ def cmd_r2curves(cfg: dict, out_path) -> None:
     params = _gev_params(block["gev"])
     with _parsing("config.r2curves"):
         spec = QuadSpec(rel_tol=float(block["rel_tol"]))
-        power = PowerSpec.gev(int(block["beta"]), params)
+        power = PowerSpec.gev(_beta(block["beta"], "config.r2curves.beta"), params)
         dependence._require_moments(power, 2)
         lam_block = block["lam"]
-        if isinstance(lam_block, list):
-            lams = [float(x) for x in lam_block]
-        else:
-            lams = [float(x) for x in np.geomspace(
+        if not isinstance(lam_block, list):
+            lam_block = np.geomspace(
                 float(lam_block["min"]), float(lam_block["max"]), int(lam_block["count"])
-            )]
+            )
+        lams = _lams(lam_block, "config.r2curves.lam")
         regions = [Region(str(shape), float(block["R"])) for shape in block["shapes"]]
     variograms = [_variogram(block["kappa"], psi) for psi in block["psi"]]
 
@@ -310,10 +326,10 @@ def cmd_riskreport(cfg: dict, out_path) -> None:
     params = _gev_params(block["gev"])
     with _parsing("config.riskreport"):
         spec = QuadSpec(rel_tol=float(block["rel_tol"]))
-        p = PowerSpec.gev(int(block["beta"]), params)
+        p = PowerSpec.gev(_beta(block["beta"], "config.riskreport.beta"), params)
         dependence._require_moments(p, 2)
         regions = [_region(b) for b in block["regions"]]
-        lams = [float(lam) for lam in block["lam"]]
+        lams = _lams(block["lam"], "config.riskreport.lam")
     v = _variogram(block["kappa"], block["psi"])
     alphas = _alphas(block, "config.riskreport")
 
@@ -339,7 +355,7 @@ def cmd_riskreport(cfg: dict, out_path) -> None:
 def cmd_simulate(cfg: dict, out_path, seed_override=None) -> None:
     block = cfg["simulate"]
     with _parsing("config.simulate"):
-        beta = int(block["beta"])
+        beta = _beta(block["beta"], "config.simulate.beta")
         region = _region(block["region"])
         lam = float(block["lam"])
         grid = simulate.region_grid(region, lam)
@@ -424,6 +440,9 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        for name in ("best_estimate", "err_estimate"):
+            if getattr(exc, name) is not None:
+                print(f"{name}: {getattr(exc, name)!r}", file=sys.stderr)
         return 3
     return 0
 

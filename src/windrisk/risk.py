@@ -1,28 +1,34 @@
 """Spatial risk measures of the normalized aggregated loss.
 
 For a region A (disk or square) dilated by lambda and a cost field
-C = Z^beta, the variance of the normalized loss reduces to a single
-one-dimensional integral of the pair function against the distance
-density of A:
+C = Z^beta, the covariance of C at two sites depends on them only through
+the variogram-root lag h = sqrt(gamma(x2 - x1)).  Each (PowerSpec,
+QuadSpec) therefore gets one covariance table: a piecewise Chebyshev
+interpolant of log cov(h) whose nodes come from the Hoeffding line
+integrals of :mod:`windrisk.dependence`, certified at points between the
+nodes against the same integrals.  The variance of the normalized loss
+reduces to a single integral of that table against the distance density
+f of A, which integrates to one:
 
-    R2(lambda A) = int f(h, R) g(sqrt(gamma_u(lambda h))) dh  -  mu^2,
+    R2(lambda A) = int f(u, R) cov(sqrt(gamma_u(lambda u))) du.
 
-where mu is the stationary mean of C.  As lambda grows, R2 decays like
-K2 / lambda^2 with K2 = (integral of the stationary covariance over the
-plane) / area(A); VaR and ES of the loss decay towards mu like 1/lambda
-with Gaussian coefficients, which is what the asymptotic closed forms
-below implement.
+As lambda grows, R2 decays like K / (lambda^2 area(A)) with K the plane
+integral 2 pi int_0^inf u cov(u) du of the same table; VaR and ES of the
+loss decay towards the mean mu like 1/lambda with Gaussian coefficients,
+which is what the asymptotic closed forms below implement.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .dependence import PowerSpec, _cov_at, _require_moments, first_moment, var_gev
+from .dependence import SMALL_H, PowerSpec, _cov_at, _require_moments, first_moment
 from .errors import ConvergenceError, DomainError, UnsupportedVariogramError
 from .geometry import Region, disk_distance_density, square_distance_density
 from .numerics import DEFAULT_QUAD, QuadSpec, integrate, norm_pdf, norm_quantile
@@ -111,10 +117,124 @@ def _require_isotropic(v: Variogram):
         )
 
 
-def _cov_radial_fn(p: PowerSpec, v: Variogram, spec: QuadSpec):
-    """Stationary covariance of the power field as a function of distance."""
+# ---------------------------------------------------------------------------
+# the covariance table
+# ---------------------------------------------------------------------------
+
+# Chebyshev points of the first kind on [-1, 1] (none at a piece's edges,
+# so h = 0 is never a node), and the map from node values to coefficients,
+# c_j = (2 - [j = 0]) / n * sum_k T_j(x_k) y_k by the discrete orthogonality
+_CHEB_N = 21
+_CHEB_X = chebyshev.chebpts1(_CHEB_N)
+_TO_COEFS = chebyshev.chebvander(_CHEB_X, _CHEB_N - 1).T * (2.0 / _CHEB_N)
+_TO_COEFS[0] /= 2.0
+# check points: every other extremum of T_n, each between two neighbouring
+# nodes, where the interpolation error of a smooth function peaks
+_CHECK_X = np.cos(np.arange(1, _CHEB_N, 2) * np.pi / _CHEB_N)
+# the covariance moves on the scale h ~ 1 and has decayed by h ~ 15
+_TABLE_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0)
+_MAX_BISECTIONS = 8
+_MAX_DOUBLINGS = 10
+# past the table's range cov <= _TAIL * rel_tol * var, below the absolute
+# floors of the r2 (1e-3) and K (1e-1) integrals
+_TAIL = 1e-6
+
+
+@dataclass(frozen=True, eq=False)
+class _CovTable:
+    """cov(h) of one power field as a piecewise Chebyshev interpolant.
+
+    Piece i covers [edges[i], edges[i+1]] and holds the Chebyshev
+    coefficients of log cov, or of cov itself where a node value is not
+    positive (``log_fit`` False).
+    Below SMALL_H the closed-form variance is returned, as by ``_cov_at``;
+    from ``edges[-1]`` on, 0.  ``worst_miss`` is the largest relative
+    difference between the interpolant and ``_cov_at`` at the check points.
+    """
+
+    variance: float
+    edges: np.ndarray
+    coefs: np.ndarray
+    log_fit: np.ndarray
+    worst_miss: float
+
+    def __call__(self, h) -> np.ndarray:
+        h = np.asarray(h, dtype=float)
+        out = np.where(h < SMALL_H, self.variance, 0.0)
+        inside = (h >= SMALL_H) & (h < self.edges[-1])
+        hi = h[inside]
+        piece = np.searchsorted(self.edges, hi, side="right") - 1
+        lo, up = self.edges[piece], self.edges[piece + 1]
+        y = chebyshev.chebval((2.0 * hi - lo - up) / (up - lo), self.coefs[piece].T,
+                              tensor=False)
+        logs = self.log_fit[piece]
+        y[logs] = np.exp(y[logs])
+        out[inside] = y
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def _cov_table(p: PowerSpec, spec: QuadSpec) -> _CovTable:
+    """The certified covariance table of Z^beta; callers check the moments.
+
+    Each piece is read at _CHECK_X and compared with ``_cov_at``.  A piece
+    that misses by more than rel_tol/10 relative (to at least the tail
+    floor _TAIL * rel_tol * var) is bisected; past _MAX_BISECTIONS levels
+    ConvergenceError carries the direct value at the worst miss.  The range
+    is doubled from 24 until cov <= _TAIL * rel_tol * var.
+    """
     cov = _cov_at(p, p, spec)
-    return lambda dist: cov(math.sqrt(v.radial(dist))).value
+    variance = cov(0.0).value
+    floor = max(_TAIL * spec.rel_tol * variance, np.finfo(float).tiny)
+
+    edges = list(_TABLE_EDGES)
+    for _ in range(_MAX_DOUBLINGS):
+        if abs(cov(edges[-1]).value) <= _TAIL * spec.rel_tol * variance:
+            break
+        edges.append(2.0 * edges[-1])
+    else:
+        raise ConvergenceError(
+            f"covariance has not decayed to {_TAIL * spec.rel_tol:g} of the "
+            f"variance by lag h = {edges[-1]!r}",
+            best_estimate=cov(edges[-1]).value,
+        )
+
+    pieces = []
+    worst = 0.0
+    todo = [(lo, hi, 0) for lo, hi in zip(edges, edges[1:])][::-1]
+    while todo:
+        lo, hi, depth = todo.pop()
+        at_nodes = np.array([cov(h).value for h in lo + 0.5 * (hi - lo) * (_CHEB_X + 1.0)])
+        log_fit = bool(np.all(at_nodes > 0.0))
+        piece = _CovTable(variance, np.array([lo, hi]),
+                          (_TO_COEFS @ (np.log(at_nodes) if log_fit else at_nodes))[None],
+                          np.array([log_fit]), 0.0)
+        checks = lo + 0.5 * (hi - lo) * (_CHECK_X + 1.0)
+        direct = np.array([cov(h).value for h in checks])
+        fit = piece(checks)
+        miss = np.abs(fit - direct) / np.maximum(np.abs(direct), floor)
+        if miss.max() > 0.1 * spec.rel_tol:
+            if depth == _MAX_BISECTIONS:
+                j = int(np.argmax(miss))
+                raise ConvergenceError(
+                    f"covariance table missed by {miss[j]:.3g} relative at "
+                    f"h = {float(checks[j])!r} after {depth} bisections",
+                    best_estimate=float(direct[j]),
+                    err_estimate=float(abs(fit[j] - direct[j])),
+                )
+            mid = 0.5 * (lo + hi)
+            todo += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+            continue
+        pieces.append(piece)
+        worst = max(worst, float(miss.max()))
+
+    return _CovTable(
+        variance=variance,
+        edges=np.array([pc.edges[0] for pc in pieces] + [edges[-1]]),
+        coefs=np.concatenate([pc.coefs for pc in pieces]),
+        log_fit=np.concatenate([pc.log_fit for pc in pieces]),
+        worst_miss=worst,
+    )
 
 
 def r2(q: RiskQuery, lam: float) -> float:
@@ -131,13 +251,12 @@ def r2(q: RiskQuery, lam: float) -> float:
 
     # the distance density integrates to one, so the squared mean drops out
     # and the density is integrated against the covariance itself
-    cov = _cov_radial_fn(q.power, q.variogram, q.quad)
-    variance_scale = var_gev(q.power)
+    table = _cov_table(q.power, q.quad)
+    v = q.variogram
 
     def integrand(h):
         h = np.asarray(h, dtype=float)
-        vals = np.array([cov(lam * hi) for hi in h])
-        return density(h) * vals
+        return density(h) * table(np.sqrt(v.radial(lam * h)))
 
     # seed the subdivision where the pair function still moves: the
     # covariance decays on the scale sqrt(gamma(lam h)) ~ a few
@@ -147,23 +266,32 @@ def r2(q: RiskQuery, lam: float) -> float:
         if d is not None and 0.0 < d / lam < h_max:
             bps.append(d / lam)
     outer = replace(
-        q.quad, abs_floor=max(q.quad.abs_floor, q.quad.rel_tol * variance_scale * 1e-3)
+        q.quad, abs_floor=max(q.quad.abs_floor, q.quad.rel_tol * table.variance * 1e-3)
     )
     return integrate(integrand, 0.0, h_max, outer, breakpoints=bps).value
 
 
 def _invert_radial(v: Variogram, gamma_target: float):
-    """Distance d with gamma_u(d) = gamma_target for the power kinds."""
-    if v.kind == "power":
-        return v.kappa * gamma_target ** (1.0 / v.psi)
-    if v.kind == "power_m":
-        return (gamma_target / v.m) ** (1.0 / v.psi)
-    if v.is_isotropic:
-        c = v.sigma[0, 0]
-        if v.kind == "quadratic_form":
-            return math.sqrt(gamma_target * c)
-        return math.sqrt(c) * (gamma_target / v.m) ** (1.0 / v.psi)
+    """Distance d with gamma_u(d) = gamma_target for the power kinds; inf
+    where d overflows (small psi)."""
+    try:
+        if v.kind == "power":
+            return v.kappa * gamma_target ** (1.0 / v.psi)
+        if v.kind == "power_m":
+            return (gamma_target / v.m) ** (1.0 / v.psi)
+        if v.is_isotropic:
+            c = v.sigma[0, 0]
+            if v.kind == "quadratic_form":
+                return math.sqrt(gamma_target * c)
+            return math.sqrt(c) * (gamma_target / v.m) ** (1.0 / v.psi)
+    except OverflowError:
+        return math.inf
     return None
+
+
+# K gives up on a covariance that has not decayed by this distance (the
+# table's last edge, 24 or more, lies at 24^(2/psi) for power variograms)
+_MAX_RADIUS = 2.0**63
 
 
 def asymptotic_cov_integral(
@@ -172,63 +300,32 @@ def asymptotic_cov_integral(
     """Integral over the plane of the stationary covariance of Z^beta,
     computed radially as 2 pi int_0^inf u cov(u) du.
 
-    The radial integral is truncated where the covariance has decayed
-    below 1e-12 of the variance (doubling search) and extended chunk by
-    chunk until the last chunk is relatively negligible.
+    The covariance table is 0 from its last edge on, so the radial
+    integral ends at the distance where sqrt(gamma) reaches that edge; the
+    distances of the table's edges split it where the covariance is smooth.
     """
     _require_isotropic(v)
     _require_moments(p, 2)
     if p.is_simple and p.beta == 0.0:
         return 0.0
 
-    variance = var_gev(p)
-    cov = _cov_radial_fn(p, v, spec)
-
-    # doubling search for the truncation radius
-    h_star = 1.0
-    for _ in range(64):
-        if cov(h_star) < 1e-12 * variance:
-            break
-        h_star *= 2.0
-    else:
+    table = _cov_table(p, spec)
+    radii = [_invert_radial(v, e * e) for e in table.edges.tolist()]
+    if not radii[-1] <= _MAX_RADIUS:
         raise ConvergenceError(
             "covariance decays too slowly for the radial integral "
-            f"(still {cov(h_star)!r} at distance {h_star!r})"
+            f"(lag h = {float(table.edges[-1])!r} lies at distance {radii[-1]!r})"
         )
 
     def integrand(u):
         u = np.asarray(u, dtype=float)
-        return np.array([ui * cov(ui) for ui in u])
+        return u * table(np.sqrt(v.radial(u)))
 
-    # far chunks carry a vanishing share of the integral: accept them on an
-    # absolute budget tied to the variance scale rather than stalling on
-    # their own relative accuracy
-    chunk_spec = replace(spec, abs_floor=max(spec.abs_floor, spec.rel_tol * variance * 0.1))
-    total = 0.0
-    err = 0.0
-    lo = 0.0
-    edges = [h_star * frac for frac in (0.03125, 0.125, 0.5, 1.0)]
-    for hi in edges:
-        res = integrate(integrand, lo, hi, chunk_spec)
-        total += res.value
-        err += res.err_estimate
-        lo = hi
-    # extend past the truncation point until the tail chunk is negligible
-    for _ in range(16):
-        hi = 2.0 * lo
-        res = integrate(integrand, lo, hi, chunk_spec)
-        total += res.value
-        err += res.err_estimate
-        lo = hi
-        if abs(res.value) <= max(1e-9 * abs(total), 1e-300):
-            break
-    else:
-        raise ConvergenceError(
-            "radial covariance tail did not become negligible",
-            best_estimate=2.0 * math.pi * total,
-            err_estimate=2.0 * math.pi * err,
-        )
-    return 2.0 * math.pi * total
+    # the far pieces carry a vanishing share of the integral: accept them
+    # on an absolute budget tied to the variance scale
+    outer = replace(spec, abs_floor=max(spec.abs_floor, spec.rel_tol * table.variance * 0.1))
+    return 2.0 * math.pi * integrate(integrand, 0.0, radii[-1], outer,
+                                     breakpoints=radii[1:-1]).value
 
 
 def clt_approx(q: RiskQuery, lam: float) -> CltApprox:

@@ -605,9 +605,20 @@ def simulate_schlather(
 def gev_transform_values(values, p: GevParams):
     """Map simple-margin values to GEV margins, eta + tau (z^xi - 1)/xi,
     written as eta + tau log(z) exprel(xi log z) so that xi = 0 gives the
-    Gumbel map eta + tau log z."""
-    log_z = np.log(np.asarray(values, dtype=float))
-    return p.eta + p.tau * log_z * exprel(p.xi * log_z)
+    Gumbel map eta + tau log z.
+
+    At the ends of the support log z is infinite and that product is
+    inf * 0 where xi log z = -inf (z = 0 with xi > 0, z = inf with xi < 0)
+    or xi = 0; there the limits are the finite endpoint eta - tau/xi and the
+    Gumbel map's infinite ends."""
+    with np.errstate(divide="ignore"):  # log 0 = -inf, but warn for z < 0
+        log_z = np.log(np.asarray(values, dtype=float))
+    with np.errstate(invalid="ignore"):
+        xi_log_z = p.xi * log_z
+        out = p.eta + p.tau * log_z * exprel(xi_log_z)
+    if p.xi == 0.0:
+        return np.where(np.isinf(log_z), log_z, out)
+    return np.where(xi_log_z == -np.inf, p.eta - p.tau / p.xi, out)
 
 
 def gev_transform(sample: FieldSample, p: GevParams) -> FieldSample:

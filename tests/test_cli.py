@@ -17,7 +17,7 @@ from windrisk import (
 from windrisk import RiskQuery, clt_approx, disk, es_asymptotic, risk, var_asymptotic
 from windrisk import dependence, simulate
 from windrisk.cli import DEFAULT_CONFIG, load_config, main, normalize_config
-from windrisk.errors import ConfigError
+from windrisk.errors import ConfigError, ConvergenceError
 
 from conftest import ETA, TAU, XI
 
@@ -90,6 +90,33 @@ class TestExitCodes:
         cfg.write_text("{broken")
         assert main(["depsurface", "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 2
+
+    def test_integral_float_beta_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"depsurface": {
+            "psi": [1.0], "beta": [1.0, 3.0], "distances": [0.0, 1.0]}}))
+        out = tmp_path / "dep.csv"
+        assert main(["depsurface", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [r[1] for r in read_csv(out)[1]] == ["1", "1", "3", "3"]
+
+    def test_nonconvergence_prints_the_estimates(self, tmp_path, monkeypatch, capsys):
+        def unconverged(*args, **kwargs):
+            raise ConvergenceError("radial tail", best_estimate=1234.5, err_estimate=6.75)
+
+        monkeypatch.setattr(risk, "asymptotic_cov_integral", unconverged)
+        assert main(["riskreport", "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "radial tail" in err
+        assert "best_estimate: 1234.5" in err and "err_estimate: 6.75" in err
+
+    def test_nonconvergence_without_estimates(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "riskreport": {"psi": 0.05, "lam": [10.0], "alpha": [0.95]}
+        }))
+        assert main(["riskreport", "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 3
+        assert "estimate" not in capsys.readouterr().err
 
     def test_nonconvergence_is_3(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -343,6 +370,14 @@ class TestInvalidValues:
         ("depsurface", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": [2]}),
         ("r2curves", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": 2}),
         ("riskreport", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": 2}),
+        ("depsurface", {"distances": [-1.0, 1.0]}),
+        ("depsurface", {"distances": [math.nan]}),
+        ("r2curves", {"lam": [0.0]}),
+        ("riskreport", {"lam": [-1.0]}),
+        ("depsurface", {"beta": [2.7]}),
+        ("r2curves", {"beta": 2.7}),
+        ("riskreport", {"beta": 2.7}),
+        ("simulate", {"beta": 2.7}),
     ])
     def test_exits_2(self, tmp_path, command, block):
         cfg = tmp_path / "c.json"
@@ -362,6 +397,13 @@ class TestConfigReadBeforeComputing:
         ("riskreport", {"lam": [10.0, "x"]}),
         ("r2curves", {"shapes": ["disk", "hexagon"]}),
         ("depsurface", {"beta": [1, 0]}),
+        ("depsurface", {"distances": [0.0, 1.0, -1.0]}),
+        ("r2curves", {"lam": [1.0, 0.0]}),
+        ("riskreport", {"lam": [10.0, -1.0]}),
+        ("depsurface", {"beta": [1, 2.7]}),
+        ("r2curves", {"beta": 2.7}),
+        ("riskreport", {"beta": 2.7}),
+        ("simulate", {"beta": 2.7}),
     ])
     def test_exits_2_before_any_computation(self, tmp_path, monkeypatch, command, block):
         def computed(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Spatial risk measures: mean cost, variance reduction, asymptotics."""
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,9 @@ from windrisk import (
     var_gev,
     var_simple,
 )
+from windrisk import risk
+from windrisk.geometry import disk_distance_density
+from windrisk.numerics import QuadResult, integrate
 
 from conftest import ETA, TAU, XI
 
@@ -111,6 +115,13 @@ class TestR2:
                       variogram=power(1.0, 1.0))
         with pytest.raises(DomainError):
             r2(q, 0.0)
+
+
+    def test_tiny_psi_breakpoints_overflow_quietly(self, paper_gev):
+        # the distance where gamma reaches 64 overflows a float at psi 1e-3
+        p = PowerSpec.gev(1, paper_gev)
+        q = RiskQuery(region=disk(1.0), power=p, variogram=power(1.0, 1e-3))
+        assert 0.0 < r2(q, 1.0) < var_gev(p)
 
 
 class TestAsymptoticCovIntegral:
@@ -206,3 +217,136 @@ class TestPlaneIntegralConvergence:
         p = PowerSpec.gev(1, paper_gev)
         tight = asymptotic_cov_integral(p, power(1.0, 1.0), QuadSpec(rel_tol=1e-8))
         assert tight == pytest.approx(asymptotic_cov_integral(p, power(1.0, 1.0)), rel=3e-7)
+
+
+    def test_overflowing_radius_diagnosed(self, paper_gev):
+        with pytest.raises(ConvergenceError):
+            asymptotic_cov_integral(PowerSpec.gev(1, paper_gev), power(1.0, 1e-3))
+
+
+class TestCovTable:
+    """r2 and K read one certified table of cov(h) per (PowerSpec, QuadSpec)."""
+
+    CASES = {
+        "gev1": PowerSpec.gev(1, GevParams(ETA, TAU, XI)),
+        "gev6": PowerSpec.gev(6, GevParams(ETA, TAU, XI)),
+        "gev12": PowerSpec.gev(12, GevParams(ETA, TAU, XI)),
+        "simple-1": PowerSpec.simple(-1.0),
+        "simple0.25": PowerSpec.simple(0.25),
+        "simple0.45": PowerSpec.simple(0.45),
+        "gumbel1": PowerSpec.gev(1, GevParams(ETA, TAU, 0.0)),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_direct_evaluation(self, name):
+        p, spec = self.CASES[name], QuadSpec()
+        table = risk._cov_table(p, spec)
+        cov = risk._cov_at(p, p, spec)
+        # lags off the nodes, from below SMALL_H to past the table's range
+        lags = np.concatenate([[0.0, 1e-7, 1e-5], np.geomspace(1e-3, 30.0, 47)])
+        direct = np.array([cov(h).value for h in lags])
+        floor = 1e-6 * spec.rel_tol * table.variance
+        assert table.variance == direct[0]
+        np.testing.assert_array_less(
+            np.abs(table(lags) - direct), spec.rel_tol * np.maximum(np.abs(direct), floor))
+        assert table.worst_miss <= 0.1 * spec.rel_tol
+        assert np.all(table(lags[lags >= table.edges[-1]]) == 0.0)
+
+    def test_one_table_per_power_and_spec(self):
+        p = PowerSpec.gev(1, GevParams(ETA, TAU, XI))
+        assert risk._cov_table(p, QuadSpec()) is risk._cov_table(p, QuadSpec())
+        assert risk._cov_table(p, QuadSpec()) is not risk._cov_table(p, QuadSpec(rel_tol=1e-8))
+
+    def test_default_r2curves_builds_one_table(self, tmp_path, monkeypatch):
+        from windrisk.cli import main
+
+        evaluations = []
+        original = risk._cov_at
+
+        def counted(p1, p2, spec):
+            cov = original(p1, p2, spec)
+
+            def counted_cov(h):
+                evaluations.append(h)
+                return cov(h)
+
+            return counted_cov
+
+        risk._cov_table.cache_clear()
+        monkeypatch.setattr(risk, "_cov_at", counted)
+        assert main(["r2curves", "--out", str(tmp_path / "r2.csv")]) == 0
+        assert risk._cov_table.cache_info().misses == 1
+        assert len(evaluations) <= 500
+
+    def test_sign_change_fits_the_covariance_itself(self, monkeypatch):
+        # a covariance that turns negative at h = 3 (as a non-monotone cost
+        # can): the pieces with a non-positive node fit cov, not log cov
+        def synthetic(h):
+            return 10.0 * np.exp(-np.square(h) / 8.0) * (1.0 - np.asarray(h) / 3.0)
+
+        def fake_cov_at(p1, p2, spec):
+            return lambda h: QuadResult(float(synthetic(h)), 0.0, 0)
+
+        monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
+        spec = QuadSpec()
+        table = risk._cov_table.__wrapped__(PowerSpec.simple(0.25), spec)
+        assert table.log_fit.any() and not table.log_fit.all()
+        lags = np.linspace(0.01, 23.99, 301)
+        floor = 1e-6 * spec.rel_tol * 10.0
+        np.testing.assert_array_less(
+            np.abs(table(lags) - synthetic(lags)),
+            spec.rel_tol * np.maximum(np.abs(synthetic(lags)), floor))
+
+    def test_unfittable_covariance_diagnosed(self, monkeypatch):
+        # a jump no polynomial piece resolves: bisection gives up with the
+        # direct value at the worst check point
+        def fake_cov_at(p1, p2, spec):
+            return lambda h: QuadResult(math.exp(-h * h / 8.0) * (2.0 if h < 0.3 else 1.0), 0.0, 0)
+
+        monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
+        with pytest.raises(ConvergenceError) as err:
+            risk._cov_table.__wrapped__(PowerSpec.simple(0.25), QuadSpec())
+        assert err.value.best_estimate is not None and err.value.err_estimate > 0.0
+
+    def test_range_doubles_until_the_covariance_has_decayed(self, monkeypatch):
+        def fake_cov_at(p1, p2, spec):
+            return lambda h: QuadResult(math.exp(-h / 20.0), 0.0, 0)
+
+        monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
+        spec = QuadSpec()
+        table = risk._cov_table.__wrapped__(PowerSpec.simple(0.25), spec)
+        # exp(-h/20) <= 1e-6 rel_tol first at h = 24 * 2^5
+        assert table.edges[-1] == 768.0
+        lags = np.geomspace(1e-3, 767.0, 101)
+        np.testing.assert_allclose(table(lags), np.exp(-lags / 20.0), rtol=spec.rel_tol)
+
+    def test_plane_integral_ends_where_the_table_does(self, monkeypatch):
+        # with psi = 2 and kappa = 1 the lag is the distance, and the table
+        # of exp(-h/20) reaches 768: K = 2 pi int u exp(-u/20) du = 800 pi
+        monkeypatch.setattr(risk, "_cov_at", lambda p1, p2, spec:
+                            lambda h: QuadResult(math.exp(-h / 20.0), 0.0, 0))
+        monkeypatch.setattr(risk, "_cov_table", functools.lru_cache(risk._cov_table.__wrapped__))
+        k_num = asymptotic_cov_integral(PowerSpec.simple(0.25), power(1.0, 2.0))
+        assert k_num == pytest.approx(800.0 * math.pi, rel=3e-7)
+
+    def test_undecayed_covariance_diagnosed(self, monkeypatch):
+        monkeypatch.setattr(risk, "_cov_at",
+                            lambda p1, p2, spec: lambda h: QuadResult(1.0, 0.0, 0))
+        with pytest.raises(ConvergenceError) as err:
+            risk._cov_table.__wrapped__(PowerSpec.simple(0.25), QuadSpec())
+        assert err.value.best_estimate == 1.0
+
+    def test_r2_matches_an_integral_of_direct_values(self, paper_gev):
+        p = PowerSpec.gev(1, paper_gev)
+        v = power(1.0, 1.0)
+        cov = risk._cov_at(p, p, QuadSpec())
+
+        def direct(h):
+            return np.array([cov(x).value for x in np.ravel(h)]).reshape(np.shape(h))
+
+        for lam in (0.5, 10.0):
+            q = RiskQuery(region=disk(1.0), power=p, variogram=v)
+            expected = integrate(
+                lambda h: disk_distance_density(h, 1.0) * direct(np.sqrt(v.radial(lam * h))),
+                0.0, 2.0, QuadSpec(rel_tol=1e-10)).value
+            assert r2(q, lam) == pytest.approx(expected, rel=3e-7)

@@ -2,9 +2,11 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import exprel
 from scipy.stats import kstest
 
 from windrisk import (
@@ -537,6 +539,22 @@ class TestGevTransform:
         p = GevParams(ETA, TAU, 0.0)
         z = np.array([0.5, 1.0, 7.0])
         np.testing.assert_allclose(gev_transform_values(z, p), ETA + TAU * np.log(z))
+
+    def test_support_ends(self):
+        # the finite endpoint eta - tau/xi at z = 0 (xi > 0) and z = inf
+        # (xi < 0), the infinite ones elsewhere, and no warning
+        z = np.array([0.0, 0.3, 2.0, np.inf])
+        expected_ends = {0.3: (ETA - TAU / 0.3, np.inf), -0.2: (-np.inf, ETA + TAU / 0.2),
+                         0.0: (-np.inf, np.inf)}
+        for xi, (low, high) in expected_ends.items():
+            p = GevParams(ETA, TAU, xi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = gev_transform_values(z, p)
+            assert out[0] == low and out[-1] == high
+            # interior values are the formula's, bit for bit
+            log_z = np.log(z[1:3])
+            assert np.array_equal(out[1:3], ETA + TAU * log_z * exprel(xi * log_z))
 
     def test_mc_mean_matches_closed_form(self, paper_gev):
         rng = np.random.default_rng(24)
