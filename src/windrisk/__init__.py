@@ -41,6 +41,7 @@ from .numerics import (
     QuadSpec,
     gamma,
     integrate,
+    integrate_rows,
     norm_cdf,
     norm_pdf,
     norm_quantile,

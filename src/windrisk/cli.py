@@ -290,10 +290,12 @@ def cmd_depsurface(cfg: dict, out_path) -> None:
 
     rows = []
     for psi, v, distances in zip(psis, variograms, grids):
+        # one variogram value per distance, as a scalar call gives it: numpy
+        # may round a power differently over an array
+        gammas = np.array([v.radial(dist) for dist in distances])
         for p in powers:
-            for dist in distances:
-                rows.append((psi, p.beta, dist,
-                             dependence.dep_measure_from_gamma(p, v.radial(dist), spec)))
+            deps = dependence.dep_measure_from_gamma(p, gammas, spec)
+            rows += [(psi, p.beta, dist, dep) for dist, dep in zip(distances, deps)]
     _write_csv(out_path, ["psi", "beta", "distance", "dependence"], rows)
 
 

@@ -51,7 +51,7 @@ line integral of a positive integrand whose logarithm is cheap and stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -65,6 +65,7 @@ from .numerics import (
     QuadSpec,
     gamma,
     integrate,
+    integrate_rows,
     norm_cdf,
     norm_pdf,
 )
@@ -178,13 +179,17 @@ def bivariate_coeffs(theta: float, h: float) -> BivariateCoeffs:
 # line integrals in s = log(theta) / h
 # ---------------------------------------------------------------------------
 
-def _line_integral(kernel, h: float, spec: QuadSpec) -> QuadResult:
-    """Integral over the real line of a vectorized kernel(s) at lag h > 0."""
-    # the integrands live on scales ~1/h around s=0 plus the Phi
-    # transitions near |s| = h/2
-    bps = sorted({bp for bp in (
+def _breakpoints(h: float) -> list:
+    """Seeds of the subdivision of a half-line at lag h > 0: the integrands
+    live on scales ~1/h around s=0 plus the Phi transitions near |s| = h/2."""
+    return sorted({bp for bp in (
         0.25 / h, 1.0 / h, 4.0 / h, 16.0 / h, 1.0, 2.0, h / 2.0, h / 2.0 + 8.0
     ) if bp > 0.0})
+
+
+def _line_integral(kernel, h: float, spec: QuadSpec) -> QuadResult:
+    """Integral over the real line of a vectorized kernel(s) at lag h > 0."""
+    bps = _breakpoints(h)
     pos = integrate(kernel, 0.0, math.inf, spec, breakpoints=bps)
     neg = integrate(lambda s: kernel(-np.asarray(s)), 0.0, math.inf, spec, breakpoints=bps)
     return QuadResult(pos.value + neg.value, pos.err_estimate + neg.err_estimate,
@@ -306,13 +311,44 @@ def _log_power_cov(b, c):
     return v
 
 
+# the covariance kernel works a block of nodes at a time, at most this many
+# nodes and this many (terms x nodes) elements, to keep its arrays small
+_BLOCK_NODES = 1 << 11
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _node_blocks(row: np.ndarray, n_terms: int) -> list:
+    """Bounds of consecutive whole runs of equal ``row``, a block of runs at
+    a time: at most _BLOCK_NODES nodes and _BLOCK_ELEMENTS terms x nodes,
+    or a single run."""
+    if row[0] == row[-1]:  # each row's nodes are consecutive: this is one row
+        bounds = [0, len(row)]
+    else:
+        bounds = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), len(row)]
+    width = min(_BLOCK_NODES, max(1, _BLOCK_ELEMENTS // n_terms))
+    blocks = []
+    first = 0
+    while first < len(bounds) - 1:
+        last = first + 1
+        while last < len(bounds) - 1 and bounds[last + 1] - bounds[first] <= width:
+            last += 1
+        blocks.append(bounds[first:last + 1])
+        first = last
+    return blocks
+
+
 def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     """Cov(Z(x1)^beta1, Z(x2)^beta2) as a function of the variogram-root lag
     h = sqrt(gamma(x2 - x1)), returned as a QuadResult.
 
-    The derivative tables and the variance are built once, so the returned
-    function is the single place the covariance is evaluated: the closed-form
-    variance below SMALL_H, the Hoeffding line integral above it.
+    The function takes a scalar lag or an array of lags, and the fields of
+    its QuadResult have the lags' shape.  The derivative tables and the
+    variance are built once, so the returned function is the single place
+    the covariance is evaluated: the closed-form variance below SMALL_H, the
+    Hoeffding line integral above it.  The s > 0 half-lines of all lags are
+    the rows of one :func:`integrate_rows` call and their s < 0 half-lines
+    those of a second; each lag's value is the one it gets alone, and the
+    first lag that fails raises the error it raises alone.
     """
     _, d1, b1 = _derivative_table(p1)
     _, d2, b2 = _derivative_table(p2)
@@ -322,28 +358,74 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     at_zero = QuadResult(math.fsum(wts * _log_power_cov(B1, B2)), 0.0, 0)
     sig = B1 + B2
     lg = gammaln(1.0 - sig)
+    # exprel depends on the term through sig only: one evaluation per
+    # distinct exponent sum (23 of the 144 terms at beta 12)
+    where = {v: i for i, v in enumerate(sorted(set(sig.tolist())))}
+    sig_values = np.array(list(where))
+    sig_index = np.array([where[v] for v in sig.tolist()])
+    # term t pairs the entries j = t // len(b2) and k = t % len(b2)
+    lg_pairs = lg.reshape(len(b1), len(b2), 1)
 
-    def cov(h: float) -> QuadResult:
-        if h < SMALL_H:
-            return at_zero
-
-        def kernel(s):
-            s = np.asarray(s, dtype=float)
+    def kernel(x, row, lags, sign):
+        # row i integrates over the half-line s = sign * x, x > 0, of lags[i]
+        out = np.empty_like(x)
+        for runs in _node_blocks(row, len(sig)):
+            lo, hi = runs[0], runs[-1]
+            h = lags[row[lo:hi]]
+            s = sign * x[lo:hi]
             sh = s * h
             log_d = np.logaddexp(0.0, -sh)
-            # x = gap/D in (0, 1/2]: the exponent function is at least
+            # q = gap/D in (0, 1/2]: the exponent function is at least
             # half of 1/z1 + 1/z2
-            log_x = np.logaddexp(log_ndtr(-h / 2.0 - s), log_ndtr(s - h / 2.0) - sh) - log_d
-            x = np.exp(log_x)
-            L = np.log1p(-x)
-            # log(-L), finite even where x underflows
-            xs = np.maximum(x, 1e-300)
-            log_neg_l = log_x + np.log(-np.log1p(-xs) / xs)
-            log_terms = (lg[:, None] + B2[:, None] * sh + sig[:, None] * log_d
-                         + log_neg_l)
-            return h * (wts @ (np.exp(log_terms) * exprel(sig[:, None] * L)))
+            half_h = h / 2.0
+            log_q = np.logaddexp(log_ndtr(-half_h - s), log_ndtr(s - half_h) - sh) - log_d
+            q = np.exp(log_q)
+            L = np.log1p(-q)
+            # log(-L), finite even where q underflows
+            qs = np.maximum(q, 1e-300)
+            log_neg_l = log_q + np.log(-np.log1p(-qs) / qs)
+            terms = np.add(lg_pairs, b2[:, None] * sh).reshape(len(sig), hi - lo)
+            terms += sig[:, None] * log_d
+            terms += log_neg_l
+            np.exp(terms, out=terms)
+            terms *= np.take(exprel(sig_values[:, None] * L), sig_index, axis=0)
+            # each row is summed over the terms on its own: a BLAS product
+            # rounds the tail of a vector differently, so this keeps every
+            # lag's value independent of the other lags of the call
+            for start, end in zip(runs, runs[1:]):
+                out[start:end] = h[start - lo] * (wts @ terms[:, start - lo:end - lo])
+        return out
 
-        return _line_integral(kernel, h, spec)
+    def line_integrals(lags):
+        """One QuadResult per lag >= SMALL_H."""
+        bps = [_breakpoints(lag) for lag in lags]
+        lags = np.array(lags)
+        pos = integrate_rows(lambda x, row: kernel(x, row, lags, 1.0), 0.0, math.inf, bps, spec)
+        # a lag's s < 0 half-line is integrated only once its s > 0 one has
+        # converged, as when the lag is evaluated alone, so the first lag that
+        # fails raises the same error and no work is spent past it
+        n_ok = next((i for i, r in enumerate(pos) if not isinstance(r, QuadResult)), len(pos))
+        neg = integrate_rows(lambda x, row: kernel(x, row, lags, -1.0),
+                             0.0, math.inf, bps[:n_ok], spec)
+        for r in neg + pos[n_ok:n_ok + 1]:
+            if not isinstance(r, QuadResult):
+                raise r
+        return [QuadResult(p.value + n.value, p.err_estimate + n.err_estimate,
+                           p.subdivisions + n.subdivisions, p.absolute_mode or n.absolute_mode)
+                for p, n in zip(pos, neg)]
+
+    def cov(h) -> QuadResult:
+        h = np.asarray(h, dtype=float)
+        flat = h.ravel().tolist()
+        results = [at_zero] * len(flat)
+        far = [i for i, lag in enumerate(flat) if not lag < SMALL_H]
+        if far:
+            for i, res in zip(far, line_integrals([flat[i] for i in far])):
+                results[i] = res
+        if h.ndim == 0:
+            return results[0]
+        return QuadResult(*(np.array([getattr(r, f.name) for r in results]).reshape(h.shape)
+                            for f in fields(QuadResult)))
 
     return cov
 
@@ -407,18 +489,18 @@ def dep_measure(
     )
 
 
-def dep_measure_from_gamma(
-    p: PowerSpec, gamma_value: float, spec: QuadSpec = DEFAULT_QUAD
-) -> float:
-    """Radial convenience form of :func:`dep_measure` keyed by the variogram value."""
-    if gamma_value < 0.0:
+def dep_measure_from_gamma(p: PowerSpec, gamma_value, spec: QuadSpec = DEFAULT_QUAD):
+    """Radial convenience form of :func:`dep_measure` keyed by the variogram
+    value; an array of variogram values gives the array of dependences from
+    one covariance evaluation."""
+    if np.any(np.asarray(gamma_value) < 0.0):
         raise DomainError(f"variogram value must be >= 0, got {gamma_value}")
     _require_moments(p, 2)
     cov = _cov_at(p, p, spec)
     variance = cov(0.0).value
     if not variance > 0.0:
         raise DomainError(f"degenerate power field (variance {variance}); beta=0?")
-    return cov(math.sqrt(gamma_value)).value / variance
+    return cov(np.sqrt(gamma_value)).value / variance
 
 
 def cov_gev_xi_zero(

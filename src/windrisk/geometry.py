@@ -51,10 +51,10 @@ class Region:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise DomainError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
-        if not self.R > 0.0:
-            raise DomainError(f"R must be > 0, got {self.R}")
-        if not self.lam > 0.0:
-            raise DomainError(f"lam must be > 0, got {self.lam}")
+        if not 0.0 < self.R < math.inf:
+            raise DomainError(f"R must be finite and > 0, got {self.R}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"lam must be finite and > 0, got {self.lam}")
 
     @property
     def scaled_size(self) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import ndtri as _ndtri
 
-from .errors import CancelledError, ConvergenceError, DomainError
+from .errors import CancelledError, ConvergenceError, DomainError, WindriskError
 
 __all__ = [
     "QuadSpec",
@@ -34,6 +34,7 @@ __all__ = [
     "norm_quantile",
     "std_normal",
     "integrate",
+    "integrate_rows",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -192,34 +193,38 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 _NPOINTS = 15
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _panel_estimates(fvals: np.ndarray, half_widths: np.ndarray):
     """Kronrod value and QUADPACK-style error for a batch of panels.
 
-    fvals has shape (n_panels, 15); half_widths has shape (n_panels,).
+    fvals has shape (..., n_panels, 15); half_widths has shape (..., n_panels).
+    A stack of panel batches is reduced one batch at a time, as if each were
+    passed alone.
     """
     resk = fvals @ _WGK
-    resg = fvals[:, _GAUSS_IDX] @ _WG
+    # the Gauss values of each batch column-major, as fvals[:, _GAUSS_IDX]
+    # lays them out for a single batch: the product's rounding depends on
+    # the layout, so a stack of batches gets each batch's own
+    gauss = np.ascontiguousarray(np.swapaxes(fvals[..., _GAUSS_IDX], -1, -2))
+    resg = np.swapaxes(gauss, -1, -2) @ _WG
     resabs = np.abs(fvals) @ _WGK
     mean = 0.5 * resk
-    resasc = np.abs(fvals - mean[:, None]) @ _WGK
+    resasc = np.abs(fvals - mean[..., None]) @ _WGK
 
     value = resk * half_widths
     resabs = resabs * half_widths
     resasc = resasc * half_widths
     err = np.abs(resk - resg) * half_widths
     # sharpen the raw difference the way QUADPACK does
-    nz = resasc > 0.0
-    scaled = np.ones_like(err)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled[nz] = np.minimum(1.0, (200.0 * err[nz] / resasc[nz]) ** 1.5)
-    err = np.where(nz, resasc * scaled, err)
+        scaled = np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where(resasc > 0.0, resasc * scaled, err)
     # never report below the rounding noise of the panel sum
-    tiny = np.finfo(float).tiny
-    eps = np.finfo(float).eps
-    floor = resabs * (50.0 * eps)
-    err = np.where(resabs > tiny / (50.0 * eps), np.maximum(err, floor), err)
+    floor = resabs * (50.0 * _EPS)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(err, floor), err)
     return value, err
 
 
@@ -269,7 +274,98 @@ def integrate(
 
     Returns a :class:`QuadResult`; raises :class:`ConvergenceError` if the
     subdivision budget is exhausted (carrying the best estimate) and
-    :class:`CancelledError` when the cancellation token fires.
+    :class:`CancelledError` when the cancellation token fires.  This is the
+    one-row call of :func:`integrate_rows`.
+    """
+    result = integrate_rows(lambda x, row: f(x), a, b, [breakpoints], spec)[0]
+    if isinstance(result, WindriskError):
+        raise result
+    return result
+
+
+class _Row:
+    """Panel store of one row: t bounds, Kronrod values and error
+    estimates, kept sorted by lower bound."""
+
+    __slots__ = ("lo", "hi", "val", "err", "n_subdiv")
+
+    def __init__(self, edges):
+        self.lo = np.array(edges[:-1])
+        self.hi = np.array(edges[1:])
+        self.n_subdiv = len(edges) - 2
+
+
+def _initial_edges(a, b, t_lo, t_hi, inv, breakpoints):
+    edges = [t_lo, t_hi]
+    for bp in breakpoints:
+        if a < bp < b or (math.isinf(b) and bp > a):
+            t = float(inv(bp))
+            if t_lo < t < t_hi:
+                edges.append(t)
+    return sorted(set(edges))
+
+
+def _eval_panels(f, phi, rows, lows, highs, counts):
+    """Kronrod values and errors of new panels, with one call of ``f``.
+
+    ``lows``/``highs`` hold the t bounds of ``counts[i]`` consecutive panels
+    of row ``rows[i]``, for each i (``rows`` and ``counts`` are lists).
+    Returns (values, errors, finite) where ``finite[i]`` tells whether row
+    ``rows[i]`` had only finite integrand values.  Each row's panels are
+    reduced as one batch of their own, so a row's estimates do not depend
+    on the other rows of the wave.
+    """
+    centers = 0.5 * (lows + highs)
+    halfw = 0.5 * (highs - lows)
+    xs, jac = phi((centers[:, None] + halfw[:, None] * _XGK[None, :]).ravel())
+    fv = np.asarray(f(xs, np.repeat(rows, np.multiply(counts, _NPOINTS))), dtype=float) * jac
+    fv = fv.reshape(len(lows), _NPOINTS)
+    if len(set(counts)) == 1 and np.isfinite(fv).all():
+        # the usual wave: every row has as many new panels, all finite
+        v, e = _panel_estimates(fv.reshape(len(counts), -1, _NPOINTS),
+                                halfw.reshape(len(counts), -1))
+        return v.ravel(), e.ravel(), [True] * len(counts)
+    counts = np.array(counts)
+    starts = np.cumsum(counts) - counts
+    finite = np.logical_and.reduceat(np.isfinite(fv).all(axis=1), starts)
+    vals = np.empty(len(lows))
+    errs = np.empty(len(lows))
+    for n in sorted(set(counts[finite].tolist())):
+        first = starts[finite & (counts == n)]
+        idx = (first[:, None] + np.arange(n)).ravel()
+        v, e = _panel_estimates(fv[idx].reshape(-1, n, _NPOINTS), halfw[idx].reshape(-1, n))
+        vals[idx] = v.ravel()
+        errs[idx] = e.ravel()
+    return vals, errs, finite.tolist()
+
+
+def integrate_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    breakpoints: Sequence[Sequence[float]],
+    spec: QuadSpec = DEFAULT_QUAD,
+) -> list:
+    """Adaptive Gauss-Kronrod integration of many integrands ("rows") over
+    one domain, in one loop.
+
+    ``f(x, row)`` gets an ndarray of abscissae and, elementwise, the index
+    of the row each one belongs to, and returns the integrand values.
+    ``breakpoints`` holds one sequence per row, as in :func:`integrate`;
+    its length is the number of rows.  Each row keeps its own panels, its
+    own refinement waves (the panels carrying the top half of its error,
+    at most 32 a wave), its own acceptance test (``rel_tol * |total|`` or
+    ``abs_floor``) and its own ``max_subdivisions`` budget, so its result
+    is the one it would get alone.  A wave makes one call of ``f`` over
+    the new panels of every row still refining, each row's panels
+    consecutive.
+
+    Returns one entry per row: its :class:`QuadResult`, or the error that
+    ended it, a :class:`ConvergenceError` carrying its best estimate or a
+    :class:`DomainError` for a non-finite integrand value.  Once a row has
+    failed, the rows after it are dropped and get None: a caller's outcome
+    is decided by its first failing row.  The cancellation token is polled
+    between waves and raises :class:`CancelledError`.
     """
     a = float(a)
     b = float(b)
@@ -279,75 +375,81 @@ def integrate(
         raise DomainError("lower endpoint must be finite")
 
     phi, inv, t_lo, t_hi = _make_map(a, b, spec.infinite_map)
+    edges = {}  # rows often share their breakpoints
+    store = []
+    for bps in breakpoints:
+        key = tuple(bps)
+        if key not in edges:
+            edges[key] = _initial_edges(a, b, t_lo, t_hi, inv, key)
+        store.append(_Row(edges[key]))
+    results = [None] * len(store)
+    failures = {}
 
-    edges = [t_lo, t_hi]
-    for bp in breakpoints:
-        if a < bp < b or (math.isinf(b) and bp > a):
-            t = float(inv(bp))
-            if t_lo < t < t_hi:
-                edges.append(t)
-    edges = sorted(set(edges))
-
-    def eval_panels(bounds):
-        """bounds: list of (lo, hi) in t space -> arrays (value, err)."""
-        lows = np.array([p[0] for p in bounds])
-        highs = np.array([p[1] for p in bounds])
-        centers = 0.5 * (lows + highs)
-        halfw = 0.5 * (highs - lows)
-        ts = centers[:, None] + halfw[:, None] * _XGK[None, :]
-        xs, jac = phi(ts.ravel())
-        fv = np.asarray(f(xs), dtype=float) * jac
-        fv = fv.reshape(len(bounds), _NPOINTS)
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("integrand returned a non-finite value")
-        return _panel_estimates(fv, halfw)
-
-    panels = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    vals, errs = eval_panels(panels)
-    store = [[p[0], p[1], vals[i], errs[i]] for i, p in enumerate(panels)]
-    n_subdiv = len(store) - 1
-
-    while True:
-        total = math.fsum(p[2] for p in store)
-        total_err = math.fsum(p[3] for p in store)
-        if total_err <= spec.rel_tol * abs(total):
-            return QuadResult(total, total_err, n_subdiv)
-        if total_err <= spec.abs_floor:
-            return QuadResult(total, total_err, n_subdiv, absolute_mode=True)
-        if spec.should_cancel is not None and spec.should_cancel():
+    # the first wave evaluates every row's initial panels
+    todo = [(r, row.lo, row.hi, None) for r, row in enumerate(store)]
+    while todo:
+        counts = [len(t[1]) for t in todo]
+        vals, errs, finite = _eval_panels(
+            f, phi, [t[0] for t in todo], np.concatenate([t[1] for t in todo]),
+            np.concatenate([t[2] for t in todo]), counts)
+        live = []
+        pos = 0
+        for (r, lows, highs, picked), n, ok in zip(todo, counts, finite):
+            v, e = vals[pos:pos + n], errs[pos:pos + n]
+            pos += n
+            if not ok:
+                failures[r] = DomainError("integrand returned a non-finite value")
+                continue
+            row = store[r]
+            if picked is None:
+                row.val, row.err = v, e
+            else:
+                # left halves replace the split panels, right halves are appended
+                row.hi[picked] = highs[0::2]
+                row.val[picked] = v[0::2]
+                row.err[picked] = e[0::2]
+                lo = np.concatenate([row.lo, lows[1::2]])
+                order = np.argsort(lo, kind="stable")
+                row.lo = lo[order]
+                row.hi = np.concatenate([row.hi, highs[1::2]])[order]
+                row.val = np.concatenate([row.val, v[1::2]])[order]
+                row.err = np.concatenate([row.err, e[1::2]])[order]
+                row.n_subdiv += len(picked)
+            total = math.fsum(row.val.tolist())
+            total_err = math.fsum(row.err.tolist())
+            if total_err <= spec.rel_tol * abs(total):
+                results[r] = QuadResult(total, total_err, row.n_subdiv)
+            elif total_err <= spec.abs_floor:
+                results[r] = QuadResult(total, total_err, row.n_subdiv, absolute_mode=True)
+            else:
+                live.append((r, total, total_err))
+        if live and spec.should_cancel is not None and spec.should_cancel():
             raise CancelledError("integration cancelled by token")
-        if n_subdiv >= spec.max_subdivisions:
-            raise ConvergenceError(
-                f"quadrature did not converge within {spec.max_subdivisions} "
-                f"subdivisions (best {total!r}, err {total_err!r})",
-                best_estimate=total,
-                err_estimate=total_err,
-            )
 
-        # split the panels carrying the top half of the error, a wave at a time
-        order = sorted(range(len(store)), key=lambda i: store[i][3], reverse=True)
-        budget = min(
-            32,
-            max(1, spec.max_subdivisions - n_subdiv),
-        )
-        picked = []
-        acc = 0.0
-        for i in order:
-            picked.append(i)
-            acc += store[i][3]
-            if acc >= 0.5 * total_err or len(picked) >= budget:
-                break
-        new_bounds = []
-        for i in picked:
-            lo, hi, _, _ = store[i]
+        todo = []
+        for r, total, total_err in live:
+            if failures and r > min(failures):
+                break  # rows past the first failure are dropped
+            row = store[r]
+            if row.n_subdiv >= spec.max_subdivisions:
+                failures[r] = ConvergenceError(
+                    f"quadrature did not converge within {spec.max_subdivisions} "
+                    f"subdivisions (best {total!r}, err {total_err!r})",
+                    best_estimate=total,
+                    err_estimate=total_err,
+                )
+                continue
+            # split the panels carrying the top half of the error, a wave at a time
+            budget = min(32, max(1, spec.max_subdivisions - row.n_subdiv))
+            order = np.argsort(-row.err, kind="stable")
+            reached = np.flatnonzero(np.cumsum(row.err[order]) >= 0.5 * total_err)
+            picked = order[:min(budget, reached[0] + 1 if reached.size else len(order))]
+            lo, hi = row.lo[picked], row.hi[picked]
             mid = 0.5 * (lo + hi)
-            new_bounds.append((lo, mid))
-            new_bounds.append((mid, hi))
-        vals, errs = eval_panels(new_bounds)
-        for j, i in enumerate(picked):
-            store[i] = [new_bounds[2 * j][0], new_bounds[2 * j][1],
-                        vals[2 * j], errs[2 * j]]
-            store.append([new_bounds[2 * j + 1][0], new_bounds[2 * j + 1][1],
-                          vals[2 * j + 1], errs[2 * j + 1]])
-        store.sort(key=lambda p: p[0])
-        n_subdiv += len(picked)
+            todo.append((r, np.column_stack([lo, mid]).ravel(),
+                         np.column_stack([mid, hi]).ravel(), picked))
+
+    for r, exc in failures.items():
+        results[r] = exc
+    first = min(failures, default=len(results))
+    return results[:first + 1] + [None] * (len(results) - first - 1)

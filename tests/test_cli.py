@@ -378,6 +378,8 @@ class TestInvalidValues:
         ("r2curves", {"beta": 2.7}),
         ("riskreport", {"beta": 2.7}),
         ("simulate", {"beta": 2.7}),
+        ("riskreport", {"regions": [{"shape": "disk", "R": math.inf}]}),
+        ("r2curves", {"R": math.inf}),
     ])
     def test_exits_2(self, tmp_path, command, block):
         cfg = tmp_path / "c.json"

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from windrisk import (
+    ConvergenceError,
     DomainError,
     GevParams,
     PowerSpec,
@@ -31,6 +34,7 @@ from windrisk import (
     norm_cdf,
     norm_pdf,
     power,
+    QuadSpec,
     r2,
     var_gev,
     var_simple,
@@ -538,3 +542,134 @@ class TestHoeffdingCovariance:
         at_zero = cov_gev(p1, p2, v, [0.0, 0.0], [0.0, 0.0])
         near_zero = cov_gev(p1, p2, v, [0.0, 0.0], [4e-12, 0.0])  # h = 2e-6
         assert near_zero == pytest.approx(at_zero, rel=1e-8)
+
+
+class TestBatchedCovariance:
+    """The covariance of many lags is one quadrature call, each lag a pair
+    of rows; every lag's result is the one it gets alone, bit for bit."""
+
+    # 0, a lag below SMALL_H, and the psi = 2 study grid (sqrt(gamma) is the
+    # distance there), whose shortest lags need refinement waves
+    LAGS = np.r_[0.0, 0.5 * dependence.SMALL_H, np.geomspace(0.1, 10.0, 40)]
+
+    CASES = {
+        "gev1": (PowerSpec.gev(1, GevParams(ETA, TAU, XI)),) * 2,
+        "gev6": (PowerSpec.gev(6, GevParams(ETA, TAU, XI)),) * 2,
+        "gev12": (PowerSpec.gev(12, GevParams(ETA, TAU, XI)),) * 2,
+        "simple-1": (PowerSpec.simple(-1.0),) * 2,
+        "simple0.25": (PowerSpec.simple(0.25),) * 2,
+        "simple0.45": (PowerSpec.simple(0.45),) * 2,
+        "gumbel1": (PowerSpec.gev(1, GevParams(ETA, TAU, 0.0)),) * 2,
+        # two margins whose exponents never sum alike: 3 x 2 distinct sums
+        "mixed": (PowerSpec.gev(3, GevParams(ETA, TAU, XI)),
+                  PowerSpec.gev(2, GevParams(ETA, TAU, 0.1))),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_array_of_lags_equals_each_lag_alone(self, name):
+        p1, p2 = self.CASES[name]
+        cov = dependence._cov_at(p1, p2, QuadSpec())
+        batch = cov(self.LAGS)
+        alone = [cov(h) for h in self.LAGS]
+        assert batch.value.shape == self.LAGS.shape
+        for field in ("value", "err_estimate", "subdivisions", "absolute_mode"):
+            assert getattr(batch, field).tolist() == [getattr(r, field) for r in alone], field
+        assert isinstance(alone[5].value, float)
+
+    def test_study_grid_needs_refinement_waves(self, paper_gev):
+        # some lag is refined past its initial panels (at most 9 a half-line)
+        p = PowerSpec.gev(6, paper_gev)
+        assert dependence._cov_at(p, p, QuadSpec())(self.LAGS).subdivisions.max() > 16
+
+    def test_mixed_pair_has_a_distinct_exponent_sum_per_term(self):
+        _, _, b1 = dependence._derivative_table(self.CASES["mixed"][0])
+        _, _, b2 = dependence._derivative_table(self.CASES["mixed"][1])
+        assert np.unique(np.add.outer(b1, b2)).size == b1.size * b2.size
+
+    def test_first_failing_lag_raises_its_own_error(self):
+        # a budget of one split per half-line at a tight tolerance: short
+        # lags fail, long ones converge
+        p = PowerSpec.gev(6, GevParams(ETA, TAU, XI))
+        cov = dependence._cov_at(p, p, QuadSpec(rel_tol=1e-11, max_subdivisions=9))
+        errors = {}
+        for h in self.LAGS:
+            try:
+                cov(h)
+            except ConvergenceError as exc:
+                errors[float(h)] = exc
+        failing = sorted(errors, reverse=True)[:2]
+        converging = [h for h in self.LAGS if float(h) not in errors]
+        assert len(failing) == 2 and len(converging) >= 5
+        first, second = (errors[h] for h in failing)
+        assert first.best_estimate != second.best_estimate
+
+        lags = np.r_[converging[-3:], failing[0], converging[:2], failing[1]]
+        with pytest.raises(ConvergenceError) as batch:
+            cov(lags)
+        assert str(batch.value) == str(first)
+        assert batch.value.best_estimate == first.best_estimate
+        assert batch.value.err_estimate == first.err_estimate
+
+    def test_dependence_of_an_array_of_variogram_values(self, paper_gev):
+        p = PowerSpec.gev(4, paper_gev)
+        gammas = np.square(self.LAGS)
+        batch = dep_measure_from_gamma(p, gammas)
+        assert batch.tolist() == [dep_measure_from_gamma(p, g) for g in gammas]
+        assert isinstance(dep_measure_from_gamma(p, 1.0), float)
+        with pytest.raises(DomainError):
+            dep_measure_from_gamma(p, np.array([1.0, -1.0]))
+
+    def test_default_depsurface_builds_one_covariance_per_power_and_psi(
+            self, tmp_path, monkeypatch):
+        from windrisk.cli import main
+
+        built = []
+        original = dependence._cov_at
+
+        def counted(p1, p2, spec):
+            built.append((p1, p2))
+            return original(p1, p2, spec)
+
+        monkeypatch.setattr(dependence, "_cov_at", counted)
+        assert main(["depsurface", "--out", str(tmp_path / "dep.csv")]) == 0
+        assert len(built) == 4 * 12
+
+
+class TestDependenceProperties:
+    """Random GEV margins, powers and variograms: the batched dependence is
+    a correlation that decays with distance and equals the lag-by-lag one."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        beta=st.integers(min_value=1, max_value=12),
+        xi_size=st.floats(min_value=0.05, max_value=0.6),
+        xi_sign=st.sampled_from([-1.0, 1.0]),
+        eta=st.floats(min_value=10.0, max_value=50.0),
+        tau=st.floats(min_value=0.5, max_value=5.0),
+        psi=st.floats(min_value=0.05, max_value=2.0),
+        gaps=st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=1, max_size=8),
+    )
+    def test_unit_interval_non_increasing_and_batch_equals_scalar(
+            self, beta, xi_size, xi_sign, eta, tau, psi, gaps):
+        xi = xi_sign * xi_size
+        assume(beta * xi < 0.5)
+        p = PowerSpec.gev(beta, GevParams(eta, tau, xi))
+        v = power(1.0, psi)
+        distances = np.r_[0.0, np.cumsum(gaps)]
+        gammas = np.array([v.radial(d) for d in distances])
+        try:
+            dep = dep_measure_from_gamma(p, gammas)
+        except ConvergenceError as batch:
+            # the documented failure (the binomial table cancels at high
+            # powers): it is the error of the first lag that fails alone
+            for g in gammas:
+                try:
+                    dep_measure_from_gamma(p, g)
+                except ConvergenceError as alone:
+                    assert str(batch) == str(alone)
+                    return
+            pytest.fail("the batch failed where every lag converges alone")
+        assert dep[0] == 1.0
+        assert np.all((dep >= 0.0) & (dep <= 1.0))
+        assert np.all(np.diff(dep) <= 0.0)
+        assert dep.tolist() == [dep_measure_from_gamma(p, g) for g in gammas]

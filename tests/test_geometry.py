@@ -130,6 +130,14 @@ class TestRegion:
         with pytest.raises(DomainError):
             Region("disk", 1.0, lam=-1.0)
 
+    @pytest.mark.parametrize("R, lam", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_size_rejected(self, R, lam):
+        with pytest.raises(DomainError):
+            disk(R, lam)
+        with pytest.raises(DomainError):
+            square(R, lam)
+
     def test_contains(self):
         r = disk(1.0)
         pts = np.array([[0.0, 0.0], [0.9, 0.0], [1.1, 0.0], [3.0, 0.0]])

@@ -12,6 +12,7 @@ from windrisk import (
     QuadSpec,
     gamma,
     integrate,
+    integrate_rows,
     norm_cdf,
     norm_pdf,
     norm_quantile,
@@ -181,3 +182,66 @@ class TestIntegrate:
         # 1/x is finite at every interior node but not integrable
         with pytest.raises(ConvergenceError):
             integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+class TestIntegrateRows:
+    """Many integrands in one adaptive loop: each row's result is the one
+    :func:`integrate` gives it alone."""
+
+    # rows of one domain with different shapes: smooth, peaked, singular
+    ROWS = [
+        (lambda x: np.exp(-x), ()),
+        (lambda x: x ** (-0.5) * np.exp(-x), (0.5, 2.0)),
+        (lambda x: np.exp(-0.5 * ((x - 7.0) / 0.05) ** 2), (6.9, 7.0, 7.1)),
+        (lambda x: (1.0 - x) * np.exp(-x), (1.0,)),
+    ]
+
+    def _rows(self, spec=QuadSpec()):
+        def f(x, row):
+            out = np.empty_like(x)
+            for r, (g, _) in enumerate(self.ROWS):
+                out[row == r] = g(x[row == r])
+            return out
+
+        return integrate_rows(f, 0.0, math.inf, [bps for _, bps in self.ROWS], spec)
+
+    def test_each_row_equals_its_own_integral(self):
+        alone = [integrate(g, 0.0, math.inf, breakpoints=bps) for g, bps in self.ROWS]
+        assert self._rows() == alone
+        assert alone[3].absolute_mode and not alone[0].absolute_mode
+
+    def test_one_call_per_wave_with_the_row_of_each_abscissa(self):
+        seen = []
+
+        def f(x, row):
+            seen.append(np.unique(row).tolist())
+            return np.exp(-(row + 1.0) * x)
+
+        res = integrate_rows(f, 0.0, math.inf, [(), (1.0,), (0.5, 3.0)])
+        assert seen[0] == [0, 1, 2]
+        assert [r.value for r in res] == pytest.approx([1.0, 0.5, 1.0 / 3.0], rel=1e-6)
+
+    def test_rows_after_the_first_failure_are_dropped(self):
+        # rows 1 and 3 diverge: row 1 reports the error it raises alone, the
+        # rows before it converge, and the rows after it are dropped
+        def f(x, row):
+            return np.where(row % 2 == 1, 1.0 / x, np.exp(-x))
+
+        with pytest.raises(ConvergenceError) as alone:
+            integrate(lambda x: 1.0 / x, 0.0, 1.0, breakpoints=(0.5,))
+        res = integrate_rows(f, 0.0, 1.0, [(), (0.5,), (), (0.25,)])
+        assert res[0] == integrate(lambda x: np.exp(-x), 0.0, 1.0)
+        assert isinstance(res[1], ConvergenceError)
+        assert str(res[1]) == str(alone.value)
+        assert res[1].best_estimate == alone.value.best_estimate
+        assert res[2:] == [None, None]
+
+    def test_non_finite_row_is_a_domain_error(self):
+        def f(x, row):
+            return np.where((row == 1) & (x > 0.5), np.inf, 1.0)
+
+        res = integrate_rows(f, 0.0, 1.0, [(), ()])
+        assert res[0].value == pytest.approx(1.0) and isinstance(res[1], DomainError)
+
+    def test_no_rows(self):
+        assert integrate_rows(lambda x, row: x, 0.0, 1.0, []) == []

@@ -1,0 +1,21 @@
+"""The benchmark's traced path still runs: perfbench's tracer rebinds the
+library's module names, so a renamed or re-routed entry point shows up
+here before it breaks a benchmark run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_study_sweep_pass_is_correct():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "study_sweep",
+         "--seed", "1", "--size", "tiny", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout[-2000:]
