@@ -267,6 +267,15 @@ def _require_moments(p: PowerSpec, order: int):
         raise DomainError(f"Gumbel margins (xi = 0) support beta = 1 only, got beta={p.beta}")
 
 
+def _finite(values, what):
+    """``values`` unchanged; DomainError if one is not a finite double, as
+    where a high power of the margin leaves the double range."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} of the power field is not a finite double "
+                          "(beta too high for the margin?)")
+    return values
+
+
 def _derivative_table(p: PowerSpec):
     """(f(1), d, b) with f'(z) = sum_k d_k z^(b_k - 1) for the transform f
     taking a standard Frechet value to the power of the margin."""
@@ -274,13 +283,18 @@ def _derivative_table(p: PowerSpec):
         return 1.0, np.array([p.beta]), np.array([p.beta])
     beta, m = int(p.beta), p.margin
     k = np.arange(beta)
-    if beta <= 1:  # f(z) = eta + tau (z^xi - 1)/xi, also at xi = 0
-        d = np.full(beta, m.tau)
-    else:
-        a, c = m.eta - m.tau / m.xi, m.tau / m.xi
-        d = np.array([beta * math.comb(beta - 1, j) * a**j * c ** (beta - 1 - j) * m.tau
-                      for j in range(beta)])
-    return m.eta ** beta, d, (beta - k) * m.xi
+    try:
+        f1 = m.eta ** beta
+        if beta <= 1:  # f(z) = eta + tau (z^xi - 1)/xi, also at xi = 0
+            d = np.full(beta, m.tau)
+        else:
+            a, c = m.eta - m.tau / m.xi, m.tau / m.xi
+            d = np.array([beta * math.comb(beta - 1, j) * a**j * c ** (beta - 1 - j) * m.tau
+                          for j in range(beta)])
+    except OverflowError as exc:  # a float power past the double range
+        raise DomainError(f"beta={beta} overflows the double range for {m}") from exc
+    return (_finite(f1, "f(1)"), _finite(d, "a derivative-table entry"),
+            _finite((beta - k) * m.xi, "an exponent"))
 
 
 def _log_power_cov(b, c):
@@ -352,10 +366,11 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     """
     _, d1, b1 = _derivative_table(p1)
     _, d2, b2 = _derivative_table(p2)
-    wts = np.outer(d1, d2).ravel()
+    wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
     B1 = np.repeat(b1, len(b2))
     B2 = np.tile(b2, len(b1))
-    at_zero = QuadResult(math.fsum(wts * _log_power_cov(B1, B2)), 0.0, 0)
+    at_zero = QuadResult(math.fsum(_finite(wts * _log_power_cov(B1, B2), "a variance term")),
+                         0.0, 0)
     sig = B1 + B2
     lg = gammaln(1.0 - sig)
     # exprel depends on the term through sig only: one evaluation per
@@ -446,7 +461,7 @@ def first_moment(p: PowerSpec) -> float:
     _require_moments(p, 1)
     f1, d, b = _derivative_table(p)
     m = [np.euler_gamma if bk == 0.0 else (gamma(1.0 - bk) - 1.0) / bk for bk in b]
-    return f1 + math.fsum(d * m)
+    return f1 + math.fsum(_finite(d * m, "a mean term"))
 
 
 def var_gev(p: PowerSpec) -> float:

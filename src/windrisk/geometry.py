@@ -105,12 +105,13 @@ def disk_distance_density(h, R: float):
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0.0):
         raise DomainError("distance h must be >= 0")
-    u = np.clip(h_arr / (2.0 * R), 0.0, 1.0)
-    inside = h_arr <= 2.0 * R
+    # in t = h/R, so no power of R leaves the double range
+    t = h_arr / R
+    u = np.clip(t / 2.0, 0.0, 1.0)
     out = np.where(
-        inside,
-        2.0 * h_arr / R**2 * (2.0 / math.pi * np.arccos(u)
-                              - h_arr / (math.pi * R) * np.sqrt(np.maximum(1.0 - u * u, 0.0))),
+        t <= 2.0,
+        2.0 * t / R * (2.0 / math.pi * np.arccos(u)
+                       - t / math.pi * np.sqrt(np.maximum(1.0 - u * u, 0.0))),
         0.0,
     )
     return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
@@ -130,10 +131,12 @@ def square_distance_density(h, R: float):
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0.0):
         raise DomainError("distance h must be >= 0")
-    b = h_arr * h_arr / R**2
-    first = 2.0 * math.pi * h_arr / R**2 - 8.0 * h_arr**2 / R**3 + 2.0 * h_arr**3 / R**4
-    second = _square_bracket(np.maximum(b, 1.0)) * 2.0 * h_arr / R**2
-    out = np.where(h_arr <= R, first, np.where(b <= 2.0, second, 0.0))
+    # in t = h/R, so no power of R leaves the double range
+    t = h_arr / R
+    b = t * t
+    first = (2.0 * math.pi * t - 8.0 * t**2 + 2.0 * t**3) / R
+    second = _square_bracket(np.maximum(b, 1.0)) * 2.0 * t / R
+    out = np.where(t <= 1.0, first, np.where(b <= 2.0, second, 0.0))
     return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
 
 

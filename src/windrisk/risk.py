@@ -177,7 +177,8 @@ class _CovTable:
 def _cov_table(p: PowerSpec, spec: QuadSpec) -> _CovTable:
     """The certified covariance table of Z^beta; callers check the moments.
 
-    Each piece is read at _CHECK_X and compared with ``_cov_at``.  A piece
+    A piece's nodes take one ``_cov_at`` call and its check points, at
+    _CHECK_X, a second, against which the fit is compared.  A piece
     that misses by more than rel_tol/10 relative (to at least the tail
     floor _TAIL * rel_tol * var) is bisected; past _MAX_BISECTIONS levels
     ConvergenceError carries the direct value at the worst miss.  The range
@@ -204,13 +205,13 @@ def _cov_table(p: PowerSpec, spec: QuadSpec) -> _CovTable:
     todo = [(lo, hi, 0) for lo, hi in zip(edges, edges[1:])][::-1]
     while todo:
         lo, hi, depth = todo.pop()
-        at_nodes = np.array([cov(h).value for h in lo + 0.5 * (hi - lo) * (_CHEB_X + 1.0)])
+        at_nodes = cov(lo + 0.5 * (hi - lo) * (_CHEB_X + 1.0)).value
         log_fit = bool(np.all(at_nodes > 0.0))
         piece = _CovTable(variance, np.array([lo, hi]),
                           (_TO_COEFS @ (np.log(at_nodes) if log_fit else at_nodes))[None],
                           np.array([log_fit]), 0.0)
         checks = lo + 0.5 * (hi - lo) * (_CHECK_X + 1.0)
-        direct = np.array([cov(h).value for h in checks])
+        direct = cov(checks).value
         fit = piece(checks)
         miss = np.abs(fit - direct) / np.maximum(np.abs(direct), floor)
         if miss.max() > 0.1 * spec.rel_tol:

@@ -313,6 +313,24 @@ class TestVarGev:
             var_simple(0.25), rel=1e-14
         )
 
+    @pytest.mark.parametrize("beta", [100, 200, 400])
+    def test_moments_past_the_double_range_raise(self, paper_gev, beta):
+        # at the paper margin the variance terms leave the double range from
+        # beta = 86, the mean terms from 171, the derivative table from 186
+        # and f(1) = eta^beta from 209: each is DomainError, not inf - inf in
+        # fsum or the OverflowError of a float power
+        p = PowerSpec.gev(beta, paper_gev)
+        with pytest.raises(DomainError):
+            var_gev(p)
+        if beta >= 200:
+            with pytest.raises(DomainError):
+                mean_cost(p)
+
+    def test_beta_forty_keeps_its_value(self, paper_gev):
+        p = PowerSpec.gev(40, paper_gev)
+        assert var_gev(p) == pytest.approx(4.925909693646026e127, rel=1e-14)
+        assert mean_cost(p) == pytest.approx(2.6374528111882373e62, rel=1e-14)
+
 
 class TestCovGev:
     def test_same_site_is_variance(self, paper_gev):

@@ -112,6 +112,17 @@ class TestSquareDensity:
         assert abs(count / n - p_bin) <= 3.0 * se
 
 
+class TestHugeRegions:
+    @pytest.mark.parametrize("density", [disk_distance_density, square_distance_density])
+    def test_density_is_a_rescaled_unit_density(self, density):
+        # f(h, R) = f(h/R, 1)/R; R^2 alone would overflow past R ~ 1.3e154
+        t = np.array([0.0, 0.3, 0.9, 1.2, 1.4, 1.9, 2.5])
+        for R in (1e200, 1e300):
+            got = density(t * R, R)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got * R, density(t, 1.0), rtol=1e-12, atol=1e-300)
+
+
 class TestRegion:
     def test_areas(self):
         assert area(disk(1.0)) == pytest.approx(math.pi, rel=1e-15)

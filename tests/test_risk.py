@@ -124,6 +124,13 @@ class TestR2:
         assert 0.0 < r2(q, 1.0) < var_gev(p)
 
 
+    @pytest.mark.parametrize("region", [disk(1e200), square(1e300)])
+    def test_region_past_the_square_of_a_double(self, paper_gev, region):
+        # the distance densities no longer square R: the loss over a region
+        # this large has the variance K/(lam^2 area), which underflows to 0
+        q = RiskQuery(region=region, power=PowerSpec.gev(1, paper_gev), variogram=power(1.0, 1.0))
+        assert r2(q, 1.0) == 0.0
+
 class TestAsymptoticCovIntegral:
     def test_positive(self, paper_gev):
         for psi in (1.0, 2.0):
@@ -267,7 +274,7 @@ class TestCovTable:
             cov = original(p1, p2, spec)
 
             def counted_cov(h):
-                evaluations.append(h)
+                evaluations.extend(np.ravel(h))
                 return cov(h)
 
             return counted_cov
@@ -285,7 +292,7 @@ class TestCovTable:
             return 10.0 * np.exp(-np.square(h) / 8.0) * (1.0 - np.asarray(h) / 3.0)
 
         def fake_cov_at(p1, p2, spec):
-            return lambda h: QuadResult(float(synthetic(h)), 0.0, 0)
+            return lambda h: QuadResult(synthetic(h), 0.0, 0)
 
         monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
         spec = QuadSpec()
@@ -301,7 +308,8 @@ class TestCovTable:
         # a jump no polynomial piece resolves: bisection gives up with the
         # direct value at the worst check point
         def fake_cov_at(p1, p2, spec):
-            return lambda h: QuadResult(math.exp(-h * h / 8.0) * (2.0 if h < 0.3 else 1.0), 0.0, 0)
+            return lambda h: QuadResult(
+                np.exp(-np.square(h) / 8.0) * np.where(np.asarray(h) < 0.3, 2.0, 1.0), 0.0, 0)
 
         monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
         with pytest.raises(ConvergenceError) as err:
@@ -310,7 +318,7 @@ class TestCovTable:
 
     def test_range_doubles_until_the_covariance_has_decayed(self, monkeypatch):
         def fake_cov_at(p1, p2, spec):
-            return lambda h: QuadResult(math.exp(-h / 20.0), 0.0, 0)
+            return lambda h: QuadResult(np.exp(-np.asarray(h) / 20.0), 0.0, 0)
 
         monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
         spec = QuadSpec()
@@ -324,7 +332,7 @@ class TestCovTable:
         # with psi = 2 and kappa = 1 the lag is the distance, and the table
         # of exp(-h/20) reaches 768: K = 2 pi int u exp(-u/20) du = 800 pi
         monkeypatch.setattr(risk, "_cov_at", lambda p1, p2, spec:
-                            lambda h: QuadResult(math.exp(-h / 20.0), 0.0, 0))
+                            lambda h: QuadResult(np.exp(-np.asarray(h) / 20.0), 0.0, 0))
         monkeypatch.setattr(risk, "_cov_table", functools.lru_cache(risk._cov_table.__wrapped__))
         k_num = asymptotic_cov_integral(PowerSpec.simple(0.25), power(1.0, 2.0))
         assert k_num == pytest.approx(800.0 * math.pi, rel=3e-7)
