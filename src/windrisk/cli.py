@@ -315,6 +315,9 @@ def cmd_riskreport(block: dict):
     p = _power(block["beta"], _gev_params(block["gev"]))
     regions = [_region(b) for b in _list(block["regions"], "regions")]
     lams = _lams(block["lam"], "lam")
+    for region in regions:
+        for lam in lams:
+            risk._scaled_area(region, lam)  # an area past the double range fails here, not after K
     v = variogram.power(float(block["kappa"]), float(block["psi"]))
     alphas = _alphas(block["alpha"])
 

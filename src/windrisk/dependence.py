@@ -24,12 +24,16 @@ with, for W = h/2 + log(theta)/h and V = h/2 - log(theta)/h,
 
 The r integral of each term is a Gamma function, and theta = exp(s h) leaves
 
-    cov = sum_jk d_j d_k int_R h theta^b_k Gamma(1-sig) D^sig (-L) exprel(sig L) ds
+    cov = sum_jk d_j d_k int_R h Gamma(1-sig) D^b_j (1+theta)^b_k (-L) exprel(sig L) ds
 
 with sig = b_j + b_k, D = 1 + 1/theta and L = log(C1/D) = log1p(-gap/D) <= 0.
 The gap D - C1 = Phi(-W) + Phi(-V)/theta is taken from log_ndtr, so no
-term cancels: each integrand is positive and is assembled in log space.  At
-lag 0 the same table gives the variance and the mean in closed form,
+term's integrand cancels: each is positive.  At each quadrature node the
+pair sum is h (-L) times the bilinear form a' G b, a_j = d_j D^b_j,
+b_k = d_k (1+theta)^b_k and G_jk = Gamma(1-sig) exprel(sig L), a function of
+sig alone: n1 + n2 powers and one exprel per distinct sig, not one
+exponential per pair (:func:`_pair_kernel`).  At lag 0 the same table gives
+the variance and the mean in closed form,
 
     Var = sum_jk d_j d_k V(b_j, b_k),   V(b, c) = [Gamma(1-b-c) - Gamma(1-b) Gamma(1-c)] / (b c),
     E f(Z) = f(1) + sum_k d_k M(b_k),  M(b) = (Gamma(1-b) - 1) / b,
@@ -55,7 +59,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import digamma, exprel, gammaln, log_ndtr, zeta
+from scipy.special import digamma, gammaln, log_ndtr, zeta
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError
@@ -63,6 +67,7 @@ from .numerics import (
     DEFAULT_QUAD,
     QuadResult,
     QuadSpec,
+    exprel,
     gamma,
     integrate,
     integrate_rows,
@@ -282,6 +287,10 @@ def _derivative_table(p: PowerSpec):
     if p.is_simple:
         return 1.0, np.array([p.beta]), np.array([p.beta])
     beta, m = int(p.beta), p.margin
+    # the weights beta C(beta-1, j) sum to beta 2^(beta-1), so the largest
+    # is at least 2^(beta-1): from beta = 1025 on it is past the double range
+    if beta > 1024:
+        raise DomainError(f"beta > 1024 overflows the double range for {m}")
     k = np.arange(beta)
     try:
         f1 = m.eta ** beta
@@ -332,9 +341,11 @@ _BLOCK_ELEMENTS = 1 << 14
 
 
 def _node_blocks(row: np.ndarray, n_terms: int) -> list:
-    """Bounds of consecutive whole runs of equal ``row``, a block of runs at
-    a time: at most _BLOCK_NODES nodes and _BLOCK_ELEMENTS terms x nodes,
-    or a single run."""
+    """(lo, hi) bounds of consecutive whole runs of equal ``row``, a block of
+    runs at a time: at most _BLOCK_NODES nodes and _BLOCK_ELEMENTS terms x
+    nodes, or a single run.  A run is a row's panels, so a block holds at
+    least two nodes, and numpy sums each node's terms in the same order
+    whatever the block (over a single node it sums them pairwise)."""
     if row[0] == row[-1]:  # each row's nodes are consecutive: this is one row
         bounds = [0, len(row)]
     else:
@@ -346,9 +357,69 @@ def _node_blocks(row: np.ndarray, n_terms: int) -> list:
         last = first + 1
         while last < len(bounds) - 1 and bounds[last + 1] - bounds[first] <= width:
             last += 1
-        blocks.append(bounds[first:last + 1])
+        blocks.append((bounds[first], bounds[last]))
         first = last
     return blocks
+
+
+def _pair_kernel(d1, b1, d2, b2):
+    """The Hoeffding integrand of the covariance for the derivative tables
+    (d1, b1) and (d2, b2), as kernel(s, h): h times the integrand at the
+    nodes s of lags h (arrays of one shape).
+
+    The pair sum is a bilinear form at each node,
+
+        sum_jk W_jk exprel(sig_jk L) D^(b1_j - max b1) (1+theta)^(b2_k - max b2),
+
+    with W_jk = d1_j d2_k Gamma(1 - sig_jk) / max|W| and sig_jk = b1_j + b2_k,
+    times h max|W| D^(max b1) (1+theta)^(max b2) (-L), whose logarithm is
+    summed before its one exponential: n1 + n2 exponentials and one exprel
+    per distinct sig at each node.  No factor but exprel exceeds 1 in
+    magnitude, and the common factor is no subnormal where the value is a
+    normal double.  Every operation is elementwise or a sum over the terms
+    of one node, so a node's value does not depend on the other nodes.
+    """
+    # the distinct exponent sums, and each pair's index among them
+    b1, b2 = b1.tolist(), b2.tolist()
+    where = {v: i for i, v in enumerate(sorted({x + y for x in b1 for y in b2}))}
+    sig_values = np.array(list(where)).reshape(-1, 1)
+    sig_index = np.array([[where[x + y] for y in b2] for x in b1],
+                         dtype=np.intp).reshape(len(b1), len(b2))
+    weights = np.outer(d1, d2)[:, :, None] * gamma_fn(1.0 - sig_values)[sig_index]
+    top = float(np.max(np.abs(weights), initial=0.0))
+    log_scale = math.log(top) if top else -math.inf
+    weights /= top or 1.0
+    top1, top2 = max(b1, default=0.0), max(b2, default=0.0)
+    rest1 = np.array([x - top1 for x in b1]).reshape(-1, 1)
+    rest2 = np.array([y - top2 for y in b2]).reshape(-1, 1)
+    single = sig_index.size == 1
+
+    def kernel(s, h):
+        sh = s * h
+        log_d = np.logaddexp(0.0, -sh)
+        # q = gap/D in (0, 1/2]: the exponent function is at least
+        # half of 1/z1 + 1/z2
+        half_h = h / 2.0
+        log_q = np.logaddexp(log_ndtr(-half_h - s), log_ndtr(s - half_h) - sh) - log_d
+        q = np.exp(log_q)
+        L = np.log1p(-q)
+        # log(-L), finite even where q underflows
+        qs = np.maximum(q, 1e-300)
+        log_neg_l = log_q + np.log(-np.log1p(-qs) / qs)
+        g = exprel(sig_values * L)
+        if single:  # one entry per side: the form is its single term
+            form = weights[0, 0] * g[0]
+        else:
+            terms = g[sig_index]
+            terms *= weights
+            terms *= np.exp(rest2 * (sh + log_d))  # log(1 + theta) = sh + log D
+            form = terms.sum(axis=1)
+            form *= np.exp(rest1 * log_d)
+            form = form.sum(axis=0)
+        # D^top1 (1 + theta)^top2 = D^(top1 + top2) theta^top2
+        return h * np.exp(log_scale + (top1 + top2) * log_d + top2 * sh + log_neg_l) * form
+
+    return kernel
 
 
 def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
@@ -364,52 +435,20 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     those of a second; each lag's value is the one it gets alone, and the
     first lag that fails raises the error it raises alone.
     """
-    _, d1, b1 = _derivative_table(p1)
-    _, d2, b2 = _derivative_table(p2)
+    table = _derivative_table(p1)
+    _, d1, b1 = table
+    _, d2, b2 = table if p2 == p1 else _derivative_table(p2)
     wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
     B1 = np.repeat(b1, len(b2))
     B2 = np.tile(b2, len(b1))
     at_zero = QuadResult(math.fsum(_finite(wts * _log_power_cov(B1, B2), "a variance term")),
                          0.0, 0)
-    sig = B1 + B2
-    lg = gammaln(1.0 - sig)
-    # exprel depends on the term through sig only: one evaluation per
-    # distinct exponent sum (23 of the 144 terms at beta 12)
-    where = {v: i for i, v in enumerate(sorted(set(sig.tolist())))}
-    sig_values = np.array(list(where))
-    sig_index = np.array([where[v] for v in sig.tolist()])
-    # term t pairs the entries j = t // len(b2) and k = t % len(b2)
-    lg_pairs = lg.reshape(len(b1), len(b2), 1)
+    pair_kernel = _pair_kernel(d1, b1, d2, b2)
 
     def kernel(x, row, lags, sign):
         # row i integrates over the half-line s = sign * x, x > 0, of lags[i]
-        out = np.empty_like(x)
-        for runs in _node_blocks(row, len(sig)):
-            lo, hi = runs[0], runs[-1]
-            h = lags[row[lo:hi]]
-            s = sign * x[lo:hi]
-            sh = s * h
-            log_d = np.logaddexp(0.0, -sh)
-            # q = gap/D in (0, 1/2]: the exponent function is at least
-            # half of 1/z1 + 1/z2
-            half_h = h / 2.0
-            log_q = np.logaddexp(log_ndtr(-half_h - s), log_ndtr(s - half_h) - sh) - log_d
-            q = np.exp(log_q)
-            L = np.log1p(-q)
-            # log(-L), finite even where q underflows
-            qs = np.maximum(q, 1e-300)
-            log_neg_l = log_q + np.log(-np.log1p(-qs) / qs)
-            terms = np.add(lg_pairs, b2[:, None] * sh).reshape(len(sig), hi - lo)
-            terms += sig[:, None] * log_d
-            terms += log_neg_l
-            np.exp(terms, out=terms)
-            terms *= np.take(exprel(sig_values[:, None] * L), sig_index, axis=0)
-            # each row is summed over the terms on its own: a BLAS product
-            # rounds the tail of a vector differently, so this keeps every
-            # lag's value independent of the other lags of the call
-            for start, end in zip(runs, runs[1:]):
-                out[start:end] = h[start - lo] * (wts @ terms[:, start - lo:end - lo])
-        return out
+        return np.concatenate([pair_kernel(sign * x[lo:hi], lags[row[lo:hi]])
+                               for lo, hi in _node_blocks(row, len(wts))])
 
     def line_integrals(lags):
         """One QuadResult per lag >= SMALL_H."""

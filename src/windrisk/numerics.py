@@ -28,6 +28,7 @@ __all__ = [
     "QuadSpec",
     "QuadResult",
     "DEFAULT_QUAD",
+    "exprel",
     "gamma",
     "norm_cdf",
     "norm_pdf",
@@ -100,6 +101,22 @@ def gamma(x: float) -> float:
         return math.gamma(x)
     except (ValueError, OverflowError) as exc:  # pragma: no cover - guarded above
         raise DomainError(f"gamma undefined or overflowing at x={x}") from exc
+
+
+def exprel(x) -> np.ndarray:
+    """(e^x - 1)/x elementwise, as a float array, from expm1.
+
+    It has scipy.special.exprel's values where that quotient is not a
+    number: 1 at x = 0 (from (0 + 1)/(0 + 1)) and inf at x = inf; and, as
+    the quotient gives them, inf past the overflow of e^x, 0 at -inf and
+    nan at nan.
+    """
+    x = np.asarray(x, dtype=float)
+    zero = x == 0.0
+    if x.max(initial=0.0) < 709.0:  # e^x is a finite double
+        return (np.expm1(x) + zero) / (x + zero)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x == np.inf, x, (np.expm1(x) + zero) / (x + zero))
 
 
 def norm_cdf(x: float) -> float:

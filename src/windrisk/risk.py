@@ -66,6 +66,16 @@ def _require_positive_lam(lam: float):
         raise DomainError(f"lam must be > 0, got {lam}")
 
 
+def _scaled_area(region: Region, lam: float) -> float:
+    """lam^2 area(A), the denominator of the loss variance; DomainError
+    unless it is a positive finite double."""
+    _require_positive_lam(lam)
+    value = lam * lam * region.area()
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"lam^2 area is {value} for {region} at lam = {lam}")
+    return value
+
+
 @dataclass(frozen=True)
 class CltApprox:
     """Normal approximation N(mean, variance) of the normalized loss.
@@ -81,8 +91,7 @@ class CltApprox:
     def from_integral(cls, mean: float, k_num: float, region: Region, lam: float) -> "CltApprox":
         """The law over lam A given the plane integral K of the covariance:
         variance K / (lam^2 area(A))."""
-        _require_positive_lam(lam)
-        return cls(mean=mean, variance=k_num / (lam * lam * region.area()))
+        return cls(mean=mean, variance=k_num / _scaled_area(region, lam))
 
     @property
     def sd(self) -> float:

@@ -70,11 +70,11 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import exprel
 
 from .dependence import GevParams
 from .errors import ConvergenceError, DomainError
 from .geometry import Region
+from .numerics import exprel
 from .variogram import Variogram
 
 __all__ = [
@@ -247,6 +247,18 @@ def _replicate_rngs(seed: int, n_rep: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_rep)]
 
 
+def _replicate_array(shape, fill: float = 0.0) -> np.ndarray:
+    """The array of the replicates' values, (n_rep, sites...), filled with
+    ``fill``; DomainError if it cannot be allocated, as for a huge n_rep.
+    It is made before the replicates' streams, which cost memory each."""
+    try:
+        # zeros from np.zeros: the pages are mapped as the replicates fill them
+        return np.zeros(shape) if fill == 0.0 else np.full(shape, fill)
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"cannot allocate the values of n_rep replicates of "
+                          f"{math.prod(shape[1:])} sites: n_rep is too large") from exc
+
+
 class _GaussianSampler:
     """The anchored Gaussian field (0 at site 0) as a linear map of standard
     normals z: W_j = L[j-1, :j] @ z[:j] through the Cholesky factor L of the
@@ -295,10 +307,10 @@ class _GaussianSampler:
 def _extremal_functions(v, points, n_rep, seed):
     """Exact replicates (n_rep, n) and the draw counters of the run."""
     n = len(points)
+    log_z = _replicate_array((n_rep, n), fill=-np.inf)
     gamma_mat = _pairwise_variogram(v, points)
     sampler = _GaussianSampler(v, points, gamma_mat)
     rngs = _replicate_rngs(seed, n_rep)
-    log_z = np.full((n_rep, n), -np.inf)
     draws = accepted = 0
 
     for k in range(n):
@@ -356,8 +368,8 @@ def _truncated_spectral(v, points, n_rep, seed, n_points):
     gamma_mat = _pairwise_variogram(v, points)
     sampler = _GaussianSampler(v, points, gamma_mat)
     var_w = gamma_mat[0]  # Var W(x_i) anchored at site 0
+    Z = _replicate_array((n_rep, n))
     rngs = _replicate_rngs(seed, n_rep)
-    Z = np.zeros((n_rep, n))
     late = 0
     for r, rng in enumerate(rngs):
         # per-replicate draw order: all Poisson gaps, then the Gaussian block
@@ -482,7 +494,7 @@ def _m3_simulate(grid, n_rep, seed, radius, f_max, shape_fn):
     # the grid: the bound on a storm's stencil cells that sizes the blocks
     span = 2.0 * radius / dx + 1.0
     block = max(1, min(_STORM_BLOCK, int(_BLOCK_CELLS // (min(nx, span) * min(ny, span)))))
-    out = np.empty((n_rep, nx, ny))
+    out = _replicate_array((n_rep, nx, ny))
     for r, rng in enumerate(_replicate_rngs(seed, n_rep)):
         # one spare row and column take the stencil cells outside the boxes
         padded = np.zeros((nx + 1, ny + 1))
@@ -581,8 +593,8 @@ def simulate_schlather(
     if corr.shape != (n, n):
         raise DomainError("correlation function must evaluate elementwise on distances")
     chol = _cholesky_with_jitter(corr)
+    values = _replicate_array((n_rep, n))
     rngs = _replicate_rngs(seed, n_rep)
-    values = np.zeros((n_rep, n))
     c = math.sqrt(2.0 * math.pi)
     late = 0
     for r, rng in enumerate(rngs):

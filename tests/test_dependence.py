@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import exprel, gammaln, log_ndtr, ndtr
 
 from windrisk import (
     ConvergenceError,
@@ -325,6 +325,16 @@ class TestVarGev:
         if beta >= 200:
             with pytest.raises(DomainError):
                 mean_cost(p)
+
+    @pytest.mark.parametrize("beta", [1025, 10**300])
+    def test_beta_past_the_binomial_range_raises_before_the_table(self, beta):
+        # a weight beta C(beta-1, j) is at least 2^(beta-1): even where the
+        # margin's powers are small the table is rejected before it is built
+        p = PowerSpec.gev(beta, GevParams(0.01, 0.01, -0.2))
+        with pytest.raises(DomainError):
+            dependence._derivative_table(p)
+        with pytest.raises(DomainError):
+            var_gev(p)
 
     def test_beta_forty_keeps_its_value(self, paper_gev):
         p = PowerSpec.gev(40, paper_gev)
@@ -651,6 +661,80 @@ class TestBatchedCovariance:
         monkeypatch.setattr(dependence, "_cov_at", counted)
         assert main(["depsurface", "--out", str(tmp_path / "dep.csv")]) == 0
         assert len(built) == 4 * 12
+
+
+def per_term_kernel(d1, b1, d2, b2, s, h):
+    """The Hoeffding integrand times h in its per-term log-space form:
+    sum_jk d1_j d2_k exp(log Gamma(1-sig) + b2_k s h + sig log D + log(-L))
+    exprel(sig L), one exponential per pair of table entries.
+
+    Returns the value, a bound on its own rounding, and where log(-L) needs
+    its underflow guard (q < 1e-300).  The bound sums, over the terms,
+    eps |term| (n_terms + 4 + 4 S), where S is the sum of the magnitudes of
+    the exponent's four parts (each part and each partial sum is rounded,
+    each time by at most eps S), and the subnormal spacing 2^-1074 times
+    h |d1_j d2_k exprel|, for an exponential that underflows before its
+    weight multiplies it; it adds n_terms + 2 spacings for the products and
+    the sum."""
+    sig = np.add.outer(b1, b2).reshape(-1, 1)
+    parts = [gammaln(1.0 - sig), np.tile(b2, len(b1)).reshape(-1, 1) * (s * h)]
+    log_d = np.logaddexp(0.0, -s * h)
+    log_q = np.logaddexp(log_ndtr(-h / 2.0 - s), log_ndtr(s - h / 2.0) - s * h) - log_d
+    q = np.exp(log_q)
+    qs = np.maximum(q, 1e-300)
+    parts += [sig * log_d, log_q + np.log(-np.log1p(-qs) / qs)]
+    factor = np.outer(d1, d2).reshape(-1, 1) * exprel(sig * np.log1p(-q))
+    terms = factor * np.exp(sum(parts))
+    eps, spacing = np.finfo(float).eps, np.nextafter(0.0, 1.0)
+    size = h * (eps * np.abs(terms) * (len(sig) + 4.0 + 4.0 * sum(np.abs(part) for part in parts))
+                + spacing * np.abs(factor)).sum(axis=0) + (len(sig) + 2.0) * spacing
+    return h * terms.sum(axis=0), size, q < 1e-300
+
+
+class TestPairKernel:
+    """The covariance kernel, a bilinear form of the two derivative tables at
+    each node, against the per-term form it replaces."""
+
+    CASES = {
+        **{f"gev{beta}": (PowerSpec.gev(beta, GevParams(ETA, TAU, XI)),) * 2
+           for beta in range(1, 13)},
+        "simple-1": (PowerSpec.simple(-1.0),) * 2,
+        "simple0.25": (PowerSpec.simple(0.25),) * 2,
+        "simple0.45": (PowerSpec.simple(0.45),) * 2,
+        "gumbel1": (PowerSpec.gev(1, GevParams(ETA, TAU, 0.0)),) * 2,
+        "mixed": (PowerSpec.gev(3, GevParams(ETA, TAU, XI)),
+                  PowerSpec.gev(2, GevParams(ETA, TAU, 0.05))),
+    }
+
+    # q falls like exp(-|s| h): out past |s| h = 690, where it underflows and
+    # log(-L) takes its guard, at every lag
+    S = np.r_[-np.geomspace(1e5, 1e-4, 200), 0.0, np.geomspace(1e-4, 1e5, 200)]
+    LAGS = [0.05, 0.3, 1.0, 3.0, 10.0]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_the_per_term_form(self, name):
+        _, d1, b1 = dependence._derivative_table(self.CASES[name][0])
+        _, d2, b2 = dependence._derivative_table(self.CASES[name][1])
+        kernel = dependence._pair_kernel(d1, b1, d2, b2)
+        s, h = np.meshgrid(self.S, self.LAGS)
+        s, h = s.ravel(), h.ravel()
+        value = kernel(s, h)
+        ref, rounding, guarded = per_term_kernel(d1, b1, d2, b2, s, h)
+        assert all(guarded[h == lag].any() for lag in self.LAGS) and not guarded.all()
+        assert np.isfinite(ref).all()
+        assert np.isfinite(value).all()
+        assert np.all(np.abs(value - ref) <= np.maximum(1e-13 * np.abs(ref), rounding))
+
+    def test_each_node_is_independent_of_the_others(self):
+        p = self.CASES["gev12"][0]
+        _, d, b = dependence._derivative_table(p)
+        kernel = dependence._pair_kernel(d, b, d, b)
+        s = np.r_[-self.S, self.S]
+        h = np.repeat([0.3, 3.0], len(self.S))
+        together = kernel(s, h)
+        half = len(self.S)
+        apart = np.r_[kernel(s[:half], h[:half]), kernel(s[half:], h[half:])]
+        assert together.tolist() == apart.tolist()
 
 
 class TestDependenceProperties:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import exprel as scipy_exprel
 
 from windrisk import (
     CancelledError,
@@ -18,6 +19,7 @@ from windrisk import (
     norm_quantile,
     std_normal,
 )
+from windrisk.numerics import exprel
 
 # Frozen from the composite-Simpson oracle on the Gamma(2.2) integrand
 # (int_0^80 x^1.2 exp(-x) dx, 200k panels), divided by 1.2 via the
@@ -245,3 +247,18 @@ class TestIntegrateRows:
 
     def test_no_rows(self):
         assert integrate_rows(lambda x, row: x, 0.0, 1.0, []) == []
+
+
+class TestExprel:
+    def test_values_where_the_quotient_is_not_a_number_match_scipy(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 709.8, 717.0, 718.0, 1e300,
+                      -1e300, 1e-17, -1e-17, 5e-324])
+        np.testing.assert_array_equal(exprel(x), scipy_exprel(x))
+
+    def test_matches_scipy_to_rounding(self):
+        x = np.random.default_rng(5).normal(scale=3.0, size=10_000)
+        np.testing.assert_allclose(exprel(x), scipy_exprel(x), rtol=4e-16, atol=0.0)
+
+    def test_scalar_and_empty_inputs(self):
+        assert exprel(0.0) == 1.0 and exprel(1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+        assert exprel(np.array([])).shape == (0,)

@@ -19,3 +19,14 @@ def test_traced_study_sweep_pass_is_correct():
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
+
+
+def test_traced_one_off_queries_pass_is_correct():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "one_off_queries",
+         "--seed", "1", "--size", "tiny", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout[-2000:]

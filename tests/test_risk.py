@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from windrisk import (
+    CltApprox,
     ConvergenceError,
     DomainError,
     GevParams,
@@ -164,6 +165,12 @@ class TestCltApprox:
         a = clt_approx(RiskQuery(region=disk(1.0), power=p, variogram=v), 10.0)
         b = clt_approx(RiskQuery(region=square(3.0), power=p, variogram=v), 50.0)
         assert a.mean == b.mean == pytest.approx(mean_cost(p), rel=1e-14)
+
+    @pytest.mark.parametrize("region", [disk(1e-300), square(1e200)])
+    def test_area_outside_the_double_range_raises(self, region):
+        # lam^2 area underflows to 0 or overflows: no variance to divide by
+        with pytest.raises(DomainError):
+            CltApprox.from_integral(1.0, 1.0, region, 1.0)
 
     def test_sd(self, paper_gev):
         q = RiskQuery(region=disk(1.0), power=PowerSpec.gev(1, paper_gev),

@@ -107,6 +107,15 @@ class TestGaussianIncrementField:
 
 
 class TestBrownResnick:
+    @pytest.mark.parametrize("method", ["extremal_functions", "truncated_spectral"])
+    def test_replicates_past_any_array_size(self, monkeypatch, method):
+        # rejected before a replicate's stream is made
+        monkeypatch.setattr(sim, "_replicate_rngs",
+                            lambda *args: pytest.fail("the simulator made streams"))
+        with pytest.raises(DomainError):
+            brown_resnick_at(power(1.0, 1.0), [[0.0, 0.0], [1.0, 0.0]], 10**300, seed=1,
+                             method=method)
+
     def test_frechet_margins(self):
         g = Grid(origin=(0.0, 0.0), nx=3, ny=3, spacing=0.8)
         samples = simulate_brown_resnick(power(1.0, 1.0), g, 10_000, seed=5)
@@ -466,6 +475,11 @@ class TestMixedMovingMaximaValidation:
     def test_no_replicates(self, simulate, n_rep):
         with pytest.raises(DomainError):
             simulate(self.GRID, n_rep, 1)
+
+    @pytest.mark.parametrize("simulate", [_smith, _tube])
+    def test_replicates_past_any_array_size(self, simulate):
+        with pytest.raises(DomainError):
+            simulate(self.GRID, 10**300, 1)
 
 
 class TestPairwiseVariogram:
