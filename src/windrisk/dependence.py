@@ -50,6 +50,13 @@ is kept as an independent oracle (:func:`g_simple`).  Since
 phi(V) = theta phi(W), its coefficients collapse to C2 = Phi(W) Phi(V) /
 theta^2 and C3 = phi(W) / (h theta), and theta = exp(s h) turns it into a
 line integral of a positive integrand whose logarithm is cheap and stable.
+
+Both line integrals in s go through one routine, :func:`_line_integrals`,
+which takes the integrand as kernel(s, h) over arrays and integrates the
+s > 0 half-lines of a batch of lags as the rows of one
+:func:`integrate_rows` call and their s < 0 half-lines as those of a
+second: the covariance's pair kernel at every lag of a call, and the
+display-form kernel of :func:`g_simple` at its one lag.
 """
 
 from __future__ import annotations
@@ -69,7 +76,6 @@ from .numerics import (
     QuadSpec,
     exprel,
     gamma,
-    integrate,
     integrate_rows,
     norm_cdf,
     norm_pdf,
@@ -192,47 +198,56 @@ def _breakpoints(h: float) -> list:
     ) if bp > 0.0})
 
 
-def _line_integral(kernel, h: float, spec: QuadSpec) -> QuadResult:
-    """Integral over the real line of a vectorized kernel(s) at lag h > 0."""
-    bps = _breakpoints(h)
-    pos = integrate(kernel, 0.0, math.inf, spec, breakpoints=bps)
-    neg = integrate(lambda s: kernel(-np.asarray(s)), 0.0, math.inf, spec, breakpoints=bps)
-    return QuadResult(pos.value + neg.value, pos.err_estimate + neg.err_estimate,
-                      pos.subdivisions + neg.subdivisions,
-                      pos.absolute_mode or neg.absolute_mode)
+def _line_integrals(kernel, lags, spec: QuadSpec) -> list:
+    """One QuadResult per lag h > 0 of ``lags``: the integral over the real
+    line of ``kernel(s, h)``, a function of arrays s and h of one shape.
 
-
-def _pair_integral(b1: float, b2: float, h: float, spec: QuadSpec) -> float:
-    """The pair function g[b1,b2](h) for h > 0 from the display form."""
-    sig = b1 + b2
-    lg2 = gammaln(2.0 - sig)
-    lg1 = gammaln(1.0 - sig)
-    logh = math.log(h)
-
-    def kernel(s):
-        s = np.asarray(s, dtype=float)
-        w = h / 2.0 + s
-        v = h / 2.0 - s
-        lphi_w = log_ndtr(w)
-        lphi_v = log_ndtr(v)
-        sh = s * h
-        log_c1 = np.logaddexp(lphi_w, -sh + lphi_v)
-        L1 = lg2 + logh + lphi_w + lphi_v + (b2 - 1.0) * sh + (sig - 2.0) * log_c1
-        L2 = lg1 - 0.5 * w * w - _LOG_SQRT_2PI + b2 * sh + (sig - 1.0) * log_c1
-        return np.exp(L1) + np.exp(L2)
-
-    return _line_integral(kernel, h, spec).value
+    The s > 0 half-lines of all lags are the rows of one
+    :func:`integrate_rows` call and their s < 0 half-lines those of a
+    second, so each lag's value is the one it gets alone.  A lag's s < 0
+    half-line is integrated only once its s > 0 one has converged, as when
+    the lag is evaluated alone, so the first lag that fails raises the
+    same error and no work is spent past it.
+    """
+    bps = [_breakpoints(lag) for lag in lags]
+    lags = np.array(lags, dtype=float)
+    pos = integrate_rows(lambda x, row: kernel(x, lags[row]), 0.0, math.inf, bps, spec)
+    n_ok = next((i for i, r in enumerate(pos) if not isinstance(r, QuadResult)), len(pos))
+    neg = integrate_rows(lambda x, row: kernel(-x, lags[row]), 0.0, math.inf, bps[:n_ok], spec)
+    for r in neg + pos[n_ok:n_ok + 1]:
+        if not isinstance(r, QuadResult):
+            raise r
+    return [QuadResult(p.value + n.value, p.err_estimate + n.err_estimate,
+                       p.subdivisions + n.subdivisions, p.absolute_mode or n.absolute_mode)
+            for p, n in zip(pos, neg)]
 
 
 def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Pair function of a simple Brown-Resnick field at variogram-root lag h."""
+    """Pair function of a simple Brown-Resnick field at variogram-root lag
+    h, from the display form."""
     if not (beta1 < 0.5 and beta2 < 0.5):
         raise DomainError(f"second-moment condition requires beta < 1/2, got {beta1}, {beta2}")
     if h < 0.0:
         raise DomainError(f"h must be >= 0, got {h}")
     if h < SMALL_H:
         return gamma(1.0 - beta1 - beta2)
-    return _pair_integral(float(beta1), float(beta2), h, spec)
+    b2 = float(beta2)
+    sig = float(beta1) + b2
+    lg2 = gammaln(2.0 - sig)
+    lg1 = gammaln(1.0 - sig)
+
+    def kernel(s, h):
+        w = h / 2.0 + s
+        v = h / 2.0 - s
+        lphi_w = log_ndtr(w)
+        lphi_v = log_ndtr(v)
+        sh = s * h
+        log_c1 = np.logaddexp(lphi_w, -sh + lphi_v)
+        L1 = lg2 + np.log(h) + lphi_w + lphi_v + (b2 - 1.0) * sh + (sig - 2.0) * log_c1
+        L2 = lg1 - 0.5 * w * w - _LOG_SQRT_2PI + b2 * sh + (sig - 1.0) * log_c1
+        return np.exp(L1) + np.exp(L2)
+
+    return _line_integrals(kernel, [h], spec)[0].value
 
 
 def var_simple(beta: float) -> float:
@@ -340,17 +355,17 @@ _BLOCK_NODES = 1 << 11
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _node_blocks(row: np.ndarray, n_terms: int) -> list:
-    """(lo, hi) bounds of consecutive whole runs of equal ``row``, a block of
-    runs at a time: at most _BLOCK_NODES nodes and _BLOCK_ELEMENTS terms x
-    nodes, or a single run.  A run is a row's panels, so a block holds at
-    least two nodes, and numpy sums each node's terms in the same order
-    whatever the block (over a single node it sums them pairwise)."""
-    if row[0] == row[-1]:  # each row's nodes are consecutive: this is one row
-        bounds = [0, len(row)]
-    else:
-        bounds = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), len(row)]
+def _node_blocks(h: np.ndarray, n_terms: int) -> list:
+    """(lo, hi) bounds of consecutive whole runs of equal lags ``h``, a block
+    of runs at a time: at most _BLOCK_NODES nodes and _BLOCK_ELEMENTS terms
+    x nodes, or a single run.  A run holds whole rows of a quadrature wave
+    (a row's nodes share its lag), so a block holds at least two nodes, and
+    numpy sums each node's terms in the same order whatever the block (over
+    a single node it sums them pairwise)."""
     width = min(_BLOCK_NODES, max(1, _BLOCK_ELEMENTS // n_terms))
+    if len(h) <= width:  # the whole wave is one block
+        return [(0, len(h))]
+    bounds = [0, *(np.flatnonzero(h[1:] != h[:-1]) + 1).tolist(), len(h)]
     blocks = []
     first = 0
     while first < len(bounds) - 1:
@@ -430,10 +445,9 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     its QuadResult have the lags' shape.  The derivative tables and the
     variance are built once, so the returned function is the single place
     the covariance is evaluated: the closed-form variance below SMALL_H, the
-    Hoeffding line integral above it.  The s > 0 half-lines of all lags are
-    the rows of one :func:`integrate_rows` call and their s < 0 half-lines
-    those of a second; each lag's value is the one it gets alone, and the
-    first lag that fails raises the error it raises alone.
+    Hoeffding line integral above it, all lags in one call of
+    :func:`_line_integrals`, so each lag's value is the one it gets alone
+    and the first lag that fails raises the error it raises alone.
     """
     table = _derivative_table(p1)
     _, d1, b1 = table
@@ -445,37 +459,15 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
                          0.0, 0)
     pair_kernel = _pair_kernel(d1, b1, d2, b2)
 
-    def kernel(x, row, lags, sign):
-        # row i integrates over the half-line s = sign * x, x > 0, of lags[i]
-        return np.concatenate([pair_kernel(sign * x[lo:hi], lags[row[lo:hi]])
-                               for lo, hi in _node_blocks(row, len(wts))])
-
-    def line_integrals(lags):
-        """One QuadResult per lag >= SMALL_H."""
-        bps = [_breakpoints(lag) for lag in lags]
-        lags = np.array(lags)
-        pos = integrate_rows(lambda x, row: kernel(x, row, lags, 1.0), 0.0, math.inf, bps, spec)
-        # a lag's s < 0 half-line is integrated only once its s > 0 one has
-        # converged, as when the lag is evaluated alone, so the first lag that
-        # fails raises the same error and no work is spent past it
-        n_ok = next((i for i, r in enumerate(pos) if not isinstance(r, QuadResult)), len(pos))
-        neg = integrate_rows(lambda x, row: kernel(x, row, lags, -1.0),
-                             0.0, math.inf, bps[:n_ok], spec)
-        for r in neg + pos[n_ok:n_ok + 1]:
-            if not isinstance(r, QuadResult):
-                raise r
-        return [QuadResult(p.value + n.value, p.err_estimate + n.err_estimate,
-                           p.subdivisions + n.subdivisions, p.absolute_mode or n.absolute_mode)
-                for p, n in zip(pos, neg)]
+    def kernel(s, h):
+        return np.concatenate([pair_kernel(s[lo:hi], h[lo:hi])
+                               for lo, hi in _node_blocks(h, len(wts))])
 
     def cov(h) -> QuadResult:
         h = np.asarray(h, dtype=float)
         flat = h.ravel().tolist()
-        results = [at_zero] * len(flat)
-        far = [i for i, lag in enumerate(flat) if not lag < SMALL_H]
-        if far:
-            for i, res in zip(far, line_integrals([flat[i] for i in far])):
-                results[i] = res
+        far = iter(_line_integrals(kernel, [lag for lag in flat if not lag < SMALL_H], spec))
+        results = [at_zero if lag < SMALL_H else next(far) for lag in flat]
         if h.ndim == 0:
             return results[0]
         return QuadResult(*(np.array([getattr(r, f.name) for r in results]).reshape(h.shape)

@@ -1,10 +1,11 @@
 """Special functions and adaptive quadrature.
 
 Everything downstream (dependence integrals, distance-density integrals,
-radial covariance integrals) funnels through :func:`integrate`, a globally
-adaptive Gauss-Kronrod (G7/K15) scheme with a QUADPACK-style error
-estimate.  Semi-infinite domains are handled by an explicit, documented
-change of variables selected in :class:`QuadSpec`:
+radial covariance integrals) funnels through :func:`integrate_rows`, a
+globally adaptive Gauss-Kronrod (G7/K15) scheme with a QUADPACK-style error
+estimate that carries many integrands at once; :func:`integrate` is its
+one-integrand call.  Semi-infinite domains are handled by an explicit,
+documented change of variables selected in :class:`QuadSpec`:
 
     ``rational``   x = a + t/(1-t),   dx = dt/(1-t)^2,   t in (0, 1)
     ``log``        x = a - log(1-t),  dx = dt/(1-t),     t in (0, 1)
@@ -392,13 +393,7 @@ def integrate_rows(
         raise DomainError("lower endpoint must be finite")
 
     phi, inv, t_lo, t_hi = _make_map(a, b, spec.infinite_map)
-    edges = {}  # rows often share their breakpoints
-    store = []
-    for bps in breakpoints:
-        key = tuple(bps)
-        if key not in edges:
-            edges[key] = _initial_edges(a, b, t_lo, t_hi, inv, key)
-        store.append(_Row(edges[key]))
+    store = [_Row(_initial_edges(a, b, t_lo, t_hi, inv, bps)) for bps in breakpoints]
     results = [None] * len(store)
     failures = {}
 

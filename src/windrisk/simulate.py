@@ -34,7 +34,10 @@ through an anchored-covariance Cholesky factor with jitter-and-retry.
 A truncated-spectral fallback (fixed number of Poisson points) is kept
 for speed comparisons; its bias is reported empirically through the
 fraction of sites whose running maximum was still updated in the last
-tenth of the spectral sequence.
+tenth of the spectral sequence.  The Schlather generator is truncated the
+same way, and both share one replicate loop (:func:`_spectral_maxima`):
+each keeps its own arithmetic, Brown-Resnick in log space and Schlather
+as sqrt(2 pi) max(eps, 0) / Gamma.
 
 Mixed moving maxima (Smith and tube) simulate storm centers on the grid
 bounding box dilated by the effective storm radius (``dilation_sigmas``
@@ -170,14 +173,16 @@ class McEstimate(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _pairwise_variogram(v: Variogram, points: np.ndarray) -> np.ndarray:
-    """Dense matrix gamma(x_i - x_j), built in row blocks.
+    """Dense matrix gamma(x_i - x_j), built in row blocks; ``v`` is a
+    variogram or any function of (m, 2) difference vectors that is even.
 
     Row block i0:i1 is evaluated against columns i0: only and mirrored into
     the transpose, so each pair is evaluated once.  This is exact: x_j - x_i
     is -(x_i - x_j) bit for bit, and every variogram kind is even in its
-    argument bit for bit (hypot, and a quadratic form of products).  On the
-    1961 sites of the disk, blocks of 2^18 difference vectors (4 MB) took
-    half the time of the full matrix in blocks of 2e6."""
+    argument bit for bit (hypot, and a quadratic form of products), as is
+    the distance hypot(dx, dy) of the Schlather generator.  On the 1961
+    sites of the disk, blocks of 2^18 difference vectors (4 MB) took half
+    the time of the full matrix in blocks of 2e6."""
     n = len(points)
     out = np.empty((n, n))
     block = max(1, (1 << 18) // max(n, 1))
@@ -361,28 +366,35 @@ def _extremal_functions(v, points, n_rep, seed):
     return np.exp(log_z), {"spectral_draws": draws, "accepted": accepted}
 
 
-def _truncated_spectral(v, points, n_rep, seed, n_points):
+def _spectral_maxima(n_rep, seed, n_points, n, draw):
+    """Per-site maxima (n_rep, n) of n_points spectral draws a replicate,
+    and the fraction of sites whose maximum came from the last tenth of
+    them.  ``draw(rng, gams)`` gives a replicate's (n_points, n) values at
+    its Poisson points ``gams``, which its stream gives first."""
     if n_points < 1:
         raise DomainError("n_points must be >= 1")
+    out = _replicate_array((n_rep, n))
+    late = 0
+    for r, rng in enumerate(_replicate_rngs(seed, n_rep)):
+        y = draw(rng, np.cumsum(rng.exponential(size=n_points)))
+        argmax = np.argmax(y, axis=0)
+        out[r] = y[argmax, np.arange(n)]
+        late += int(np.sum(argmax + 1 > 0.9 * n_points))
+    return out, late / (n_rep * n)
+
+
+def _truncated_spectral(v, points, n_rep, seed, n_points):
     n = len(points)
     gamma_mat = _pairwise_variogram(v, points)
     sampler = _GaussianSampler(v, points, gamma_mat)
     var_w = gamma_mat[0]  # Var W(x_i) anchored at site 0
-    Z = _replicate_array((n_rep, n))
-    rngs = _replicate_rngs(seed, n_rep)
-    late = 0
-    for r, rng in enumerate(rngs):
-        # per-replicate draw order: all Poisson gaps, then the Gaussian block
-        gams = np.cumsum(rng.exponential(size=n_points))
+
+    def draw(rng, gams):  # log Y, whose maximum is the log of Z
         ws = sampler.values(rng.standard_normal((n_points, sampler.dim(n - 1))), 0, n)
-        logy = ws - 0.5 * var_w[None, :] - np.log(gams)[:, None]
-        argmax = np.argmax(logy, axis=0)
-        Z[r] = np.exp(logy[argmax, np.arange(n)])
-        late += int(np.sum(argmax + 1 > 0.9 * n_points))
-    return Z, {
-        "late_update_fraction": late / (n_rep * n),
-        "n_points": int(n_points),
-    }
+        return ws - 0.5 * var_w[None, :] - np.log(gams)[:, None]
+
+    log_z, late = _spectral_maxima(n_rep, seed, n_points, n, draw)
+    return np.exp(log_z, out=log_z), {"late_update_fraction": late, "n_points": int(n_points)}
 
 
 def brown_resnick_at(
@@ -587,25 +599,18 @@ def simulate_schlather(
     n = len(pts)
     if n > _MAX_DENSE_POINTS:
         raise DomainError(f"grid too large for dense factorization ({n})")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
+    dist = _pairwise_variogram(lambda d: np.hypot(d[:, 0], d[:, 1]), pts)
     corr = np.asarray(correlation(dist), dtype=float)
     if corr.shape != (n, n):
         raise DomainError("correlation function must evaluate elementwise on distances")
     chol = _cholesky_with_jitter(corr)
-    values = _replicate_array((n_rep, n))
-    rngs = _replicate_rngs(seed, n_rep)
     c = math.sqrt(2.0 * math.pi)
-    late = 0
-    for r, rng in enumerate(rngs):
-        gams = np.cumsum(rng.exponential(size=n_points))
-        eps = rng.standard_normal((n_points, n)) @ chol.T
-        y = c * np.maximum(eps, 0.0) / gams[:, None]
-        argmax = np.argmax(y, axis=0)
-        values[r] = y[argmax, np.arange(n)]
-        late += int(np.sum(argmax + 1 > 0.9 * n_points))
-    meta = {"method": "schlather_truncated",
-            "late_update_fraction": late / (n_rep * n),
+
+    def draw(rng, gams):
+        return c * np.maximum(rng.standard_normal((n_points, n)) @ chol.T, 0.0) / gams[:, None]
+
+    values, late = _spectral_maxima(n_rep, seed, n_points, n, draw)
+    meta = {"method": "schlather_truncated", "late_update_fraction": late,
             "n_points": int(n_points)}
     return _to_field_samples(values, grid, seed, meta=meta)
 

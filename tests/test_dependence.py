@@ -526,8 +526,9 @@ class TestHoeffdingCovariance:
         def computed(*args, **kwargs):
             pytest.fail("computed for an unsupported margin")
 
+        monkeypatch.setattr(dependence, "integrate_rows", computed)
+        monkeypatch.setattr(risk, "integrate", computed)
         for module in (dependence, risk):
-            monkeypatch.setattr(module, "integrate", computed)
             monkeypatch.setattr(module, "_cov_at", computed)
         p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))  # the spec itself is valid
         v = power(1.0, 1.0)
@@ -603,6 +604,26 @@ class TestBatchedCovariance:
         for field in ("value", "err_estimate", "subdivisions", "absolute_mode"):
             assert getattr(batch, field).tolist() == [getattr(r, field) for r in alone], field
         assert isinstance(alone[5].value, float)
+
+    @pytest.mark.parametrize("lags", [
+        np.array([]),
+        np.array([[0.0, 0.5 * dependence.SMALL_H], [0.0, 0.9 * dependence.SMALL_H]]),
+    ], ids=["empty", "below-SMALL_H"])
+    def test_lags_below_small_h_take_no_quadrature_row(self, monkeypatch, paper_gev, lags):
+        rows = []
+        original = dependence.integrate_rows
+
+        def counted(f, a, b, breakpoints, spec):
+            rows.append(len(breakpoints))
+            return original(f, a, b, breakpoints, spec)
+
+        monkeypatch.setattr(dependence, "integrate_rows", counted)
+        p = PowerSpec.gev(3, paper_gev)
+        res = dependence._cov_at(p, p, QuadSpec())(lags)
+        assert sum(rows) == 0
+        assert res.value.shape == lags.shape
+        assert np.all(res.value == var_gev(p))
+        assert np.all(res.subdivisions == 0)
 
     def test_study_grid_needs_refinement_waves(self, paper_gev):
         # some lag is refined past its initial panels (at most 9 a half-line)

@@ -537,6 +537,12 @@ class TestSchlather:
         with pytest.raises(DomainError):
             simulate_schlather(self.correlation, g, 0, seed=24)
 
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_no_spectral_points(self, n_points):
+        g = Grid(origin=(0.0, 0.0), nx=2, ny=2, spacing=1.0)
+        with pytest.raises(DomainError):
+            simulate_schlather(self.correlation, g, 2, seed=24, n_points=n_points)
+
 
 class TestGevTransform:
     def test_finite_endpoint(self, paper_gev):
