@@ -14,7 +14,9 @@ Config schema (defaults shown; any key may be omitted and takes its
 default).  An object merges into the default object key by key, and an
 unknown key is an error; any other value replaces the default, so a list
 may stand for a grid object.  beta, n_rep (>= 2), seed (>= 0) and the grid
-counts are integers (3.0 passes, 2.7 does not)::
+counts are integers (3.0 passes, 2.7 does not).  A depsurface distance grid
+has a count, or a list length, of at most 10 000 (a count gives 0 and count
+geometric steps from min to the psi's max)::
 
     {
       "depsurface": {
@@ -248,12 +250,21 @@ def _max_distance(max_by_psi, psi: float) -> float:
     raise ConfigError(f"distances.max_by_psi: no entry for psi = {psi:g}")
 
 
+# the most distances a depsurface grid may hold: the library evaluates a
+# grid's lags in one batch, in memory that grows with their number
+_MAX_DISTANCES = 10_000
+
+
 def _distance_grid(block, psi) -> list:
     if isinstance(block, list):
+        if len(block) > _MAX_DISTANCES:
+            raise ConfigError(f"distances: {len(block)} entries, more than {_MAX_DISTANCES}")
         return _numbers(block, "distances", lambda h: 0.0 <= h < math.inf,
                         "a finite distance >= 0")
     h_min = float(block["min"])
     count = _integer(block["count"], "distances.count", 2)
+    if count > _MAX_DISTANCES:
+        raise ConfigError(f"distances.count: {count} is more than {_MAX_DISTANCES}")
     h_max = _max_distance(block["max_by_psi"], psi)
     if not 0.0 < h_min < h_max < math.inf:
         raise ConfigError(f"distances: bad grid: min={h_min} max={h_max}")

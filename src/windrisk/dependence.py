@@ -349,32 +349,11 @@ def _log_power_cov(b, c):
     return v
 
 
-# the covariance kernel works a block of nodes at a time, at most this many
-# nodes and this many (terms x nodes) elements, to keep its arrays small
-_BLOCK_NODES = 1 << 11
-_BLOCK_ELEMENTS = 1 << 14
-
-
-def _node_blocks(h: np.ndarray, n_terms: int) -> list:
-    """(lo, hi) bounds of consecutive whole runs of equal lags ``h``, a block
-    of runs at a time: at most _BLOCK_NODES nodes and _BLOCK_ELEMENTS terms
-    x nodes, or a single run.  A run holds whole rows of a quadrature wave
-    (a row's nodes share its lag), so a block holds at least two nodes, and
-    numpy sums each node's terms in the same order whatever the block (over
-    a single node it sums them pairwise)."""
-    width = min(_BLOCK_NODES, max(1, _BLOCK_ELEMENTS // n_terms))
-    if len(h) <= width:  # the whole wave is one block
-        return [(0, len(h))]
-    bounds = [0, *(np.flatnonzero(h[1:] != h[:-1]) + 1).tolist(), len(h)]
-    blocks = []
-    first = 0
-    while first < len(bounds) - 1:
-        last = first + 1
-        while last < len(bounds) - 1 and bounds[last + 1] - bounds[first] <= width:
-            last += 1
-        blocks.append((bounds[first], bounds[last]))
-        first = last
-    return blocks
+# the covariance kernel takes the nodes of a wave in chunks of this many, to
+# keep its arrays small: 64 new panels of 15 nodes, the most one row adds in
+# a wave, so a lone lag is one call, and no chunk is a lone node (numpy sums
+# the terms of a lone node pairwise, those of two or more in order)
+_CHUNK_NODES = 960
 
 
 def _pair_kernel(d1, b1, d2, b2):
@@ -444,10 +423,11 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     The function takes a scalar lag or an array of lags, and the fields of
     its QuadResult have the lags' shape.  The derivative tables and the
     variance are built once, so the returned function is the single place
-    the covariance is evaluated: the closed-form variance below SMALL_H, the
-    Hoeffding line integral above it, all lags in one call of
-    :func:`_line_integrals`, so each lag's value is the one it gets alone
-    and the first lag that fails raises the error it raises alone.
+    the covariance is evaluated: the closed-form variance below SMALL_H, its
+    limit 0 at an infinite lag, the Hoeffding line integral in between, all
+    lags in one call of :func:`_line_integrals`, so each lag's value is the
+    one it gets alone and the first lag that fails raises the error it
+    raises alone.
     """
     table = _derivative_table(p1)
     _, d1, b1 = table
@@ -457,17 +437,22 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     B2 = np.tile(b2, len(b1))
     at_zero = QuadResult(math.fsum(_finite(wts * _log_power_cov(B1, B2), "a variance term")),
                          0.0, 0)
+    at_infinity = QuadResult(0.0, 0.0, 0)
     pair_kernel = _pair_kernel(d1, b1, d2, b2)
 
     def kernel(s, h):
-        return np.concatenate([pair_kernel(s[lo:hi], h[lo:hi])
-                               for lo, hi in _node_blocks(h, len(wts))])
+        return np.concatenate([pair_kernel(s[i:i + _CHUNK_NODES], h[i:i + _CHUNK_NODES])
+                               for i in range(0, len(s), _CHUNK_NODES)])
 
     def cov(h) -> QuadResult:
         h = np.asarray(h, dtype=float)
         flat = h.ravel().tolist()
-        far = iter(_line_integrals(kernel, [lag for lag in flat if not lag < SMALL_H], spec))
-        results = [at_zero if lag < SMALL_H else next(far) for lag in flat]
+        # the closed form below SMALL_H and the limit 0 at an infinite lag
+        known = [at_zero if lag < SMALL_H else at_infinity if lag == math.inf else None
+                 for lag in flat]
+        far = iter(_line_integrals(kernel, [lag for lag, r in zip(flat, known) if r is None],
+                                   spec))
+        results = [next(far) if r is None else r for r in known]
         if h.ndim == 0:
             return results[0]
         return QuadResult(*(np.array([getattr(r, f.name) for r in results]).reshape(h.shape)
@@ -539,7 +524,7 @@ def dep_measure_from_gamma(p: PowerSpec, gamma_value, spec: QuadSpec = DEFAULT_Q
     """Radial convenience form of :func:`dep_measure` keyed by the variogram
     value; an array of variogram values gives the array of dependences from
     one covariance evaluation."""
-    if np.any(np.asarray(gamma_value) < 0.0):
+    if not np.all(np.asarray(gamma_value) >= 0.0):
         raise DomainError(f"variogram value must be >= 0, got {gamma_value}")
     _require_moments(p, 2)
     cov = _cov_at(p, p, spec)

@@ -11,7 +11,9 @@ documented change of variables selected in :class:`QuadSpec`:
     ``log``        x = a - log(1-t),  dx = dt/(1-t),     t in (0, 1)
 
 Kronrod nodes are interior, so endpoint singularities of the mapped
-integrand are never evaluated directly.
+integrand are never evaluated directly.  Each panel's estimates are numpy
+sums over its own 15 values, so a panel, and with it a row, gets the same
+estimates in any batch.
 """
 
 from __future__ import annotations
@@ -218,19 +220,15 @@ _TINY = np.finfo(float).tiny
 def _panel_estimates(fvals: np.ndarray, half_widths: np.ndarray):
     """Kronrod value and QUADPACK-style error for a batch of panels.
 
-    fvals has shape (..., n_panels, 15); half_widths has shape (..., n_panels).
-    A stack of panel batches is reduced one batch at a time, as if each were
-    passed alone.
+    fvals has shape (n_panels, 15); half_widths has shape (n_panels,).
+    Each weighted sum is a numpy sum over one panel's own values, so a
+    panel's estimates do not depend on the other panels of the batch.
     """
-    resk = fvals @ _WGK
-    # the Gauss values of each batch column-major, as fvals[:, _GAUSS_IDX]
-    # lays them out for a single batch: the product's rounding depends on
-    # the layout, so a stack of batches gets each batch's own
-    gauss = np.ascontiguousarray(np.swapaxes(fvals[..., _GAUSS_IDX], -1, -2))
-    resg = np.swapaxes(gauss, -1, -2) @ _WG
-    resabs = np.abs(fvals) @ _WGK
+    resk = (fvals * _WGK).sum(axis=-1)
+    resg = (fvals[:, _GAUSS_IDX] * _WG).sum(axis=-1)
+    resabs = (np.abs(fvals) * _WGK).sum(axis=-1)
     mean = 0.5 * resk
-    resasc = np.abs(fvals - mean[..., None]) @ _WGK
+    resasc = (np.abs(fvals - mean[:, None]) * _WGK).sum(axis=-1)
 
     value = resk * half_widths
     resabs = resabs * half_widths
@@ -329,31 +327,19 @@ def _eval_panels(f, phi, rows, lows, highs, counts):
     ``lows``/``highs`` hold the t bounds of ``counts[i]`` consecutive panels
     of row ``rows[i]``, for each i (``rows`` and ``counts`` are lists).
     Returns (values, errors, finite) where ``finite[i]`` tells whether row
-    ``rows[i]`` had only finite integrand values.  Each row's panels are
-    reduced as one batch of their own, so a row's estimates do not depend
-    on the other rows of the wave.
+    ``rows[i]`` had only finite integrand values; the panels of a row that
+    did not are estimated from zeros, so their discarded estimates raise no
+    floating-point warning.  All panels are reduced in one
+    :func:`_panel_estimates` call, each from its own values alone.
     """
     centers = 0.5 * (lows + highs)
     halfw = 0.5 * (highs - lows)
     xs, jac = phi((centers[:, None] + halfw[:, None] * _XGK[None, :]).ravel())
     fv = np.asarray(f(xs, np.repeat(rows, np.multiply(counts, _NPOINTS))), dtype=float) * jac
     fv = fv.reshape(len(lows), _NPOINTS)
-    if len(set(counts)) == 1 and np.isfinite(fv).all():
-        # the usual wave: every row has as many new panels, all finite
-        v, e = _panel_estimates(fv.reshape(len(counts), -1, _NPOINTS),
-                                halfw.reshape(len(counts), -1))
-        return v.ravel(), e.ravel(), [True] * len(counts)
-    counts = np.array(counts)
-    starts = np.cumsum(counts) - counts
-    finite = np.logical_and.reduceat(np.isfinite(fv).all(axis=1), starts)
-    vals = np.empty(len(lows))
-    errs = np.empty(len(lows))
-    for n in sorted(set(counts[finite].tolist())):
-        first = starts[finite & (counts == n)]
-        idx = (first[:, None] + np.arange(n)).ravel()
-        v, e = _panel_estimates(fv[idx].reshape(-1, n, _NPOINTS), halfw[idx].reshape(-1, n))
-        vals[idx] = v.ravel()
-        errs[idx] = e.ravel()
+    finite = np.logical_and.reduceat(np.isfinite(fv).all(axis=1), np.cumsum(counts) - counts)
+    fv[np.repeat(~finite, counts)] = 0.0
+    vals, errs = _panel_estimates(fv, halfw)
     return vals, errs, finite.tolist()
 
 

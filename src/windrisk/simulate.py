@@ -68,6 +68,7 @@ bit-identical values per replicate index.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
@@ -657,6 +658,8 @@ def region_grid(region: Region, lam: float, spacing_factor: int = 50) -> Grid:
     diameter / spacing_factor."""
     if not lam > 0.0:
         raise DomainError(f"lam must be > 0, got {lam}")
+    if not 0.0 < spacing_factor < math.inf:
+        raise DomainError(f"spacing_factor must be finite and > 0, got {spacing_factor}")
     diameter = region.max_distance() * lam
     spacing = diameter / spacing_factor
     half = region.scaled_size * lam
@@ -820,6 +823,11 @@ def read_field_samples(path) -> List[FieldSample]:
         margin = None if margin_flag == 0 else GevParams(eta, tau, xi)
         out = []
         npts = nx * ny
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + n_rep * (_RECORD.size + 8 * npts)
+        if size != expected:
+            raise DomainError(f"field dump {path} has {size} bytes, not the {expected} "
+                              f"of {n_rep} replicates on a {nx} x {ny} grid")
         for _ in range(n_rep):
             seed, replicate, _pad = _RECORD.unpack(fh.read(_RECORD.size))
             vals = np.frombuffer(fh.read(8 * npts), dtype="<f8").reshape(nx, ny)

@@ -144,6 +144,7 @@ def test_criterion_05_monotonicity_suite():
                  f"({time.time()-t0:.0f} s)")
 
 
+@pytest.mark.slow
 def test_criterion_06_covariance_oracle_equivalence():
     """Quadrature cov_gev within 3 MC standard errors of the exact
     Brown-Resnick simulator, 1e5 replicates per configuration."""
@@ -171,6 +172,7 @@ def test_criterion_06_covariance_oracle_equivalence():
                  f"{elapsed:.0f} s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_loss_variance_equivalence():
     """MC variance of the normalized loss (Smith, lam=10, 2000 replicates)
     within 3 SE of the distance-density quadrature r2."""
@@ -213,6 +215,7 @@ def test_criterion_08_homogeneity_order_minus_two():
     _passline(8, "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_09_clt_normality(loss50):
     """500 losses at lam=50 standardized by the CLT approximation pass a
     KS normality test at the 1% level."""
@@ -225,6 +228,7 @@ def test_criterion_09_clt_normality(loss50):
                  f"sd {approx.sd:.5f})")
 
 
+@pytest.mark.slow
 def test_criterion_10_var_es_order_minus_one(loss50, loss25):
     """MC VaR/ES at lam in {25, 50} within 15% of the K2/lam correction of
     the asymptotic closed forms (alpha = 0.95)."""
@@ -248,6 +252,7 @@ def test_criterion_10_var_es_order_minus_one(loss50, loss25):
     _passline(10, "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_invariant_mean_homogeneity_order_zero(loss50, loss25):
     """Supplementary invariant: the MC mean of the normalized loss is
     independent of the dilation within 3 SE (order-0 homogeneity)."""
@@ -363,6 +368,7 @@ def test_criterion_13_xi_zero_continuity():
                   f"{abs(gumbel_var-exact)/exact:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_14_translation_invariance():
     """Tube-model losses over a region and its (3,3)-translate pass a
     two-sample KS test at the 1% level (2000 replicates each)."""

@@ -469,6 +469,8 @@ class TestConfigReadBeforeComputing:
         ("riskreport", {"beta": 2.7}),
         ("simulate", {"beta": 2.7}),
         ("riskreport", {"regions": [{"shape": "disk", "R": 1e-300}]}),
+        ("depsurface", {"distances": {"count": 1e6}}),
+        ("depsurface", {"distances": [1.0] * 10_001}),
     ])
     def test_exits_2_before_any_computation(self, tmp_path, monkeypatch, command, block):
         def computed(*args, **kwargs):

@@ -2,6 +2,7 @@
 functions, GEV mixtures, and their independently coded oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from windrisk import (
     norm_cdf,
     norm_pdf,
     power,
+    QuadResult,
     QuadSpec,
     r2,
     var_gev,
@@ -402,6 +404,32 @@ class TestDepMeasure:
         with pytest.raises(DomainError):
             dep_measure_from_gamma(PowerSpec.simple(0.0), 1.0)
 
+    @pytest.mark.parametrize("p", [PowerSpec.gev(12, GevParams(ETA, TAU, XI)),
+                                   PowerSpec.simple(0.25)], ids=["gev12", "simple0.25"])
+    def test_infinite_lag_has_the_limit_zero(self, p):
+        cov = dependence._cov_at(p, p, QuadSpec())
+        assert cov(math.inf) == QuadResult(0.0, 0.0, 0)
+        lags = np.array([0.0, 1.0, math.inf])
+        batch = cov(lags)
+        assert batch.value.tolist() == [cov(h).value for h in lags]
+        assert batch.value[2] == 0.0 and batch.subdivisions[2] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dep_measure_from_gamma(p, math.inf) == 0.0
+            assert dep_measure_from_gamma(p, np.array([1.0, math.inf]))[1] == 0.0
+
+    def test_distance_whose_variogram_overflows_has_dependence_zero(self, paper_gev):
+        # gamma = (1e200)^2 is past the double range
+        with np.errstate(over="ignore"):
+            assert dep_measure(PowerSpec.gev(1, paper_gev), power(1.0, 2.0),
+                               [0.0, 0.0], [1e200, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("gamma_value", [math.nan, np.array([1.0, math.nan])],
+                             ids=["scalar", "array"])
+    def test_nan_variogram_value_rejected(self, paper_gev, gamma_value):
+        with pytest.raises(DomainError, match="variogram value must be >= 0"):
+            dep_measure_from_gamma(PowerSpec.gev(1, paper_gev), gamma_value)
+
 
 class TestXiZero:
     def test_gumbel_variance(self, paper_gev):
@@ -594,8 +622,13 @@ class TestBatchedCovariance:
                   PowerSpec.gev(2, GevParams(ETA, TAU, 0.1))),
     }
 
-    @pytest.mark.parametrize("name", list(CASES))
-    def test_array_of_lags_equals_each_lag_alone(self, name):
+    # the kernel's default chunk, and chunks of one panel, whose edges fall
+    # inside the rows of a wave
+    @pytest.mark.parametrize("name, chunk", [(name, 960) for name in CASES]
+                             + [(name, 15) for name in CASES],
+                             ids=list(CASES) + [f"{name}-chunk15" for name in CASES])
+    def test_array_of_lags_equals_each_lag_alone(self, monkeypatch, name, chunk):
+        monkeypatch.setattr(dependence, "_CHUNK_NODES", chunk)
         p1, p2 = self.CASES[name]
         cov = dependence._cov_at(p1, p2, QuadSpec())
         batch = cov(self.LAGS)

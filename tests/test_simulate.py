@@ -155,6 +155,7 @@ class TestBrownResnick:
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.values, t.values)
 
+    @pytest.mark.slow
     def test_truncated_vs_exact_bivariate_survival(self):
         v = power(1.0, 1.0)
         for d in (0.5, 1.5, 3.0):
@@ -284,6 +285,7 @@ class TestSmith:
         se = math.sqrt(exact * (1 - exact) / len(vals))
         assert abs(emp - exact) <= 3.0 * se
 
+    @pytest.mark.slow
     def test_cross_oracle_with_brown_resnick(self):
         # Smith covariance of powers ~ exact BR with the quadratic variogram
         g = Grid(origin=(0.0, 0.0), nx=2, ny=1, spacing=1.2)
@@ -631,6 +633,11 @@ class TestNormalizedLoss:
             mask = grid_region_mask(grid, region, lam)
             assert mask.sum() > 1900  # ~ pi/4 of 51^2
 
+    @pytest.mark.parametrize("factor", [0, -5, math.inf, math.nan])
+    def test_region_grid_rejects_a_spacing_factor_not_finite_and_positive(self, factor):
+        with pytest.raises(DomainError, match="spacing_factor"):
+            region_grid(disk(1.0), 1.0, spacing_factor=factor)
+
 
 class TestMcRisk:
     def test_constant_losses(self):
@@ -702,4 +709,15 @@ class TestBinaryDump:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(DomainError):
+            read_field_samples(path)
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b[:-8 * 4 - 16],
+                                      lambda b: b + b"\x00"],
+                             ids=["one-byte-short", "one-replicate-short", "trailing-byte"])
+    def test_size_other_than_the_header_says_is_rejected(self, tmp_path, edit):
+        g = Grid(origin=(0.0, 0.0), nx=2, ny=2, spacing=1.0)
+        path = tmp_path / "f.bin"
+        write_field_samples(path, simulate_brown_resnick(power(1.0, 1.0), g, 2, seed=31))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DomainError, match="bytes"):
             read_field_samples(path)
