@@ -2,11 +2,8 @@
 spatial risk measures they induce, with an internal Monte-Carlo oracle."""
 
 from .dependence import (
-    BivariateCoeffs,
     GevParams,
     PowerSpec,
-    b_coeff,
-    bivariate_coeffs,
     cov_gev,
     cov_gev_xi_zero,
     cov_simple,

@@ -369,13 +369,15 @@ def cmd_simulate(block: dict):
         raise ConfigError(f"method: unknown simulate method {method!r}")
     if method == "smith" and v.psi != 2.0:
         raise ConfigError("the smith method requires psi = 2")
+    # kappa * kappa, not kappa**2: a float power raises on overflow
+    if method == "smith" and not math.isfinite(kappa * kappa):
+        raise ConfigError(f"kappa: {kappa!r} squared is past the double range")
     dump = block["dump"]
     if not (dump is None or isinstance(dump, str)):
         raise ConfigError(f"dump: expected a file name or null, got {dump!r}")
 
     def run(out_path):
         if method == "smith":
-            # kappa * kappa, not kappa**2: a float power raises on overflow
             sigma = np.eye(2) * (kappa * kappa)
             samples = simulate.simulate_smith(sigma, grid, n_rep, seed)
         else:

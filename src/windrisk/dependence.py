@@ -27,8 +27,15 @@ The r integral of each term is a Gamma function, and theta = exp(s h) leaves
     cov = sum_jk d_j d_k int_R h Gamma(1-sig) D^b_j (1+theta)^b_k (-L) exprel(sig L) ds
 
 with sig = b_j + b_k, D = 1 + 1/theta and L = log(C1/D) = log1p(-gap/D) <= 0.
-The gap D - C1 = Phi(-W) + Phi(-V)/theta is taken from log_ndtr, so no
-term's integrand cancels: each is positive.  At each quadrature node the
+The gap D - C1 = Phi(-W) + Phi(-V)/theta comes from the scaled normal tail
+E(a) = Phi(-a) exp(a^2/2) at |W| and |V|, one call per kernel call: since
+phi(V) = theta phi(W), with m = |s| - h/2,
+
+    gap = exp(-W^2/2) (E(W) + E(V))                                 m <= 0,
+    gap = exp(-max(s h, 0)) (1 - exp(-m^2/2) |E(|W|) - E(|V|)|)      m > 0,
+
+where the subtracted term is at most half the first, so no term's
+integrand cancels: each is positive.  At each quadrature node the
 pair sum is h (-L) times the bilinear form a' G b, a_j = d_j D^b_j,
 b_k = d_k (1+theta)^b_k and G_jk = Gamma(1-sig) exprel(sig L), a function of
 sig alone: n1 + n2 powers and one exprel per distinct sig, not one
@@ -63,34 +70,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, gammaln, log_ndtr, zeta
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError
 from .numerics import (
     DEFAULT_QUAD,
     QuadResult,
     QuadSpec,
+    digamma,
     exprel,
     gamma,
+    gamma_values,
     integrate_rows,
+    log_ndtr,
     norm_cdf,
-    norm_pdf,
+    scaled_normal_tail,
 )
 from .variogram import Variogram
 
 __all__ = [
     "GevParams",
     "PowerSpec",
-    "BivariateCoeffs",
-    "bivariate_coeffs",
     "g_simple",
     "cov_simple",
     "var_simple",
-    "b_coeff",
     "g_gev",
     "cov_gev",
     "var_gev",
@@ -108,10 +113,28 @@ SMALL_H = 1e-6
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# zeta(n)/n, n = 2..39, of the series of log Gamma(1 - x); used where
-# |b| + |c| <= _SERIES_RADIUS, so the terms fall below 2^-70 of the first
+# zeta(n)/n, n = 2..39, of the series of log Gamma(1 - x), as the double
+# quotient of the doubles zeta(n) and n; used where |b| + |c| <=
+# _SERIES_RADIUS, so the terms fall below 2^-70 of the first
 _SERIES_RADIUS = 0.25
-_LGAMMA_SERIES = zeta(np.arange(2.0, 40.0)) / np.arange(2.0, 40.0)
+_LGAMMA_SERIES = (
+    0.8224670334241132, 0.40068563438653143, 0.27058080842778454, 0.207385551028674,
+    0.16955717699740822, 0.14404989676884614, 0.12550966952474304, 0.11133426586956469,
+    0.10009945751278179, 0.09095401714582904, 0.083353840546109, 0.0769325164113522,
+    0.07143294629536134, 0.06666870588242046, 0.06250095514121304, 0.05882397865868458,
+    0.055555767627403614, 0.05263167937961666, 0.05000004769810169, 0.04761907033014223,
+    0.04545455629320467, 0.04347826605304026, 0.04166666915034121, 0.04000000119214014,
+    0.03846153903467519, 0.037037037312989324, 0.03571428584733336, 0.034482758684919304,
+    0.03333333336437758, 0.03225806453115041, 0.03125000000727597, 0.030303030306558048,
+    0.029411764707594344, 0.02857142857226011, 0.027777777778181998, 0.027027027027223673,
+    0.02631578947377995, 0.025641025641072283,
+)
+# the series as a bilinear form in the powers b^i, c^l (see _log_power_cov):
+# M_il = zeta(n)/n C(n, i + 1) with n = i + l + 2 <= 39
+_LGAMMA_PAIRS = np.array([[_LGAMMA_SERIES[i + l] * math.comb(i + l + 2, i + 1)
+                           if i + l < len(_LGAMMA_SERIES) else 0.0
+                           for l in range(len(_LGAMMA_SERIES))]
+                          for i in range(len(_LGAMMA_SERIES))])
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +187,6 @@ class PowerSpec:
         return self.margin is None
 
 
-class BivariateCoeffs(NamedTuple):
-    c1: float
-    c2: float
-    c3: float
-
-
-def bivariate_coeffs(theta: float, h: float) -> BivariateCoeffs:
-    """The kernel coefficients (C1, C2, C3) exactly as displayed."""
-    if not theta > 0.0:
-        raise DomainError(f"theta must be > 0, got {theta}")
-    if not h > 0.0:
-        raise DomainError(f"h must be > 0, got {h}")
-    w = h / 2.0 + math.log(theta) / h
-    v = h / 2.0 - math.log(theta) / h
-    c1 = norm_cdf(w) + norm_cdf(v) / theta
-    c2 = (norm_cdf(w) + norm_pdf(w) / h - norm_pdf(v) / (h * theta)) * (
-        norm_cdf(v) / theta**2 + norm_pdf(v) / (h * theta**2) - norm_pdf(w) / (h * theta)
-    )
-    c3 = v * norm_pdf(w) / (h**2 * theta) + w * norm_pdf(v) / (h**2 * theta**2)
-    return BivariateCoeffs(c1, c2, c3)
-
-
 # ---------------------------------------------------------------------------
 # line integrals in s = log(theta) / h
 # ---------------------------------------------------------------------------
@@ -233,14 +234,13 @@ def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD
         return gamma(1.0 - beta1 - beta2)
     b2 = float(beta2)
     sig = float(beta1) + b2
-    lg2 = gammaln(2.0 - sig)
-    lg1 = gammaln(1.0 - sig)
+    lg2 = math.lgamma(2.0 - sig)
+    lg1 = math.lgamma(1.0 - sig)
 
     def kernel(s, h):
         w = h / 2.0 + s
-        v = h / 2.0 - s
-        lphi_w = log_ndtr(w)
-        lphi_v = log_ndtr(v)
+        lphi = log_ndtr(np.concatenate([w, h / 2.0 - s]))
+        lphi_w, lphi_v = lphi[:len(s)], lphi[len(s):]
         sh = s * h
         log_c1 = np.logaddexp(lphi_w, -sh + lphi_v)
         L1 = lg2 + np.log(h) + lphi_w + lphi_v + (b2 - 1.0) * sh + (sig - 2.0) * log_c1
@@ -321,31 +321,36 @@ def _derivative_table(p: PowerSpec):
             _finite((beta - k) * m.xi, "an exponent"))
 
 
-def _log_power_cov(b, c):
-    """V(b, c) = Cov((Z^b - 1)/b, (Z^c - 1)/c) elementwise for standard
-    Frechet Z, where (Z^0 - 1)/0 stands for log Z.
+def _log_power_cov(b1, b2):
+    """V(b, c) = Cov((Z^b - 1)/b, (Z^c - 1)/c) for standard Frechet Z and
+    every pair (b, c) of the exponent tables b1 x b2, as an (n1, n2) array,
+    where (Z^0 - 1)/0 stands for log Z.
 
     The closed form [Gamma(1-b-c) - Gamma(1-b) Gamma(1-c)] / (b c) cancels
     as b, c -> 0.  There V = Gamma(1-b) Gamma(1-c) expm1(b c q) / (b c) with
     b c q = log Gamma(1-b-c) - log Gamma(1-b) - log Gamma(1-c), and the
     series log Gamma(1-x) = gamma_E x + sum_n zeta(n) x^n / n gives
-    q = sum_n zeta(n)/n P_n, P_n = ((b+c)^n - b^n - c^n) / (b c), through
-    P_2 = 2, P_(n+1) = (b+c) P_n + b^(n-1) + c^(n-1).
+    q = sum_n zeta(n)/n P_n with P_n = ((b+c)^n - b^n - c^n) / (b c)
+    = sum_(k=1..n-1) C(n, k) b^(k-1) c^(n-1-k): the bilinear form
+    sum_il M_il b^i c^l of _LGAMMA_PAIRS, whose terms shrink like
+    (|b| + |c|)^(i+l).  Gamma is evaluated once per distinct argument, and
+    psi only where one power is 0 away from the series.
     """
-    g_b, g_c = gamma_fn(1.0 - b), gamma_fn(1.0 - c)
+    b, c = b1[:, None], b2[None, :]
+    g_b, g_c = gamma_values(1.0 - b), gamma_values(1.0 - c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = (gamma_fn(1.0 - b - c) - g_b * g_c) / (b * c)
-        # one power 0: Cov(Z^b, log Z) / b = -Gamma(1-b) (psi(1-b) + gamma_E) / b
-        v = np.where(c == 0.0, -g_b * (digamma(1.0 - b) + np.euler_gamma) / b, v)
-        v = np.where(b == 0.0, -g_c * (digamma(1.0 - c) + np.euler_gamma) / c, v)
+        v = (gamma_values(1.0 - (b + c)) - g_b * g_c) / (b * c)
     near = np.abs(b) + np.abs(c) <= _SERIES_RADIUS
+    # one power 0: Cov(Z^b, log Z) / b = -Gamma(1-b) (psi(1-b) + gamma_E) / b
+    for i, j in zip(*np.nonzero(((b == 0.0) != (c == 0.0)) & ~near)):
+        x, g = (b1[i], g_b[i, 0]) if b2[j] == 0.0 else (b2[j], g_c[0, j])
+        v[i, j] = -g * (digamma(1.0 - x) + np.euler_gamma) / x
     if near.any():
-        bn, cn = b[near], c[near]
-        p, q, b_pow, c_pow = 2.0, 0.0, bn, cn
-        for coef in _LGAMMA_SERIES:
-            q = q + coef * p
-            p, b_pow, c_pow = (bn + cn) * p + b_pow + c_pow, b_pow * bn, c_pow * cn
-        v[near] = g_b[near] * g_c[near] * q * exprel(bn * cn * q)
+        bn, cn = np.broadcast_to(b, v.shape)[near], np.broadcast_to(c, v.shape)[near]
+        n = len(_LGAMMA_SERIES)
+        q = ((np.vander(bn, n, increasing=True) @ _LGAMMA_PAIRS)
+             * np.vander(cn, n, increasing=True)).sum(axis=1)
+        v[near] = (g_b * g_c)[near] * q * exprel(bn * cn * q)
     return v
 
 
@@ -379,7 +384,7 @@ def _pair_kernel(d1, b1, d2, b2):
     sig_values = np.array(list(where)).reshape(-1, 1)
     sig_index = np.array([[where[x + y] for y in b2] for x in b1],
                          dtype=np.intp).reshape(len(b1), len(b2))
-    weights = np.outer(d1, d2)[:, :, None] * gamma_fn(1.0 - sig_values)[sig_index]
+    weights = np.outer(d1, d2)[:, :, None] * gamma_values(1.0 - sig_values)[sig_index]
     top = float(np.max(np.abs(weights), initial=0.0))
     log_scale = math.log(top) if top else -math.inf
     weights /= top or 1.0
@@ -392,9 +397,16 @@ def _pair_kernel(d1, b1, d2, b2):
         sh = s * h
         log_d = np.logaddexp(0.0, -sh)
         # q = gap/D in (0, 1/2]: the exponent function is at least
-        # half of 1/z1 + 1/z2
+        # half of 1/z1 + 1/z2; the gap as in the module docstring
         half_h = h / 2.0
-        log_q = np.logaddexp(log_ndtr(-half_h - s), log_ndtr(s - half_h) - sh) - log_d
+        w, v = half_h + s, half_h - s
+        e = scaled_normal_tail(np.abs(np.concatenate([w, v])))
+        e_w, e_v = e[:len(s)], e[len(s):]
+        m = np.abs(s) - half_h
+        log_gap = np.where(m <= 0.0, np.log(e_w + e_v) - 0.5 * w * w,
+                           np.log1p(-np.exp(-0.5 * m * m) * np.abs(e_w - e_v))
+                           - np.maximum(sh, 0.0))
+        log_q = log_gap - log_d
         q = np.exp(log_q)
         L = np.log1p(-q)
         # log(-L), finite even where q underflows
@@ -432,11 +444,10 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     table = _derivative_table(p1)
     _, d1, b1 = table
     _, d2, b2 = table if p2 == p1 else _derivative_table(p2)
-    wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
-    B1 = np.repeat(b1, len(b2))
-    B2 = np.tile(b2, len(b1))
-    at_zero = QuadResult(math.fsum(_finite(wts * _log_power_cov(B1, B2), "a variance term")),
-                         0.0, 0)
+    with np.errstate(over="ignore"):  # a weight past the double range is reported below
+        wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
+    at_zero = QuadResult(
+        math.fsum(_finite(wts * _log_power_cov(b1, b2).ravel(), "a variance term")), 0.0, 0)
     at_infinity = QuadResult(0.0, 0.0, 0)
     pair_kernel = _pair_kernel(d1, b1, d2, b2)
 
@@ -552,24 +563,6 @@ def cov_gev_xi_zero(
     p = PowerSpec.gev(beta, GevParams(eta, tau, 0.0))
     res = _cov_result(p, p, v, x1, x2, spec)
     return (res.value, res.err_estimate) if return_err else res.value
-
-
-def b_coeff(k1: int, k2: int, p: PowerSpec) -> float:
-    """Binomial-product coefficient of the GEV second-moment expansion."""
-    if p.is_simple:
-        raise DomainError("b_coeff is defined for GEV margins only")
-    beta = int(p.beta)
-    if not (0 <= k1 <= beta and 0 <= k2 <= beta):
-        raise DomainError(f"indices must lie in [0, {beta}], got ({k1}, {k2})")
-    m = p.margin
-    if m.xi == 0.0:
-        raise DomainError("b_coeff is undefined at xi = 0")
-    return (
-        math.comb(beta, k1)
-        * math.comb(beta, k2)
-        * (m.eta - m.tau / m.xi) ** (k1 + k2)
-        * (m.tau / m.xi) ** (2 * beta - k1 - k2)
-    )
 
 
 def extremal_coefficient(v: Variogram, x1, x2) -> float:

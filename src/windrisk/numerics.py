@@ -1,5 +1,11 @@
 """Special functions and adaptive quadrature.
 
+The special functions need numpy alone: ``scaled_normal_tail`` and
+``log_ndtr`` come from a piecewise polynomial table of erfcx,
+``norm_quantile`` from Wichura's AS241 and a Newton step, ``digamma`` from
+the recurrence and the asymptotic series, and ``gamma_values`` from
+``math.gamma`` once per distinct argument.
+
 Everything downstream (dependence integrals, distance-density integrals,
 radial covariance integrals) funnels through :func:`integrate_rows`, a
 globally adaptive Gauss-Kronrod (G7/K15) scheme with a QUADPACK-style error
@@ -23,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri as _ndtri
 
 from .errors import CancelledError, ConvergenceError, DomainError, WindriskError
 
@@ -31,11 +36,15 @@ __all__ = [
     "QuadSpec",
     "QuadResult",
     "DEFAULT_QUAD",
+    "digamma",
     "exprel",
     "gamma",
+    "gamma_values",
+    "log_ndtr",
     "norm_cdf",
     "norm_pdf",
     "norm_quantile",
+    "scaled_normal_tail",
     "std_normal",
     "integrate",
     "integrate_rows",
@@ -43,6 +52,14 @@ __all__ = [
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# glibc's malloc maps a block above its mmap threshold (128 kB at start)
+# afresh and returns it to the system when it is freed, so the kernel's
+# MB-sized temporaries would be faulted in page by page on every call.
+# Freeing one mapped block raises the threshold to that block's size, and
+# later blocks up to 4 MB are reused from the heap.  (Importing scipy did
+# this as a side effect.)
+np.empty(1 << 19)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +123,186 @@ def gamma(x: float) -> float:
         raise DomainError(f"gamma undefined or overflowing at x={x}") from exc
 
 
+def gamma_values(x) -> np.ndarray:
+    """Gamma elementwise on an array of arguments away from the poles, from
+    math.gamma once per distinct argument; inf where Gamma overflows."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel().tolist()
+    known = dict.fromkeys(flat)
+    for v in known:
+        try:
+            known[v] = math.gamma(v)
+        except OverflowError:
+            known[v] = math.inf
+    return np.array([known[v] for v in flat]).reshape(x.shape)
+
+
+# the root of digamma, as a sum of two doubles
+_DIGAMMA_ROOT = 1.4616321449683622
+_DIGAMMA_ROOT_LO = 9.549995429965697e-17
+# B_2k / 2k, k = 1..7, of psi(z) = log z - 1/2z - sum_k B_2k / (2k z^2k); at
+# z >= 20 the first term left out is below 1e-18 of psi'(z)
+_DIGAMMA_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
+                   -691.0 / 32760.0, 1.0 / 12.0)
+
+
+def digamma(x: float) -> float:
+    """psi(x) = Gamma'(x)/Gamma(x) for x > 0, to a few ulps relative.
+
+    The upward recurrence psi(x) = psi(x + n) - sum_k 1/(x + k) reaches
+    z = x + n >= 20, where the asymptotic series holds.  Both are taken as
+    differences from the root r of psi, psi(x) = psi(x) - psi(r), with the
+    same n for r and y = x - r: each term of the difference is y times a
+    positive factor, so nothing cancels and psi keeps its relative
+    accuracy at the root.
+    """
+    x = float(x)
+    if not x > 0.0:
+        raise DomainError(f"digamma requires x > 0, got {x}")
+    y = (x - _DIGAMMA_ROOT) - _DIGAMMA_ROOT_LO
+    n = math.ceil(20.0 - min(x, _DIGAMMA_ROOT))  # both z and z0 reach 20
+    z, z0 = x + n, _DIGAMMA_ROOT + n
+    # 1/(r + k) - 1/(x + k) for the recurrence, log(z/z0) and 1/(2 z0) - 1/(2 z)
+    terms = [y / ((x + k) * (_DIGAMMA_ROOT + k)) for k in range(n)]
+    terms.append(math.log1p(y / z0))
+    q = y / (z * z0)  # 1/z0 - 1/z
+    terms.append(0.5 * q)
+    # -c (z^-m - z0^-m) = c q sum_i z^-i z0^-(m-1-i), m = 2k
+    p, p0 = 1.0 / z, 1.0 / z0
+    for k, c in enumerate(_DIGAMMA_SERIES, 1):
+        m = 2 * k
+        terms.append(c * q * sum(p**i * p0 ** (m - 1 - i) for i in range(m)))
+    return math.fsum(terms)
+
+
+# E(a) = erfcx(a/sqrt(2))/2 for a >= 0, so that Phi(-a) = E(a) exp(-a^2/2), is
+# E = U P_j(U - j) with U = 48/(3 + a) in (0, 16] and j = floor(U).  Row j
+# holds the coefficients of P_j, w^0 first, from tools/erfcx_table.py
+# (mpmath's Chebyshev interpolants of E/U, degree 8 on pieces of unit width).
+_ERFCX_SCALE, _ERFCX_SHIFT = 48.0, 3.0
+# Phi(-a) < 2e-309 from here on: log Phi(a) rounds to -0, and exp(-a^2/2)
+# would take numpy's slow paths of underflow and subnormal numbers
+_TAIL_END = 37.5625
+_ERFCX_PIECES = np.array([
+    (0.00831129750836318, 0.0005194560942726794, 2.885867190455504e-05, 1.3527502402285364e-06,
+     4.697052153423399e-08, 5.870544719849196e-10, -6.510932541019376e-11,
+     -5.7277399089903126e-12, -9.24229150345051e-14),
+    (0.008861012511427162, 0.0005814220746714438, 3.320351679037644e-05, 1.544995034492925e-06,
+     4.872229130373661e-08, 7.089106689349943e-11, -1.0740882923576705e-10,
+     -6.5368590798384584e-12, 1.1090573267939965e-13),
+    (0.009477231777271064, 0.0006526586476524796, 3.812979925316042e-05,
+     1.7382223538798693e-06, 4.7244689888333077e-08, -7.046332319377327e-10,
+     -1.495561026068642e-10, -5.661130065652967e-12, 3.823805035608214e-13),
+    (0.010169804831752388, 0.0007343174349083674, 4.361853660472182e-05, 1.916986937056387e-06,
+     4.130689026786258e-08, -1.699380791159712e-09, -1.7807641426483834e-10,
+     -2.5180548811031766e-12, 5.991562481469386e-13),
+    (0.010949697217716698, 0.0008274611182945037, 4.959763770082039e-05,
+     2.0616045901783464e-06, 3.0092661104814303e-08, -2.787061528482456e-09,
+     -1.7886660633504022e-10, 2.4225038969334477e-12, 6.321213097242317e-13),
+    (0.011828844708089795, 0.0009329465916183401, 5.593252239426089e-05, 2.150647480042449e-06,
+     1.3603320467134042e-08, -3.7738995835061086e-09, -1.4455551959250425e-10,
+     7.607002345800323e-12, 4.4624470395980393e-13),
+    (0.01281988416250105, 0.001051298312116805, 6.242634966817659e-05, 2.164721892703126e-06,
+     -7.137149110254776e-09, -4.456464637644274e-09, -7.940921281582549e-11,
+     1.1221102414080848e-11, 1.2560249921564978e-13),
+    (0.013935761884502478, 0.0011825939493088904, 6.883217582478336e-05,
+     2.0904202358228994e-06, -3.020920106595222e-08, -4.690272973951466e-09,
+     2.0575964687634136e-12, 1.2183461837322376e-11, -1.937214094709222e-13),
+    (0.01518924354444527, 0.001326385369576816, 7.487555988700823e-05, 1.9231374220533905e-06,
+     -5.321692349164277e-08, -4.432985713801195e-09, 8.151392116534087e-11,
+     1.0545159894641383e-11, -4.078679541799319e-13),
+    (0.016592370053073156, 0.0014816714286311431, 8.028277349139396e-05,
+     1.6679163848882249e-06, -7.381864286138925e-08, -3.745357209733623e-09,
+     1.437660616026818e-10, 7.193576054415032e-12, -4.82645772173457e-13),
+    (0.0181559147580575, 0.0016469276325013257, 8.480845125901397e-05, 1.3382883064780962e-06,
+     -9.017093304370485e-08, -2.7587673419197296e-09, 1.806818783230625e-10,
+     3.271151953575853e-12, -4.4124110381340514e-13),
+    (0.019888896383935723, 0.001820186025829303, 8.825746947516064e-05, 9.537203178649189e-07,
+     -1.0117089689819896e-07, -1.6307110242201713e-09, 1.9142868226091001e-10,
+     -2.8642230846891116e-13, -3.321086739862982e-13),
+    (0.02179819098876028, 0.001999150432500773, 9.049815405438439e-05, 5.365295707562487e-07,
+     -1.0648624457748688e-07, -5.067525979801504e-10, 1.8036871151406727e-10,
+     -2.944234258602049e-12, -2.0218076471984632e-13),
+    (0.023888269289111315, 0.0021813289105656964, 9.146639581476018e-05,
+     1.0901007111337827e-07, -1.0643163230667283e-07, 5.023189982808028e-10,
+     1.543212059488136e-10, -4.547009507622428e-12, -8.386934243894332e-14),
+    (0.026161067825939906, 0.0023641664109015402, 9.116207640745314e-05,
+     -3.0877068499114853e-07, -1.0177020044783119e-07, 1.3280768894491972e-09,
+     1.2031529440038177e-10, -5.1974357569081125e-12, 6.705750439280931e-15),
+    (0.028615987215564912, 0.002545164496807495, 8.96401196901483e-05, -7.00345945720503e-07,
+     -9.35065044768965e-08, 1.9412121755417764e-09, 8.423343584626372e-11,
+     -5.123828395191495e-12, 6.585839255919947e-14),
+    (0.03125, 0.0027219798484542862, 8.699861269328968e-05, -1.053450818261002e-06,
+     -8.271165371033331e-08, 2.3427119405812884e-09, 5.0270572394623144e-11,
+     -4.580779189099693e-12, 9.719528423378925e-14),
+]).T
+# Horner's order: the highest power first
+_ERFCX_HORNER = tuple(np.ascontiguousarray(c) for c in _ERFCX_PIECES[::-1])
+
+
+def scaled_normal_tail(a) -> np.ndarray:
+    """E(a) = Phi(-a) exp(a^2/2) = erfcx(a/sqrt(2))/2 elementwise for a >= 0,
+    as a float array, from the table above: within 7e-16 relative of
+    120-bit values; 0 at inf and nan at nan."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(invalid="ignore"):
+        u = a + _ERFCX_SHIFT
+        np.divide(_ERFCX_SCALE, u, out=u)
+        j = u.astype(np.intp)  # a nan's index is clipped to a piece
+    w = u - j
+    horner = iter(_ERFCX_HORNER)
+    e = next(horner).take(j, mode="clip")
+    for c in horner:
+        e *= w
+        e += c.take(j, mode="clip")
+    e *= u
+    return e
+
+
+def log_ndtr(x) -> np.ndarray:
+    """log Phi(x) elementwise, as a float array, for the standard normal
+    distribution function Phi.
+
+    With a = |x| and E = :func:`scaled_normal_tail`,
+
+        log Phi(x) = log E(a) - x^2/2               x < 0,
+        log Phi(x) = log1p(-E(a) exp(-a^2/2))       x >= 0.
+
+    exp(-a^2/2) is taken as exp(-c^2/2) exp(-(a - c)(a + c)/2) with c the
+    multiple of 1/64 below a, whose square is exact (Cody 1969), so the
+    upper tail keeps its relative accuracy.  The values agree with 120-bit
+    ones to 1e-15 relative where they are normal doubles; log Phi(x) is -0
+    from x = 37.5625 on, -inf at -inf and nan at nan.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    a = np.abs(flat)
+    e = scaled_normal_tail(a)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a^2/2 = (k^2 + (c - k)(c + k))/8192 with c = 64 a and k = trunc(c);
+        # past _TAIL_END, Phi(-a) is taken as 0, and no exp underflows
+        c = np.minimum(a, _TAIL_END)
+        c *= 64.0
+        k = np.trunc(c)
+        rest = c - k
+        c += k
+        c *= rest
+        c *= -1.0 / 8192.0
+        np.exp(c, out=c)
+        k *= k
+        k *= -1.0 / 8192.0
+        np.exp(k, out=k)
+        c *= k
+        c *= a <= _TAIL_END
+        c *= e
+        upper = np.log1p(np.negative(c, out=c), out=c)
+        lower = np.log(e, out=e)
+        a *= a
+        a *= 0.5
+        lower -= a
+    return np.where(flat < 0.0, lower, upper).reshape(x.shape)
+
+
 def exprel(x) -> np.ndarray:
     """(e^x - 1)/x elementwise, as a float array, from expm1.
 
@@ -133,19 +330,76 @@ def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / SQRT_2PI
 
 
+# Wichura's AS241 (PPND16, Applied Statistics 37:477-484, 1988): rational
+# approximations of the normal quantile, highest power first, each
+# denominator with a leading 1 understood
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1),
+)
+_AS241_INTERMEDIATE = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0),
+)
+_AS241_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1),
+)
+
+
+def _rational(coeffs, r: float) -> float:
+    num = 0.0
+    for c in coeffs[0]:
+        num = num * r + c
+    den = 0.0
+    for c in coeffs[1]:
+        den = den * r + c
+    return num / (den * r + 1.0)
+
+
+def _ndtri(p: float) -> float:
+    """Normal quantile on (0, 1) by AS241, about 1e-16 relative."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    r = math.sqrt(-math.log(p if q < 0.0 else 1.0 - p))
+    if r <= 5.0:
+        x = _rational(_AS241_INTERMEDIATE, r - 1.6)
+    else:
+        x = _rational(_AS241_TAIL, r - 5.0)
+    return -x if q < 0.0 else x
+
+
 def norm_quantile(alpha: float) -> float:
     """Inverse of :func:`norm_cdf` on (0, 1).
 
-    A library inverse supplies the starting point; one Newton step against
-    the erfc-based cdf pins the inversion residual below 1e-12.
+    Wichura's AS241 supplies the starting point; one Newton step against
+    the erfc-based cdf pins the inversion residual below 1e-12.  Above the
+    median the residual is taken in the upper tail, 1 - alpha - Phi(-q),
+    where both terms keep their relative accuracy.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {alpha}")
-    q = float(_ndtri(alpha))
+    q = _ndtri(alpha)
     pdf = norm_pdf(q)
     if pdf > 0.0:
-        q -= (norm_cdf(q) - alpha) / pdf
+        if alpha <= 0.5:
+            q -= (norm_cdf(q) - alpha) / pdf
+        else:
+            q -= ((1.0 - alpha) - norm_cdf(-q)) / pdf
     return q
 
 

@@ -84,17 +84,19 @@ class Variogram:
         pts = np.atleast_2d(x)
         if pts.shape[-1] != 2:
             raise DomainError(f"expected 2-vectors, got shape {x.shape}")
-        if self.kind == "power":
-            out = (np.hypot(pts[:, 0], pts[:, 1]) / self.kappa) ** self.psi
-        elif self.kind == "power_m":
-            out = self.m * np.hypot(pts[:, 0], pts[:, 1]) ** self.psi
-        else:
-            quad = np.einsum("ij,jk,ik->i", pts, self._sigma_inv, pts)
-            quad = np.maximum(quad, 0.0)
-            if self.kind == "quadratic_form":
-                out = quad
+        # a value past the double range is inf, and its dependence 0
+        with np.errstate(over="ignore"):
+            if self.kind == "power":
+                out = (np.hypot(pts[:, 0], pts[:, 1]) / self.kappa) ** self.psi
+            elif self.kind == "power_m":
+                out = self.m * np.hypot(pts[:, 0], pts[:, 1]) ** self.psi
             else:
-                out = self.m * quad ** (self.psi / 2.0)
+                quad = np.einsum("ij,jk,ik->i", pts, self._sigma_inv, pts)
+                quad = np.maximum(quad, 0.0)
+                if self.kind == "quadratic_form":
+                    out = quad
+                else:
+                    out = self.m * quad ** (self.psi / 2.0)
         return float(out[0]) if squeeze else out
 
     @property
@@ -116,14 +118,15 @@ class Variogram:
             raise UnsupportedVariogramError(
                 f"radial evaluation undefined for anisotropic {self.kind}"
             )
-        if self.kind == "power":
-            out = (h_arr / self.kappa) ** self.psi
-        elif self.kind == "power_m":
-            out = self.m * h_arr**self.psi
-        else:
-            c = self.sigma[0, 0]  # Sigma = c * I here
-            quad = h_arr**2 / c
-            out = quad if self.kind == "quadratic_form" else self.m * quad ** (self.psi / 2.0)
+        with np.errstate(over="ignore"):  # inf past the double range, as in __call__
+            if self.kind == "power":
+                out = (h_arr / self.kappa) ** self.psi
+            elif self.kind == "power_m":
+                out = self.m * h_arr**self.psi
+            else:
+                c = self.sigma[0, 0]  # Sigma = c * I here
+                quad = h_arr**2 / c
+                out = quad if self.kind == "quadratic_form" else self.m * quad ** (self.psi / 2.0)
         return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
 
     @property

@@ -440,6 +440,16 @@ class TestInvalidValues:
                      str(tmp_path / "o.csv")]) == 2
         assert not (tmp_path / "o.csv").exists()
 
+    def test_smith_kappa_squared_past_the_double_range_exits_2_without_a_warning(self,
+                                                                                   tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"simulate": {"kappa": 1e200}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out",
+                         str(tmp_path / "o.csv")]) == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o.csv"), "--seed", "-5"]) == 2
         assert not (tmp_path / "o.csv").exists()

@@ -1,11 +1,19 @@
 """Special functions and the adaptive quadrature engine."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import digamma as scipy_digamma
 from scipy.special import exprel as scipy_exprel
+from scipy.special import log_ndtr as scipy_log_ndtr
+from scipy.special import ndtri
 
 from windrisk import (
     CancelledError,
@@ -20,7 +28,16 @@ from windrisk import (
     norm_quantile,
     std_normal,
 )
-from windrisk.numerics import _panel_estimates, exprel
+from windrisk.numerics import (
+    _panel_estimates,
+    digamma,
+    exprel,
+    gamma_values,
+    log_ndtr,
+    scaled_normal_tail,
+)
+
+TINY = np.finfo(float).tiny
 
 # Frozen from the composite-Simpson oracle on the Gamma(2.2) integrand
 # (int_0^80 x^1.2 exp(-x) dx, 200k panels), divided by 1.2 via the
@@ -95,6 +112,12 @@ class TestStdNormal:
     def test_roundtrip(self):
         for alpha in np.arange(0.01, 1.0, 0.01):
             assert norm_cdf(norm_quantile(alpha)) == pytest.approx(alpha, abs=1e-9)
+
+    def test_quantile_matches_scipy_ndtri(self):
+        p = np.concatenate([np.logspace(-300.0, -1.0, 3001), np.linspace(0.01, 0.99, 9801),
+                            1.0 - np.logspace(-16.0, -1.0, 1501)])
+        q = np.array([norm_quantile(v) for v in p.tolist()])
+        np.testing.assert_allclose(q, ndtri(p), rtol=1e-15, atol=0.0)
 
     def test_dispatcher(self):
         assert std_normal("cdf", 0.0) == 0.5
@@ -281,3 +304,131 @@ class TestExprel:
     def test_scalar_and_empty_inputs(self):
         assert exprel(0.0) == 1.0 and exprel(1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
         assert exprel(np.array([])).shape == (0,)
+
+
+def _log_ndtr_120_bits(x: float) -> float:
+    with mpmath.workprec(120):
+        x = mpmath.mpf(x)
+        tail = mpmath.erfc(abs(x) / mpmath.sqrt(2)) / 2
+        return float(mpmath.log(tail) if x < 0 else mpmath.log1p(-tail))
+
+
+class TestLogNdtr:
+    # scipy's log_ndtr is log1p(-erfc(x/sqrt(2))/2) above x = -1, with an
+    # erfc that takes exp(-x^2/2) of a rounded square: from x = 1 on its
+    # relative error grows like x^2 eps, to 1.1e-13 at x = 37.  There the
+    # 120-bit values are the reference.
+    def test_matches_scipy_where_scipy_is_accurate(self):
+        x = np.concatenate([np.linspace(-1e3, 1.0, 400_001), np.linspace(-40.0, 1.0, 400_001)])
+        np.testing.assert_allclose(log_ndtr(x), scipy_log_ndtr(x), rtol=1e-15, atol=0.0)
+
+    def test_matches_120_bit_values(self):
+        x = np.concatenate([np.linspace(-1e3, 40.0, 1041), np.linspace(-6.0, 40.0, 2301),
+                            -np.logspace(-20.0, 3.0, 47), np.logspace(-20.0, 1.6, 44)])
+        ref = np.array([_log_ndtr_120_bits(v) for v in x.tolist()])
+        got = log_ndtr(x)
+        normal = np.abs(ref) >= TINY
+        np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-15, atol=0.0)
+        # where Phi(-x) is below the normal range, as scipy's is
+        np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0.0, atol=TINY)
+        np.testing.assert_allclose(got[~normal], scipy_log_ndtr(x[~normal]), rtol=0.0, atol=TINY)
+
+    def test_special_values_and_shapes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_ndtr(np.array([-np.inf, np.inf, np.nan, -1e300, 1e300, 0.0, -0.0, 38.0]))
+        assert got[0] == -np.inf and np.isnan(got[2])
+        np.testing.assert_array_equal(got[[1, 3, 4, 5, 6, 7]],
+                                      [0.0, -np.inf, 0.0, math.log(0.5), math.log(0.5), 0.0])
+        assert log_ndtr(-2.0).shape == ()
+        assert log_ndtr(-2.0) == log_ndtr(np.array([-2.0]))[0]
+        assert log_ndtr(np.zeros((3, 2))).shape == (3, 2)
+        assert log_ndtr(np.array([])).shape == (0,)
+
+    def test_each_value_is_the_one_it_gets_alone(self):
+        x = np.random.default_rng(3).normal(0.0, 15.0, 997)
+        batch = log_ndtr(x)
+        np.testing.assert_array_equal(batch, [log_ndtr(x[i:i + 1])[0] for i in range(len(x))])
+
+
+def _scaled_normal_tail_120_bits(a: float) -> float:
+    with mpmath.workprec(120):
+        a = mpmath.mpf(a)
+        if a > 1e6:  # the asymptotic series, to 15/a^6
+            return float((1 - 1 / a**2 + 3 / a**4) / (a * mpmath.sqrt(2 * mpmath.pi)))
+        return float(mpmath.erfc(a / mpmath.sqrt(2)) / 2 * mpmath.exp(a**2 / 2))
+
+
+class TestScaledNormalTail:
+    def test_matches_120_bit_values(self):
+        a = np.concatenate([np.linspace(0.0, 40.0, 4001), np.logspace(-20.0, 300.0, 321)])
+        ref = np.array([_scaled_normal_tail_120_bits(v) for v in a.tolist()])
+        np.testing.assert_allclose(scaled_normal_tail(a), ref, rtol=3 * np.finfo(float).eps,
+                                   atol=0.0)
+
+    def test_limits(self):
+        got = scaled_normal_tail(np.array([0.0, np.inf, np.nan]))
+        assert got[0] == pytest.approx(0.5, rel=1e-16) and got[1] == 0.0 and np.isnan(got[2])
+
+
+def _table_arguments():
+    """The arguments 1 - b and 1 - b - c that the covariance's Gamma and psi
+    see: GEV tables b = (beta - k) xi and simple margins b = beta."""
+    exponents = []
+    for beta in range(1, 13):
+        for xi in np.linspace(-0.45, 0.45 / beta, 61).tolist():
+            exponents.append(np.array([(beta - k) * xi for k in range(beta)]))
+    exponents += [np.array([b]) for b in np.linspace(-1.0, 0.45, 146).tolist()]
+    singles = np.unique(np.concatenate([1.0 - b for b in exponents]))
+    pairs = np.unique(np.concatenate([(1.0 - np.add.outer(b, b)).ravel() for b in exponents]))
+    return singles, pairs
+
+
+class TestGammaAndDigamma:
+    def test_digamma_matches_50_digit_values(self):
+        singles, _ = _table_arguments()
+        x = np.concatenate([singles, 1.4616321449683622 + np.linspace(-1e-6, 1e-6, 201),
+                            np.linspace(0.5, 40.0, 3951), [1e5, 1e300]])
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.digamma(mpmath.mpf(v))) for v in x.tolist()])
+        np.testing.assert_allclose([digamma(v) for v in x.tolist()], ref, rtol=4e-16, atol=0.0)
+        # scipy's digamma is off by up to 3.8e-16 on the table arguments
+        np.testing.assert_allclose([digamma(v) for v in singles.tolist()],
+                                   scipy_digamma(singles), rtol=8e-16, atol=0.0)
+
+    def test_digamma_domain(self):
+        for bad in (0.0, -1.5, math.nan):
+            with pytest.raises(DomainError):
+                digamma(bad)
+
+    def test_gamma_values_is_math_gamma_of_each_argument(self):
+        singles, pairs = _table_arguments()
+        x = np.concatenate([singles, pairs])
+        np.testing.assert_array_equal(gamma_values(x), [math.gamma(v) for v in x.tolist()])
+        # math.gamma is off by up to 1.03e-15 (5 ulps) on these arguments,
+        # scipy's gamma by up to 5.9e-16
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.gamma(mpmath.mpf(v))) for v in x.tolist()])
+        np.testing.assert_allclose(gamma_values(x), ref, rtol=1.5e-15, atol=0.0)
+
+    def test_gamma_values_shape_and_overflow(self):
+        x = np.array([[0.5, 2.0], [0.5, 200.0]])
+        got = gamma_values(x)
+        assert got.shape == (2, 2)
+        np.testing.assert_array_equal(got, [[math.sqrt(math.pi), 1.0], [math.sqrt(math.pi), np.inf]])
+
+
+class TestNumpyOnlyRuntime:
+    @pytest.mark.parametrize("code", [
+        "import windrisk",
+        "import runpy\nsys.argv = ['windrisk', '--help']\ntry:\n"
+        "    runpy.run_module('windrisk.cli', run_name='__main__')\nexcept SystemExit:\n    pass",
+    ], ids=["import", "cli-help"])
+    def test_scipy_is_not_loaded(self, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        script = ("import sys\n" + code + "\n"
+                  "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "assert not loaded, loaded\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Variogram models."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,17 @@ def test_radial_examples():
     assert power(1.0, 0.5).radial(4.0) == pytest.approx(2.0, rel=1e-15)
     assert power(1.0, 2.0).radial(6.0) == pytest.approx(36.0, rel=1e-15)
     assert power(2.0, 1.0).radial(4.0) == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("v", [power(1.0, 2.0), power_m(2.0, 2.0), quadratic_form(np.eye(2)),
+                               anisotropic_power(1.5, np.eye(2), 2.0)],
+                         ids=["power", "power_m", "quadratic_form", "anisotropic_power"])
+def test_value_past_the_double_range_is_inf_without_a_warning(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert v([1e200, 0.0]) == np.inf
+        if v.is_isotropic:
+            assert v.radial(1e200) == np.inf
 
 
 def test_power_parametrizations_match():
