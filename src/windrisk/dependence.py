@@ -62,8 +62,9 @@ Both line integrals in s go through one routine, :func:`_line_integrals`,
 which takes the integrand as kernel(s, h) over arrays and integrates the
 s > 0 half-lines of a batch of lags as the rows of one
 :func:`integrate_rows` call and their s < 0 half-lines as those of a
-second: the covariance's pair kernel at every lag of a call, and the
-display-form kernel of :func:`g_simple` at its one lag.
+second, whose first wave, the same nodes mirrored, comes from the first
+kernel call of the first: the covariance's pair kernel at every lag of a
+call, and the display-form kernel of :func:`g_simple` at its one lag.
 """
 
 from __future__ import annotations
@@ -208,13 +209,32 @@ def _line_integrals(kernel, lags, spec: QuadSpec) -> list:
     second, so each lag's value is the one it gets alone.  A lag's s < 0
     half-line is integrated only once its s > 0 one has converged, as when
     the lag is evaluated alone, so the first lag that fails raises the
-    same error and no work is spent past it.
+    same error and no refinement is spent past it.  The first wave of the
+    s < 0 rows evaluates the initial panels of the s > 0 rows mirrored, so
+    it is taken from the first kernel call of the s > 0 rows, which
+    evaluates both: one kernel call instead of two.
     """
     bps = [_breakpoints(lag) for lag in lags]
     lags = np.array(lags, dtype=float)
-    pos = integrate_rows(lambda x, row: kernel(x, lags[row]), 0.0, math.inf, bps, spec)
+    mirrored = {}
+
+    def positive(x, row):
+        if mirrored:
+            return kernel(x, lags[row])
+        both = kernel(np.concatenate([x, -x]), np.concatenate([lags[row]] * 2))
+        mirrored.update(x=x, values=both[len(x):])
+        return both[:len(x)]
+
+    def negative(x, row):
+        # the initial panels of the rows that reach it: a prefix of the first wave
+        first, mirrored["x"] = mirrored["x"], None
+        if first is not None and np.array_equal(x, first[:len(x)]):
+            return mirrored["values"][:len(x)]
+        return kernel(-x, lags[row])
+
+    pos = integrate_rows(positive, 0.0, math.inf, bps, spec)
     n_ok = next((i for i, r in enumerate(pos) if not isinstance(r, QuadResult)), len(pos))
-    neg = integrate_rows(lambda x, row: kernel(-x, lags[row]), 0.0, math.inf, bps[:n_ok], spec)
+    neg = integrate_rows(negative, 0.0, math.inf, bps[:n_ok], spec)
     for r in neg + pos[n_ok:n_ok + 1]:
         if not isinstance(r, QuadResult):
             raise r
@@ -371,12 +391,13 @@ def _pair_kernel(d1, b1, d2, b2):
         sum_jk W_jk exprel(sig_jk L) D^(b1_j - max b1) (1+theta)^(b2_k - max b2),
 
     with W_jk = d1_j d2_k Gamma(1 - sig_jk) / max|W| and sig_jk = b1_j + b2_k,
-    times h max|W| D^(max b1) (1+theta)^(max b2) (-L), whose logarithm is
-    summed before its one exponential: n1 + n2 exponentials and one exprel
-    per distinct sig at each node.  No factor but exprel exceeds 1 in
-    magnitude, and the common factor is no subnormal where the value is a
-    normal double.  Every operation is elementwise or a sum over the terms
-    of one node, so a node's value does not depend on the other nodes.
+    times h max|W| D^(max b1) (1+theta)^(max b2) q, whose logarithm is
+    summed before its one exponential, and times -L/q in [1, 2 log 2]:
+    n1 + n2 exponentials and one exprel per distinct sig at each node.  No
+    factor but exprel and -L/q exceeds 1 in magnitude, and the common
+    factor is no subnormal where the value is a normal double.  Every
+    operation is elementwise or a sum over the terms of one node, so a
+    node's value does not depend on the other nodes.
     """
     # the distinct exponent sums, and each pair's index among them
     b1, b2 = b1.tolist(), b2.tolist()
@@ -407,11 +428,11 @@ def _pair_kernel(d1, b1, d2, b2):
                            np.log1p(-np.exp(-0.5 * m * m) * np.abs(e_w - e_v))
                            - np.maximum(sh, 0.0))
         log_q = log_gap - log_d
-        q = np.exp(log_q)
-        L = np.log1p(-q)
-        # log(-L), finite even where q underflows
-        qs = np.maximum(q, 1e-300)
-        log_neg_l = log_q + np.log(-np.log1p(-qs) / qs)
+        # L = log1p(-q) and the factor -L/q, both from q raised to 1e-300:
+        # below it exprel(sig L) is 1 at either q and -L/q rounds to 1
+        neg_q = -np.maximum(np.exp(log_q), 1e-300)
+        L = np.log1p(neg_q)
+        neg_l_by_q = L / neg_q
         g = exprel(sig_values * L)
         if single:  # one entry per side: the form is its single term
             form = weights[0, 0] * g[0]
@@ -423,7 +444,8 @@ def _pair_kernel(d1, b1, d2, b2):
             form *= np.exp(rest1 * log_d)
             form = form.sum(axis=0)
         # D^top1 (1 + theta)^top2 = D^(top1 + top2) theta^top2
-        return h * np.exp(log_scale + (top1 + top2) * log_d + top2 * sh + log_neg_l) * form
+        form *= neg_l_by_q
+        return h * np.exp(log_scale + (top1 + top2) * log_d + top2 * sh + log_q) * form
 
     return kernel
 
@@ -452,6 +474,8 @@ def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
     pair_kernel = _pair_kernel(d1, b1, d2, b2)
 
     def kernel(s, h):
+        if len(s) <= _CHUNK_NODES:
+            return pair_kernel(s, h)
         return np.concatenate([pair_kernel(s[i:i + _CHUNK_NODES], h[i:i + _CHUNK_NODES])
                                for i in range(0, len(s), _CHUNK_NODES)])
 

@@ -53,12 +53,16 @@ __all__ = [
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# glibc's malloc maps a block above its mmap threshold (128 kB at start)
-# afresh and returns it to the system when it is freed, so the kernel's
-# MB-sized temporaries would be faulted in page by page on every call.
-# Freeing one mapped block raises the threshold to that block's size, and
-# later blocks up to 4 MB are reused from the heap.  (Importing scipy did
-# this as a side effect.)
+# glibc's malloc serves a block above its mmap threshold (128 kB at start)
+# from a fresh mapping, unmaps it when it is freed, and trims the heap once
+# its free top exceeds twice the threshold, so the covariance kernel's
+# temporaries, up to a few MB a call, would be faulted in page by page on
+# every call: a study_sweep pass takes about 38 000 minor page faults
+# without this line and 500 with it.  Freeing one mapped 4 MB block raises
+# the process's thresholds to 4 and 8 MB, so later blocks up to 4 MB are
+# reused from the heap.  It does nothing under another allocator or where
+# MALLOC_MMAP_THRESHOLD_ is set.  (Importing scipy.special did the same as
+# a side effect.)
 np.empty(1 << 19)
 
 
@@ -236,8 +240,8 @@ _ERFCX_PIECES = np.array([
      -8.271165371033331e-08, 2.3427119405812884e-09, 5.0270572394623144e-11,
      -4.580779189099693e-12, 9.719528423378925e-14),
 ]).T
-# Horner's order: the highest power first
-_ERFCX_HORNER = tuple(np.ascontiguousarray(c) for c in _ERFCX_PIECES[::-1])
+# Horner's order: row k holds the coefficients of w^(8 - k)
+_ERFCX_HORNER = np.ascontiguousarray(_ERFCX_PIECES[::-1])
 
 
 def scaled_normal_tail(a) -> np.ndarray:
@@ -245,18 +249,17 @@ def scaled_normal_tail(a) -> np.ndarray:
     as a float array, from the table above: within 7e-16 relative of
     120-bit values; 0 at inf and nan at nan."""
     a = np.asarray(a, dtype=float)
-    with np.errstate(invalid="ignore"):
-        u = a + _ERFCX_SHIFT
-        np.divide(_ERFCX_SCALE, u, out=u)
-        j = u.astype(np.intp)  # a nan's index is clipped to a piece
+    u = _ERFCX_SCALE / (a.reshape(-1) + _ERFCX_SHIFT)
+    # u <= 16 for a >= 0, and a nan takes the index of the last piece
+    j = np.fmin(u, _ERFCX_SCALE / _ERFCX_SHIFT).astype(np.intp)
     w = u - j
-    horner = iter(_ERFCX_HORNER)
-    e = next(horner).take(j, mode="clip")
-    for c in horner:
+    coeffs = _ERFCX_HORNER.take(j, axis=1)
+    e = coeffs[0]
+    for c in coeffs[1:]:
         e *= w
-        e += c.take(j, mode="clip")
+        e += c
     e *= u
-    return e
+    return e.reshape(a.shape)
 
 
 def log_ndtr(x) -> np.ndarray:

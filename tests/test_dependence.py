@@ -391,13 +391,12 @@ class TestVarGev:
             var_gev(p)
 
     def test_beta_forty_keeps_its_value(self, paper_gev):
-        # beta 40 is computed, not refused by the overflow guards.  Its
-        # variance is left to the test below: the binomial table cancels
-        # here, so the double result is the rounding noise of the Gamma
-        # values, not a value to hold
+        # beta 40 is computed, not refused by the overflow guards.  The
+        # binomial table cancels here, so the variance pinned is the
+        # rounding noise of the Gamma values (math.gamma's), not the true
+        # variance: the test below holds the 80-digit value
         p = PowerSpec.gev(40, paper_gev)
-        variance = var_gev(p)
-        assert math.isfinite(variance) and variance > 0.0
+        assert var_gev(p) == pytest.approx(6.873362306010234e127, rel=1e-14)
         assert mean_cost(p) == pytest.approx(2.6374528111882373e62, rel=1e-14)
 
     @pytest.mark.xfail(strict=True, reason="the binomial table cancels at beta 40 (ROADMAP item 4)")
@@ -728,6 +727,35 @@ class TestBatchedCovariance:
         # some lag is refined past its initial panels (at most 9 a half-line)
         p = PowerSpec.gev(6, paper_gev)
         assert dependence._cov_at(p, p, QuadSpec())(self.LAGS).subdivisions.max() > 16
+
+    def test_first_call_evaluates_both_first_waves(self, paper_gev):
+        # the s < 0 rows' first wave is taken from the s > 0 rows' first
+        # kernel call, with the values each half-line gets alone
+        p = PowerSpec.gev(6, paper_gev)
+        _, d, b = dependence._derivative_table(p)
+        pair = dependence._pair_kernel(d, b, d, b)
+        calls = []
+
+        def kernel(s, h):
+            calls.append(len(s))
+            return pair(s, h)
+
+        lags = [0.1, 1.0, 4.0]
+        results = dependence._line_integrals(kernel, lags, QuadSpec())
+        panels = [len(dependence._breakpoints(lag)) + 1 for lag in lags]
+        assert calls[0] == 2 * 15 * sum(panels)
+        # k initial panels a half-line, k - 1 of its subdivisions, and 2 new
+        # panels for every later one: no node is evaluated twice
+        splits = [r.subdivisions - 2 * (k - 1) for k, r in zip(panels, results)]
+        assert len(calls) > 1 and sum(splits) > 0
+        assert sum(calls) == 15 * (2 * sum(panels) + 2 * sum(splits))
+        for lag, r in zip(lags, results):
+            halves = [dependence.integrate_rows(
+                lambda x, row, sign=sign: pair(sign * x, np.full_like(x, lag)),
+                0.0, math.inf, [dependence._breakpoints(lag)], QuadSpec())[0]
+                for sign in (1.0, -1.0)]
+            assert r.value == halves[0].value + halves[1].value
+            assert r.subdivisions == halves[0].subdivisions + halves[1].subdivisions
 
     def test_mixed_pair_has_a_distinct_exponent_sum_per_term(self):
         _, _, b1 = dependence._derivative_table(self.CASES["mixed"][0])

@@ -370,6 +370,16 @@ class TestScaledNormalTail:
         got = scaled_normal_tail(np.array([0.0, np.inf, np.nan]))
         assert got[0] == pytest.approx(0.5, rel=1e-16) and got[1] == 0.0 and np.isnan(got[2])
 
+    def test_scalars_and_shapes(self):
+        a = np.array([[0.0, 2.0], [30.0, np.inf]])
+        got = scaled_normal_tail(a)
+        assert got.shape == (2, 2)
+        for x, value in zip(a.ravel().tolist(), got.ravel().tolist()):
+            assert scaled_normal_tail(x).shape == ()
+            assert scaled_normal_tail(x) == value
+            assert scaled_normal_tail(np.float64(x)) == value
+        assert scaled_normal_tail(np.array([])).shape == (0,)
+
 
 def _table_arguments():
     """The arguments 1 - b and 1 - b - c that the covariance's Gamma and psi
