@@ -204,8 +204,12 @@ def _full_head_extremal_functions(v, points, n_rep, seed):
     if v.is_quadratic:
         field, dim = sim._quadratic_projection(v, points), (lambda k: 2)
     else:
+        # the covariance of W at points[1:] anchored at points[0], from the
+        # dense matrix of gamma
+        g0 = gamma_mat[0]
+        cov = 0.5 * (g0[1:, None] + g0[None, 1:] - gamma_mat[1:, 1:])
         field, dim = np.zeros((n, n - 1)), (lambda k: k)
-        field[1:] = sim._cholesky_with_jitter(sim._anchored_cov(v, points, gamma_mat))
+        field[1:] = sim._cholesky_with_jitter(cov)
     out = np.empty((n_rep, n))
     draws = accepted = 0
     for r, rng in enumerate(sim._replicate_rngs(seed, n_rep)):
@@ -484,17 +488,110 @@ class TestMixedMovingMaximaValidation:
             simulate(self.GRID, 10**300, 1)
 
 
+_ANISOTROPIC = anisotropic_power(0.7, np.array([[2.0, 0.5], [0.5, 1.0]]), 1.5)
+
+
+class TestGaussianFactor:
+    """One anchored Cholesky factor per (variogram, sites), built without the
+    dense variogram matrix and kept in a single-entry cache."""
+
+    SITES = _EQUIVALENCE_SITES[:70]
+
+    @staticmethod
+    def _run(v, points, method):
+        return brown_resnick_at(v, points, 3, seed=31, method=method, n_points=40,
+                                return_meta=True)
+
+    def test_cached_runs_equal_uncached_runs(self, monkeypatch):
+        other = _EQUIVALENCE_SITES[40:131]
+        calls = [(power(1.0, 1.0), self.SITES, "extremal_functions"),
+                 (power(1.0, 1.0), self.SITES, "truncated_spectral"),
+                 (power(1.0, 1.0), self.SITES, "extremal_functions"),
+                 (power(1.0, 1.5), other, "extremal_functions"),
+                 (power(1.0, 1.5), other, "truncated_spectral"),
+                 (power(1.0, 1.5), other, "extremal_functions")]
+        want = []
+        for call in calls:
+            monkeypatch.setattr(sim, "_cached_factor", (None, None))
+            want.append(self._run(*call))
+        monkeypatch.setattr(sim, "_cached_factor", (None, None))
+        for call, (values, meta) in zip(calls, want):
+            got, got_meta = self._run(*call)
+            assert np.array_equal(got, values)
+            assert got_meta == meta
+
+    @pytest.mark.parametrize("v", [_ANISOTROPIC, quadratic_form(np.array([[2.0, 0.5],
+                                                                           [0.5, 1.0]]))])
+    def test_variogram_with_a_sigma_array_twice(self, monkeypatch, v):
+        monkeypatch.setattr(sim, "_cached_factor", (None, None))
+        first = self._run(v, self.SITES, "extremal_functions")
+        again = self._run(v, self.SITES, "extremal_functions")
+        assert np.array_equal(first[0], again[0]) and first[1] == again[1]
+        assert (sim._cached_factor[0] is None) == v.is_quadratic
+
+    def test_one_read_only_factor_per_variogram_and_sites(self, monkeypatch):
+        monkeypatch.setattr(sim, "_cached_factor", (None, None))
+        chol = sim._GaussianSampler(power(1.0, 1.0), self.SITES).chol
+        assert not chol.flags.writeable
+        assert sim._GaussianSampler(power(1.0, 1.0), self.SITES.copy()).chol is chol
+        other = sim._GaussianSampler(power(1.0, 1.5), self.SITES).chol
+        assert other is not chol and sim._cached_factor[1] is other
+
+    def test_factor_build_peaks_below_three_matrices(self, monkeypatch):
+        # the covariance and the factor, and the fill's small blocks; a dense
+        # variogram matrix beside them would make three traced n x n arrays
+        # (the factorization's work copy is not traced)
+        import tracemalloc
+
+        monkeypatch.setattr(sim, "_cached_factor", (None, None))
+        grid = Grid(origin=(0.0, 0.0), nx=32, ny=32, spacing=0.1)
+        matrix_bytes = 8 * (grid.n_points - 1) ** 2
+        tracemalloc.start()
+        try:
+            gaussian_increment_field(power(1.0, 1.0), grid, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix_bytes
+
+    def test_jitter_retry_for_a_duplicated_site(self, monkeypatch):
+        v, points = power(1.0, 1.0), np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+        gamma = sim._pairwise_variogram(v, points)
+        cov = 0.5 * (gamma[0, 1:, None] + gamma[0, None, 1:] - gamma[1:, 1:])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        jittered = cov.copy()
+        jittered[np.diag_indices_from(jittered)] += max(np.trace(cov) / len(cov), 1.0) * 1e-12
+        want = np.linalg.cholesky(jittered)
+        before = cov.copy()
+        assert np.array_equal(sim._cholesky_with_jitter(cov), want)
+        assert np.array_equal(cov, before)  # the diagonal is put back
+        monkeypatch.setattr(sim, "_cached_factor", (None, None))
+        assert np.array_equal(sim._GaussianSampler(v, points).chol, want)
+
+
 class TestPairwiseVariogram:
     @pytest.mark.parametrize("v", [
         power(1.0, 1.0),
         power(2.0, 2.0),
-        anisotropic_power(0.7, np.array([[2.0, 0.5], [0.5, 1.0]]), 1.5),
+        _ANISOTROPIC,
     ])
     def test_matches_every_pair_evaluated(self, v):
         # 700 sites make two row blocks, so the mirrored half is checked
         points = np.random.default_rng(8).uniform(-5.0, 5.0, (700, 2))
         full = v((points[:, None, :] - points[None, :, :]).reshape(-1, 2)).reshape(700, 700)
         assert np.array_equal(sim._pairwise_variogram(v, points), full)
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_short_rows_match_the_matrix(self, length):
+        # einsum, in the kinds with a sigma, sums one or two vectors in
+        # another order than three or more
+        v = quadratic_form(np.array([[1.3, -0.4], [-0.4, 0.9]]))
+        points = np.random.default_rng(9).uniform(-5.0, 5.0, (200, 2))
+        gamma = sim._pairwise_variogram(v, points)
+        for i in range(200 - length):
+            cols = slice(i + 1, i + 1 + length)
+            assert np.array_equal(sim._variogram_row(v, points[i], points[cols]), gamma[i, cols])
 
 
 class TestSchlather:
