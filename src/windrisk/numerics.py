@@ -80,7 +80,9 @@ class QuadSpec:
                      floor, so near-zero integrals (and outer integrals of
                      noisy inner evaluations) do not stall on the relative
                      criterion
-    max_subdivisions hard cap on interval bisections
+    max_subdivisions hard cap on interval bisections; a row whose
+                     rounding noise cannot meet the target stops earlier,
+                     on QUADPACK's roundoff test (see integrate_rows)
     infinite_map     change of variables for (a, inf) domains
     should_cancel    optional cooperative cancellation token, polled
                      between refinement waves
@@ -545,10 +547,11 @@ def integrate(
     the initial subdivision (in x coordinates) and are clipped to the
     domain; useful when the caller knows where the integrand is peaked.
 
-    Returns a :class:`QuadResult`; raises :class:`ConvergenceError` if the
-    subdivision budget is exhausted (carrying the best estimate) and
-    :class:`CancelledError` when the cancellation token fires.  This is the
-    one-row call of :func:`integrate_rows`.
+    Returns a :class:`QuadResult`; raises :class:`ConvergenceError`, carrying
+    the best estimate and its error estimate, if the subdivision budget is
+    exhausted or the roundoff test of :func:`integrate_rows` stops the
+    refinement, and :class:`CancelledError` when the cancellation token
+    fires.  This is the one-row call of :func:`integrate_rows`.
     """
     result = integrate_rows(lambda x, row: f(x), a, b, [breakpoints], spec)[0]
     if isinstance(result, WindriskError):
@@ -558,14 +561,16 @@ def integrate(
 
 class _Row:
     """Panel store of one row: t bounds, Kronrod values and error
-    estimates, kept sorted by lower bound."""
+    estimates, kept sorted by lower bound, and QUADPACK's roundoff counter
+    iroff2."""
 
-    __slots__ = ("lo", "hi", "val", "err", "n_subdiv")
+    __slots__ = ("lo", "hi", "val", "err", "n_subdiv", "iroff2")
 
     def __init__(self, edges):
         self.lo = np.array(edges[:-1])
         self.hi = np.array(edges[1:])
         self.n_subdiv = len(edges) - 2
+        self.iroff2 = 0
 
 
 def _initial_edges(a, b, t_lo, t_hi, inv, breakpoints):
@@ -616,17 +621,30 @@ def integrate_rows(
     its length is the number of rows.  Each row keeps its own panels, its
     own refinement waves (the panels carrying the top half of its error,
     at most 32 a wave), its own acceptance test (``rel_tol * |total|`` or
-    ``abs_floor``) and its own ``max_subdivisions`` budget, so its result
-    is the one it would get alone.  A wave makes one call of ``f`` over
-    the new panels of every row still refining, each row's panels
-    consecutive.
+    ``abs_floor``), its own ``max_subdivisions`` budget and its own
+    roundoff counter, so its result is the one it would get alone.  A
+    wave makes one call of ``f`` over the new panels of every row still
+    refining, each row's panels consecutive.
+
+    The roundoff counter is QUADPACK's ``iroff2`` (``dqage``, Piessens et
+    al. 1983), updated for every panel a wave splits once the row has more
+    than 10 subdivisions: it counts a split whose halves' error estimates
+    sum to more than the panel's.  A row that is not accepted ends at
+    ``iroff2 >= 20``: refining further only resamples the rounding noise
+    of its integrand, which the target is below.  QUADPACK's other test,
+    ``iroff1 >= 6`` (a split that moves the value by at most 1e-5 relative
+    and its error by at most 1%), is left out: on the noisy integrands of
+    the binomial table's cancellation band it also stops rows that meet
+    their target a few waves later.
 
     Returns one entry per row: its :class:`QuadResult`, or the error that
-    ended it, a :class:`ConvergenceError` carrying its best estimate or a
-    :class:`DomainError` for a non-finite integrand value.  Once a row has
-    failed, the rows after it are dropped and get None: a caller's outcome
-    is decided by its first failing row.  The cancellation token is polled
-    between waves and raises :class:`CancelledError`.
+    ended it, a :class:`ConvergenceError` carrying its best estimate and
+    error estimate (its message says whether the budget or the roundoff
+    test stopped it) or a :class:`DomainError` for a non-finite integrand
+    value.  Once a row has failed, the rows after it are dropped and get
+    None: a caller's outcome is decided by its first failing row.  The
+    cancellation token is polled between waves and raises
+    :class:`CancelledError`.
     """
     a = float(a)
     b = float(b)
@@ -659,6 +677,8 @@ def integrate_rows(
             if picked is None:
                 row.val, row.err = v, e
             else:
+                if row.n_subdiv > 10:  # halves whose errors outgrow their panel's
+                    row.iroff2 += np.count_nonzero(e[0::2] + e[1::2] > row.err[picked])
                 # left halves replace the split panels, right halves are appended
                 row.hi[picked] = highs[0::2]
                 row.val[picked] = v[0::2]
@@ -687,9 +707,14 @@ def integrate_rows(
                 break  # rows past the first failure are dropped
             row = store[r]
             if row.n_subdiv >= spec.max_subdivisions:
+                stop = f"did not converge within {spec.max_subdivisions} subdivisions"
+            elif row.iroff2 >= 20:
+                stop = f"stopped by roundoff after {row.n_subdiv} subdivisions"
+            else:
+                stop = None
+            if stop:
                 failures[r] = ConvergenceError(
-                    f"quadrature did not converge within {spec.max_subdivisions} "
-                    f"subdivisions (best {total!r}, err {total_err!r})",
+                    f"quadrature {stop} (best {total!r}, err {total_err!r})",
                     best_estimate=total,
                     err_estimate=total_err,
                 )

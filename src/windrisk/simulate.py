@@ -182,34 +182,11 @@ class McEstimate(NamedTuple):
 # Gaussian machinery
 # ---------------------------------------------------------------------------
 
-def _pairwise_variogram(v: Variogram, points: np.ndarray) -> np.ndarray:
-    """Dense matrix gamma(x_i - x_j), built in row blocks; ``v`` is a
-    variogram or any function of (m, 2) difference vectors that is even.
-
-    Row block i0:i1 is evaluated against columns i0: only and mirrored into
-    the transpose, so each pair is evaluated once.  This is exact: x_j - x_i
-    is -(x_i - x_j) bit for bit, and every variogram kind is even in its
-    argument bit for bit (hypot, and a quadratic form of products), as is
-    the distance hypot(dx, dy) of the Schlather generator.  On the 1961
-    sites of the disk, blocks of 2^18 difference vectors (4 MB) took half
-    the time of the full matrix in blocks of 2e6."""
-    n = len(points)
-    out = np.empty((n, n))
-    block = max(1, (1 << 18) // max(n, 1))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        diff = points[i0:i1, None, :] - points[None, i0:, :]
-        vals = v(diff.reshape(-1, 2)).reshape(i1 - i0, n - i0)
-        out[i0:i1, i0:] = vals
-        out[i0:, i0:i1] = vals.T
-    return out
-
-
 def _variogram_row(v: Variogram, x: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """gamma(x - points[j]) for every j, bit for bit the entries of
-    _pairwise_variogram.  numpy's einsum, which the kinds with a sigma use,
-    sums in another order for one or two vectors than for three or more,
-    so a shorter row is evaluated padded with zero vectors."""
+    """gamma(x - points[j]) for every j, bit for bit the entries of the
+    dense matrix gamma(x_i - x_j).  numpy's einsum, which the kinds with a
+    sigma use, sums in another order for one or two vectors than for three
+    or more, so a shorter row is evaluated padded with zero vectors."""
     diff = x - points
     if len(diff) < 3:
         diff = np.vstack([diff, np.zeros((3 - len(diff), 2))])
@@ -245,14 +222,15 @@ def _anchored_cholesky(v: Variogram, points: np.ndarray) -> np.ndarray:
     with the arithmetic of the dense form and no matrix of gamma beside
     it, and only on and below its diagonal: np.linalg.cholesky reads the
     lower triangle alone, so the factor is the one of the full matrix bit
-    for bit.  Each gamma(x_i - x_j) is the pairwise matrix's entry bit for
-    bit, since every variogram kind is even (see _pairwise_variogram) and
-    a block holds four vectors or more (or the one zero vector of a 1 x 1
-    matrix).  At the peak, C, the factorization's work copy and the factor
-    are alive: three n x n arrays.  The allocator keeps the temporaries of
-    a block, so blocks are 2^14 difference vectors (256 kB): on the 1961
-    sites of the disk they left the peak RSS 10 MB lower than blocks of
-    2^18, and filled C no slower."""
+    for bit.  Each gamma(x_i - x_j) is the dense matrix's entry bit for
+    bit, since x_j - x_i is -(x_i - x_j) exactly, every variogram kind is
+    even in its argument bit for bit (hypot, and a quadratic form of
+    products), and a block holds four vectors or more (or the one zero
+    vector of a 1 x 1 matrix).  At the peak, C, the factorization's work
+    copy and the factor are alive: three n x n arrays.  The allocator
+    keeps the temporaries of a block, so blocks are 2^14 difference
+    vectors (256 kB): on the 1961 sites of the disk they left the peak RSS
+    10 MB lower than blocks of 2^18, and filled C no slower."""
     n = len(points) - 1
     g0 = _variogram_row(v, points[0], points[1:])
     cov = np.empty((n, n))
@@ -688,11 +666,19 @@ def simulate_schlather(
     n = len(pts)
     if n > _MAX_DENSE_POINTS:
         raise DomainError(f"grid too large for dense factorization ({n})")
-    dist = _pairwise_variogram(lambda d: np.hypot(d[:, 0], d[:, 1]), pts)
-    corr = np.require(correlation(dist), dtype=float, requirements="W")  # jitter retry writes
-    if corr.shape != (n, n):
-        raise DomainError("correlation function must evaluate elementwise on distances")
+    # the lower triangle of the correlation matrix, a block of rows at a
+    # time, as in _anchored_cholesky: no matrix of distances beside it
+    corr = np.empty((n, n))
+    block = max(1, (1 << 14) // max(n, 1))
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        diff = pts[i0:i1, None, :] - pts[None, :i1, :]
+        rows = np.asarray(correlation(np.hypot(diff[..., 0], diff[..., 1])), dtype=float)
+        if rows.shape != (i1 - i0, i1):
+            raise DomainError("correlation function must evaluate elementwise on distances")
+        corr[i0:i1, :i1] = rows
     chol = _cholesky_with_jitter(corr)
+    del corr  # not needed by the draws
     c = math.sqrt(2.0 * math.pi)
 
     def draw(rng, gams):

@@ -495,6 +495,18 @@ class TestDepMeasure:
         with pytest.raises(DomainError, match="variogram value must be >= 0"):
             dep_measure_from_gamma(PowerSpec.gev(1, paper_gev), gamma_value)
 
+    @pytest.mark.parametrize("beta, xi", [(10, -0.043), (12, -0.066)])
+    def test_table_cancellation_stops_on_roundoff(self, beta, xi):
+        # the binomial table's rounding noise at small |xi| can never meet
+        # rel_tol; QUADPACK's roundoff test ends the row well before the
+        # 400-subdivision budget (59 and 56 subdivisions at lag 1)
+        p = PowerSpec.gev(beta, GevParams(ETA, TAU, xi))
+        with pytest.raises(ConvergenceError, match="stopped by roundoff") as err:
+            dep_measure_from_gamma(p, 1.0)
+        subdivisions = int(str(err.value).split(" after ")[1].split()[0])
+        assert subdivisions < 100
+        assert err.value.best_estimate > 0.0 and err.value.err_estimate > 0.0
+
 
 class TestXiZero:
     def test_gumbel_variance(self, paper_gev):

@@ -142,6 +142,12 @@ KNOWN_INTEGRALS = [
 ]
 
 
+def noisy(x):
+    """e^-x with a relative wobble of 1e-9 that no panel resolves: rounding
+    noise, as far as a tolerance of 1e-12 can tell."""
+    return np.exp(-x) * (1.0 + 1e-9 * np.sin(1e9 * x))
+
+
 class TestIntegrate:
     @pytest.mark.parametrize("case", range(len(KNOWN_INTEGRALS)))
     def test_known_integrals(self, case):
@@ -171,9 +177,22 @@ class TestIntegrate:
 
     def test_subdivision_budget_error(self):
         spec = QuadSpec(max_subdivisions=2, rel_tol=1e-12)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError,
+                           match="did not converge within 2 subdivisions") as err:
             integrate(lambda x: x ** (-0.5) * np.exp(-x), 0.0, math.inf, spec)
         assert err.value.best_estimate == pytest.approx(gamma(0.5), rel=0.1)
+
+    def test_rounding_noise_stops_on_roundoff(self):
+        # a relative wobble of 1e-9 can never meet rel_tol 1e-12: QUADPACK's
+        # roundoff test ends the row well below the 400-subdivision cap
+        with pytest.raises(ConvergenceError, match="stopped by roundoff after") as err:
+            integrate(noisy, 0.0, math.inf, QuadSpec(rel_tol=1e-12))
+        subdivisions = int(str(err.value).split(" after ")[1].split()[0])
+        assert subdivisions < 100
+        best, err_estimate = err.value.best_estimate, err.value.err_estimate
+        assert str(err.value).endswith(f"(best {best!r}, err {err_estimate!r})")
+        assert best == pytest.approx(1.0, rel=1e-8)
+        assert err_estimate > 1e-12 * best
 
     def test_zero_integral_absolute_mode(self):
         # int_0^inf (1 - x) e^-x dx = 0: relative tolerance can never be met
@@ -261,6 +280,31 @@ class TestIntegrateRows:
         assert str(res[1]) == str(alone.value)
         assert res[1].best_estimate == alone.value.best_estimate
         assert res[2:] == [None, None]
+
+    def test_noisy_row_stops_on_roundoff_as_alone(self):
+        # smooth rows beside a noisy one keep the results they get alone, the
+        # noisy row raises its own roundoff error, and the row after it is
+        # dropped
+        smooth = [(lambda x: np.exp(-x), ()), (lambda x: np.exp(-0.5 * x * x), (1.0,)),
+                  (lambda x: x * x * np.exp(-x), (2.0, 5.0))]
+        rows = smooth + [(noisy, (0.5,)), smooth[0]]
+        spec = QuadSpec(rel_tol=1e-12)
+
+        def f(x, row):
+            out = np.empty_like(x)
+            for r, (g, _) in enumerate(rows):
+                out[row == r] = g(x[row == r])
+            return out
+
+        with pytest.raises(ConvergenceError, match="stopped by roundoff") as alone:
+            integrate(noisy, 0.0, math.inf, spec, breakpoints=(0.5,))
+        res = integrate_rows(f, 0.0, math.inf, [bps for _, bps in rows], spec)
+        assert res[:3] == [integrate(g, 0.0, math.inf, spec, bps) for g, bps in smooth]
+        assert isinstance(res[3], ConvergenceError)
+        assert str(res[3]) == str(alone.value)
+        assert res[3].best_estimate == alone.value.best_estimate
+        assert res[3].err_estimate == alone.value.err_estimate
+        assert res[4] is None
 
     def test_non_finite_row_is_a_domain_error(self):
         def f(x, row):

@@ -195,12 +195,32 @@ class TestBrownResnick:
             brown_resnick_at(power(1.0, 1.0), [[0.0, 0.0]], 5, seed=1, method="spectral")
 
 
+def _pairwise_variogram(v, points):
+    """Dense matrix gamma(x_i - x_j), built in row blocks; ``v`` is a
+    variogram or any function of (m, 2) difference vectors that is even.
+
+    Row block i0:i1 is evaluated against columns i0: only and mirrored into
+    the transpose, so each pair is evaluated once.  This is exact: x_j - x_i
+    is -(x_i - x_j) bit for bit, and every variogram kind is even in its
+    argument bit for bit (hypot, and a quadratic form of products)."""
+    n = len(points)
+    out = np.empty((n, n))
+    block = max(1, (1 << 18) // max(n, 1))
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        diff = points[i0:i1, None, :] - points[None, i0:, :]
+        vals = v(diff.reshape(-1, 2)).reshape(i1 - i0, n - i0)
+        out[i0:i1, i0:] = vals
+        out[i0:, i0:i1] = vals.T
+    return out
+
+
 def _full_head_extremal_functions(v, points, n_rep, seed):
     """Reference exact simulator, one replicate at a time: every candidate is
     evaluated at all sites 0..k through the full field matrix before it is
     tested.  Returns the values and the numbers of draws and acceptances."""
     n = len(points)
-    gamma_mat = sim._pairwise_variogram(v, points)
+    gamma_mat = _pairwise_variogram(v, points)
     if v.is_quadratic:
         field, dim = sim._quadratic_projection(v, points), (lambda k: 2)
     else:
@@ -556,7 +576,7 @@ class TestGaussianFactor:
 
     def test_jitter_retry_for_a_duplicated_site(self, monkeypatch):
         v, points = power(1.0, 1.0), np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
-        gamma = sim._pairwise_variogram(v, points)
+        gamma = _pairwise_variogram(v, points)
         cov = 0.5 * (gamma[0, 1:, None] + gamma[0, None, 1:] - gamma[1:, 1:])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(cov)
@@ -580,7 +600,7 @@ class TestPairwiseVariogram:
         # 700 sites make two row blocks, so the mirrored half is checked
         points = np.random.default_rng(8).uniform(-5.0, 5.0, (700, 2))
         full = v((points[:, None, :] - points[None, :, :]).reshape(-1, 2)).reshape(700, 700)
-        assert np.array_equal(sim._pairwise_variogram(v, points), full)
+        assert np.array_equal(_pairwise_variogram(v, points), full)
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_short_rows_match_the_matrix(self, length):
@@ -588,7 +608,7 @@ class TestPairwiseVariogram:
         # another order than three or more
         v = quadratic_form(np.array([[1.3, -0.4], [-0.4, 0.9]]))
         points = np.random.default_rng(9).uniform(-5.0, 5.0, (200, 2))
-        gamma = sim._pairwise_variogram(v, points)
+        gamma = _pairwise_variogram(v, points)
         for i in range(200 - length):
             cols = slice(i + 1, i + 1 + length)
             assert np.array_equal(sim._variogram_row(v, points[i], points[cols]), gamma[i, cols])
@@ -641,6 +661,43 @@ class TestSchlather:
         g = Grid(origin=(0.0, 0.0), nx=2, ny=2, spacing=1.0)
         with pytest.raises(DomainError):
             simulate_schlather(self.correlation, g, 2, seed=24, n_points=n_points)
+
+    def test_factor_is_the_dense_matrix_factor(self, monkeypatch):
+        # the blockwise lower-triangle fill gives the factor of the dense
+        # correlation matrix bit for bit, so the values are those of it
+        g = Grid(origin=(0.3, -0.2), nx=13, ny=17, spacing=0.37)
+        dist = _pairwise_variogram(lambda d: np.hypot(d[:, 0], d[:, 1]), g.points())
+        factors = []
+        factor = sim._cholesky_with_jitter
+
+        def recorded(cov):
+            factors.append(factor(cov))
+            return factors[-1]
+
+        monkeypatch.setattr(sim, "_cholesky_with_jitter", recorded)
+        simulate_schlather(self.correlation, g, 2, seed=25, n_points=10)
+        assert np.array_equal(factors[0], np.linalg.cholesky(self.correlation(dist)))
+
+    def test_non_elementwise_correlation_rejected(self):
+        g = Grid(origin=(0.0, 0.0), nx=3, ny=3, spacing=1.0)
+        with pytest.raises(DomainError, match="elementwise"):
+            simulate_schlather(lambda d: 0.5, g, 2, seed=26)
+
+    def test_correlation_build_peaks_below_three_matrices(self):
+        # the correlation matrix and its factor, and the fill's small blocks;
+        # a dense distance matrix beside them would make three traced n x n
+        # arrays (the factorization's work copy is not traced)
+        import tracemalloc
+
+        grid = Grid(origin=(0.0, 0.0), nx=44, ny=44, spacing=0.1)
+        matrix_bytes = 8 * grid.n_points ** 2
+        tracemalloc.start()
+        try:
+            simulate_schlather(self.correlation, grid, 1, seed=27, n_points=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix_bytes
 
 
 class TestGevTransform:

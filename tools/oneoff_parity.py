@@ -1,0 +1,131 @@
+"""Compare the one_off_queries outcomes of two windrisk source trees.
+
+    python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC \
+        [--seeds 1 4711 90210 7] [--passes 0 1 2 3] [--rel-tol 3e-9 1e-9]
+
+PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
+``windrisk`` package.  For every seed and pass, the queries of
+``perfbench.workloads.draw_queries`` are run against each tree in a fresh
+interpreter with BLAS pinned to one thread, the two trees one after the
+other, so that their timings do not compete.  ``--rel-tol`` runs the same
+queries again under ``QuadSpec(rel_tol=...)``, once per tolerance, as the
+benchmark's gate does; the default tolerance always runs.
+
+It prints, per tolerance, the outcome changes (a value against an error, or
+one error type against another), the value changes (count and largest
+relative difference of the queries that succeed in both trees) and, per
+outcome, each tree's query count and median time.  The exit status is 1
+when an outcome or a value changed.  ``perfbench/`` is read from this
+repository and is not changed.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# one tree's run: a JSON line (seed, pass, tolerance, outcome, value, seconds)
+# per query, on stdout
+_RUNNER = r"""
+import json, sys, time
+from pathlib import Path
+import windrisk as wr
+from perfbench.workloads import QUERIES_PER_PASS, draw_queries
+
+if not Path(wr.__file__).resolve().is_relative_to(sys.argv[2]):
+    raise SystemExit(f"imported windrisk from {wr.__file__}, not from {sys.argv[2]}")
+seeds, passes, tols = json.loads(sys.argv[1])
+for seed in seeds:
+    for k in passes:
+        queries = draw_queries(seed, k, QUERIES_PER_PASS["full"])
+        for tol in tols:
+            extra = () if tol is None else (wr.QuadSpec(rel_tol=tol),)
+            for name, args in queries:
+                t0 = time.perf_counter()
+                try:
+                    value, outcome = float(getattr(wr, name)(*args, *extra)), "ok"
+                except wr.WindriskError as exc:
+                    value, outcome = None, type(exc).__name__
+                dt = time.perf_counter() - t0
+                print(json.dumps([seed, k, tol, outcome, value, dt]))
+"""
+
+
+def run_tree(src: Path, seeds, passes, tols):
+    """{(seed, pass, tol): [(outcome, value, seconds), ...]} for one tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(REPO)]),
+               PYTHONHASHSEED="0")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cmd = [sys.executable, "-c", _RUNNER, json.dumps([seeds, passes, tols]), str(src)]
+    out = subprocess.run(cmd, env=env, cwd=REPO, check=True, capture_output=True,
+                         text=True).stdout
+    runs = defaultdict(list)
+    for line in out.splitlines():
+        seed, k, tol, outcome, value, dt = json.loads(line)
+        runs[seed, k, tol].append((outcome, value, dt))
+    return runs
+
+
+def compare(parent, change, tol):
+    """Outcome changes, value changes and per-outcome times at one tolerance."""
+    outcome_changes = []
+    n_values = n_value_changes = 0
+    max_rel = 0.0
+    times = {"parent": defaultdict(list), "change": defaultdict(list)}
+    for key in sorted(k for k in parent if k[2] == tol):
+        for i, (p, c) in enumerate(zip(parent[key], change[key])):
+            times["parent"][p[0]].append(p[2])
+            times["change"][c[0]].append(c[2])
+            if p[0] != c[0]:
+                outcome_changes.append(f"seed {key[0]} pass {key[1]} query {i}: {p[0]} -> {c[0]}")
+            elif p[0] == "ok":
+                n_values += 1
+                if p[1] != c[1]:
+                    n_value_changes += 1
+                    max_rel = max(max_rel, abs(c[1] - p[1]) / max(abs(p[1]), 1e-300))
+    print(f"rel_tol {'default' if tol is None else tol}:")
+    print(f"  outcome changes: {len(outcome_changes)}")
+    for line in outcome_changes[:10]:
+        print(f"    {line}")
+    print(f"  value changes: {n_value_changes} of {n_values} (max relative {max_rel:.3g})")
+    for outcome in sorted(set(times["parent"]) | set(times["change"])):
+        cells = []
+        for tree in ("parent", "change"):
+            t = times[tree].get(outcome, [])
+            median = f"{1e3 * statistics.median(t):.2f} ms" if t else "-"
+            cells.append(f"{tree} {len(t)} at {median}")
+        print(f"  {outcome}: " + ", ".join(cells))
+    return bool(outcome_changes) or n_value_changes > 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path, help="src/ directory of the parent tree")
+    parser.add_argument("change_src", type=Path, help="src/ directory of the changed tree")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 4711, 90210, 7],
+                        help="draw_queries seeds (default: 1 4711 90210 7)")
+    parser.add_argument("--passes", type=int, nargs="+", default=[0, 1, 2, 3],
+                        help="input sets per seed (default: 0 1 2 3)")
+    parser.add_argument("--rel-tol", type=float, nargs="*", default=[],
+                        help="QuadSpec rel_tol values to run besides the default")
+    args = parser.parse_args(argv)
+    tols = [None] + args.rel_tol
+    trees = {}
+    for tree, src in (("parent", args.parent_src), ("change", args.change_src)):
+        if not (src / "windrisk" / "__init__.py").is_file():
+            parser.error(f"{src} holds no windrisk package")
+        trees[tree] = run_tree(src.resolve(), args.seeds, args.passes, tols)
+    print(f"{len(args.seeds)} seeds x {len(args.passes)} passes")
+    changed = [compare(trees["parent"], trees["change"], tol) for tol in tols]
+    return 1 if any(changed) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
