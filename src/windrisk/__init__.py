@@ -17,7 +17,6 @@ from .dependence import (
     var_simple,
 )
 from .errors import (
-    CancelledError,
     ConfigError,
     ConvergenceError,
     DomainError,

@@ -250,8 +250,9 @@ def _max_distance(max_by_psi, psi: float) -> float:
     raise ConfigError(f"distances.max_by_psi: no entry for psi = {psi:g}")
 
 
-# the most distances a depsurface grid may hold: the library evaluates a
-# grid's lags in one batch, in memory that grows with their number
+# the most distances a depsurface grid may hold.  The library evaluates a
+# grid's lags in fixed blocks, so its working memory does not grow with
+# their number; the result and the CSV rows still do
 _MAX_DISTANCES = 10_000
 
 
@@ -289,9 +290,9 @@ def cmd_depsurface(block: dict):
             # one variogram value per distance, as a scalar call gives it: numpy
             # may round a power differently over an array
             gammas = np.array([v.radial(dist) for dist in distances])
-            for p in powers:
-                deps = dependence.dep_measure_from_gamma(p, gammas, spec)
-                rows += [(v.psi, p.beta, dist, dep) for dist, dep in zip(distances, deps)]
+            deps = dependence.dep_measure_from_gamma(powers, gammas, spec)
+            for p, series in zip(powers, deps):
+                rows += [(v.psi, p.beta, dist, dep) for dist, dep in zip(distances, series)]
         _write_csv(out_path, ["psi", "beta", "distance", "dependence"], rows)
 
     return run

@@ -39,7 +39,10 @@ integrand cancels: each is positive.  At each quadrature node the
 pair sum is h (-L) times the bilinear form a' G b, a_j = d_j D^b_j,
 b_k = d_k (1+theta)^b_k and G_jk = Gamma(1-sig) exprel(sig L), a function of
 sig alone: n1 + n2 powers and one exprel per distinct sig, not one
-exponential per pair (:func:`_pair_kernel`).  At lag 0 the same table gives
+exponential per pair (:func:`_pair_kernel`).  Several covariances, such as
+those of every power of a dependence surface, share one kernel call: the
+gap, L and the exprel of each distinct sig are formed once a node, and
+each power's bilinear form follows.  At lag 0 the same table gives
 the variance and the mean in closed form,
 
     Var = sum_jk d_j d_k V(b_j, b_k),   V(b, c) = [Gamma(1-b-c) - Gamma(1-b) Gamma(1-c)] / (b c),
@@ -59,23 +62,24 @@ theta^2 and C3 = phi(W) / (h theta), and theta = exp(s h) turns it into a
 line integral of a positive integrand whose logarithm is cheap and stable.
 
 Both line integrals in s go through one routine, :func:`_line_integrals`,
-which takes the integrand as kernel(s, h) over arrays and integrates the
-s > 0 half-lines of a batch of lags as the rows of one
-:func:`integrate_rows` call and their s < 0 half-lines as those of a
-second, whose first wave, the same nodes mirrored, comes from the first
-kernel call of the first: the covariance's pair kernel at every lag of a
-call, and the display-form kernel of :func:`g_simple` at its one lag.
+which takes the integrand as kernel(s, h) over arrays and, a fixed block
+of lags at a time, integrates the s > 0 half-lines of the block as the
+rows of one :func:`integrate_rows` call and their s < 0 half-lines as
+those of a second, whose first wave, the same nodes mirrored, comes from
+the first kernel call of the first: the covariance's pair kernel at every
+lag of a call, with one row component per power pair, and the
+display-form kernel of :func:`g_simple` at its one lag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, WindriskError
 from .numerics import (
     DEFAULT_QUAD,
     QuadResult,
@@ -200,20 +204,39 @@ def _breakpoints(h: float) -> list:
     ) if bp > 0.0})
 
 
-def _line_integrals(kernel, lags, spec: QuadSpec) -> list:
-    """One QuadResult per lag h > 0 of ``lags``: the integral over the real
-    line of ``kernel(s, h)``, a function of arrays s and h of one shape.
+# the lags of a line integral are integrated in blocks of at most this many
+# (lag, component) pairs, so memory does not grow with the lag count: ten
+# lags of a twelve-power dependence surface, and every lag of a lone
+# covariance query or of a covariance-table piece (31 lags) in one block
+_BLOCK_LANES = 120
 
-    The s > 0 half-lines of all lags are the rows of one
+
+def _line_integrals(kernel, lags, spec: QuadSpec, width: int = 1):
+    """An iterator of one QuadResult per lag h > 0 of ``lags``: the
+    integral over the real line of ``kernel(s, h)``, a function of arrays s
+    and h of one shape that gives n values, or a (width, n) array of
+    ``width`` components that share each lag's mesh.
+
+    The lags run in blocks of at most ``_BLOCK_LANES // width``, in order,
+    each integrated when the iterator reaches it, so memory does not grow
+    with the number of lags; the first block that fails raises.  Within a
+    block, the s > 0 half-lines of all lags are the rows of one
     :func:`integrate_rows` call and their s < 0 half-lines those of a
     second, so each lag's value is the one it gets alone.  A lag's s < 0
     half-line is integrated only once its s > 0 one has converged, as when
-    the lag is evaluated alone, so the first lag that fails raises the
-    same error and no refinement is spent past it.  The first wave of the
-    s < 0 rows evaluates the initial panels of the s > 0 rows mirrored, so
-    it is taken from the first kernel call of the s > 0 rows, which
-    evaluates both: one kernel call instead of two.
+    the lag is evaluated alone, so the first lag that fails raises the same
+    error and no refinement is spent past it.  The first wave of the s < 0
+    rows evaluates the initial panels of the s > 0 rows mirrored, so it is
+    taken from the first kernel call of the s > 0 rows, which evaluates
+    both: one kernel call instead of two.
     """
+    step = max(1, _BLOCK_LANES // width)
+    for i in range(0, len(lags), step):
+        yield from _line_block(kernel, lags[i:i + step], spec)
+
+
+def _line_block(kernel, lags, spec: QuadSpec) -> list:
+    """The results of :func:`_line_integrals` for one block of lags."""
     bps = [_breakpoints(lag) for lag in lags]
     lags = np.array(lags, dtype=float)
     mirrored = {}
@@ -222,14 +245,14 @@ def _line_integrals(kernel, lags, spec: QuadSpec) -> list:
         if mirrored:
             return kernel(x, lags[row])
         both = kernel(np.concatenate([x, -x]), np.concatenate([lags[row]] * 2))
-        mirrored.update(x=x, values=both[len(x):])
-        return both[:len(x)]
+        mirrored.update(x=x, values=both[..., len(x):])
+        return both[..., :len(x)]
 
     def negative(x, row):
         # the initial panels of the rows that reach it: a prefix of the first wave
         first, mirrored["x"] = mirrored["x"], None
         if first is not None and np.array_equal(x, first[:len(x)]):
-            return mirrored["values"][:len(x)]
+            return mirrored["values"][..., :len(x)]
         return kernel(-x, lags[row])
 
     pos = integrate_rows(positive, 0.0, math.inf, bps, spec)
@@ -239,7 +262,7 @@ def _line_integrals(kernel, lags, spec: QuadSpec) -> list:
         if not isinstance(r, QuadResult):
             raise r
     return [QuadResult(p.value + n.value, p.err_estimate + n.err_estimate,
-                       p.subdivisions + n.subdivisions, p.absolute_mode or n.absolute_mode)
+                       p.subdivisions + n.subdivisions, p.absolute_mode | n.absolute_mode)
             for p, n in zip(pos, neg)]
 
 
@@ -267,7 +290,7 @@ def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD
         L2 = lg1 - 0.5 * w * w - _LOG_SQRT_2PI + b2 * sh + (sig - 1.0) * log_c1
         return np.exp(L1) + np.exp(L2)
 
-    return _line_integrals(kernel, [h], spec)[0].value
+    return next(_line_integrals(kernel, [h], spec)).value
 
 
 def var_simple(beta: float) -> float:
@@ -381,38 +404,46 @@ def _log_power_cov(b1, b2):
 _CHUNK_NODES = 960
 
 
-def _pair_kernel(d1, b1, d2, b2):
-    """The Hoeffding integrand of the covariance for the derivative tables
-    (d1, b1) and (d2, b2), as kernel(s, h): h times the integrand at the
-    nodes s of lags h (arrays of one shape).
+def _pair_kernel(pairs):
+    """The Hoeffding integrands of the covariances of several pairs of
+    derivative tables ``pairs``, a sequence of (d1, b1, d2, b2), as
+    kernel(s, h): h times each integrand at the nodes s of lags h (arrays
+    of one shape), a (len(pairs), n) array.
 
-    The pair sum is a bilinear form at each node,
+    The work that does not depend on the powers is done once a node: sh,
+    log D, the scaled normal tail, the gap, L and -L/q, and one exprel per
+    distinct exponent sum sig over all the pairs.  Each pair's sum is then
+    a bilinear form at each node,
 
         sum_jk W_jk exprel(sig_jk L) D^(b1_j - max b1) (1+theta)^(b2_k - max b2),
 
     with W_jk = d1_j d2_k Gamma(1 - sig_jk) / max|W| and sig_jk = b1_j + b2_k,
     times h max|W| D^(max b1) (1+theta)^(max b2) q, whose logarithm is
     summed before its one exponential, and times -L/q in [1, 2 log 2]:
-    n1 + n2 exponentials and one exprel per distinct sig at each node.  No
-    factor but exprel and -L/q exceeds 1 in magnitude, and the common
-    factor is no subnormal where the value is a normal double.  Every
-    operation is elementwise or a sum over the terms of one node, so a
-    node's value does not depend on the other nodes.
+    n1 + n2 exponentials a pair at each node.  No factor but exprel and
+    -L/q exceeds 1 in magnitude, and the common factor is no subnormal
+    where the value is a normal double.  Every operation is elementwise or
+    a sum over the terms of one node and one pair, so a node's value does
+    not depend on the other nodes, nor a pair's on the other pairs.
     """
-    # the distinct exponent sums, and each pair's index among them
-    b1, b2 = b1.tolist(), b2.tolist()
-    where = {v: i for i, v in enumerate(sorted({x + y for x in b1 for y in b2}))}
-    sig_values = np.array(list(where)).reshape(-1, 1)
-    sig_index = np.array([[where[x + y] for y in b2] for x in b1],
-                         dtype=np.intp).reshape(len(b1), len(b2))
-    weights = np.outer(d1, d2)[:, :, None] * gamma_values(1.0 - sig_values)[sig_index]
-    top = float(np.max(np.abs(weights), initial=0.0))
-    log_scale = math.log(top) if top else -math.inf
-    weights /= top or 1.0
-    top1, top2 = max(b1, default=0.0), max(b2, default=0.0)
-    rest1 = np.array([x - top1 for x in b1]).reshape(-1, 1)
-    rest2 = np.array([y - top2 for y in b2]).reshape(-1, 1)
-    single = sig_index.size == 1
+    pairs = [(d1, b1.tolist(), d2, b2.tolist()) for d1, b1, d2, b2 in pairs]
+    # the distinct exponent sums of all the pairs
+    sums = sorted({x + y for _, b1, _, b2 in pairs for x in b1 for y in b2})
+    where = {v: i for i, v in enumerate(sums)}
+    sig_values = np.array(sums).reshape(-1, 1)
+    gammas = gamma_values(1.0 - sig_values)
+    forms = []
+    for d1, b1, d2, b2 in pairs:
+        # each term's index among the distinct sums
+        sig_index = np.array([[where[x + y] for y in b2] for x in b1],
+                             dtype=np.intp).reshape(len(b1), len(b2))
+        weights = np.outer(d1, d2)[:, :, None] * gammas[sig_index]
+        top = float(np.max(np.abs(weights), initial=0.0))
+        weights /= top or 1.0
+        top1, top2 = max(b1, default=0.0), max(b2, default=0.0)
+        forms.append((sig_index, weights, math.log(top) if top else -math.inf, top1, top2,
+                      np.array([x - top1 for x in b1]).reshape(-1, 1),
+                      np.array([y - top2 for y in b2]).reshape(-1, 1)))
 
     def kernel(s, h):
         sh = s * h
@@ -434,64 +465,95 @@ def _pair_kernel(d1, b1, d2, b2):
         L = np.log1p(neg_q)
         neg_l_by_q = L / neg_q
         g = exprel(sig_values * L)
-        if single:  # one entry per side: the form is its single term
-            form = weights[0, 0] * g[0]
-        else:
-            terms = g[sig_index]
-            terms *= weights
-            terms *= np.exp(rest2 * (sh + log_d))  # log(1 + theta) = sh + log D
-            form = terms.sum(axis=1)
-            form *= np.exp(rest1 * log_d)
-            form = form.sum(axis=0)
-        # D^top1 (1 + theta)^top2 = D^(top1 + top2) theta^top2
-        form *= neg_l_by_q
-        return h * np.exp(log_scale + (top1 + top2) * log_d + top2 * sh + log_q) * form
+        out = np.empty((len(forms), len(s)))
+        for k, (sig_index, weights, log_scale, top1, top2, rest1, rest2) in enumerate(forms):
+            form = _bilinear_form(g, sig_index, weights, rest1, rest2, sh, log_d)
+            # D^top1 (1 + theta)^top2 = D^(top1 + top2) theta^top2
+            form *= neg_l_by_q
+            out[k] = h * np.exp(log_scale + (top1 + top2) * log_d + top2 * sh + log_q) * form
+        return out
 
     return kernel
 
 
-def _cov_at(p1: PowerSpec, p2: PowerSpec, spec: QuadSpec):
+def _bilinear_form(g, sig_index, weights, rest1, rest2, sh, log_d):
+    """One pair's form sum_jk weights_jk g[sig_index_jk] D^rest1_j
+    (1+theta)^rest2_k at each node (see :func:`_pair_kernel`); its
+    (n1, n2, nodes) terms are freed on return, before the next pair's are
+    built."""
+    if sig_index.size == 1:  # one entry per side: the form is its single term
+        return weights[0, 0] * g[sig_index[0, 0]]
+    terms = g[sig_index]
+    terms *= weights
+    terms *= np.exp(rest2 * (sh + log_d))  # log(1 + theta) = sh + log D
+    form = terms.sum(axis=1)
+    form *= np.exp(rest1 * log_d)
+    return form.sum(axis=0)
+
+
+def _cov_at(p1, p2, spec: QuadSpec):
     """Cov(Z(x1)^beta1, Z(x2)^beta2) as a function of the variogram-root lag
     h = sqrt(gamma(x2 - x1)), returned as a QuadResult.
 
-    The function takes a scalar lag or an array of lags, and the fields of
-    its QuadResult have the lags' shape.  The derivative tables and the
-    variance are built once, so the returned function is the single place
-    the covariance is evaluated: the closed-form variance below SMALL_H, its
-    limit 0 at an infinite lag, the Hoeffding line integral in between, all
-    lags in one call of :func:`_line_integrals`, so each lag's value is the
-    one it gets alone and the first lag that fails raises the error it
-    raises alone.
+    ``p1`` and ``p2`` are PowerSpecs, or sequences of PowerSpecs of one
+    length whose entries are paired in order.  The function takes a scalar
+    lag or an array of lags, and the fields of its QuadResult have the
+    lags' shape, behind a leading axis of the pairs for sequences.  The
+    derivative tables and the variances are built once, so the returned
+    function is the single place the covariance is evaluated: the
+    closed-form variance below SMALL_H, its limit 0 at an infinite lag, the
+    Hoeffding line integral in between, all lags and pairs in one call of
+    :func:`_line_integrals`, whose rows carry one component per pair.  So
+    each lag's value is the one it gets alone, and the first lag that fails
+    raises the error it raises alone.  A pair's value at a lag whose rows
+    converge in their first wave is the one it gets alone too; where they
+    refine, the pairs share the mesh their worst one asks for.
     """
-    table = _derivative_table(p1)
-    _, d1, b1 = table
-    _, d2, b2 = table if p2 == p1 else _derivative_table(p2)
-    with np.errstate(over="ignore"):  # a weight past the double range is reported below
-        wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
-    at_zero = QuadResult(
-        math.fsum(_finite(wts * _log_power_cov(b1, b2).ravel(), "a variance term")), 0.0, 0)
+    vector = not isinstance(p1, PowerSpec)
+    pairs = list(zip(p1, p2)) if vector else [(p1, p2)]
+    tables, variances = [], []
+    for q1, q2 in pairs:
+        table = _derivative_table(q1)
+        _, d1, b1 = table
+        _, d2, b2 = table if q2 == q1 else _derivative_table(q2)
+        with np.errstate(over="ignore"):  # a weight past the double range is reported below
+            wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
+        variances.append(math.fsum(_finite(wts * _log_power_cov(b1, b2).ravel(),
+                                           "a variance term")))
+        tables.append((d1, b1, d2, b2))
+    width = len(pairs)
+    at_zero = QuadResult(np.array(variances) if vector else variances[0], 0.0, 0)
     at_infinity = QuadResult(0.0, 0.0, 0)
-    pair_kernel = _pair_kernel(d1, b1, d2, b2)
+    pair_kernel = _pair_kernel(tables)
 
     def kernel(s, h):
         if len(s) <= _CHUNK_NODES:
-            return pair_kernel(s, h)
-        return np.concatenate([pair_kernel(s[i:i + _CHUNK_NODES], h[i:i + _CHUNK_NODES])
-                               for i in range(0, len(s), _CHUNK_NODES)])
+            values = pair_kernel(s, h)
+        else:
+            values = np.concatenate([pair_kernel(s[i:i + _CHUNK_NODES], h[i:i + _CHUNK_NODES])
+                                     for i in range(0, len(s), _CHUNK_NODES)], axis=1)
+        return values if vector else values[0]
 
     def cov(h) -> QuadResult:
         h = np.asarray(h, dtype=float)
         flat = h.ravel().tolist()
         # the closed form below SMALL_H and the limit 0 at an infinite lag
-        known = [at_zero if lag < SMALL_H else at_infinity if lag == math.inf else None
-                 for lag in flat]
-        far = iter(_line_integrals(kernel, [lag for lag, r in zip(flat, known) if r is None],
-                                   spec))
-        results = [next(far) if r is None else r for r in known]
-        if h.ndim == 0:
-            return results[0]
-        return QuadResult(*(np.array([getattr(r, f.name) for r in results]).reshape(h.shape)
-                            for f in fields(QuadResult)))
+        far = _line_integrals(
+            kernel, [lag for lag in flat if SMALL_H <= lag < math.inf], spec, width)
+        results = (at_zero if lag < SMALL_H else at_infinity if lag == math.inf else next(far)
+                   for lag in flat)
+        if not vector:
+            if h.ndim == 0:
+                return next(results)
+            results = list(results)
+            return QuadResult(*(np.array([getattr(r, f.name) for r in results]).reshape(h.shape)
+                                for f in fields(QuadResult)))
+        # each field a (pairs, lags) array, filled a block of lags at a time
+        columns = [np.zeros((width, len(flat)), dtype) for dtype in (float, float, int, bool)]
+        for j, r in enumerate(results):
+            for column, f in zip(columns, fields(QuadResult)):
+                column[:, j] = getattr(r, f.name)
+        return QuadResult(*(c.reshape((width,) + h.shape) for c in columns))
 
     return cov
 
@@ -555,17 +617,44 @@ def dep_measure(
     )
 
 
-def dep_measure_from_gamma(p: PowerSpec, gamma_value, spec: QuadSpec = DEFAULT_QUAD):
+def dep_measure_from_gamma(p: PowerSpec | Sequence[PowerSpec], gamma_value,
+                           spec: QuadSpec = DEFAULT_QUAD):
     """Radial convenience form of :func:`dep_measure` keyed by the variogram
     value; an array of variogram values gives the array of dependences from
-    one covariance evaluation."""
+    one covariance evaluation.
+
+    ``p`` is a PowerSpec, or a sequence of them: then the result has one
+    row per power, from one covariance evaluation whose quadrature rows
+    carry every power on one mesh per lag.  A power's value equals its own
+    call's wherever the lag's rows converge in their first wave, and lies
+    within the quadrature tolerance of it elsewhere.  A batch that fails is
+    evaluated again one power at a time, in order, so it raises the error
+    of the first power that fails alone.
+    """
     if not np.all(np.asarray(gamma_value) >= 0.0):
         raise DomainError(f"variogram value must be >= 0, got {gamma_value}")
-    _require_moments(p, 2)
+    if isinstance(p, PowerSpec):
+        return _dependence(p, gamma_value, spec)
+    powers = list(p)
+    if not powers:
+        return np.empty((0,) + np.shape(gamma_value))
+    try:
+        return _dependence(powers, gamma_value, spec)
+    except WindriskError:
+        return np.array([_dependence(q, gamma_value, spec) for q in powers])
+
+
+def _dependence(p, gamma_value, spec: QuadSpec):
+    """Correlations of a PowerSpec, or of a list of them, at variogram values."""
+    powers = [p] if isinstance(p, PowerSpec) else p
+    for q in powers:
+        _require_moments(q, 2)
     cov = _cov_at(p, p, spec)
     variance = cov(0.0).value
-    if not variance > 0.0:
+    if not np.all(np.asarray(variance) > 0.0):
         raise DomainError(f"degenerate power field (variance {variance}); beta=0?")
+    if not isinstance(p, PowerSpec):
+        variance = variance.reshape((-1,) + (1,) * np.ndim(gamma_value))
     return cov(np.sqrt(gamma_value)).value / variance
 
 

@@ -27,9 +27,5 @@ class ConvergenceError(WindriskError, RuntimeError):
         self.err_estimate = err_estimate
 
 
-class CancelledError(WindriskError, RuntimeError):
-    """A cooperative cancellation token interrupted a long-running computation."""
-
-
 class ConfigError(WindriskError, ValueError):
     """A run configuration failed validation (CLI exit code 2)."""

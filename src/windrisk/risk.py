@@ -186,12 +186,14 @@ class _CovTable:
 def _cov_table(p: PowerSpec, spec: QuadSpec) -> _CovTable:
     """The certified covariance table of Z^beta; callers check the moments.
 
-    A piece's nodes take one ``_cov_at`` call and its check points, at
-    _CHECK_X, a second, against which the fit is compared.  A piece
-    that misses by more than rel_tol/10 relative (to at least the tail
-    floor _TAIL * rel_tol * var) is bisected; past _MAX_BISECTIONS levels
-    ConvergenceError carries the direct value at the worst miss.  The range
-    is doubled from 24 until cov <= _TAIL * rel_tol * var.
+    The table is built a bisection level at a time: one ``_cov_at`` call
+    gives every piece of the level its nodes and its check points, at
+    _CHECK_X, against which its fit is compared; each lag gets the value
+    it gets alone.  A piece that misses by more than rel_tol/10 relative
+    (to at least the tail floor _TAIL * rel_tol * var) is bisected into
+    the next level; at _MAX_BISECTIONS levels the leftmost piece that
+    misses raises ConvergenceError, with the direct value at its worst
+    miss.  The range is doubled from 24 until cov <= _TAIL * rel_tol * var.
     """
     cov = _cov_at(p, p, spec)
     variance = cov(0.0).value
@@ -211,20 +213,29 @@ def _cov_table(p: PowerSpec, spec: QuadSpec) -> _CovTable:
 
     pieces = []
     worst = 0.0
-    todo = [(lo, hi, 0) for lo, hi in zip(edges, edges[1:])][::-1]
-    while todo:
-        lo, hi, depth = todo.pop()
-        at_nodes = cov(lo + 0.5 * (hi - lo) * (_CHEB_X + 1.0)).value
-        log_fit = bool(np.all(at_nodes > 0.0))
-        piece = _CovTable(variance, np.array([lo, hi]),
-                          (_TO_COEFS @ (np.log(at_nodes) if log_fit else at_nodes))[None],
-                          np.array([log_fit]), 0.0)
-        checks = lo + 0.5 * (hi - lo) * (_CHECK_X + 1.0)
-        direct = cov(checks).value
-        fit = piece(checks)
-        miss = np.abs(fit - direct) / np.maximum(np.abs(direct), floor)
-        if miss.max() > 0.1 * spec.rel_tol:
-            if depth == _MAX_BISECTIONS:
+    level = list(zip(edges, edges[1:]))
+    for depth in range(_MAX_BISECTIONS + 1):
+        # one covariance call for the nodes and check points of every piece
+        # of the level, each piece's nodes then its check points
+        points = [lo + 0.5 * (hi - lo) * (x + 1.0)
+                  for lo, hi in level for x in (_CHEB_X, _CHECK_X)]
+        values = cov(np.concatenate(points)).value
+        bisected = []
+        for i, (lo, hi) in enumerate(level):
+            start = i * (_CHEB_N + len(_CHECK_X))
+            at_nodes = values[start:start + _CHEB_N]
+            direct = values[start + _CHEB_N:start + _CHEB_N + len(_CHECK_X)]
+            log_fit = bool(np.all(at_nodes > 0.0))
+            piece = _CovTable(variance, np.array([lo, hi]),
+                              (_TO_COEFS @ (np.log(at_nodes) if log_fit else at_nodes))[None],
+                              np.array([log_fit]), 0.0)
+            checks = points[2 * i + 1]
+            fit = piece(checks)
+            miss = np.abs(fit - direct) / np.maximum(np.abs(direct), floor)
+            if miss.max() <= 0.1 * spec.rel_tol:
+                pieces.append(piece)
+                worst = max(worst, float(miss.max()))
+            elif depth == _MAX_BISECTIONS:  # the leftmost piece that misses at the last level
                 j = int(np.argmax(miss))
                 raise ConvergenceError(
                     f"covariance table missed by {miss[j]:.3g} relative at "
@@ -232,11 +243,13 @@ def _cov_table(p: PowerSpec, spec: QuadSpec) -> _CovTable:
                     best_estimate=float(direct[j]),
                     err_estimate=float(abs(fit[j] - direct[j])),
                 )
-            mid = 0.5 * (lo + hi)
-            todo += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
-            continue
-        pieces.append(piece)
-        worst = max(worst, float(miss.max()))
+            else:
+                mid = 0.5 * (lo + hi)
+                bisected += [(lo, mid), (mid, hi)]
+        level = bisected
+        if not level:
+            break
+    pieces.sort(key=lambda pc: pc.edges[0])
 
     return _CovTable(
         variance=variance,

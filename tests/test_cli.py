@@ -162,13 +162,41 @@ class TestDepsurface:
         assert all(float(r[3]) == 1.0 for r in zero_rows)
 
     def test_spot_cell_matches_library(self, depsurface_output):
+        # every psi = 1 cell is the library's value for its power alone
         _, rows = depsurface_output
-        row = next(r for r in rows
-                   if float(r[0]) == 1.0 and int(r[1]) == 3 and float(r[2]) == 1.0)
-        p = PowerSpec.gev(3, GevParams(ETA, TAU, XI))
-        lib = dep_measure_from_gamma(p, power(1.0, 1.0).radial(1.0))
-        # CSV carries 12 significant digits of the library value
-        assert float(row[3]) == float(f"{lib:.11e}")
+        cells = [r for r in rows if float(r[0]) == 1.0]
+        assert len(cells) == 2 * 5
+        for r in cells:
+            p = PowerSpec.gev(int(r[1]), GevParams(ETA, TAU, XI))
+            lib = dep_measure_from_gamma(p, power(1.0, 1.0).radial(float(r[2])))
+            # CSV carries 12 significant digits of the library value
+            assert float(r[3]) == float(f"{lib:.11e}")
+
+    def test_no_power_writes_the_header_alone(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"depsurface": {"psi": [1.0], "beta": [],
+                                                  "distances": [0.0, 1.0]}}))
+        out = tmp_path / "dep.csv"
+        assert main(["depsurface", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_csv(out) == (["psi", "beta", "distance", "dependence"], [])
+
+    def test_first_failing_power_in_config_order_decides(self, tmp_path, capsys):
+        # near xi = 0 the binomial table fails from beta 9 on: beta 1
+        # converges, and beta 10's own error ends the run
+        margin = {"eta": ETA, "tau": TAU, "xi": -0.043}
+        distances = [0.0, 0.5, 1.0, 3.0, 7.0]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"depsurface": {
+            "gev": margin, "psi": [1.0], "beta": [1, 10, 12, 9], "distances": distances}}))
+        p = PowerSpec.gev(10, GevParams(**margin))
+        with pytest.raises(ConvergenceError) as alone:
+            dep_measure_from_gamma(p, [power(1.0, 1.0).radial(d) for d in distances])
+        assert main(["depsurface", "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical non-convergence: {alone.value}\n"
+            f"best_estimate: {alone.value.best_estimate!r}\n"
+            f"err_estimate: {alone.value.err_estimate!r}\n")
 
     def test_decreasing_in_distance(self, depsurface_output):
         _, rows = depsurface_output

@@ -745,15 +745,18 @@ class TestBatchedCovariance:
         # kernel call, with the values each half-line gets alone
         p = PowerSpec.gev(6, paper_gev)
         _, d, b = dependence._derivative_table(p)
-        pair = dependence._pair_kernel(d, b, d, b)
+        pair_kernel = dependence._pair_kernel([(d, b, d, b)])
         calls = []
+
+        def pair(s, h):
+            return pair_kernel(s, h)[0]
 
         def kernel(s, h):
             calls.append(len(s))
             return pair(s, h)
 
         lags = [0.1, 1.0, 4.0]
-        results = dependence._line_integrals(kernel, lags, QuadSpec())
+        results = list(dependence._line_integrals(kernel, lags, QuadSpec()))
         panels = [len(dependence._breakpoints(lag)) + 1 for lag in lags]
         assert calls[0] == 2 * 15 * sum(panels)
         # k initial panels a half-line, k - 1 of its subdivisions, and 2 new
@@ -807,8 +810,8 @@ class TestBatchedCovariance:
         with pytest.raises(DomainError):
             dep_measure_from_gamma(p, np.array([1.0, -1.0]))
 
-    def test_default_depsurface_builds_one_covariance_per_power_and_psi(
-            self, tmp_path, monkeypatch):
+    def test_default_depsurface_builds_one_covariance_per_psi(self, tmp_path, monkeypatch):
+        # every power of a psi shares one covariance evaluation
         from windrisk.cli import main
 
         built = []
@@ -820,7 +823,83 @@ class TestBatchedCovariance:
 
         monkeypatch.setattr(dependence, "_cov_at", counted)
         assert main(["depsurface", "--out", str(tmp_path / "dep.csv")]) == 0
-        assert len(built) == 4 * 12
+        assert len(built) == 4
+        assert all(p1 == p2 and [p.beta for p in p1] == list(range(1, 13)) for p1, p2 in built)
+
+
+class TestPowersOnOneMesh:
+    """A sequence of powers is one covariance evaluation whose quadrature
+    rows carry every power: each value is the power's own where the rows
+    converge in their first wave, and within the tolerance elsewhere."""
+
+    POWERS = [PowerSpec.gev(beta, GevParams(ETA, TAU, XI)) for beta in range(1, 13)]
+
+    @staticmethod
+    def gammas(psi, d_max):
+        v = power(1.0, psi)
+        return np.array([v.radial(d) for d in np.r_[0.0, np.geomspace(0.1, d_max, 40)]])
+
+    def test_equals_the_per_power_calls_where_no_row_refines(self):
+        # at psi 1 every row of the study grid converges in its first wave
+        gammas = self.gammas(1.0, 100.0)
+        batch = dep_measure_from_gamma(self.POWERS, gammas)
+        assert batch.shape == (12, len(gammas))
+        for p, row in zip(self.POWERS, batch):
+            assert row.tolist() == dep_measure_from_gamma(p, gammas).tolist()
+
+    def test_within_tolerance_where_rows_refine(self):
+        spec = QuadSpec()
+        gammas = self.gammas(2.0, 10.0)
+        batch = dep_measure_from_gamma(self.POWERS, gammas, spec)
+        alone = np.array([dep_measure_from_gamma(p, gammas, spec) for p in self.POWERS])
+        np.testing.assert_allclose(batch, alone, rtol=2.0 * spec.rel_tol, atol=0.0)
+        # the shared mesh of a lag is the one its worst power asks for
+        cov = dependence._cov_at(self.POWERS, self.POWERS, spec)(np.sqrt(gammas))
+        refined = cov.subdivisions.max(axis=0) > 16
+        assert refined.any() and (batch[:, ~refined] == alone[:, ~refined]).all()
+
+    def test_a_power_node_value_ignores_the_other_powers(self):
+        tables = [dependence._derivative_table(p)[1:] for p in self.POWERS]
+        pairs = [(d, b, d, b) for d, b in tables]
+        s = np.r_[-TestPairKernel.S, TestPairKernel.S]
+        h = np.repeat([0.3, 3.0], len(TestPairKernel.S))
+        together = dependence._pair_kernel(pairs)(s, h)
+        for k, pair in enumerate(pairs):
+            assert together[k].tolist() == dependence._pair_kernel([pair])(s, h)[0].tolist()
+
+    def test_a_failing_batch_raises_the_first_failing_power_error(self):
+        # near xi = 0 the binomial table's integrands are rounding noise from
+        # beta 9 on: beta 1 converges, and beta 10 decides, as when the
+        # powers are evaluated one at a time
+        margin = GevParams(ETA, TAU, -0.043)
+        powers = [PowerSpec.gev(beta, margin) for beta in (1, 10, 12)]
+        gammas = self.gammas(1.0, 100.0)
+        dep_measure_from_gamma(powers[0], gammas)
+        with pytest.raises(ConvergenceError) as alone:
+            dep_measure_from_gamma(powers[1], gammas)
+        with pytest.raises(ConvergenceError) as batch:
+            dep_measure_from_gamma(powers, gammas)
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.best_estimate == alone.value.best_estimate
+        assert batch.value.err_estimate == alone.value.err_estimate
+
+    def test_peak_memory_stays_at_one_block(self):
+        import tracemalloc
+
+        def peak(n):
+            gammas = np.geomspace(0.1, 100.0, n)
+            tracemalloc.start()
+            try:
+                dep_measure_from_gamma(self.POWERS, gammas)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one block is ten lags of the twelve powers; past it, the peak
+        # grows by the result's own arrays alone (four fields and the
+        # dependences, a double each per lag and power, and the lag lists)
+        block, many = peak(10), peak(400)
+        assert many - block <= 400 * 12 * 8 * 5
 
 
 def per_term_kernel(d1, b1, d2, b2, s, h):
@@ -875,10 +954,10 @@ class TestPairKernel:
     def test_matches_the_per_term_form(self, name):
         _, d1, b1 = dependence._derivative_table(self.CASES[name][0])
         _, d2, b2 = dependence._derivative_table(self.CASES[name][1])
-        kernel = dependence._pair_kernel(d1, b1, d2, b2)
+        kernel = dependence._pair_kernel([(d1, b1, d2, b2)])
         s, h = np.meshgrid(self.S, self.LAGS)
         s, h = s.ravel(), h.ravel()
-        value = kernel(s, h)
+        value = kernel(s, h)[0]
         ref, rounding, guarded = per_term_kernel(d1, b1, d2, b2, s, h)
         assert all(guarded[h == lag].any() for lag in self.LAGS) and not guarded.all()
         assert np.isfinite(ref).all()
@@ -888,12 +967,12 @@ class TestPairKernel:
     def test_each_node_is_independent_of_the_others(self):
         p = self.CASES["gev12"][0]
         _, d, b = dependence._derivative_table(p)
-        kernel = dependence._pair_kernel(d, b, d, b)
+        kernel = dependence._pair_kernel([(d, b, d, b)])
         s = np.r_[-self.S, self.S]
         h = np.repeat([0.3, 3.0], len(self.S))
         together = kernel(s, h)
         half = len(self.S)
-        apart = np.r_[kernel(s[:half], h[:half]), kernel(s[half:], h[half:])]
+        apart = np.c_[kernel(s[:half], h[:half]), kernel(s[half:], h[half:])]
         assert together.tolist() == apart.tolist()
 
 

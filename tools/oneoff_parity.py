@@ -1,7 +1,9 @@
-"""Compare the one_off_queries outcomes of two windrisk source trees.
+"""Compare the one_off_queries outcomes, or the study_sweep CSVs, of two
+windrisk source trees.
 
     python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC \
         [--seeds 1 4711 90210 7] [--passes 0 1 2 3] [--rel-tol 3e-9 1e-9]
+    python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC --study [--variants 0 1 ...]
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``windrisk`` package.  For every seed and pass, the queries of
@@ -14,9 +16,17 @@ benchmark's gate does; the default tolerance always runs.
 It prints, per tolerance, the outcome changes (a value against an error, or
 one error type against another), the value changes (count and largest
 relative difference of the queries that succeed in both trees) and, per
-outcome, each tree's query count and median time.  The exit status is 1
-when an outcome or a value changed.  ``perfbench/`` is read from this
-repository and is not changed.
+outcome, each tree's query count and median time.
+
+``--study`` runs instead the CLI commands of the study variants of
+``perfbench.workloads.study_commands`` (all 8 by default), in-process as the
+benchmark runs them, with every CSV cell written with all 17 significant
+digits, so that a cell differs exactly where its double does.  It prints,
+per command, the exit-code changes, how many cells differ and the largest
+relative difference, and each tree's median time.
+
+The exit status is 1 when an outcome or a value changed.  ``perfbench/`` is
+read from this repository and is not changed.
 """
 
 import argparse
@@ -57,20 +67,94 @@ for seed in seeds:
 """
 
 
-def run_tree(src: Path, seeds, passes, tols):
-    """{(seed, pass, tol): [(outcome, value, seconds), ...]} for one tree."""
+# one tree's study run: a JSON line (variant, label, exit code, CSV rows
+# split into key and value cells, seconds) per CLI command, on stdout
+_STUDY_RUNNER = r"""
+import json, sys, tempfile, time
+from pathlib import Path
+import windrisk as wr
+from windrisk import cli
+from perfbench.workloads import KEY_COLUMNS, read_csv, run_cli, study_commands
+
+if not Path(wr.__file__).resolve().is_relative_to(sys.argv[2]):
+    raise SystemExit(f"imported windrisk from {wr.__file__}, not from {sys.argv[2]}")
+fmt = cli._fmt
+cli._fmt = lambda x: fmt(x) if isinstance(x, int) else f"{float(x):.16e}"
+with tempfile.TemporaryDirectory() as tmp:
+    for variant in json.loads(sys.argv[1]):
+        for label, command, config in study_commands(variant):
+            config_path, out_path = Path(tmp, label + ".json"), Path(tmp, label + ".csv")
+            config_path.write_text(json.dumps(config))
+            t0 = time.perf_counter()
+            code = run_cli(command, config_path, out_path)
+            dt = time.perf_counter() - t0
+            k = KEY_COLUMNS[command]
+            rows = [[r[:k], r[k:]] for r in read_csv(out_path)[1]] if code == 0 else []
+            print(json.dumps([variant, label, code, rows, dt]))
+            out_path.unlink(missing_ok=True)
+"""
+
+
+def _run(runner, src: Path, arg):
+    """The JSON lines a runner prints in a fresh interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(REPO)]),
                PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    cmd = [sys.executable, "-c", _RUNNER, json.dumps([seeds, passes, tols]), str(src)]
+    cmd = [sys.executable, "-c", runner, json.dumps(arg), str(src)]
     out = subprocess.run(cmd, env=env, cwd=REPO, check=True, capture_output=True,
                          text=True).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def run_tree(src: Path, seeds, passes, tols):
+    """{(seed, pass, tol): [(outcome, value, seconds), ...]} for one tree."""
     runs = defaultdict(list)
-    for line in out.splitlines():
-        seed, k, tol, outcome, value, dt = json.loads(line)
+    for seed, k, tol, outcome, value, dt in _run(_RUNNER, src, [seeds, passes, tols]):
         runs[seed, k, tol].append((outcome, value, dt))
     return runs
+
+
+def run_study(src: Path, variants):
+    """{(variant, label): (exit code, [key cells, value cells] per CSV row,
+    seconds)} for one tree."""
+    return {(variant, label): (code, rows, dt)
+            for variant, label, code, rows, dt in _run(_STUDY_RUNNER, src, variants)}
+
+
+def compare_study(parent, change):
+    """Exit-code changes, differing cells and times of each study command."""
+    changed = False
+    labels = list(dict.fromkeys(label for _, label in parent))
+    for label in labels:
+        keys = [key for key in parent if key[1] == label]
+        codes = [f"variant {key[0]}: exit {parent[key][0]} -> {change[key][0]}"
+                 for key in keys if parent[key][0] != change[key][0]]
+        n_cells = n_diff = 0
+        max_rel = 0.0
+        for key in keys:
+            rows_p, rows_c = parent[key][1], change[key][1]
+            if parent[key][0] != 0 or change[key][0] != 0:
+                continue
+            if [r[0] for r in rows_p] != [r[0] for r in rows_c]:
+                codes.append(f"variant {key[0]}: the CSV keys differ")
+                continue
+            for (_, cells_p), (_, cells_c) in zip(rows_p, rows_c):
+                for xp, xc in zip(cells_p, cells_c):
+                    n_cells += 1
+                    if xp != xc:
+                        n_diff += 1
+                        vp, vc = float(xp), float(xc)
+                        max_rel = max(max_rel, abs(vc - vp) / max(abs(vp), 1e-300))
+        times = [f"{tree} {statistics.median(runs[key][2] for key in keys):.3f} s"
+                 for tree, runs in (("parent", parent), ("change", change))]
+        print(f"{label}: {len(keys)} variants, exit-code changes {len(codes)}, "
+              f"cells differing {n_diff} of {n_cells} (max relative {max_rel:.3g}); "
+              f"median time {', '.join(times)}")
+        for line in codes[:10]:
+            print(f"    {line}")
+        changed = changed or bool(codes) or n_diff > 0
+    return changed
 
 
 def compare(parent, change, tol):
@@ -115,13 +199,20 @@ def main(argv=None):
                         help="input sets per seed (default: 0 1 2 3)")
     parser.add_argument("--rel-tol", type=float, nargs="*", default=[],
                         help="QuadSpec rel_tol values to run besides the default")
+    parser.add_argument("--study", action="store_true",
+                        help="compare the study_sweep CLI outputs instead")
+    parser.add_argument("--variants", type=int, nargs="+", default=list(range(8)),
+                        help="study variants for --study (default: 0 .. 7)")
     args = parser.parse_args(argv)
     tols = [None] + args.rel_tol
     trees = {}
     for tree, src in (("parent", args.parent_src), ("change", args.change_src)):
         if not (src / "windrisk" / "__init__.py").is_file():
             parser.error(f"{src} holds no windrisk package")
-        trees[tree] = run_tree(src.resolve(), args.seeds, args.passes, tols)
+        trees[tree] = (run_study(src.resolve(), args.variants) if args.study else
+                       run_tree(src.resolve(), args.seeds, args.passes, tols))
+    if args.study:
+        return 1 if compare_study(trees["parent"], trees["change"]) else 0
     print(f"{len(args.seeds)} seeds x {len(args.passes)} passes")
     changed = [compare(trees["parent"], trees["change"], tol) for tol in tols]
     return 1 if any(changed) else 0
