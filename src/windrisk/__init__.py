@@ -10,7 +10,6 @@ from .dependence import (
     dep_measure,
     dep_measure_from_gamma,
     extremal_coefficient,
-    extremal_coefficient_radial,
     g_gev,
     g_simple,
     var_gev,
@@ -75,8 +74,6 @@ from .simulate import (
 from .variogram import (
     Variogram,
     anisotropic_power,
-    eval_radial,
-    eval_variogram,
     power,
     power_m,
     quadratic_form,

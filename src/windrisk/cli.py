@@ -179,6 +179,8 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows``, an iterable of row sequences, each row
+    as it is drawn, so a generator of rows is never held whole."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -252,7 +254,8 @@ def _max_distance(max_by_psi, psi: float) -> float:
 
 # the most distances a depsurface grid may hold.  The library evaluates a
 # grid's lags in fixed blocks, so its working memory does not grow with
-# their number; the result and the CSV rows still do
+# their number, and the CSV rows are streamed from the result arrays;
+# those arrays still grow, a double per distance and power
 _MAX_DISTANCES = 10_000
 
 
@@ -285,14 +288,17 @@ def cmd_depsurface(block: dict):
     grids = [_distance_grid(block["distances"], v.psi) for v in variograms]
 
     def run(out_path):
-        rows = []
+        # every psi's dependences before the file is opened, so a failing
+        # command writes none; the rows are then drawn from the arrays
+        surfaces = []
         for v, distances in zip(variograms, grids):
             # one variogram value per distance, as a scalar call gives it: numpy
             # may round a power differently over an array
             gammas = np.array([v.radial(dist) for dist in distances])
-            deps = dependence.dep_measure_from_gamma(powers, gammas, spec)
-            for p, series in zip(powers, deps):
-                rows += [(v.psi, p.beta, dist, dep) for dist, dep in zip(distances, series)]
+            surfaces.append((v.psi, distances,
+                             dependence.dep_measure_from_gamma(powers, gammas, spec)))
+        rows = ((psi, p.beta, dist, dep) for psi, distances, deps in surfaces
+                for p, series in zip(powers, deps) for dist, dep in zip(distances, series))
         _write_csv(out_path, ["psi", "beta", "distance", "dependence"], rows)
 
     return run

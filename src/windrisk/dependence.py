@@ -28,11 +28,11 @@ The r integral of each term is a Gamma function, and theta = exp(s h) leaves
 
 with sig = b_j + b_k, D = 1 + 1/theta and L = log(C1/D) = log1p(-gap/D) <= 0.
 The gap D - C1 = Phi(-W) + Phi(-V)/theta comes from the scaled normal tail
-E(a) = Phi(-a) exp(a^2/2) at |W| and |V|, one call per kernel call: since
-phi(V) = theta phi(W), with m = |s| - h/2,
+E(a) = Phi(-a) exp(a^2/2) at W and |V|, one call per kernel call: since
+phi(V) = theta phi(W), with m = s - h/2 at s >= 0 (below),
 
-    gap = exp(-W^2/2) (E(W) + E(V))                                 m <= 0,
-    gap = exp(-max(s h, 0)) (1 - exp(-m^2/2) |E(|W|) - E(|V|)|)      m > 0,
+    gap = exp(-W^2/2) (E(W) + E(V))                         m <= 0,
+    gap = exp(-s h) (1 - exp(-m^2/2) |E(W) - E(|V|)|)       m > 0,
 
 where the subtracted term is at most half the first, so no term's
 integrand cancels: each is positive.  At each quadrature node the
@@ -61,14 +61,18 @@ phi(V) = theta phi(W), its coefficients collapse to C2 = Phi(W) Phi(V) /
 theta^2 and C3 = phi(W) / (h theta), and theta = exp(s h) turns it into a
 line integral of a positive integrand whose logarithm is cheap and stable.
 
-Both line integrals in s go through one routine, :func:`_line_integrals`,
-which takes the integrand as kernel(s, h) over arrays and, a fixed block
-of lags at a time, integrates the s > 0 half-lines of the block as the
-rows of one :func:`integrate_rows` call and their s < 0 half-lines as
-those of a second, whose first wave, the same nodes mirrored, comes from
-the first kernel call of the first: the covariance's pair kernel at every
-lag of a call, with one row component per power pair, and the
-display-form kernel of :func:`g_simple` at its one lag.
+The exponent function is symmetric in its two arguments (Husler & Reiss
+1989), so exchanging the sites takes theta to 1/theta and s to -s: each
+kernel obeys k[p1,p2](-s, h) = k[p2,p1](s, h), and its integral over the
+real line is the s > 0 half-line of the ordered pair (p1, p2) plus that of
+(p2, p1).  Where one power and margin sit at both sites, as in every
+dependence, the two are one half-line counted twice.  Both line integrals
+in s go through one routine, :func:`_line_integrals`, which takes the
+integrand as kernel(s, h) over arrays of s > 0 and, a fixed block of lags
+at a time, integrates their s > 0 half-lines as the rows of one
+:func:`integrate_rows` call, one row component per ordered pair: the
+covariance's pair kernel at every lag of a call, and the display-form
+kernel of :func:`g_simple` at its one lag.
 """
 
 from __future__ import annotations
@@ -109,7 +113,6 @@ __all__ = [
     "dep_measure_from_gamma",
     "cov_gev_xi_zero",
     "extremal_coefficient",
-    "extremal_coefficient_radial",
 ]
 
 # below this squared-variogram distance the h=0 branch is returned; the
@@ -211,59 +214,31 @@ def _breakpoints(h: float) -> list:
 _BLOCK_LANES = 120
 
 
-def _line_integrals(kernel, lags, spec: QuadSpec, width: int = 1):
+def _line_integrals(kernel, lags, spec: QuadSpec, width: int):
     """An iterator of one QuadResult per lag h > 0 of ``lags``: the
-    integral over the real line of ``kernel(s, h)``, a function of arrays s
-    and h of one shape that gives n values, or a (width, n) array of
-    ``width`` components that share each lag's mesh.
+    integral over the half-line s > 0 of ``kernel(s, h)``, a function of
+    arrays s >= 0 and h of one shape that gives a (width, n) array of
+    ``width`` components sharing each lag's mesh, such as the two ordered
+    pairs of a covariance (see the module docstring).  The fields of each
+    result are arrays of the components.
 
     The lags run in blocks of at most ``_BLOCK_LANES // width``, in order,
     each integrated when the iterator reaches it, so memory does not grow
-    with the number of lags; the first block that fails raises.  Within a
-    block, the s > 0 half-lines of all lags are the rows of one
-    :func:`integrate_rows` call and their s < 0 half-lines those of a
-    second, so each lag's value is the one it gets alone.  A lag's s < 0
-    half-line is integrated only once its s > 0 one has converged, as when
-    the lag is evaluated alone, so the first lag that fails raises the same
-    error and no refinement is spent past it.  The first wave of the s < 0
-    rows evaluates the initial panels of the s > 0 rows mirrored, so it is
-    taken from the first kernel call of the s > 0 rows, which evaluates
-    both: one kernel call instead of two.
+    with the number of lags.  A block's lags are the rows of one
+    :func:`integrate_rows` call, so each lag's value is the one it gets
+    alone, and the first block that fails raises the error of its first
+    failing lag, the one that lag raises alone.
     """
     step = max(1, _BLOCK_LANES // width)
     for i in range(0, len(lags), step):
-        yield from _line_block(kernel, lags[i:i + step], spec)
-
-
-def _line_block(kernel, lags, spec: QuadSpec) -> list:
-    """The results of :func:`_line_integrals` for one block of lags."""
-    bps = [_breakpoints(lag) for lag in lags]
-    lags = np.array(lags, dtype=float)
-    mirrored = {}
-
-    def positive(x, row):
-        if mirrored:
-            return kernel(x, lags[row])
-        both = kernel(np.concatenate([x, -x]), np.concatenate([lags[row]] * 2))
-        mirrored.update(x=x, values=both[..., len(x):])
-        return both[..., :len(x)]
-
-    def negative(x, row):
-        # the initial panels of the rows that reach it: a prefix of the first wave
-        first, mirrored["x"] = mirrored["x"], None
-        if first is not None and np.array_equal(x, first[:len(x)]):
-            return mirrored["values"][..., :len(x)]
-        return kernel(-x, lags[row])
-
-    pos = integrate_rows(positive, 0.0, math.inf, bps, spec)
-    n_ok = next((i for i, r in enumerate(pos) if not isinstance(r, QuadResult)), len(pos))
-    neg = integrate_rows(negative, 0.0, math.inf, bps[:n_ok], spec)
-    for r in neg + pos[n_ok:n_ok + 1]:
-        if not isinstance(r, QuadResult):
-            raise r
-    return [QuadResult(p.value + n.value, p.err_estimate + n.err_estimate,
-                       p.subdivisions + n.subdivisions, p.absolute_mode | n.absolute_mode)
-            for p, n in zip(pos, neg)]
+        block = lags[i:i + step]
+        rows = np.array(block, dtype=float)
+        results = integrate_rows(lambda x, row: kernel(x, rows[row]), 0.0, math.inf,
+                                 [_breakpoints(lag) for lag in block], spec)
+        failed = next((r for r in results if not isinstance(r, QuadResult)), None)
+        if failed is not None:
+            raise failed
+        yield from results
 
 
 def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
@@ -275,10 +250,12 @@ def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD
         raise DomainError(f"h must be >= 0, got {h}")
     if h < SMALL_H:
         return gamma(1.0 - beta1 - beta2)
-    b2 = float(beta2)
-    sig = float(beta1) + b2
+    sig = float(beta1) + float(beta2)
     lg2 = math.lgamma(2.0 - sig)
     lg1 = math.lgamma(1.0 - sig)
+    # the second power of each ordered pair: (beta1, beta2), and
+    # (beta2, beta1) unless it is the same
+    b2 = np.array([beta2] if beta1 == beta2 else [beta2, beta1], dtype=float).reshape(-1, 1)
 
     def kernel(s, h):
         w = h / 2.0 + s
@@ -290,7 +267,8 @@ def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD
         L2 = lg1 - 0.5 * w * w - _LOG_SQRT_2PI + b2 * sh + (sig - 1.0) * log_c1
         return np.exp(L1) + np.exp(L2)
 
-    return next(_line_integrals(kernel, [h], spec)).value
+    r = next(_line_integrals(kernel, [h], spec, len(b2)))
+    return float(r.value[0] + r.value[-1])
 
 
 def var_simple(beta: float) -> float:
@@ -398,17 +376,20 @@ def _log_power_cov(b1, b2):
 
 
 # the covariance kernel takes the nodes of a wave in chunks of this many, to
-# keep its arrays small: 64 new panels of 15 nodes, the most one row adds in
-# a wave, so a lone lag is one call, and no chunk is a lone node (numpy sums
-# the terms of a lone node pairwise, those of two or more in order)
+# keep its arrays small: 64 new panels of 15 nodes, the most one half-line
+# row adds in a wave (9 in its first), so each wave of a lone lag is one
+# call, and no chunk is a lone node (numpy sums the terms of a lone node
+# pairwise, those of two or more in order)
 _CHUNK_NODES = 960
 
 
 def _pair_kernel(pairs):
     """The Hoeffding integrands of the covariances of several pairs of
     derivative tables ``pairs``, a sequence of (d1, b1, d2, b2), as
-    kernel(s, h): h times each integrand at the nodes s of lags h (arrays
-    of one shape), a (len(pairs), n) array.
+    kernel(s, h): h times each integrand at the nodes s >= 0 of lags h
+    (arrays of one shape), a (len(pairs), n) array.  The values at s < 0
+    are those of the swapped pairs (d2, b2, d1, b1) at -s (see the module
+    docstring), so the kernel is only evaluated on the half-line s >= 0.
 
     The work that does not depend on the powers is done once a node: sh,
     log D, the scaled normal tail, the gap, L and -L/q, and one exprel per
@@ -452,12 +433,11 @@ def _pair_kernel(pairs):
         # half of 1/z1 + 1/z2; the gap as in the module docstring
         half_h = h / 2.0
         w, v = half_h + s, half_h - s
-        e = scaled_normal_tail(np.abs(np.concatenate([w, v])))
+        e = scaled_normal_tail(np.concatenate([w, np.abs(v)]))
         e_w, e_v = e[:len(s)], e[len(s):]
-        m = np.abs(s) - half_h
+        m = s - half_h
         log_gap = np.where(m <= 0.0, np.log(e_w + e_v) - 0.5 * w * w,
-                           np.log1p(-np.exp(-0.5 * m * m) * np.abs(e_w - e_v))
-                           - np.maximum(sh, 0.0))
+                           np.log1p(-np.exp(-0.5 * m * m) * np.abs(e_w - e_v)) - sh)
         log_q = log_gap - log_d
         # L = log1p(-q) and the factor -L/q, both from q raised to 1e-300:
         # below it exprel(sig L) is 1 at either q and -L/q rounds to 1
@@ -503,15 +483,19 @@ def _cov_at(p1, p2, spec: QuadSpec):
     function is the single place the covariance is evaluated: the
     closed-form variance below SMALL_H, its limit 0 at an infinite lag, the
     Hoeffding line integral in between, all lags and pairs in one call of
-    :func:`_line_integrals`, whose rows carry one component per pair.  So
-    each lag's value is the one it gets alone, and the first lag that fails
-    raises the error it raises alone.  A pair's value at a lag whose rows
-    converge in their first wave is the one it gets alone too; where they
-    refine, the pairs share the mesh their worst one asks for.
+    :func:`_line_integrals`, so each lag's value is the one it gets alone,
+    and the first lag that fails raises the error it raises alone.  A
+    pair's line integral is the sum of the s > 0 half-lines of its ordered
+    components (p1, p2) and (p2, p1), both on one row, or, where both sides
+    share a derivative table, of the one component (p1, p1) counted twice.
+    A pair's value at a lag whose row converges in its first wave is the
+    one it gets alone too; where it refines, the pairs share the mesh their
+    worst one asks for.
     """
     vector = not isinstance(p1, PowerSpec)
     pairs = list(zip(p1, p2)) if vector else [(p1, p2)]
-    tables, variances = [], []
+    # each pair's two ordered components, one index twice for a shared table
+    tables, variances, first, second = [], [], [], []
     for q1, q2 in pairs:
         table = _derivative_table(q1)
         _, d1, b1 = table
@@ -520,7 +504,11 @@ def _cov_at(p1, p2, spec: QuadSpec):
             wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
         variances.append(math.fsum(_finite(wts * _log_power_cov(b1, b2).ravel(),
                                            "a variance term")))
+        first.append(len(tables))
         tables.append((d1, b1, d2, b2))
+        if q2 != q1:
+            tables.append((d2, b2, d1, b1))
+        second.append(len(tables) - 1)
     width = len(pairs)
     at_zero = QuadResult(np.array(variances) if vector else variances[0], 0.0, 0)
     at_infinity = QuadResult(0.0, 0.0, 0)
@@ -528,18 +516,23 @@ def _cov_at(p1, p2, spec: QuadSpec):
 
     def kernel(s, h):
         if len(s) <= _CHUNK_NODES:
-            values = pair_kernel(s, h)
-        else:
-            values = np.concatenate([pair_kernel(s[i:i + _CHUNK_NODES], h[i:i + _CHUNK_NODES])
-                                     for i in range(0, len(s), _CHUNK_NODES)], axis=1)
-        return values if vector else values[0]
+            return pair_kernel(s, h)
+        return np.concatenate([pair_kernel(s[i:i + _CHUNK_NODES], h[i:i + _CHUNK_NODES])
+                               for i in range(0, len(s), _CHUNK_NODES)], axis=1)
+
+    def fold(r) -> QuadResult:
+        """The pairs' results from a lag's result over the components."""
+        parts = (r.value[first] + r.value[second], r.err_estimate[first] + r.err_estimate[second],
+                 r.absolute_mode[first] | r.absolute_mode[second])
+        value, err, absolute = parts if vector else (x[0].item() for x in parts)
+        return QuadResult(value, err, r.subdivisions, absolute)
 
     def cov(h) -> QuadResult:
         h = np.asarray(h, dtype=float)
         flat = h.ravel().tolist()
         # the closed form below SMALL_H and the limit 0 at an infinite lag
-        far = _line_integrals(
-            kernel, [lag for lag in flat if SMALL_H <= lag < math.inf], spec, width)
+        far = map(fold, _line_integrals(
+            kernel, [lag for lag in flat if SMALL_H <= lag < math.inf], spec, len(tables)))
         results = (at_zero if lag < SMALL_H else at_infinity if lag == math.inf else next(far)
                    for lag in flat)
         if not vector:
@@ -682,8 +675,3 @@ def extremal_coefficient(v: Variogram, x1, x2) -> float:
     """Pairwise extremal coefficient 2 Phi(sqrt(gamma_W(x2 - x1)) / 2) in [1, 2]."""
     g = float(v(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)))
     return 2.0 * norm_cdf(math.sqrt(g) / 2.0)
-
-
-def extremal_coefficient_radial(v: Variogram, h: float) -> float:
-    """Radial extremal coefficient for isotropic variograms."""
-    return 2.0 * norm_cdf(math.sqrt(v.radial(h)) / 2.0)

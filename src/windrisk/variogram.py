@@ -28,8 +28,6 @@ __all__ = [
     "power_m",
     "quadratic_form",
     "anisotropic_power",
-    "eval_variogram",
-    "eval_radial",
 ]
 
 _SPD_TOL = 1e-10
@@ -169,13 +167,3 @@ def anisotropic_power(m: float, sigma, psi: float) -> Variogram:
     return Variogram(
         kind="anisotropic_power", m=float(m), sigma=np.asarray(sigma, dtype=float), psi=float(psi)
     )
-
-
-def eval_variogram(v: Variogram, x) -> float:
-    """Functional alias for ``v(x)``."""
-    return v(x)
-
-
-def eval_radial(v: Variogram, h) -> float:
-    """Functional alias for ``v.radial(h)``."""
-    return v.radial(h)

@@ -193,10 +193,32 @@ class TestDepsurface:
             dep_measure_from_gamma(p, [power(1.0, 1.0).radial(d) for d in distances])
         assert main(["depsurface", "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 3
+        assert not (tmp_path / "o.csv").exists()
         assert capsys.readouterr().err == (
             f"numerical non-convergence: {alone.value}\n"
             f"best_estimate: {alone.value.best_estimate!r}\n"
             f"err_estimate: {alone.value.err_estimate!r}\n")
+
+    def test_writer_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # rows drawn from a generator are written one at a time
+        import tracemalloc
+
+        from windrisk.cli import _write_csv
+
+        def peak(n):
+            rows = ((1.5, 12, 0.1 * i, 1.0 / (i + 1)) for i in range(n))
+            tracemalloc.start()
+            try:
+                _write_csv(tmp_path / "o.csv", ["psi", "beta", "distance", "dependence"], rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a thousand rows fill the file's write buffer; a list of the rows
+        # would add about 130 bytes a row past it
+        few, many = peak(1_000), peak(100_000)
+        assert len((tmp_path / "o.csv").read_text().splitlines()) == 100_001
+        assert many - few <= 1024
 
     def test_decreasing_in_distance(self, depsurface_output):
         _, rows = depsurface_output

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import exprel, gammaln, log_ndtr, ndtr, zeta
 
 from windrisk import (
@@ -26,7 +27,6 @@ from windrisk import (
     dep_measure_from_gamma,
     disk,
     extremal_coefficient,
-    extremal_coefficient_radial,
     g_gev,
     g_simple,
     gamma,
@@ -212,6 +212,37 @@ class TestGSimple:
         assert g_simple(0.3, -0.7, 1.3) == pytest.approx(
             g_simple(-0.7, 0.3, 1.3), rel=1e-8
         )
+
+    @staticmethod
+    def display_kernel(b1, b2, s, h):
+        """h theta^(b2+1) [C2 C1^(sig-2) Gamma(2-sig) + C3 C1^(sig-1)
+        Gamma(1-sig)] at theta = exp(s h), the display form's integrand in
+        s, from the collapsed C2 and C3 in plain (not log) arithmetic."""
+        theta, w, v, sig = np.exp(s * h), h / 2.0 + s, h / 2.0 - s, b1 + b2
+        c1 = ndtr(w) + ndtr(v) / theta
+        c2 = ndtr(w) * ndtr(v) / theta**2
+        c3 = np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) / (h * theta)
+        return h * theta ** (b2 + 1.0) * (c2 * c1 ** (sig - 2.0) * gamma(2.0 - sig)
+                                          + c3 * c1 ** (sig - 1.0) * gamma(1.0 - sig))
+
+    def test_swapped_kernel_at_s_is_the_kernel_at_minus_s(self, monkeypatch):
+        # the two components g_simple integrates over s > 0 are its
+        # display-form kernel of (b1, b2) at s and at -s
+        kernels = []
+        original = dependence._line_integrals
+
+        def captured(kernel, lags, spec, width):
+            kernels.append(kernel)
+            return original(kernel, lags, spec, width)
+
+        monkeypatch.setattr(dependence, "_line_integrals", captured)
+        b1, b2 = 0.1, 0.3
+        for h in (0.05, 1.0, 8.0):
+            g_simple(b1, b2, h)
+            s = np.r_[0.0, np.geomspace(1e-3, min(20.0, 20.0 / h), 100)]
+            pair, swapped = kernels[-1](s, np.full_like(s, h))
+            np.testing.assert_allclose(pair, self.display_kernel(b1, b2, s, h), rtol=1e-13)
+            np.testing.assert_allclose(swapped, self.display_kernel(b1, b2, -s, h), rtol=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -551,16 +582,10 @@ class TestExtremalCoefficient:
             2.0 * phi1, rel=1e-13
         )
 
-    def test_radial_matches(self):
-        v = power(1.0, 1.3)
-        assert extremal_coefficient_radial(v, 2.0) == pytest.approx(
-            extremal_coefficient(v, [0.0, 0.0], [2.0, 0.0]), rel=1e-13
-        )
-
     def test_bounds(self):
         v = power(1.0, 0.5)
         for d in np.geomspace(1e-4, 1e8, 25):
-            val = extremal_coefficient_radial(v, float(d))
+            val = extremal_coefficient(v, [0.0, 0.0], [float(d), 0.0])
             assert 1.0 <= val <= 2.0
 
 
@@ -678,9 +703,17 @@ class TestHoeffdingCovariance:
         assert near_zero == pytest.approx(at_zero, rel=1e-8)
 
 
+def initial_subdivisions(lags):
+    """The subdivisions of each lag's initial half-line panels, one fewer
+    than the panels; 0 below SMALL_H, which takes no quadrature row."""
+    return np.array([len(dependence._breakpoints(h)) if h >= dependence.SMALL_H else 0
+                     for h in lags])
+
+
 class TestBatchedCovariance:
-    """The covariance of many lags is one quadrature call, each lag a pair
-    of rows; every lag's result is the one it gets alone, bit for bit."""
+    """The covariance of many lags is one quadrature call a block of lags,
+    each lag one s > 0 row; every lag's result is the one it gets alone,
+    bit for bit."""
 
     # 0, a lag below SMALL_H, and the psi = 2 study grid (sqrt(gamma) is the
     # distance there), whose shortest lags need refinement waves
@@ -736,41 +769,59 @@ class TestBatchedCovariance:
         assert np.all(res.subdivisions == 0)
 
     def test_study_grid_needs_refinement_waves(self, paper_gev):
-        # some lag is refined past its initial panels (at most 9 a half-line)
+        # some lag is refined past its initial panels
         p = PowerSpec.gev(6, paper_gev)
-        assert dependence._cov_at(p, p, QuadSpec())(self.LAGS).subdivisions.max() > 16
+        res = dependence._cov_at(p, p, QuadSpec())(self.LAGS)
+        assert (res.subdivisions > initial_subdivisions(self.LAGS)).any()
 
-    def test_first_call_evaluates_both_first_waves(self, paper_gev):
-        # the s < 0 rows' first wave is taken from the s > 0 rows' first
-        # kernel call, with the values each half-line gets alone
-        p = PowerSpec.gev(6, paper_gev)
-        _, d, b = dependence._derivative_table(p)
-        pair_kernel = dependence._pair_kernel([(d, b, d, b)])
-        calls = []
-
-        def pair(s, h):
-            return pair_kernel(s, h)[0]
-
-        def kernel(s, h):
-            calls.append(len(s))
-            return pair(s, h)
-
+    @pytest.mark.parametrize("name", ["gev6", "simple0.25", "mixed"])
+    def test_a_value_is_the_sum_of_its_ordered_half_lines(self, name):
+        # a same-power value is twice the s > 0 row of its one pair, and a
+        # mixed pair's the sum of the s > 0 rows of (p1, p2) and (p2, p1)
+        p1, p2 = self.CASES[name]
+        _, d1, b1 = dependence._derivative_table(p1)
+        _, d2, b2 = dependence._derivative_table(p2)
+        ordered = [(d1, b1, d2, b2)] + ([(d2, b2, d1, b1)] if p1 != p2 else [])
+        kernel = dependence._pair_kernel(ordered)
         lags = [0.1, 1.0, 4.0]
-        results = list(dependence._line_integrals(kernel, lags, QuadSpec()))
-        panels = [len(dependence._breakpoints(lag)) + 1 for lag in lags]
-        assert calls[0] == 2 * 15 * sum(panels)
-        # k initial panels a half-line, k - 1 of its subdivisions, and 2 new
-        # panels for every later one: no node is evaluated twice
-        splits = [r.subdivisions - 2 * (k - 1) for k, r in zip(panels, results)]
-        assert len(calls) > 1 and sum(splits) > 0
-        assert sum(calls) == 15 * (2 * sum(panels) + 2 * sum(splits))
-        for lag, r in zip(lags, results):
-            halves = [dependence.integrate_rows(
-                lambda x, row, sign=sign: pair(sign * x, np.full_like(x, lag)),
-                0.0, math.inf, [dependence._breakpoints(lag)], QuadSpec())[0]
-                for sign in (1.0, -1.0)]
-            assert r.value == halves[0].value + halves[1].value
-            assert r.subdivisions == halves[0].subdivisions + halves[1].subdivisions
+        cov = dependence._cov_at(p1, p2, QuadSpec())
+        for lag in lags:
+            row = dependence.integrate_rows(
+                lambda x, r: kernel(x, np.full_like(x, lag)), 0.0, math.inf,
+                [dependence._breakpoints(lag)], QuadSpec())[0]
+            res = cov(lag)
+            assert res.value == row.value[0] + row.value[-1]
+            assert res.err_estimate == row.err_estimate[0] + row.err_estimate[-1]
+            assert res.subdivisions == row.subdivisions
+
+    def test_kernels_see_only_s_above_zero_and_a_block_is_one_call(self, monkeypatch,
+                                                                    paper_gev):
+        # every kernel call is on the half-line s >= 0, and each block of
+        # lags is one integrate_rows call
+        calls, lowest = [], []
+        original = dependence.integrate_rows
+
+        def watched(f, a, b, breakpoints, spec):
+            def g(x, row):
+                lowest.append(x.min())
+                return f(x, row)
+
+            calls.append(len(breakpoints))
+            return original(g, a, b, breakpoints, spec)
+
+        monkeypatch.setattr(dependence, "integrate_rows", watched)
+        powers = [PowerSpec.gev(beta, paper_gev) for beta in range(1, 13)]
+        lags = self.LAGS[2:]
+        dependence._cov_at(powers, powers, QuadSpec())(lags)
+        assert calls == [10, 10, 10, 10]  # 120 lanes of 12 components a block
+        calls.clear()
+        p1, p2 = self.CASES["mixed"]
+        dependence._cov_at(p1, p2, QuadSpec())(lags)
+        assert calls == [len(lags)]  # two components a lag: one block
+        calls.clear()
+        g_simple(0.1, 0.3, 2.0)
+        assert calls == [1]
+        assert lowest and min(lowest) >= 0.0
 
     def test_mixed_pair_has_a_distinct_exponent_sum_per_term(self):
         _, _, b1 = dependence._derivative_table(self.CASES["mixed"][0])
@@ -855,13 +906,13 @@ class TestPowersOnOneMesh:
         np.testing.assert_allclose(batch, alone, rtol=2.0 * spec.rel_tol, atol=0.0)
         # the shared mesh of a lag is the one its worst power asks for
         cov = dependence._cov_at(self.POWERS, self.POWERS, spec)(np.sqrt(gammas))
-        refined = cov.subdivisions.max(axis=0) > 16
+        refined = cov.subdivisions.max(axis=0) > initial_subdivisions(np.sqrt(gammas))
         assert refined.any() and (batch[:, ~refined] == alone[:, ~refined]).all()
 
     def test_a_power_node_value_ignores_the_other_powers(self):
         tables = [dependence._derivative_table(p)[1:] for p in self.POWERS]
         pairs = [(d, b, d, b) for d, b in tables]
-        s = np.r_[-TestPairKernel.S, TestPairKernel.S]
+        s = np.r_[TestPairKernel.S, TestPairKernel.S]
         h = np.repeat([0.3, 3.0], len(TestPairKernel.S))
         together = dependence._pair_kernel(pairs)(s, h)
         for k, pair in enumerate(pairs):
@@ -932,7 +983,8 @@ def per_term_kernel(d1, b1, d2, b2, s, h):
 
 class TestPairKernel:
     """The covariance kernel, a bilinear form of the two derivative tables at
-    each node, against the per-term form it replaces."""
+    each node of the half-line s >= 0, against the per-term form it
+    replaces, which holds at either sign of s."""
 
     CASES = {
         **{f"gev{beta}": (PowerSpec.gev(beta, GevParams(ETA, TAU, XI)),) * 2
@@ -943,11 +995,12 @@ class TestPairKernel:
         "gumbel1": (PowerSpec.gev(1, GevParams(ETA, TAU, 0.0)),) * 2,
         "mixed": (PowerSpec.gev(3, GevParams(ETA, TAU, XI)),
                   PowerSpec.gev(2, GevParams(ETA, TAU, 0.05))),
+        "mixed-simple-gumbel": (PowerSpec.simple(0.25), PowerSpec.gev(1, GevParams(ETA, TAU, 0.0))),
     }
 
-    # q falls like exp(-|s| h): out past |s| h = 690, where it underflows and
+    # q falls like exp(-s h): out past s h = 690, where it underflows and
     # log(-L) takes its guard, at every lag
-    S = np.r_[-np.geomspace(1e5, 1e-4, 200), 0.0, np.geomspace(1e-4, 1e5, 200)]
+    S = np.r_[0.0, np.geomspace(1e-4, 1e5, 200)]
     LAGS = [0.05, 0.3, 1.0, 3.0, 10.0]
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -964,11 +1017,45 @@ class TestPairKernel:
         assert np.isfinite(value).all()
         assert np.all(np.abs(value - ref) <= np.maximum(1e-13 * np.abs(ref), rounding))
 
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_swapped_pair_at_s_is_the_pair_at_minus_s(self, name):
+        # exchanging the sites maps s to -s: k[p2,p1](s, h) = k[p1,p2](-s, h)
+        _, d1, b1 = dependence._derivative_table(self.CASES[name][0])
+        _, d2, b2 = dependence._derivative_table(self.CASES[name][1])
+        swapped = dependence._pair_kernel([(d2, b2, d1, b1)])
+        s, h = np.meshgrid(self.S, [0.05, 1.0, 8.0])
+        s, h = s.ravel(), h.ravel()
+        ref, rounding, _ = per_term_kernel(d1, b1, d2, b2, -s, h)
+        value = swapped(s, h)[0]
+        assert np.isfinite(value).all()
+        assert np.all(np.abs(value - ref) <= np.maximum(1e-13 * np.abs(ref), rounding))
+
+    @pytest.mark.parametrize("name", ["gev4", "simple0.25", "mixed", "mixed-simple-gumbel"])
+    def test_cov_gev_is_the_reference_over_the_real_line(self, name):
+        # one independent check of the half-line form: scipy's quad of the
+        # per-term form over the whole line, split at +-each breakpoint
+        p1, p2 = self.CASES[name]
+        _, d1, b1 = dependence._derivative_table(p1)
+        _, d2, b2 = dependence._derivative_table(p2)
+        spec = QuadSpec()
+        for distance in (0.09, 1.0, 16.0):
+            h = math.sqrt(distance)
+
+            def f(s):
+                return per_term_kernel(d1, b1, d2, b2, np.array([s]), np.array([h]))[0][0]
+
+            bps = dependence._breakpoints(h)
+            edges = [-math.inf] + sorted({0.0, *bps, *(-bp for bp in bps)}) + [math.inf]
+            ref = math.fsum(quad(f, lo, hi, epsrel=1e-12, limit=500)[0]
+                            for lo, hi in zip(edges, edges[1:]))
+            value = cov_gev(p1, p2, power(1.0, 1.0), [0.0, 0.0], [distance, 0.0], spec)
+            assert value == pytest.approx(ref, rel=10.0 * spec.rel_tol)
+
     def test_each_node_is_independent_of_the_others(self):
         p = self.CASES["gev12"][0]
         _, d, b = dependence._derivative_table(p)
         kernel = dependence._pair_kernel([(d, b, d, b)])
-        s = np.r_[-self.S, self.S]
+        s = np.r_[self.S, self.S]
         h = np.repeat([0.3, 3.0], len(self.S))
         together = kernel(s, h)
         half = len(self.S)

@@ -9,8 +9,6 @@ from windrisk import (
     DomainError,
     UnsupportedVariogramError,
     anisotropic_power,
-    eval_radial,
-    eval_variogram,
     power,
     power_m,
     quadratic_form,
@@ -119,9 +117,3 @@ def test_validation_errors():
         quadratic_form([[1.0, 0.5], [0.0, 1.0]])  # not symmetric
     with pytest.raises(DomainError):
         quadratic_form(np.eye(3))
-
-
-def test_functional_aliases():
-    v = power(1.0, 1.0)
-    assert eval_variogram(v, [3.0, 4.0]) == v([3.0, 4.0])
-    assert eval_radial(v, 2.0) == v.radial(2.0)

@@ -13,8 +13,9 @@ other, so that their timings do not compete.  ``--rel-tol`` runs the same
 queries again under ``QuadSpec(rel_tol=...)``, once per tolerance, as the
 benchmark's gate does; the default tolerance always runs.
 
-It prints, per tolerance, the outcome changes (a value against an error, or
-one error type against another), the value changes (count and largest
+It prints, per tolerance, the outcome changes, counted on one line by
+direction (value -> error, error -> value, error -> another error) and then
+listed, the value changes (count and largest
 relative difference of the queries that succeed in both trees) and, per
 outcome, each tree's query count and median time.
 
@@ -35,7 +36,7 @@ import os
 import statistics
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -160,6 +161,7 @@ def compare_study(parent, change):
 def compare(parent, change, tol):
     """Outcome changes, value changes and per-outcome times at one tolerance."""
     outcome_changes = []
+    directions = Counter()
     n_values = n_value_changes = 0
     max_rel = 0.0
     times = {"parent": defaultdict(list), "change": defaultdict(list)}
@@ -168,6 +170,8 @@ def compare(parent, change, tol):
             times["parent"][p[0]].append(p[2])
             times["change"][c[0]].append(c[2])
             if p[0] != c[0]:
+                directions["value -> error" if p[0] == "ok" else
+                           "error -> value" if c[0] == "ok" else "error -> another error"] += 1
                 outcome_changes.append(f"seed {key[0]} pass {key[1]} query {i}: {p[0]} -> {c[0]}")
             elif p[0] == "ok":
                 n_values += 1
@@ -175,7 +179,9 @@ def compare(parent, change, tol):
                     n_value_changes += 1
                     max_rel = max(max_rel, abs(c[1] - p[1]) / max(abs(p[1]), 1e-300))
     print(f"rel_tol {'default' if tol is None else tol}:")
-    print(f"  outcome changes: {len(outcome_changes)}")
+    counts = ", ".join(f"{d} {directions[d]}" for d in
+                       ("value -> error", "error -> value", "error -> another error"))
+    print(f"  outcome changes: {len(outcome_changes)} ({counts})")
     for line in outcome_changes[:10]:
         print(f"    {line}")
     print(f"  value changes: {n_value_changes} of {n_values} (max relative {max_rel:.3g})")
