@@ -5,12 +5,10 @@ from .dependence import (
     GevParams,
     PowerSpec,
     cov_gev,
-    cov_gev_xi_zero,
     cov_simple,
     dep_measure,
     dep_measure_from_gamma,
     extremal_coefficient,
-    g_gev,
     g_simple,
     var_gev,
     var_simple,
@@ -50,6 +48,7 @@ from .risk import (
     es_asymptotic,
     mean_cost,
     r2,
+    r2_curves,
     var_asymptotic,
 )
 from .simulate import (

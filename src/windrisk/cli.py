@@ -171,21 +171,29 @@ def load_config(path) -> dict:
     return normalize_config(raw)
 
 
-def _fmt(x) -> str:
-    """12 significant digits, '.' decimal separator."""
+# the text of a float cell: 12 significant digits, '.' decimal separator.
+# Every row format reads it when a CSV is written
+_FLOAT_CELL = "%.11e"
+
+
+def _cell(x) -> str:
+    """The text of one value as a CSV cell: an integer as it is, a float
+    by _FLOAT_CELL, anything else by str."""
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.11e}"
+        return "%d" % x
+    if isinstance(x, (float, np.floating)):
+        return _FLOAT_CELL % x
+    return str(x)
 
 
-def _write_csv(path, header, rows):
-    """Write ``header`` and ``rows``, an iterable of row sequences, each row
-    as it is drawn, so a generator of rows is never held whole."""
+def _write_csv(path, header, cells, rows):
+    """Write ``header`` and ``rows``, an iterable of row tuples, each row as
+    it is drawn, so a generator of rows is never held whole.  ``cells`` has
+    one letter per column: 's' text, 'd' an integer, 'f' a float."""
+    row_format = ",".join(_FLOAT_CELL if c == "f" else "%" + c for c in cells) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating, np.integer))
-                              else str(v) for v in row) + "\n")
+        fh.writelines(row_format % row for row in rows)
 
 
 def _region(block) -> Region:
@@ -299,7 +307,7 @@ def cmd_depsurface(block: dict):
                              dependence.dep_measure_from_gamma(powers, gammas, spec)))
         rows = ((psi, p.beta, dist, dep) for psi, distances, deps in surfaces
                 for p, series in zip(powers, deps) for dist, dep in zip(distances, series))
-        _write_csv(out_path, ["psi", "beta", "distance", "dependence"], rows)
+        _write_csv(out_path, ["psi", "beta", "distance", "dependence"], "fdff", rows)
 
     return run
 
@@ -313,17 +321,16 @@ def cmd_r2curves(block: dict):
                             _integer(lams["count"], "lam.count", 1)).tolist()
     lams = _lams(lams, "lam")
     regions = [Region(str(shape), float(block["R"])) for shape in _list(block["shapes"], "shapes")]
-    psis = _list(block["psi"], "psi")  # the CSV prints each psi as it was given
+    psis = _list(block["psi"], "psi")
     kappa = float(block["kappa"])
     variograms = [variogram.power(kappa, float(psi)) for psi in psis]
 
     def run(out_path):
-        rows = []
-        for region in regions:
-            for psi, v in zip(psis, variograms):
-                q = risk.RiskQuery(region=region, power=power, variogram=v, quad=spec)
-                rows += [(region.shape, psi, lam, risk.r2(q, lam)) for lam in lams]
-        _write_csv(out_path, ["shape", "psi", "lam", "r2"], rows)
+        # one quadrature call per region; the CSV prints each psi as it was given
+        curves = [risk.r2_curves(region, power, variograms, lams, spec) for region in regions]
+        rows = [(region.shape, _cell(psi), lam, r2) for region, r2s in zip(regions, curves)
+                for psi, row in zip(psis, r2s.tolist()) for lam, r2 in zip(lams, row)]
+        _write_csv(out_path, ["shape", "psi", "lam", "r2"], "ssff", rows)
 
     return run
 
@@ -354,8 +361,8 @@ def cmd_riskreport(block: dict):
                 row = [f"{region.shape}_R{region.R:g}", lam, clt.mean, clt.sd]
                 for a in alphas:
                     row += [clt.var(a), clt.es(a)]
-                rows.append(row)
-        _write_csv(out_path, header, rows)
+                rows.append(tuple(row))
+        _write_csv(out_path, header, "s" + "f" * (len(header) - 1), rows)
 
     return run
 
@@ -400,14 +407,14 @@ def cmd_simulate(block: dict):
         rows = []
         mean_est = simulate.mc_risk(losses, "mean", seed=seed)
         var_est = simulate.mc_risk(losses, "variance", seed=seed)
-        rows.append(["mean", "", mean_est.value, mean_est.std_error])
-        rows.append(["variance", "", var_est.value, var_est.std_error])
+        rows.append(("mean", "", mean_est.value, mean_est.std_error))
+        rows.append(("variance", "", var_est.value, var_est.std_error))
         for a in alphas:
             var_a = simulate.mc_risk(losses, "var", alpha=a, seed=seed)
             es_a = simulate.mc_risk(losses, "es", alpha=a, seed=seed)
-            rows.append(["var", f"{a:g}", var_a.value, var_a.std_error])
-            rows.append(["es", f"{a:g}", es_a.value, es_a.std_error])
-        _write_csv(out_path, ["measure", "alpha", "estimate", "std_error"], rows)
+            rows.append(("var", f"{a:g}", var_a.value, var_a.std_error))
+            rows.append(("es", f"{a:g}", es_a.value, es_a.std_error))
+        _write_csv(out_path, ["measure", "alpha", "estimate", "std_error"], "ssff", rows)
 
     return run
 

@@ -105,13 +105,11 @@ __all__ = [
     "g_simple",
     "cov_simple",
     "var_simple",
-    "g_gev",
     "cov_gev",
     "var_gev",
     "first_moment",
     "dep_measure",
     "dep_measure_from_gamma",
-    "cov_gev_xi_zero",
     "extremal_coefficient",
 ]
 
@@ -551,17 +549,6 @@ def _cov_at(p1, p2, spec: QuadSpec):
     return cov
 
 
-def g_gev(p: PowerSpec, h: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Second moment E[Z(x1)^beta Z(x2)^beta] for equal GEV margins at both
-    sites: the covariance plus the squared mean."""
-    if p.is_simple:
-        raise DomainError("g_gev requires GEV margins; use g_simple instead")
-    _require_moments(p, 2)
-    if h < 0.0:
-        raise DomainError(f"h must be >= 0, got {h}")
-    return _cov_at(p, p, spec)(h).value + first_moment(p) ** 2
-
-
 def first_moment(p: PowerSpec) -> float:
     """E[Z(0)^beta] for either margin mode."""
     _require_moments(p, 1)
@@ -576,14 +563,6 @@ def var_gev(p: PowerSpec) -> float:
     return _cov_at(p, p, DEFAULT_QUAD)(0.0).value
 
 
-def _cov_result(p1: PowerSpec, p2: PowerSpec, v: Variogram, x1, x2,
-                spec: QuadSpec) -> QuadResult:
-    _require_moments(p1, 2)
-    _require_moments(p2, 2)
-    h = math.sqrt(v(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)))
-    return _cov_at(p1, p2, spec)(h)
-
-
 def cov_gev(
     p1: PowerSpec,
     p2: PowerSpec,
@@ -593,7 +572,10 @@ def cov_gev(
     spec: QuadSpec = DEFAULT_QUAD,
 ) -> float:
     """Cov(Z(x1)^beta1, Z(x2)^beta2) with per-site power and margin specs."""
-    return _cov_result(p1, p2, v, x1, x2, spec).value
+    _require_moments(p1, 2)
+    _require_moments(p2, 2)
+    h = math.sqrt(v(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)))
+    return _cov_at(p1, p2, spec)(h).value
 
 
 def dep_measure(
@@ -649,26 +631,6 @@ def _dependence(p, gamma_value, spec: QuadSpec):
     if not isinstance(p, PowerSpec):
         variance = variance.reshape((-1,) + (1,) * np.ndim(gamma_value))
     return cov(np.sqrt(gamma_value)).value / variance
-
-
-def cov_gev_xi_zero(
-    beta: int,
-    eta: float,
-    tau: float,
-    v: Variogram,
-    x1,
-    x2,
-    spec: QuadSpec = DEFAULT_QUAD,
-    return_err: bool = False,
-):
-    """Gumbel-margin (xi = 0) covariance: :func:`cov_gev` with xi = 0.
-
-    Supported for beta = 1; beta >= 2 raises DomainError.  With
-    ``return_err`` the quadrature's error estimate is returned as well.
-    """
-    p = PowerSpec.gev(beta, GevParams(eta, tau, 0.0))
-    res = _cov_result(p, p, v, x1, x2, spec)
-    return (res.value, res.err_estimate) if return_err else res.value
 
 
 def extremal_coefficient(v: Variogram, x1, x2) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "area",
     "disk_distance_density",
     "square_distance_density",
-    "square_distance_density_naive",
 ]
 
 _SHAPES = ("disk", "square")
@@ -139,22 +138,3 @@ def square_distance_density(h, R: float):
     out = np.where(t <= 1.0, first, np.where(b <= 2.0, second, 0.0))
     return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
 
-
-def square_distance_density_naive(h: float, R: float) -> float:
-    """Second branch evaluated term by term as displayed (h in (R, R sqrt 2)).
-
-    Kept for validation of the stabilized bracket; loses all precision as
-    h -> R and must not be used in production paths.
-    """
-    b = h * h / (R * R)
-    if not 1.0 < b <= 2.0:
-        raise DomainError(f"naive branch requires h in (R, R*sqrt(2)], got h={h}")
-    bracket = (
-        -2.0
-        - b
-        + 3.0 * math.sqrt(b - 1.0)
-        + (b + 1.0) / math.sqrt(b - 1.0)
-        + 2.0 * math.asin((2.0 - b) / b)
-        - 4.0 / (b * math.sqrt(1.0 - (2.0 - b) ** 2 / b**2))
-    )
-    return bracket * 2.0 * h / R**2

@@ -24,14 +24,15 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .dependence import SMALL_H, PowerSpec, _cov_at, _require_moments, first_moment
-from .errors import ConvergenceError, DomainError, UnsupportedVariogramError
+from .errors import ConvergenceError, DomainError, UnsupportedVariogramError, WindriskError
 from .geometry import Region, disk_distance_density, square_distance_density
-from .numerics import DEFAULT_QUAD, QuadSpec, integrate, norm_pdf, norm_quantile
+from .numerics import DEFAULT_QUAD, QuadSpec, integrate, integrate_rows, norm_pdf, norm_quantile
 from .variogram import Variogram
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "CltApprox",
     "mean_cost",
     "r2",
+    "r2_curves",
     "asymptotic_cov_integral",
     "clt_approx",
     "var_asymptotic",
@@ -261,37 +263,66 @@ def _cov_table(p: PowerSpec, spec: QuadSpec) -> _CovTable:
 
 
 def r2(q: RiskQuery, lam: float) -> float:
-    """Var(L_N(lambda A, C)) for A a disk or square, by the 1-D reduction."""
-    _require_positive_lam(lam)
-    _require_isotropic(q.variogram)
-    _require_moments(q.power, 2)
+    """Var(L_N(lambda A, C)) for A a disk or square, by the 1-D reduction;
+    the one-row case of :func:`r2_curves`."""
+    return float(r2_curves(q.region, q.power, [q.variogram], [lam], q.quad)[0, 0])
 
-    R = q.region.scaled_size
-    if q.region.shape == "disk":
+
+def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
+              lams: Sequence[float], quad: QuadSpec = DEFAULT_QUAD) -> np.ndarray:
+    """Var(L_N(lam A, C)) for every variogram and lam: a (len(variograms),
+    len(lams)) array from one quadrature call.
+
+    Each (variogram, lam) pair is one row of :func:`integrate_rows`, with
+    its own breakpoints and mesh, so each value is the one the pair gets
+    alone.  The inputs are checked first; then the first failing row, in
+    variogram-major, lam-minor order, raises its own error.
+    """
+    lams = [float(lam) for lam in lams]
+    variograms = list(variograms)
+    for lam in lams:
+        _require_positive_lam(lam)
+    for v in variograms:
+        _require_isotropic(v)
+    _require_moments(power, 2)
+    out = np.zeros((len(variograms), len(lams)))
+    if not out.size:
+        return out
+
+    R = region.scaled_size
+    if region.shape == "disk":
         density, h_max = (lambda h: disk_distance_density(h, R)), 2.0 * R
     else:
         density, h_max = (lambda h: square_distance_density(h, R)), R * math.sqrt(2.0)
 
     # the distance density integrates to one, so the squared mean drops out
     # and the density is integrated against the covariance itself
-    table = _cov_table(q.power, q.quad)
-    v = q.variogram
+    table = _cov_table(power, quad)
+    row_lams = np.tile(lams, len(variograms))
 
-    def integrand(h):
-        h = np.asarray(h, dtype=float)
-        return density(h) * table(np.sqrt(v.radial(lam * h)))
+    def integrand(h, rows):
+        which = rows // len(lams)
+        gammas = np.empty_like(h)
+        for j, v in enumerate(variograms):
+            at = which == j
+            gammas[at] = v.radial(row_lams[rows[at]] * h[at])
+        return density(h) * table(np.sqrt(gammas))
 
     # seed the subdivision where the pair function still moves: the
     # covariance decays on the scale sqrt(gamma(lam h)) ~ a few
-    bps = []
-    for target in (0.5, 1.0, 2.0, 4.0, 8.0):
-        d = _invert_radial(q.variogram, target * target)
-        if d is not None and 0.0 < d / lam < h_max:
-            bps.append(d / lam)
+    breakpoints = []
+    for v in variograms:
+        ds = [_invert_radial(v, target * target) for target in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        breakpoints += [[d / lam for d in ds if d is not None and 0.0 < d / lam < h_max]
+                        for lam in lams]
     outer = replace(
-        q.quad, abs_floor=max(q.quad.abs_floor, q.quad.rel_tol * table.variance * 1e-3)
+        quad, abs_floor=max(quad.abs_floor, quad.rel_tol * table.variance * 1e-3)
     )
-    return integrate(integrand, 0.0, h_max, outer, breakpoints=bps).value
+    for i, result in enumerate(integrate_rows(integrand, 0.0, h_max, breakpoints, outer)):
+        if isinstance(result, WindriskError):
+            raise result
+        out.flat[i] = result.value
+    return out
 
 
 def _invert_radial(v: Variogram, gamma_target: float):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from windrisk import GevParams, PowerSpec
+from windrisk import GevParams, PowerSpec, Variogram
 
 # parameters of the reference wind study
 ETA, TAU, XI = 30.0, 3.0, -0.2
@@ -17,6 +17,16 @@ def paper_gev() -> GevParams:
 @pytest.fixture(scope="session")
 def paper_power(paper_gev) -> PowerSpec:
     return PowerSpec.gev(1, paper_gev)
+
+
+class RoughPast(Variogram):
+    """power(1, 1) plus sin(1e5 d)^2 from distance 5 on: an r2 row whose
+    lam A reaches that distance cannot converge, and the others can.
+    Build it as ``RoughPast(kind="power")``."""
+
+    def radial(self, h):
+        h = np.asarray(h, dtype=float)
+        return h + np.where(h > 5.0, np.sin(1e5 * h) ** 2, 0.0)
 
 
 def covariance_with_se(x: np.ndarray, y: np.ndarray):

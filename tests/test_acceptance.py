@@ -132,7 +132,9 @@ def test_criterion_05_monotonicity_suite():
         dists = np.geomspace(0.01, d_max, 40)
         g_s = [wr.g_simple(0.25, 0.25, math.sqrt(v.radial(d))) for d in dists]
         assert all(b < a for a, b in zip(g_s, g_s[1:])), f"g_simple psi={psi}"
-        g_g = [wr.g_gev(P1, math.sqrt(v.radial(d))) for d in dists]
+        # the second moment: the covariance plus the squared mean
+        g_g = [wr.cov_gev(P1, P1, v, [0.0, 0.0], [d, 0.0]) + wr.mean_cost(P1) ** 2
+               for d in dists]
         assert all(b < a for a, b in zip(g_g, g_g[1:])), f"g_gev psi={psi}"
         dep = [wr.dep_measure_from_gamma(P1, v.radial(d)) for d in dists]
         assert all(b < a for a, b in zip(dep, dep[1:])), f"dep_measure psi={psi}"
@@ -357,10 +359,11 @@ def test_criterion_13_xi_zero_continuity():
         wr.PowerSpec.gev(1, wr.GevParams(ETA, TAU, -1e-4)),
         wr.PowerSpec.gev(1, wr.GevParams(ETA, TAU, -1e-4)), v, x1, x2
     )
-    cov_zero = wr.cov_gev_xi_zero(1, ETA, TAU, v, x1, x2)
+    gumbel = wr.PowerSpec.gev(1, wr.GevParams(ETA, TAU, 0.0))
+    cov_zero = wr.cov_gev(gumbel, gumbel, v, x1, x2)
     assert abs(cov_pos - cov_neg) <= 1e-2 * abs(cov_zero)
 
-    gumbel_var = wr.cov_gev_xi_zero(1, ETA, TAU, v, x1, x1)
+    gumbel_var = wr.cov_gev(gumbel, gumbel, v, x1, x1)
     exact = TAU**2 * math.pi**2 / 6.0
     assert abs(gumbel_var - exact) <= 1e-6 * exact
     _passline(13, f"|cov(+eps) - cov(-eps)| = {abs(cov_pos-cov_neg):.2e} <= "

@@ -24,7 +24,7 @@ from windrisk import dependence, simulate
 from windrisk.cli import DEFAULT_CONFIG, load_config, main, normalize_config
 from windrisk.errors import ConfigError, ConvergenceError
 
-from conftest import ETA, TAU, XI
+from conftest import ETA, TAU, XI, RoughPast
 
 
 SMALL_DEPSURFACE = {
@@ -209,7 +209,8 @@ class TestDepsurface:
             rows = ((1.5, 12, 0.1 * i, 1.0 / (i + 1)) for i in range(n))
             tracemalloc.start()
             try:
-                _write_csv(tmp_path / "o.csv", ["psi", "beta", "distance", "dependence"], rows)
+                _write_csv(tmp_path / "o.csv", ["psi", "beta", "distance", "dependence"], "fdff",
+                           rows)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -248,6 +249,44 @@ class TestR2Curves:
         _, rows = r2curves_output
         p = PowerSpec.gev(1, GevParams(ETA, TAU, XI))
         assert float(rows[0][3]) == pytest.approx(var_gev(p), rel=1e-3)
+
+    def test_one_quadrature_call_per_region(self, tmp_path, monkeypatch):
+        # counted through risk's own binding: the covariance table's
+        # quadrature, in dependence, is not an r2 call
+        rows = []
+        original = risk.integrate_rows
+
+        def counted(f, a, b, breakpoints, spec):
+            rows.append(len(breakpoints))
+            return original(f, a, b, breakpoints, spec)
+
+        monkeypatch.setattr(risk, "integrate_rows", counted)
+        out = tmp_path / "r2.csv"
+        assert main(["r2curves", "--out", str(out)]) == 0
+        assert rows == [4 * 25, 4 * 25]  # disk and square: every psi and lam
+        assert len(read_csv(out)[1]) == 200
+
+    def test_first_failing_row_decides(self, tmp_path, monkeypatch, capsys):
+        # the psi = 1 variogram made rough from distance 5 on: its rows at
+        # lam 10 and 20 fail, and the lam = 10 row's own error ends the run
+        rough = RoughPast(kind="power")
+
+        def rough_at_one(kappa, psi):
+            return rough if psi == 1.0 else power(kappa, psi)
+
+        monkeypatch.setattr("windrisk.variogram.power", rough_at_one)
+        p = PowerSpec.gev(1, GevParams(ETA, TAU, XI))
+        with pytest.raises(ConvergenceError) as alone:
+            risk.r2(RiskQuery(disk(1.0), p, rough), 10.0)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"r2curves": {
+            "psi": [0.5, 1.0, 1.5], "shapes": ["disk"], "lam": [1.0, 10.0, 20.0]}}))
+        assert main(["r2curves", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+        assert not (tmp_path / "o.csv").exists()
+        assert capsys.readouterr().err == (
+            f"numerical non-convergence: {alone.value}\n"
+            f"best_estimate: {alone.value.best_estimate!r}\n"
+            f"err_estimate: {alone.value.err_estimate!r}\n")
 
 
 @pytest.fixture(scope="module")
@@ -536,7 +575,7 @@ class TestConfigReadBeforeComputing:
         def computed(*args, **kwargs):
             pytest.fail("computed before the config was read")
 
-        for name in ("asymptotic_cov_integral", "r2"):
+        for name in ("asymptotic_cov_integral", "r2", "r2_curves"):
             monkeypatch.setattr(risk, name, computed)
         monkeypatch.setattr(simulate, "simulate_smith", computed)
         monkeypatch.setattr(dependence, "dep_measure_from_gamma", computed)

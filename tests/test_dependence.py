@@ -21,13 +21,11 @@ from windrisk import (
     asymptotic_cov_integral,
     clt_approx,
     cov_gev,
-    cov_gev_xi_zero,
     cov_simple,
     dep_measure,
     dep_measure_from_gamma,
     disk,
     extremal_coefficient,
-    g_gev,
     g_simple,
     gamma,
     mean_cost,
@@ -43,6 +41,18 @@ from windrisk import (
 from windrisk import dependence, risk
 
 from conftest import ETA, TAU, XI
+
+
+def g_gev(p: PowerSpec, h: float) -> float:
+    """E[Z(x1)^beta Z(x2)^beta] at the variogram-root lag h, for equal
+    margins at both sites: the covariance plus the squared mean."""
+    return cov_gev(p, p, power(1.0, 2.0), [0.0, 0.0], [h, 0.0]) + mean_cost(p) ** 2
+
+
+def gumbel(beta: int) -> PowerSpec:
+    """Z^beta with the paper's location and scale and xi = 0."""
+    return PowerSpec.gev(beta, GevParams(ETA, TAU, 0.0))
+
 
 # ---------------------------------------------------------------------------
 # frozen oracle values
@@ -361,10 +371,6 @@ class TestGGev:
         with pytest.raises(DomainError):
             g_gev(PowerSpec.gev(2, GevParams(30.0, 3.0, 0.3)), 1.0)
 
-    def test_simple_mode_rejected(self):
-        with pytest.raises(DomainError):
-            g_gev(PowerSpec.simple(0.2), 1.0)
-
 
 class TestVarGev:
     def test_beta_one_closed_form(self, paper_gev):
@@ -542,14 +548,14 @@ class TestDepMeasure:
 class TestXiZero:
     def test_gumbel_variance(self, paper_gev):
         v = power(1.0, 1.0)
-        val = cov_gev_xi_zero(1, ETA, TAU, v, [0.0, 0.0], [0.0, 0.0])
+        val = cov_gev(gumbel(1), gumbel(1), v, [0.0, 0.0], [0.0, 0.0])
         assert val == pytest.approx(TAU**2 * math.pi**2 / 6.0, rel=1e-6)
 
     def test_error_estimate_returned(self):
-        v = power(1.0, 1.0)
-        val, err = cov_gev_xi_zero(1, ETA, TAU, v, [0.0, 0.0], [1.0, 0.0], return_err=True)
-        assert val > 0.0
-        assert err < 1e-2 * val
+        # lag 1 of the psi = 1 variogram at unit distance
+        res = dependence._cov_at(gumbel(1), gumbel(1), QuadSpec())(1.0)
+        assert res.value > 0.0
+        assert res.err_estimate < 1e-2 * res.value
 
     def test_gev_ops_accept_xi_zero(self):
         gumbel = GevParams(ETA, TAU, 0.0)
@@ -560,9 +566,8 @@ class TestXiZero:
         assert 0.0 < c < var_gev(p)
 
     def test_beta_validation(self):
-        v = power(1.0, 1.0)
         with pytest.raises(DomainError):
-            cov_gev_xi_zero(0, ETA, TAU, v, [0.0, 0.0], [1.0, 0.0])
+            gumbel(0)
 
 
 class TestExtremalCoefficient:
@@ -657,7 +662,8 @@ class TestHoeffdingCovariance:
             pytest.fail("computed for an unsupported margin")
 
         monkeypatch.setattr(dependence, "integrate_rows", computed)
-        monkeypatch.setattr(risk, "integrate", computed)
+        for name in ("integrate", "integrate_rows"):
+            monkeypatch.setattr(risk, name, computed)
         for module in (dependence, risk):
             monkeypatch.setattr(module, "_cov_at", computed)
         p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))  # the spec itself is valid
@@ -666,10 +672,8 @@ class TestHoeffdingCovariance:
         for op in (
             lambda: var_gev(p),
             lambda: mean_cost(p),
-            lambda: g_gev(p, 1.0),
             lambda: cov_gev(p, p, v, [0.0, 0.0], [1.0, 0.0]),
             lambda: dep_measure(p, v, [0.0, 0.0], [1.0, 0.0]),
-            lambda: cov_gev_xi_zero(2, ETA, TAU, v, [0.0, 0.0], [1.0, 0.0]),
             lambda: r2(q, 1.0),
             lambda: asymptotic_cov_integral(p, v),
             lambda: clt_approx(q, 10.0),

@@ -15,7 +15,23 @@ from windrisk import (
     square,
     square_distance_density,
 )
-from windrisk.geometry import square_distance_density_naive
+
+def square_distance_density_naive(h: float, R: float) -> float:
+    """Second branch of the square's density evaluated term by term as
+    displayed (h in (R, R sqrt 2]): the oracle of the stabilized bracket.
+    It loses all precision as h -> R."""
+    b = h * h / (R * R)
+    if not 1.0 < b <= 2.0:
+        raise DomainError(f"naive branch requires h in (R, R*sqrt(2)], got h={h}")
+    bracket = (
+        -2.0
+        - b
+        + 3.0 * math.sqrt(b - 1.0)
+        + (b + 1.0) / math.sqrt(b - 1.0)
+        + 2.0 * math.asin((2.0 - b) / b)
+        - 4.0 / (b * math.sqrt(1.0 - (2.0 - b) ** 2 / b**2))
+    )
+    return bracket * 2.0 * h / R**2
 
 # Frozen from the 1e7-pair MC histogram oracle (bin [1.195, 1.205), unit
 # square, seed 2024, 2847 hits): empirical density 0.02847, standard error

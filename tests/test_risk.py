@@ -26,6 +26,7 @@ from windrisk import (
     power,
     quadratic_form,
     r2,
+    r2_curves,
     square,
     var_asymptotic,
     var_gev,
@@ -35,7 +36,7 @@ from windrisk import risk
 from windrisk.geometry import disk_distance_density
 from windrisk.numerics import QuadResult, integrate
 
-from conftest import ETA, TAU, XI
+from conftest import ETA, TAU, XI, RoughPast
 
 
 class TestMeanCost:
@@ -131,6 +132,72 @@ class TestR2:
         # this large has the variance K/(lam^2 area), which underflows to 0
         q = RiskQuery(region=region, power=PowerSpec.gev(1, paper_gev), variogram=power(1.0, 1.0))
         assert r2(q, 1.0) == 0.0
+
+class TestR2Curves:
+    # psi 1e-3 with lam = 1 is the breakpoint overflow of
+    # TestR2::test_tiny_psi_breakpoints_overflow_quietly
+    LAMS = [0.1, 0.5, 1.0, 3.7, 10.0, 25.0]
+    VARIOGRAMS = [power(1.0, psi) for psi in (0.5, 1.0, 1.5, 2.0, 1e-3)]
+
+    @staticmethod
+    def never(*args, **kwargs):
+        pytest.fail("computed")
+
+    @pytest.mark.parametrize("region", [disk(1.0), square(1.0)], ids=["disk", "square"])
+    @pytest.mark.parametrize("p", [
+        PowerSpec.gev(1, GevParams(ETA, TAU, XI)),
+        PowerSpec.gev(6, GevParams(ETA, TAU, XI)),
+        PowerSpec.simple(0.25),
+    ], ids=["gev1", "gev6", "simple"])
+    def test_equals_per_call_r2_bit_for_bit(self, region, p):
+        # each (variogram, lam) row keeps its own mesh, so batching moves no bit
+        curves = r2_curves(region, p, self.VARIOGRAMS, self.LAMS)
+        alone = [[r2(RiskQuery(region, p, v), lam) for lam in self.LAMS]
+                 for v in self.VARIOGRAMS]
+        assert curves.shape == (len(self.VARIOGRAMS), len(self.LAMS))
+        assert curves.tolist() == alone
+
+    def test_one_quadrature_call(self, paper_power, monkeypatch):
+        calls = []
+        original = risk.integrate_rows
+
+        def counted(f, a, b, breakpoints, spec):
+            calls.append(len(breakpoints))
+            return original(f, a, b, breakpoints, spec)
+
+        monkeypatch.setattr(risk, "integrate_rows", counted)
+        r2_curves(disk(1.0), paper_power, self.VARIOGRAMS, self.LAMS)
+        assert calls == [len(self.VARIOGRAMS) * len(self.LAMS)]
+
+    def test_empty_grid_computes_nothing(self, paper_power, monkeypatch):
+        monkeypatch.setattr(risk, "_cov_table", self.never)
+        assert r2_curves(disk(1.0), paper_power, [], self.LAMS).shape == (0, len(self.LAMS))
+        assert r2_curves(disk(1.0), paper_power, self.VARIOGRAMS, []).shape == (5, 0)
+
+    def test_inputs_checked_before_computing(self, paper_power, monkeypatch):
+        monkeypatch.setattr(risk, "_cov_table", self.never)
+        with pytest.raises(DomainError):
+            r2_curves(disk(1.0), paper_power, self.VARIOGRAMS, [1.0, 0.0])
+        aniso = anisotropic_power(1.0, [[1.0, 0.2], [0.2, 1.0]], 1.0)
+        with pytest.raises(UnsupportedVariogramError):
+            r2_curves(disk(1.0), paper_power, [power(1.0, 1.0), aniso], [1.0])
+
+    def test_middle_row_failure_raises_its_own_error(self, paper_power):
+        # rows (rough, 10) and (rough, 20) fail, each with its own estimate;
+        # the first in variogram-major, lam-minor order decides
+        rough = RoughPast(kind="power")
+        with pytest.raises(ConvergenceError) as alone:
+            r2(RiskQuery(disk(1.0), paper_power, rough), 10.0)
+        with pytest.raises(ConvergenceError) as later:
+            r2(RiskQuery(disk(1.0), paper_power, rough), 20.0)
+        assert later.value.best_estimate != alone.value.best_estimate
+        with pytest.raises(ConvergenceError) as batch:
+            r2_curves(disk(1.0), paper_power, [power(1.0, 1.0), rough, power(1.0, 1.5)],
+                      [1.0, 10.0, 20.0])
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.best_estimate == alone.value.best_estimate
+        assert batch.value.err_estimate == alone.value.err_estimate
+
 
 class TestAsymptoticCovIntegral:
     def test_positive(self, paper_gev):

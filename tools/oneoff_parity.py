@@ -21,8 +21,9 @@ outcome, each tree's query count and median time.
 
 ``--study`` runs instead the CLI commands of the study variants of
 ``perfbench.workloads.study_commands`` (all 8 by default), in-process as the
-benchmark runs them, with every CSV cell written with all 17 significant
-digits, so that a cell differs exactly where its double does.  It prints,
+benchmark runs them, and then depsurface, r2curves and riskreport at their
+default config (``*_default``), with every CSV cell written with all 17
+significant digits, so that a cell differs exactly where its double does.  It prints,
 per command, the exit-code changes, how many cells differ and the largest
 relative difference, and each tree's median time.
 
@@ -79,20 +80,26 @@ from perfbench.workloads import KEY_COLUMNS, read_csv, run_cli, study_commands
 
 if not Path(wr.__file__).resolve().is_relative_to(sys.argv[2]):
     raise SystemExit(f"imported windrisk from {wr.__file__}, not from {sys.argv[2]}")
-fmt = cli._fmt
-cli._fmt = lambda x: fmt(x) if isinstance(x, int) else f"{float(x):.16e}"
+if hasattr(cli, "_FLOAT_CELL"):
+    cli._FLOAT_CELL = "%.16e"
+else:  # a tree that formats its CSVs cell by cell
+    fmt = cli._fmt
+    cli._fmt = lambda x: fmt(x) if isinstance(x, int) else f"{float(x):.16e}"
+# every study variant's commands, then each command at its default config
+runs = [(variant, label, command, config) for variant in json.loads(sys.argv[1])
+        for label, command, config in study_commands(variant)]
+runs += [("default", command + "_default", command, {}) for command in KEY_COLUMNS]
 with tempfile.TemporaryDirectory() as tmp:
-    for variant in json.loads(sys.argv[1]):
-        for label, command, config in study_commands(variant):
-            config_path, out_path = Path(tmp, label + ".json"), Path(tmp, label + ".csv")
-            config_path.write_text(json.dumps(config))
-            t0 = time.perf_counter()
-            code = run_cli(command, config_path, out_path)
-            dt = time.perf_counter() - t0
-            k = KEY_COLUMNS[command]
-            rows = [[r[:k], r[k:]] for r in read_csv(out_path)[1]] if code == 0 else []
-            print(json.dumps([variant, label, code, rows, dt]))
-            out_path.unlink(missing_ok=True)
+    for variant, label, command, config in runs:
+        config_path, out_path = Path(tmp, label + ".json"), Path(tmp, label + ".csv")
+        config_path.write_text(json.dumps(config))
+        t0 = time.perf_counter()
+        code = run_cli(command, config_path, out_path)
+        dt = time.perf_counter() - t0
+        k = KEY_COLUMNS[command]
+        rows = [[r[:k], r[k:]] for r in read_csv(out_path)[1]] if code == 0 else []
+        print(json.dumps([variant, label, code, rows, dt]))
+        out_path.unlink(missing_ok=True)
 """
 
 
