@@ -9,7 +9,6 @@ from .dependence import (
     dep_measure,
     dep_measure_from_gamma,
     extremal_coefficient,
-    g_simple,
     var_gev,
     var_simple,
 )

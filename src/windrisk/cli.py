@@ -50,6 +50,7 @@ geometric steps from min to the psi's max)::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -427,7 +428,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="windrisk",
         description="Dependence of powers of Brown-Resnick fields and spatial "

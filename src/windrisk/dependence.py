@@ -41,8 +41,13 @@ b_k = d_k (1+theta)^b_k and G_jk = Gamma(1-sig) exprel(sig L), a function of
 sig alone: n1 + n2 powers and one exprel per distinct sig, not one
 exponential per pair (:func:`_pair_kernel`).  Several covariances, such as
 those of every power of a dependence surface, share one kernel call: the
-gap, L and the exprel of each distinct sig are formed once a node, and
-each power's bilinear form follows.  At lag 0 the same table gives
+gap, L and the exprel of each distinct sig are formed once a node.  Where
+one covariance's exponent tables hold every other's, as those of the
+highest power hold each lower power's on one GEV margin, its terms are
+formed once a node and each covariance's form is the product of its
+weights with the block of those terms that holds them, within rounding of
+its form alone; otherwise each covariance's bilinear form follows on its
+own.  At lag 0 the same table gives
 the variance and the mean in closed form,
 
     Var = sum_jk d_j d_k V(b_j, b_k),   V(b, c) = [Gamma(1-b-c) - Gamma(1-b) Gamma(1-c)] / (b c),
@@ -51,28 +56,16 @@ the variance and the mean in closed form,
 with V(0, 0) = pi^2/6 and M(0) = Euler's gamma (the b -> 0 limits, where
 (z^b - 1)/b becomes log z).
 
-The pair function g[b1,b2](h) = E[Z1^b1 Z2^b2] of the display form,
-
-    g = int_0^inf theta^b2 [ C2 C1^(b1+b2-2) Gamma(2-b1-b2)
-                           + C3 C1^(b1+b2-1) Gamma(1-b1-b2) ] dtheta,   h > 0,
-
-is kept as an independent oracle (:func:`g_simple`).  Since
-phi(V) = theta phi(W), its coefficients collapse to C2 = Phi(W) Phi(V) /
-theta^2 and C3 = phi(W) / (h theta), and theta = exp(s h) turns it into a
-line integral of a positive integrand whose logarithm is cheap and stable.
-
 The exponent function is symmetric in its two arguments (Husler & Reiss
 1989), so exchanging the sites takes theta to 1/theta and s to -s: each
 kernel obeys k[p1,p2](-s, h) = k[p2,p1](s, h), and its integral over the
 real line is the s > 0 half-line of the ordered pair (p1, p2) plus that of
 (p2, p1).  Where one power and margin sit at both sites, as in every
-dependence, the two are one half-line counted twice.  Both line integrals
+dependence, the two are one half-line counted twice.  The line integrals
 in s go through one routine, :func:`_line_integrals`, which takes the
 integrand as kernel(s, h) over arrays of s > 0 and, a fixed block of lags
 at a time, integrates their s > 0 half-lines as the rows of one
-:func:`integrate_rows` call, one row component per ordered pair: the
-covariance's pair kernel at every lag of a call, and the display-form
-kernel of :func:`g_simple` at its one lag.
+:func:`integrate_rows` call, one row component per ordered pair.
 """
 
 from __future__ import annotations
@@ -93,7 +86,6 @@ from .numerics import (
     gamma,
     gamma_values,
     integrate_rows,
-    log_ndtr,
     norm_cdf,
     scaled_normal_tail,
 )
@@ -102,7 +94,6 @@ from .variogram import Variogram
 __all__ = [
     "GevParams",
     "PowerSpec",
-    "g_simple",
     "cov_simple",
     "var_simple",
     "cov_gev",
@@ -116,8 +107,6 @@ __all__ = [
 # below this squared-variogram distance the h=0 branch is returned; the
 # pair function is continuous at 0 and differs from its limit by O(h) there
 SMALL_H = 1e-6
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # zeta(n)/n, n = 2..39, of the series of log Gamma(1 - x), as the double
 # quotient of the doubles zeta(n) and n; used where |b| + |c| <=
@@ -239,36 +228,6 @@ def _line_integrals(kernel, lags, spec: QuadSpec, width: int):
         yield from results
 
 
-def g_simple(beta1: float, beta2: float, h: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Pair function of a simple Brown-Resnick field at variogram-root lag
-    h, from the display form."""
-    if not (beta1 < 0.5 and beta2 < 0.5):
-        raise DomainError(f"second-moment condition requires beta < 1/2, got {beta1}, {beta2}")
-    if h < 0.0:
-        raise DomainError(f"h must be >= 0, got {h}")
-    if h < SMALL_H:
-        return gamma(1.0 - beta1 - beta2)
-    sig = float(beta1) + float(beta2)
-    lg2 = math.lgamma(2.0 - sig)
-    lg1 = math.lgamma(1.0 - sig)
-    # the second power of each ordered pair: (beta1, beta2), and
-    # (beta2, beta1) unless it is the same
-    b2 = np.array([beta2] if beta1 == beta2 else [beta2, beta1], dtype=float).reshape(-1, 1)
-
-    def kernel(s, h):
-        w = h / 2.0 + s
-        lphi = log_ndtr(np.concatenate([w, h / 2.0 - s]))
-        lphi_w, lphi_v = lphi[:len(s)], lphi[len(s):]
-        sh = s * h
-        log_c1 = np.logaddexp(lphi_w, -sh + lphi_v)
-        L1 = lg2 + np.log(h) + lphi_w + lphi_v + (b2 - 1.0) * sh + (sig - 2.0) * log_c1
-        L2 = lg1 - 0.5 * w * w - _LOG_SQRT_2PI + b2 * sh + (sig - 1.0) * log_c1
-        return np.exp(L1) + np.exp(L2)
-
-    r = next(_line_integrals(kernel, [h], spec, len(b2)))
-    return float(r.value[0] + r.value[-1])
-
-
 def var_simple(beta: float) -> float:
     """Var((Z^(s))^beta) for standard Frechet margins, beta < 1/2."""
     return var_gev(PowerSpec.simple(beta))
@@ -376,8 +335,9 @@ def _log_power_cov(b1, b2):
 # the covariance kernel takes the nodes of a wave in chunks of this many, to
 # keep its arrays small: 64 new panels of 15 nodes, the most one half-line
 # row adds in a wave (9 in its first), so each wave of a lone lag is one
-# call, and no chunk is a lone node (numpy sums the terms of a lone node
-# pairwise, those of two or more in order)
+# call, and no chunk is a lone node (numpy sums the terms of a lone node in
+# another order than those of two or more, in a pair's own form and in the
+# lattice's einsum alike)
 _CHUNK_NODES = 960
 
 
@@ -394,16 +354,23 @@ def _pair_kernel(pairs):
     distinct exponent sum sig over all the pairs.  Each pair's sum is then
     a bilinear form at each node,
 
-        sum_jk W_jk exprel(sig_jk L) D^(b1_j - max b1) (1+theta)^(b2_k - max b2),
+        sum_jk W_jk exprel(sig_jk L) D^(b1_j - top1) (1+theta)^(b2_k - top2),
 
     with W_jk = d1_j d2_k Gamma(1 - sig_jk) / max|W| and sig_jk = b1_j + b2_k,
-    times h max|W| D^(max b1) (1+theta)^(max b2) q, whose logarithm is
-    summed before its one exponential, and times -L/q in [1, 2 log 2]:
-    n1 + n2 exponentials a pair at each node.  No factor but exprel and
-    -L/q exceeds 1 in magnitude, and the common factor is no subnormal
-    where the value is a normal double.  Every operation is elementwise or
-    a sum over the terms of one node and one pair, so a node's value does
-    not depend on the other nodes, nor a pair's on the other pairs.
+    times h max|W| D^top1 (1+theta)^top2 q, whose logarithm is summed
+    before its one exponential, and times -L/q in [1, 2 log 2].  A lone
+    pair, or pairs whose exponent tables do not nest, take top1 = max b1
+    and top2 = max b2 and evaluate each pair's own form: n1 + n2
+    exponentials a pair at each node, and every operation is elementwise
+    or a sum over the terms of one node and one pair, so a pair's value
+    does not depend on the other pairs.  Where one pair's tables hold
+    every other pair's, as those of the highest GEV power hold every lower
+    power's, the tops are that lattice pair's, its terms are built once a
+    node, and each pair's form is the product of its weights, scattered
+    into the lattice, with the block of the terms that holds them: a
+    pair's value is then its own form within rounding.  No factor but exprel and -L/q exceeds 1 in
+    magnitude, and the common factor is no subnormal where the value is a
+    normal double.  A node's value does not depend on the other nodes.
     """
     pairs = [(d1, b1.tolist(), d2, b2.tolist()) for d1, b1, d2, b2 in pairs]
     # the distinct exponent sums of all the pairs
@@ -423,6 +390,7 @@ def _pair_kernel(pairs):
         forms.append((sig_index, weights, math.log(top) if top else -math.inf, top1, top2,
                       np.array([x - top1 for x in b1]).reshape(-1, 1),
                       np.array([y - top2 for y in b2]).reshape(-1, 1)))
+    lattice = _lattice(pairs, forms)
 
     def kernel(s, h):
         sh = s * h
@@ -443,6 +411,11 @@ def _pair_kernel(pairs):
         L = np.log1p(neg_q)
         neg_l_by_q = L / neg_q
         g = exprel(sig_values * L)
+        if lattice is not None:
+            sig_index, blocks, log_scale, top1, top2, rest1, rest2 = lattice
+            form = _lattice_forms(g, sig_index, blocks, rest1, rest2, sh, log_d)
+            form *= neg_l_by_q
+            return h * np.exp(log_scale + (top1 + top2) * log_d + top2 * sh + log_q) * form
         out = np.empty((len(forms), len(s)))
         for k, (sig_index, weights, log_scale, top1, top2, rest1, rest2) in enumerate(forms):
             form = _bilinear_form(g, sig_index, weights, rest1, rest2, sh, log_d)
@@ -452,6 +425,34 @@ def _pair_kernel(pairs):
         return out
 
     return kernel
+
+
+def _lattice(pairs, forms):
+    """The shared terms of two or more ``pairs`` whose exponent tables nest,
+    or None: where the tables of the pair with the most terms hold every
+    other pair's, that pair's form of :func:`_pair_kernel` with, in place
+    of its weights and log scale, each pair's weights scattered into the
+    lattice, as (rows, columns, weights) of the smallest block of the
+    lattice that holds them, and the (pairs, 1) column of their log
+    scales."""
+    if len(pairs) < 2:
+        return None
+    widest = max(range(len(pairs)), key=lambda k: len(pairs[k][1]) * len(pairs[k][3]))
+    at1 = {x: j for j, x in enumerate(pairs[widest][1])}
+    at2 = {y: k for k, y in enumerate(pairs[widest][3])}
+    if not all(at1.keys() >= set(b1) and at2.keys() >= set(b2) for _, b1, _, b2 in pairs):
+        return None
+    blocks = []
+    for (_, b1, _, b2), (_, weights, *_) in zip(pairs, forms):
+        j, k = [at1[x] for x in b1], [at2[y] for y in b2]
+        rows, cols = slice(min(j), max(j) + 1), slice(min(k), max(k) + 1)
+        width = cols.stop - cols.start
+        at = np.add.outer([(x - rows.start) * width for x in j], [y - cols.start for y in k])
+        block = np.bincount(at.ravel(), weights.ravel(), (rows.stop - rows.start) * width)
+        blocks.append((rows, cols, block.reshape(-1, width)))
+    sig_index, _, _, top1, top2, rest1, rest2 = forms[widest]
+    return (sig_index, blocks, np.array([form[2] for form in forms]).reshape(-1, 1),
+            top1, top2, rest1, rest2)
 
 
 def _bilinear_form(g, sig_index, weights, rest1, rest2, sh, log_d):
@@ -467,6 +468,22 @@ def _bilinear_form(g, sig_index, weights, rest1, rest2, sh, log_d):
     form = terms.sum(axis=1)
     form *= np.exp(rest1 * log_d)
     return form.sum(axis=0)
+
+
+def _lattice_forms(g, sig_index, blocks, rest1, rest2, sh, log_d):
+    """Every pair's form at each node from the lattice's terms
+    g[sig_index_jk] D^rest1_j (1+theta)^rest2_k (see :func:`_pair_kernel`),
+    each a product of its weights with the block of the terms that holds
+    them (see :func:`_lattice`)."""
+    terms = g[sig_index]
+    terms *= np.exp(rest2 * (sh + log_d))  # log(1 + theta) = sh + log D
+    terms *= np.exp(rest1 * log_d)[:, None]
+    forms = np.empty((len(blocks), len(sh)))
+    # numpy's einsum, not a BLAS product: it sums each node's terms in order
+    # at any count of two or more nodes, so no node depends on the others
+    for form, (rows, cols, weights) in zip(forms, blocks):
+        np.einsum("jk,jkn->n", weights, terms[rows, cols], out=form)
+    return forms
 
 
 def _cov_at(p1, p2, spec: QuadSpec):
@@ -487,8 +504,10 @@ def _cov_at(p1, p2, spec: QuadSpec):
     components (p1, p2) and (p2, p1), both on one row, or, where both sides
     share a derivative table, of the one component (p1, p1) counted twice.
     A pair's value at a lag whose row converges in its first wave is the
-    one it gets alone too; where it refines, the pairs share the mesh their
-    worst one asks for.
+    one it gets alone too where the pairs' exponent tables do not nest, and
+    within rounding of it where they do, since their kernel then shares the
+    widest pair's terms (see :func:`_pair_kernel`); where the row refines,
+    the pairs share the mesh their worst one asks for.
     """
     vector = not isinstance(p1, PowerSpec)
     pairs = list(zip(p1, p2)) if vector else [(p1, p2)]
@@ -600,9 +619,12 @@ def dep_measure_from_gamma(p: PowerSpec | Sequence[PowerSpec], gamma_value,
 
     ``p`` is a PowerSpec, or a sequence of them: then the result has one
     row per power, from one covariance evaluation whose quadrature rows
-    carry every power on one mesh per lag.  A power's value equals its own
-    call's wherever the lag's rows converge in their first wave, and lies
-    within the quadrature tolerance of it elsewhere.  A batch that fails is
+    carry every power on one mesh per lag.  A power's value lies within
+    rounding of its own call's wherever the lag's rows converge in their
+    first wave (on one GEV margin every power's terms are formed from the
+    highest power's), and within the quadrature tolerance of it elsewhere;
+    it equals its own call's where the powers' exponent tables do not nest,
+    as for simple margins of different powers.  A batch that fails is
     evaluated again one power at a time, in order, so it raises the error
     of the first power that fails alone.
     """

@@ -1,10 +1,10 @@
 """Special functions and adaptive quadrature.
 
-The special functions need numpy alone: ``scaled_normal_tail`` and
-``log_ndtr`` come from a piecewise polynomial table of erfcx,
-``norm_quantile`` from Wichura's AS241 and a Newton step, ``digamma`` from
-the recurrence and the asymptotic series, and ``gamma_values`` from
-``math.gamma`` once per distinct argument.
+The special functions need numpy alone: ``scaled_normal_tail`` comes from
+a piecewise polynomial table of erfcx, ``norm_quantile`` from Wichura's
+AS241 and a Newton step, ``digamma`` from the recurrence and the asymptotic
+series, and ``gamma_values`` from ``math.gamma`` once per distinct
+argument.
 
 Everything downstream (dependence integrals, distance-density integrals,
 radial covariance integrals) funnels through :func:`integrate_rows`, a
@@ -40,7 +40,6 @@ __all__ = [
     "exprel",
     "gamma",
     "gamma_values",
-    "log_ndtr",
     "norm_cdf",
     "norm_pdf",
     "norm_quantile",
@@ -183,9 +182,6 @@ def digamma(x: float) -> float:
 # holds the coefficients of P_j, w^0 first, from tools/erfcx_table.py
 # (mpmath's Chebyshev interpolants of E/U, degree 8 on pieces of unit width).
 _ERFCX_SCALE, _ERFCX_SHIFT = 48.0, 3.0
-# Phi(-a) < 2e-309 from here on: log Phi(a) rounds to -0, and exp(-a^2/2)
-# would take numpy's slow paths of underflow and subnormal numbers
-_TAIL_END = 37.5625
 _ERFCX_PIECES = np.array([
     (0.00831129750836318, 0.0005194560942726794, 2.885867190455504e-05, 1.3527502402285364e-06,
      4.697052153423399e-08, 5.870544719849196e-10, -6.510932541019376e-11,
@@ -259,50 +255,6 @@ def scaled_normal_tail(a) -> np.ndarray:
         e += c
     e *= u
     return e.reshape(a.shape)
-
-
-def log_ndtr(x) -> np.ndarray:
-    """log Phi(x) elementwise, as a float array, for the standard normal
-    distribution function Phi.
-
-    With a = |x| and E = :func:`scaled_normal_tail`,
-
-        log Phi(x) = log E(a) - x^2/2               x < 0,
-        log Phi(x) = log1p(-E(a) exp(-a^2/2))       x >= 0.
-
-    exp(-a^2/2) is taken as exp(-c^2/2) exp(-(a - c)(a + c)/2) with c the
-    multiple of 1/64 below a, whose square is exact (Cody 1969), so the
-    upper tail keeps its relative accuracy.  The values agree with 120-bit
-    ones to 1e-15 relative where they are normal doubles; log Phi(x) is -0
-    from x = 37.5625 on, -inf at -inf and nan at nan.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    a = np.abs(flat)
-    e = scaled_normal_tail(a)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # a^2/2 = (k^2 + (c - k)(c + k))/8192 with c = 64 a and k = trunc(c);
-        # past _TAIL_END, Phi(-a) is taken as 0, and no exp underflows
-        c = np.minimum(a, _TAIL_END)
-        c *= 64.0
-        k = np.trunc(c)
-        rest = c - k
-        c += k
-        c *= rest
-        c *= -1.0 / 8192.0
-        np.exp(c, out=c)
-        k *= k
-        k *= -1.0 / 8192.0
-        np.exp(k, out=k)
-        c *= k
-        c *= a <= _TAIL_END
-        c *= e
-        upper = np.log1p(np.negative(c, out=c), out=c)
-        lower = np.log(e, out=e)
-        a *= a
-        a *= 0.5
-        lower -= a
-    return np.where(flat < 0.0, lower, upper).reshape(x.shape)
 
 
 def exprel(x) -> np.ndarray:

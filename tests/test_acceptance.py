@@ -17,7 +17,7 @@ from scipy.stats import kstest, ks_2samp
 import windrisk as wr
 from windrisk.cli import main as cli_main
 
-from conftest import ETA, TAU, XI
+from conftest import ETA, TAU, XI, g_simple
 
 GEV = wr.GevParams(ETA, TAU, XI)
 P1 = wr.PowerSpec.gev(1, GEV)
@@ -110,12 +110,12 @@ def test_criterion_04_g_function_limits():
     betas = (-1.0, -0.5, 0.1, 0.25, 0.4)
     for beta in betas:
         exact0 = wr.gamma(1.0 - 2.0 * beta)
-        assert abs(wr.g_simple(beta, beta, 0.0) - exact0) <= 1e-6 * abs(exact0)
+        assert abs(g_simple(beta, beta, 0.0) - exact0) <= 1e-6 * abs(exact0)
         lim = wr.gamma(1.0 - beta) ** 2
-        val = wr.g_simple(beta, beta, 1000.0)  # h = sqrt(1e6)
+        val = g_simple(beta, beta, 1000.0)  # h = sqrt(1e6)
         assert abs(val - lim) <= 1e-3 * abs(lim), f"beta={beta}: {val} vs {lim}"
     # approach from above as well (continuity toward the h=0 branch)
-    g_near = wr.g_simple(0.25, 0.25, 1e-6)
+    g_near = g_simple(0.25, 0.25, 1e-6)
     assert abs(g_near - wr.gamma(0.5)) <= 1e-4 * wr.gamma(0.5)
     _passline(4, f"both limits hold for beta in {betas}")
 
@@ -130,7 +130,7 @@ def test_criterion_05_monotonicity_suite():
         # the pair function is flat at its limit below the quadrature noise
         d_max = 8.0 ** (2.0 / psi)
         dists = np.geomspace(0.01, d_max, 40)
-        g_s = [wr.g_simple(0.25, 0.25, math.sqrt(v.radial(d))) for d in dists]
+        g_s = [g_simple(0.25, 0.25, math.sqrt(v.radial(d))) for d in dists]
         assert all(b < a for a, b in zip(g_s, g_s[1:])), f"g_simple psi={psi}"
         # the second moment: the covariance plus the squared mean
         g_g = [wr.cov_gev(P1, P1, v, [0.0, 0.0], [d, 0.0]) + wr.mean_cost(P1) ** 2

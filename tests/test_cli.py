@@ -97,6 +97,17 @@ class TestExitCodes:
         assert main(["depsurface", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        from windrisk.cli import build_parser
+
+        assert build_parser() is build_parser()
+        # a call that argparse rejects leaves the parser as it was
+        with pytest.raises(SystemExit) as rejected:
+            main(["depsurface", "--seed", "x", "--out", str(tmp_path / "o.csv")])
+        assert rejected.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        self.test_success(tmp_path)
+
     def test_config_error_is_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text("{broken")

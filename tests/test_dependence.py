@@ -26,7 +26,6 @@ from windrisk import (
     dep_measure_from_gamma,
     disk,
     extremal_coefficient,
-    g_simple,
     gamma,
     mean_cost,
     norm_cdf,
@@ -40,7 +39,7 @@ from windrisk import (
 )
 from windrisk import dependence, risk
 
-from conftest import ETA, TAU, XI
+from conftest import ETA, TAU, XI, g_simple
 
 
 def g_gev(p: PowerSpec, h: float) -> float:
@@ -884,23 +883,28 @@ class TestBatchedCovariance:
 
 class TestPowersOnOneMesh:
     """A sequence of powers is one covariance evaluation whose quadrature
-    rows carry every power: each value is the power's own where the rows
-    converge in their first wave, and within the tolerance elsewhere."""
+    rows carry every power, and whose kernel forms every power's terms
+    from the highest power's: each value is the power's own within
+    rounding where the rows converge in their first wave, and within the
+    tolerance elsewhere."""
 
     POWERS = [PowerSpec.gev(beta, GevParams(ETA, TAU, XI)) for beta in range(1, 13)]
+
+    # the study's distance grid of each psi
+    STUDY_MAX = {0.5: 1500.0, 1.0: 100.0, 1.5: 25.0, 2.0: 10.0}
 
     @staticmethod
     def gammas(psi, d_max):
         v = power(1.0, psi)
         return np.array([v.radial(d) for d in np.r_[0.0, np.geomspace(0.1, d_max, 40)]])
 
-    def test_equals_the_per_power_calls_where_no_row_refines(self):
-        # at psi 1 every row of the study grid converges in its first wave
-        gammas = self.gammas(1.0, 100.0)
+    @pytest.mark.parametrize("psi", list(STUDY_MAX))
+    def test_within_1e_10_of_the_per_power_calls_on_the_study_grids(self, psi):
+        gammas = self.gammas(psi, self.STUDY_MAX[psi])
         batch = dep_measure_from_gamma(self.POWERS, gammas)
         assert batch.shape == (12, len(gammas))
-        for p, row in zip(self.POWERS, batch):
-            assert row.tolist() == dep_measure_from_gamma(p, gammas).tolist()
+        alone = np.array([dep_measure_from_gamma(p, gammas) for p in self.POWERS])
+        np.testing.assert_allclose(batch, alone, rtol=1e-10, atol=0.0)
 
     def test_within_tolerance_where_rows_refine(self):
         spec = QuadSpec()
@@ -911,11 +915,71 @@ class TestPowersOnOneMesh:
         # the shared mesh of a lag is the one its worst power asks for
         cov = dependence._cov_at(self.POWERS, self.POWERS, spec)(np.sqrt(gammas))
         refined = cov.subdivisions.max(axis=0) > initial_subdivisions(np.sqrt(gammas))
-        assert refined.any() and (batch[:, ~refined] == alone[:, ~refined]).all()
+        assert refined.any()
+        np.testing.assert_allclose(batch[:, ~refined], alone[:, ~refined], rtol=1e-10, atol=0.0)
 
-    def test_a_power_node_value_ignores_the_other_powers(self):
-        tables = [dependence._derivative_table(p)[1:] for p in self.POWERS]
+    def test_a_lag_of_the_batch_is_the_lag_alone(self):
+        # the lattice sums each node's terms in one order at any node count
+        gammas = self.gammas(2.0, 10.0)
+        batch = dep_measure_from_gamma(self.POWERS, gammas)
+        alone = np.array([dep_measure_from_gamma(self.POWERS, g) for g in gammas]).T
+        assert batch.tolist() == alone.tolist()
+
+    @staticmethod
+    def lattice_and_alone(xi):
+        """Nodes s, h out to h = 48 and s h = 4.8e6, the twelve GEV powers'
+        pairs at shape xi, their kernel values together, on the lattice of
+        power 12's tables, and each pair's own."""
+        tables = [dependence._derivative_table(PowerSpec.gev(beta, GevParams(ETA, TAU, xi)))[1:]
+                  for beta in range(1, 13)]
         pairs = [(d, b, d, b) for d, b in tables]
+        s, h = np.meshgrid(TestPairKernel.S, TestPairKernel.LAGS + [48.0])
+        s, h = s.ravel(), h.ravel()
+        alone = np.array([dependence._pair_kernel([pair])(s, h)[0] for pair in pairs])
+        return s, h, pairs, dependence._pair_kernel(pairs)(s, h), alone
+
+    # the paper's shape, one with every power's moments and a top exponent
+    # that differs by power, and one in the binomial table's cancellation band
+    @pytest.mark.parametrize("xi", [XI, 0.0375, -0.05])
+    def test_a_power_node_value_is_its_own_within_rounding(self, xi):
+        # each node sums the n1 n2 = 144 terms of power 12's tables; the
+        # bound is on the terms' magnitudes, which the alternating binomial
+        # weights cancel, and where the per-term form underflows, its own
+        # rounding bound, which counts subnormal spacings
+        s, h, pairs, together, alone = self.lattice_and_alone(xi)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        for k, (d, b, _, _) in enumerate(pairs):
+            magnitude = per_term_kernel(np.abs(d), b, np.abs(d), b, s, h)[0]
+            rounding = per_term_kernel(d, b, d, b, s, h)[1]
+            bound = np.where(magnitude >= tiny, 16 * 12 * 12 * eps * magnitude, rounding)
+            assert np.all(np.abs(together[k] - alone[k]) <= bound), f"beta {k + 1}"
+
+    @pytest.mark.parametrize("xi", [XI, 0.0375, -0.05])
+    def test_no_node_value_is_lost_at_extreme_lags(self, xi):
+        # where xi > 0 the lattice's top exponents exceed a lower power's
+        # own, so its terms are smaller: none may lose a value that the
+        # power alone gets as a normal double
+        _, _, _, together, alone = self.lattice_and_alone(xi)
+        assert np.isfinite(together).all()
+        assert not np.any((np.abs(alone) >= np.finfo(float).tiny) & (together == 0.0))
+        assert (alone == 0.0).any()  # the nodes reach past the double range
+
+    # the tables nest nowhere: simple margins of three powers, two GEV
+    # margins, a mixed covariance's two ordered pairs, and power 12 with a
+    # simple margin
+    @pytest.mark.parametrize("specs", [
+        [PowerSpec.simple(-1.0), PowerSpec.simple(0.25), PowerSpec.simple(0.45)],
+        [PowerSpec.gev(6, GevParams(ETA, TAU, XI)), PowerSpec.gev(6, GevParams(ETA, TAU, 0.05))],
+        [(PowerSpec.gev(3, GevParams(ETA, TAU, XI)), PowerSpec.gev(2, GevParams(ETA, TAU, 0.1))),
+         (PowerSpec.gev(2, GevParams(ETA, TAU, 0.1)), PowerSpec.gev(3, GevParams(ETA, TAU, XI)))],
+        [PowerSpec.gev(12, GevParams(ETA, TAU, XI)), PowerSpec.simple(0.25)],
+    ], ids=["simple", "gev-margins", "mixed", "gev12-and-simple"])
+    def test_pairs_that_do_not_nest_are_each_pair_alone(self, specs):
+        # each pair's form on its own, bit for bit as a lone pair's
+        pairs = []
+        for spec in specs:
+            p1, p2 = spec if isinstance(spec, tuple) else (spec, spec)
+            pairs.append(dependence._derivative_table(p1)[1:] + dependence._derivative_table(p2)[1:])
         s = np.r_[TestPairKernel.S, TestPairKernel.S]
         h = np.repeat([0.3, 3.0], len(TestPairKernel.S))
         together = dependence._pair_kernel(pairs)(s, h)
@@ -1056,15 +1120,19 @@ class TestPairKernel:
             assert value == pytest.approx(ref, rel=10.0 * spec.rel_tol)
 
     def test_each_node_is_independent_of_the_others(self):
-        p = self.CASES["gev12"][0]
-        _, d, b = dependence._derivative_table(p)
-        kernel = dependence._pair_kernel([(d, b, d, b)])
+        # power 12 alone, and all twelve powers on power 12's lattice, in
+        # halves, in chunks of one panel's 15 nodes and in pairs of nodes
+        tables = [dependence._derivative_table(self.CASES[f"gev{beta}"][0])[1:]
+                  for beta in range(1, 13)]
+        pairs = [(d, b, d, b) for d, b in tables]
         s = np.r_[self.S, self.S]
         h = np.repeat([0.3, 3.0], len(self.S))
-        together = kernel(s, h)
-        half = len(self.S)
-        apart = np.c_[kernel(s[:half], h[:half]), kernel(s[half:], h[half:])]
-        assert together.tolist() == apart.tolist()
+        for kernel in (dependence._pair_kernel(pairs[-1:]), dependence._pair_kernel(pairs)):
+            together = kernel(s, h)
+            for size in (len(self.S), 15, 2):
+                apart = np.concatenate([kernel(s[i:i + size], h[i:i + size])
+                                        for i in range(0, len(s), size)], axis=1)
+                assert together.tolist() == apart.tolist()
 
 
 class TestDependenceProperties:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.special import digamma as scipy_digamma
 from scipy.special import exprel as scipy_exprel
-from scipy.special import log_ndtr as scipy_log_ndtr
 from scipy.special import ndtri
 
 from windrisk import (
@@ -32,11 +31,8 @@ from windrisk.numerics import (
     digamma,
     exprel,
     gamma_values,
-    log_ndtr,
     scaled_normal_tail,
 )
-
-TINY = np.finfo(float).tiny
 
 # Frozen from the composite-Simpson oracle on the Gamma(2.2) integrand
 # (int_0^80 x^1.2 exp(-x) dx, 200k panels), divided by 1.2 via the
@@ -376,51 +372,6 @@ class TestExprel:
     def test_scalar_and_empty_inputs(self):
         assert exprel(0.0) == 1.0 and exprel(1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
         assert exprel(np.array([])).shape == (0,)
-
-
-def _log_ndtr_120_bits(x: float) -> float:
-    with mpmath.workprec(120):
-        x = mpmath.mpf(x)
-        tail = mpmath.erfc(abs(x) / mpmath.sqrt(2)) / 2
-        return float(mpmath.log(tail) if x < 0 else mpmath.log1p(-tail))
-
-
-class TestLogNdtr:
-    # scipy's log_ndtr is log1p(-erfc(x/sqrt(2))/2) above x = -1, with an
-    # erfc that takes exp(-x^2/2) of a rounded square: from x = 1 on its
-    # relative error grows like x^2 eps, to 1.1e-13 at x = 37.  There the
-    # 120-bit values are the reference.
-    def test_matches_scipy_where_scipy_is_accurate(self):
-        x = np.concatenate([np.linspace(-1e3, 1.0, 400_001), np.linspace(-40.0, 1.0, 400_001)])
-        np.testing.assert_allclose(log_ndtr(x), scipy_log_ndtr(x), rtol=1e-15, atol=0.0)
-
-    def test_matches_120_bit_values(self):
-        x = np.concatenate([np.linspace(-1e3, 40.0, 1041), np.linspace(-6.0, 40.0, 2301),
-                            -np.logspace(-20.0, 3.0, 47), np.logspace(-20.0, 1.6, 44)])
-        ref = np.array([_log_ndtr_120_bits(v) for v in x.tolist()])
-        got = log_ndtr(x)
-        normal = np.abs(ref) >= TINY
-        np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-15, atol=0.0)
-        # where Phi(-x) is below the normal range, as scipy's is
-        np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0.0, atol=TINY)
-        np.testing.assert_allclose(got[~normal], scipy_log_ndtr(x[~normal]), rtol=0.0, atol=TINY)
-
-    def test_special_values_and_shapes(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = log_ndtr(np.array([-np.inf, np.inf, np.nan, -1e300, 1e300, 0.0, -0.0, 38.0]))
-        assert got[0] == -np.inf and np.isnan(got[2])
-        np.testing.assert_array_equal(got[[1, 3, 4, 5, 6, 7]],
-                                      [0.0, -np.inf, 0.0, math.log(0.5), math.log(0.5), 0.0])
-        assert log_ndtr(-2.0).shape == ()
-        assert log_ndtr(-2.0) == log_ndtr(np.array([-2.0]))[0]
-        assert log_ndtr(np.zeros((3, 2))).shape == (3, 2)
-        assert log_ndtr(np.array([])).shape == (0,)
-
-    def test_each_value_is_the_one_it_gets_alone(self):
-        x = np.random.default_rng(3).normal(0.0, 15.0, 997)
-        batch = log_ndtr(x)
-        np.testing.assert_array_equal(batch, [log_ndtr(x[i:i + 1])[0] for i in range(len(x))])
 
 
 def _scaled_normal_tail_120_bits(a: float) -> float:

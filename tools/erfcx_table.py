@@ -1,4 +1,4 @@
-"""Print the piecewise polynomial table of erfcx that numerics.log_ndtr reads.
+"""Print the piecewise polynomial table of erfcx that numerics.scaled_normal_tail reads.
 
     python tools/erfcx_table.py > table.txt
 

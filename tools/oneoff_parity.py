@@ -25,7 +25,10 @@ benchmark runs them, and then depsurface, r2curves and riskreport at their
 default config (``*_default``), with every CSV cell written with all 17
 significant digits, so that a cell differs exactly where its double does.  It prints,
 per command, the exit-code changes, how many cells differ and the largest
-relative difference, and each tree's median time.
+relative difference, and each tree's median time; for depsurface, also the
+largest relative gap, per psi and over the variants, between each tree's
+CLI cells and the same tree's per-power ``dep_measure_from_gamma`` calls,
+which the CLI's one batched call per psi must stay within rounding of.
 
 The exit status is 1 when an outcome or a value changed.  ``perfbench/`` is
 read from this repository and is not changed.
@@ -70,10 +73,14 @@ for seed in seeds:
 
 
 # one tree's study run: a JSON line (variant, label, exit code, CSV rows
-# split into key and value cells, seconds) per CLI command, on stdout
+# split into key and value cells, seconds, and for depsurface the largest
+# relative gap of each psi's cells to the per-power library calls) per CLI
+# command, on stdout
 _STUDY_RUNNER = r"""
 import json, sys, tempfile, time
+from collections import defaultdict
 from pathlib import Path
+import numpy as np
 import windrisk as wr
 from windrisk import cli
 from perfbench.workloads import KEY_COLUMNS, read_csv, run_cli, study_commands
@@ -98,7 +105,22 @@ with tempfile.TemporaryDirectory() as tmp:
         dt = time.perf_counter() - t0
         k = KEY_COLUMNS[command]
         rows = [[r[:k], r[k:]] for r in read_csv(out_path)[1]] if code == 0 else []
-        print(json.dumps([variant, label, code, rows, dt]))
+        gaps = {}
+        if code == 0 and command == "depsurface":
+            block = cli.normalize_config(config)["depsurface"]
+            params = cli._gev_params(block["gev"])
+            spec = wr.QuadSpec(rel_tol=float(block["rel_tol"]))
+            series = defaultdict(list)
+            for (psi, beta, distance), (dep,) in rows:
+                series[float(psi), int(beta)].append((float(distance), float(dep)))
+            for (psi, beta), cells in series.items():
+                v = wr.power(float(block["kappa"]), psi)
+                alone = wr.dep_measure_from_gamma(
+                    cli._power(beta, params), np.array([v.radial(d) for d, _ in cells]), spec)
+                batch = np.array([dep for _, dep in cells])
+                gap = np.abs(batch - alone) / np.maximum(np.abs(alone), 1e-300)
+                gaps[f"{psi:g}"] = max(gaps.get(f"{psi:g}", 0.0), float(gap.max()))
+        print(json.dumps([variant, label, code, rows, dt, gaps]))
         out_path.unlink(missing_ok=True)
 """
 
@@ -125,9 +147,10 @@ def run_tree(src: Path, seeds, passes, tols):
 
 def run_study(src: Path, variants):
     """{(variant, label): (exit code, [key cells, value cells] per CSV row,
-    seconds)} for one tree."""
-    return {(variant, label): (code, rows, dt)
-            for variant, label, code, rows, dt in _run(_STUDY_RUNNER, src, variants)}
+    seconds, {psi: largest relative gap to the per-power calls})} for one
+    tree."""
+    return {(variant, label): (code, rows, dt, gaps)
+            for variant, label, code, rows, dt, gaps in _run(_STUDY_RUNNER, src, variants)}
 
 
 def compare_study(parent, change):
@@ -161,6 +184,14 @@ def compare_study(parent, change):
               f"median time {', '.join(times)}")
         for line in codes[:10]:
             print(f"    {line}")
+        if label.startswith("depsurface"):
+            for tree, runs in (("parent", parent), ("change", change)):
+                gaps = defaultdict(float)
+                for key in keys:
+                    for psi, gap in runs[key][3].items():
+                        gaps[psi] = max(gaps[psi], gap)
+                print(f"    {tree}: largest relative gap to the per-power calls: "
+                      + ", ".join(f"psi {psi} {gap:.3g}" for psi, gap in gaps.items()))
         changed = changed or bool(codes) or n_diff > 0
     return changed
 
