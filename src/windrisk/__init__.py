@@ -37,7 +37,6 @@ from .numerics import (
     norm_cdf,
     norm_pdf,
     norm_quantile,
-    std_normal,
 )
 from .risk import (
     CltApprox,

@@ -44,7 +44,6 @@ __all__ = [
     "norm_pdf",
     "norm_quantile",
     "scaled_normal_tail",
-    "std_normal",
     "integrate",
     "integrate_rows",
 ]
@@ -355,17 +354,6 @@ def norm_quantile(alpha: float) -> float:
         else:
             q -= ((1.0 - alpha) - norm_cdf(-q)) / pdf
     return q
-
-
-def std_normal(kind: str, x: float) -> float:
-    """Dispatcher over the three standard normal evaluations."""
-    if kind == "cdf":
-        return norm_cdf(x)
-    if kind == "pdf":
-        return norm_pdf(x)
-    if kind == "quantile":
-        return norm_quantile(x)
-    raise DomainError(f"unknown std_normal kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ f of A, which integrates to one:
     R2(lambda A) = int f(u, R) cov(sqrt(gamma_u(lambda u))) du.
 
 As lambda grows, R2 decays like K / (lambda^2 area(A)) with K the plane
-integral 2 pi int_0^inf u cov(u) du of the same table; VaR and ES of the
-loss decay towards the mean mu like 1/lambda with Gaussian coefficients,
-which is what the asymptotic closed forms below implement.
+integral of the same table, 2 pi s^2 (2/psi) int_0^H h^(4/psi - 1) cov(h) dh
+for gamma_u(u) = (u / s)^psi; VaR and ES of the loss decay towards the
+mean mu like 1/lambda with Gaussian coefficients, which is what the
+asymptotic closed forms below implement.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .dependence import SMALL_H, PowerSpec, _cov_at, _require_moments, first_moment
-from .errors import ConvergenceError, DomainError, UnsupportedVariogramError, WindriskError
+from .errors import ConvergenceError, DomainError, WindriskError
 from .geometry import Region, disk_distance_density, square_distance_density
-from .numerics import DEFAULT_QUAD, QuadSpec, integrate, integrate_rows, norm_pdf, norm_quantile
+from .numerics import DEFAULT_QUAD, QuadSpec, integrate_rows, norm_pdf, norm_quantile
 from .variogram import Variogram
 
 __all__ = [
@@ -119,13 +120,6 @@ def mean_cost(p: PowerSpec) -> float:
     """E[C(0)] = E[Z(0)^beta]; the binomial-gamma sum for GEV margins,
     Gamma(1 - beta) for simple margins."""
     return first_moment(p)
-
-
-def _require_isotropic(v: Variogram):
-    if not v.is_isotropic:
-        raise UnsupportedVariogramError(
-            "disk/square variance reduction requires an isotropic variogram"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +276,7 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
     variograms = list(variograms)
     for lam in lams:
         _require_positive_lam(lam)
-    for v in variograms:
-        _require_isotropic(v)
+    scales = [v.radial_scale for v in variograms]
     _require_moments(power, 2)
     out = np.zeros((len(variograms), len(lams)))
     if not out.size:
@@ -309,12 +302,17 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
         return density(h) * table(np.sqrt(gammas))
 
     # seed the subdivision where the pair function still moves: the
-    # covariance decays on the scale sqrt(gamma(lam h)) ~ a few
+    # covariance decays on the scale sqrt(gamma(lam h)) = t ~ a few, at the
+    # distance s t^(2/psi); a distance past the double range is dropped
     breakpoints = []
-    for v in variograms:
-        ds = [_invert_radial(v, target * target) for target in (0.5, 1.0, 2.0, 4.0, 8.0)]
-        breakpoints += [[d / lam for d in ds if d is not None and 0.0 < d / lam < h_max]
-                        for lam in lams]
+    for s, psi in scales:
+        ds = []
+        for t in (0.5, 1.0, 2.0, 4.0, 8.0):
+            try:
+                ds.append(s * (t * t) ** (1.0 / psi))
+            except OverflowError:
+                break
+        breakpoints += [[d / lam for d in ds if 0.0 < d / lam < h_max] for lam in lams]
     outer = replace(
         quad, abs_floor=max(quad.abs_floor, quad.rel_tol * table.variance * 1e-3)
     )
@@ -325,61 +323,45 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
     return out
 
 
-def _invert_radial(v: Variogram, gamma_target: float):
-    """Distance d with gamma_u(d) = gamma_target for the power kinds; inf
-    where d overflows (small psi)."""
-    try:
-        if v.kind == "power":
-            return v.kappa * gamma_target ** (1.0 / v.psi)
-        if v.kind == "power_m":
-            return (gamma_target / v.m) ** (1.0 / v.psi)
-        if v.is_isotropic:
-            c = v.sigma[0, 0]
-            if v.kind == "quadratic_form":
-                return math.sqrt(gamma_target * c)
-            return math.sqrt(c) * (gamma_target / v.m) ** (1.0 / v.psi)
-    except OverflowError:
-        return math.inf
-    return None
-
-
-# K gives up on a covariance that has not decayed by this distance (the
-# table's last edge, 24 or more, lies at 24^(2/psi) for power variograms)
-_MAX_RADIUS = 2.0**63
-
-
 def asymptotic_cov_integral(
     p: PowerSpec, v: Variogram, spec: QuadSpec = DEFAULT_QUAD
 ) -> float:
-    """Integral over the plane of the stationary covariance of Z^beta,
-    computed radially as 2 pi int_0^inf u cov(u) du.
+    """Integral K over the plane of the stationary covariance of Z^beta.
 
-    The covariance table is 0 from its last edge on, so the radial
-    integral ends at the distance where sqrt(gamma) reaches that edge; the
-    distances of the table's edges split it where the covariance is smooth.
+    For gamma_u(u) = (u / s)^psi (:attr:`Variogram.radial_scale`), the lag
+    h = sqrt(gamma_u(u)) turns 2 pi int_0^inf u cov(h) du into the Mellin
+    integral 2 pi s^2 (2/psi) int_0^H h^(4/psi - 1) cov(h) dh over the
+    covariance table, which is 0 from its last edge H on and whose edges
+    split it where the covariance is smooth.  A covariance too slow for
+    the weight, H^(2/psi) > 2^63, raises ConvergenceError at every s; K
+    past the double range raises DomainError.
     """
-    _require_isotropic(v)
+    s, psi = v.radial_scale
     _require_moments(p, 2)
     if p.is_simple and p.beta == 0.0:
         return 0.0
 
     table = _cov_table(p, spec)
-    radii = [_invert_radial(v, e * e) for e in table.edges.tolist()]
-    if not radii[-1] <= _MAX_RADIUS:
+    H = float(table.edges[-1])
+    if 2.0 / psi * math.log(H) > 63.0 * math.log(2.0):
         raise ConvergenceError(
-            "covariance decays too slowly for the radial integral "
-            f"(lag h = {float(table.edges[-1])!r} lies at distance {radii[-1]!r})"
+            "covariance decays too slowly for the plane integral (lag h = "
+            f"{H!r} lies at distance {H!r}^(2/psi) s > 2^63 s for psi = {psi!r})"
         )
 
-    def integrand(u):
-        u = np.asarray(u, dtype=float)
-        return u * table(np.sqrt(v.radial(u)))
+    def integrand(h, rows):
+        return h ** (4.0 / psi - 1.0) * table(h)
 
     # the far pieces carry a vanishing share of the integral: accept them
     # on an absolute budget tied to the variance scale
     outer = replace(spec, abs_floor=max(spec.abs_floor, spec.rel_tol * table.variance * 0.1))
-    return 2.0 * math.pi * integrate(integrand, 0.0, radii[-1], outer,
-                                     breakpoints=radii[1:-1]).value
+    (result,) = integrate_rows(integrand, 0.0, H, [table.edges[1:-1].tolist()], outer)
+    if isinstance(result, WindriskError):
+        raise result
+    k_num = 2.0 * math.pi * s * s * (2.0 / psi) * result.value
+    if not k_num < math.inf:
+        raise DomainError(f"K = {k_num!r} lies past the double range for {v}")
+    return k_num
 
 
 def clt_approx(q: RiskQuery, lam: float) -> CltApprox:

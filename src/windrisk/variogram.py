@@ -10,11 +10,14 @@ Four kinds are supported:
 The two power parametrizations are both first-class because both are in
 common use; they coincide for m = kappa^{-psi}.  Radial (univariate)
 evaluation is defined only for isotropic models, where gamma depends on
-the input through its Euclidean norm alone.
+the input through its Euclidean norm alone.  Every isotropic model is then
+a power of the distance, gamma_u(h) = (h / s)^psi, whose scale s and
+exponent psi :attr:`Variogram.radial_scale` returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -126,6 +129,23 @@ class Variogram:
                 quad = h_arr**2 / c
                 out = quad if self.kind == "quadratic_form" else self.m * quad ** (self.psi / 2.0)
         return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
+
+    @property
+    def radial_scale(self) -> tuple:
+        """(s, psi) with gamma_u(h) = (h / s)^psi, for isotropic models; s
+        is inf past the double range.  A quadratic form has psi 2, whatever
+        its unused ``psi`` field holds."""
+        if not self.is_isotropic:
+            raise UnsupportedVariogramError(
+                f"radial scale undefined for anisotropic {self.kind}"
+            )
+        if self.kind == "power":
+            return self.kappa, self.psi
+        root_c = 1.0 if self.kind == "power_m" else math.sqrt(self.sigma[0, 0])
+        if self.kind == "quadratic_form":
+            return root_c, 2.0
+        with np.errstate(over="ignore"):  # inf past the double range, as in radial
+            return root_c * float(np.float64(self.m) ** (-1.0 / self.psi)), self.psi
 
     @property
     def is_quadratic(self) -> bool:

@@ -532,6 +532,7 @@ class TestInvalidValues:
         ("r2curves", {"beta": 1e300}),
         ("depsurface", {"psi": [1.0], "beta": [1e300], "distances": [0.0, 1.0]}),
         ("simulate", {"n_rep": 1e300}),
+        ("riskreport", {"kappa": 1e200}),
     ])
     def test_exits_2(self, tmp_path, command, block):
         cfg = tmp_path / "c.json"

@@ -24,7 +24,6 @@ from windrisk import (
     norm_cdf,
     norm_pdf,
     norm_quantile,
-    std_normal,
 )
 from windrisk.numerics import (
     _panel_estimates,
@@ -113,13 +112,6 @@ class TestStdNormal:
                             1.0 - np.logspace(-16.0, -1.0, 1501)])
         q = np.array([norm_quantile(v) for v in p.tolist()])
         np.testing.assert_allclose(q, ndtri(p), rtol=1e-15, atol=0.0)
-
-    def test_dispatcher(self):
-        assert std_normal("cdf", 0.0) == 0.5
-        assert std_normal("pdf", 0.0) == norm_pdf(0.0)
-        assert std_normal("quantile", 0.5) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(DomainError):
-            std_normal("density", 0.0)
 
 
 # ten analytically known integrals: (f, a, b, exact)

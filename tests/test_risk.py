@@ -24,6 +24,7 @@ from windrisk import (
     mean_cost,
     norm_pdf,
     power,
+    power_m,
     quadratic_form,
     r2,
     r2_curves,
@@ -303,6 +304,55 @@ class TestPlaneIntegralConvergence:
     def test_overflowing_radius_diagnosed(self, paper_gev):
         with pytest.raises(ConvergenceError):
             asymptotic_cov_integral(PowerSpec.gev(1, paper_gev), power(1.0, 1e-3))
+
+    @pytest.mark.parametrize("psi", [0.5, 1.0, 2.0])
+    def test_range_enters_as_its_square(self, paper_power, psi):
+        # the lag integral does not depend on kappa, so neither does its
+        # acceptance: K(kappa) = kappa^2 K(1) at every scale
+        unit = asymptotic_cov_integral(paper_power, power(1.0, psi))
+        for kappa in (1e-8, 1e-3, 1e3, 1e8):
+            scaled = asymptotic_cov_integral(paper_power, power(kappa, psi))
+            assert scaled == pytest.approx(kappa * kappa * unit, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kappa", [1e-50, 1.0, 1e50])
+    def test_slow_decay_diagnosed_at_every_range(self, paper_power, kappa):
+        with pytest.raises(ConvergenceError):
+            asymptotic_cov_integral(paper_power, power(kappa, 0.05))
+
+    def test_plane_integral_past_the_double_range_diagnosed(self, paper_power):
+        with pytest.raises(DomainError):
+            asymptotic_cov_integral(paper_power, power(1e200, 1.0))
+
+
+class TestIsotropicKinds:
+    """Every isotropic variogram is power(s, psi) for its radial scale, and
+    gets that variogram's K and r2."""
+
+    M, C = 0.6, 2.5
+
+    @pytest.mark.parametrize("psi", [0.5, 1.0, 1.7])
+    def test_power_m(self, paper_power, psi):
+        self.check(paper_power, power_m(self.M, psi), power(self.M ** (-1.0 / psi), psi))
+
+    def test_quadratic_form(self, paper_power):
+        # its psi field keeps the unused default; the exponent is 2
+        v = quadratic_form(self.C * np.eye(2))
+        self.check(paper_power, v, power(math.sqrt(self.C), 2.0))
+
+    @pytest.mark.parametrize("psi", [0.5, 1.0, 1.7])
+    def test_anisotropic_power(self, paper_power, psi):
+        v = anisotropic_power(self.M, self.C * np.eye(2), psi)
+        self.check(paper_power, v,
+                   power(math.sqrt(self.C) * self.M ** (-1.0 / psi), psi))
+
+    @staticmethod
+    def check(p, v, equivalent):
+        assert asymptotic_cov_integral(p, v) == pytest.approx(
+            asymptotic_cov_integral(p, equivalent), rel=1e-12, abs=0.0)
+        lams = [0.5, 3.0, 20.0]
+        for region in (disk(1.0), square(1.0)):
+            np.testing.assert_allclose(r2_curves(region, p, [v], lams),
+                                       r2_curves(region, p, [equivalent], lams), rtol=1e-12)
 
 
 class TestCovTable:

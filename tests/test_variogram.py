@@ -117,3 +117,23 @@ def test_validation_errors():
         quadratic_form([[1.0, 0.5], [0.0, 1.0]])  # not symmetric
     with pytest.raises(DomainError):
         quadratic_form(np.eye(3))
+
+
+@pytest.mark.parametrize("v", [power(1.7, 0.8), power_m(0.4, 1.9), quadratic_form(3.0 * np.eye(2)),
+                               anisotropic_power(1.2, 0.5 * np.eye(2), 1.4)],
+                         ids=["power", "power_m", "quadratic_form", "anisotropic_power"])
+def test_radial_scale_gives_the_radial_power(v):
+    s, psi = v.radial_scale
+    h = np.geomspace(1e-3, 1e3, 25)
+    np.testing.assert_allclose(v.radial(h), (h / s) ** psi, rtol=1e-13)
+
+
+def test_radial_scale_rejects_anisotropic():
+    for v in (quadratic_form([[2.0, 0.5], [0.5, 1.0]]),
+              anisotropic_power(1.0, [[2.0, 0.0], [0.0, 1.0]], 1.0)):
+        with pytest.raises(UnsupportedVariogramError):
+            v.radial_scale
+
+
+def test_radial_scale_past_the_double_range_is_inf():
+    assert power_m(1e-100, 0.1).radial_scale == (np.inf, 0.1)
