@@ -131,7 +131,7 @@ class Variogram:
         return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
 
     @property
-    def radial_scale(self) -> tuple:
+    def radial_scale(self) -> tuple[float, float]:
         """(s, psi) with gamma_u(h) = (h / s)^psi, for isotropic models; s
         is inf past the double range.  A quadratic form has psi 2, whatever
         its unused ``psi`` field holds."""
