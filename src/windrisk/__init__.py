@@ -21,7 +21,6 @@ from .errors import (
 )
 from .geometry import (
     Region,
-    area,
     disk,
     disk_distance_density,
     square,

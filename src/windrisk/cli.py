@@ -301,9 +301,7 @@ def cmd_depsurface(block: dict):
         # command writes none; the rows are then drawn from the arrays
         surfaces = []
         for v, distances in zip(variograms, grids):
-            # one variogram value per distance, as a scalar call gives it: numpy
-            # may round a power differently over an array
-            gammas = np.array([v.radial(dist) for dist in distances])
+            gammas = v.radial(np.array(distances))
             surfaces.append((v.psi, distances,
                              dependence.dep_measure_from_gamma(powers, gammas, spec)))
         rows = ((psi, p.beta, dist, dep) for psi, distances, deps in surfaces

@@ -30,7 +30,6 @@ __all__ = [
     "Region",
     "disk",
     "square",
-    "area",
     "disk_distance_density",
     "square_distance_density",
 ]
@@ -40,42 +39,33 @@ _SHAPES = ("disk", "square")
 
 @dataclass(frozen=True)
 class Region:
-    """Disk (radius R) or square (side R), barycenter-anchored, with an
-    optional homothety ratio lam applied about the barycenter."""
+    """Disk (radius R) or square (side R), barycenter-anchored."""
 
     shape: str
     R: float
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise DomainError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
         if not 0.0 < self.R < math.inf:
             raise DomainError(f"R must be finite and > 0, got {self.R}")
-        if not 0.0 < self.lam < math.inf:
-            raise DomainError(f"lam must be finite and > 0, got {self.lam}")
-
-    @property
-    def scaled_size(self) -> float:
-        """Radius (disk) or side (square) after the homothety."""
-        return self.R * self.lam
 
     def area(self) -> float:
-        s = self.scaled_size
+        s = self.R
         return math.pi * s * s if self.shape == "disk" else s * s
 
     def max_distance(self) -> float:
-        """Diameter of the scaled region."""
-        s = self.scaled_size
+        """Diameter of the region."""
+        s = self.R
         return 2.0 * s if self.shape == "disk" else s * math.sqrt(2.0)
 
     def contains(self, points, center=(0.0, 0.0), extra_scale: float = 1.0):
-        """Boolean mask of points inside the region scaled by lam*extra_scale
+        """Boolean mask of points inside the region scaled by extra_scale
         and centered at ``center``."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         dx = pts[:, 0] - center[0]
         dy = pts[:, 1] - center[1]
-        s = self.scaled_size * extra_scale
+        s = self.R * extra_scale
         if self.shape == "disk":
             return dx * dx + dy * dy <= s * s * (1.0 + 1e-12)
         half = 0.5 * s
@@ -83,17 +73,12 @@ class Region:
         return (np.abs(dx) <= half + tol) & (np.abs(dy) <= half + tol)
 
 
-def disk(R: float, lam: float = 1.0) -> Region:
-    return Region("disk", float(R), float(lam))
+def disk(R: float) -> Region:
+    return Region("disk", float(R))
 
 
-def square(R: float, lam: float = 1.0) -> Region:
-    return Region("square", float(R), float(lam))
-
-
-def area(r: Region) -> float:
-    """Lebesgue measure of the lam-scaled region."""
-    return r.area()
+def square(R: float) -> Region:
+    return Region("square", float(R))
 
 
 def disk_distance_density(h, R: float):

@@ -10,11 +10,11 @@ Everything downstream (dependence integrals, distance-density integrals,
 radial covariance integrals) funnels through :func:`integrate_rows`, a
 globally adaptive Gauss-Kronrod (G7/K15) scheme with a QUADPACK-style error
 estimate that carries many integrands at once, each of one or more
-components on one mesh; :func:`integrate` is its one-integrand call.  Semi-infinite domains are handled by an explicit,
-documented change of variables selected in :class:`QuadSpec`:
+components on one mesh; :func:`integrate` is its one-integrand call.
+Semi-infinite domains are mapped onto t in (0, 1) by the rational change
+of variables
 
-    ``rational``   x = a + t/(1-t),   dx = dt/(1-t)^2,   t in (0, 1)
-    ``log``        x = a - log(1-t),  dx = dt/(1-t),     t in (0, 1)
+    x = a + t/(1-t),   dx = dt/(1-t)^2.
 
 Kronrod nodes are interior, so endpoint singularities of the mapped
 integrand are never evaluated directly.  Each panel's estimates are numpy
@@ -81,21 +81,17 @@ class QuadSpec:
     max_subdivisions hard cap on interval bisections; a row whose
                      rounding noise cannot meet the target stops earlier,
                      on QUADPACK's roundoff test (see integrate_rows)
-    infinite_map     change of variables for (a, inf) domains
     """
 
     rel_tol: float = 3e-7
     abs_floor: float = 1e-12
     max_subdivisions: int = 400
-    infinite_map: str = "rational"
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise DomainError("rel_tol must be > 0")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-        if self.infinite_map not in ("rational", "log"):
-            raise DomainError(f"unknown infinite_map {self.infinite_map!r}")
 
 
 DEFAULT_QUAD = QuadSpec()
@@ -441,24 +437,17 @@ def _panel_estimates(fvals: np.ndarray, half_widths: np.ndarray):
     return value, err
 
 
-def _make_map(a: float, b: float, kind: str):
-    """Return (phi, inverse) mapping t in [t_lo, t_hi] onto the x domain."""
+def _make_map(a: float, b: float):
+    """Return (phi, inverse) mapping t in [t_lo, t_hi] onto the x domain:
+    the rational map x = a + t/(1-t) for b = inf, else the identity."""
     if math.isinf(b):
-        if kind == "rational":
-            def phi(t):
-                om = 1.0 - t
-                return a + t / om, 1.0 / om**2
+        def phi(t):
+            om = 1.0 - t
+            return a + t / om, 1.0 / om**2
 
-            def inv(x):
-                u = x - a
-                return u / (1.0 + u)
-        else:  # log map
-            def phi(t):
-                om = 1.0 - t
-                return a - np.log(om), 1.0 / om
-
-            def inv(x):
-                return -np.expm1(-(x - a))
+        def inv(x):
+            u = x - a
+            return u / (1.0 + u)
         return phi, inv, 0.0, 1.0
 
     def phi(t):
@@ -480,8 +469,8 @@ def integrate(
     """Adaptive Gauss-Kronrod integration of a vectorized integrand.
 
     ``f`` must accept an ndarray of abscissae and return the integrand
-    values elementwise.  ``b`` may be ``math.inf``; the change of
-    variables is taken from ``spec.infinite_map``.  ``breakpoints`` seed
+    values elementwise.  ``b`` may be ``math.inf``, which the rational map
+    of the module docstring brings onto (0, 1).  ``breakpoints`` seed
     the initial subdivision (in x coordinates) and are clipped to the
     domain; useful when the caller knows where the integrand is peaked.
 
@@ -612,7 +601,7 @@ def integrate_rows(
     if math.isinf(a):
         raise DomainError("lower endpoint must be finite")
 
-    phi, inv, t_lo, t_hi = _make_map(a, b, spec.infinite_map)
+    phi, inv, t_lo, t_hi = _make_map(a, b)
     store = [_Row(_initial_edges(a, b, t_lo, t_hi, inv, bps)) for bps in breakpoints]
     results = [None] * len(store)
     failures = {}

@@ -282,7 +282,7 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
     if not out.size:
         return out
 
-    R = region.scaled_size
+    R = region.R
     if region.shape == "disk":
         density, h_max = (lambda h: disk_distance_density(h, R)), 2.0 * R
     else:

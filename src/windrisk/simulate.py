@@ -38,7 +38,9 @@ The last factor is kept, read-only, and the exact and truncated methods
 on the same variogram and sites share it; it takes 30.7 MB at 1961 sites
 and 134 MB at 4096.  The exact method evaluates the drift gamma(x_k - x_j)
 of site k only where its tests reach, the truncated method only the row
-of site 0.
+of site 0.  A row, a block and a single vector of gamma round alike (the
+variogram's value does not depend on its batch), so every partial
+evaluation is the dense matrix's entry bit for bit.
 
 A truncated-spectral fallback (fixed number of Poisson points) is kept
 for speed comparisons; its bias is reported empirically through the
@@ -182,17 +184,6 @@ class McEstimate(NamedTuple):
 # Gaussian machinery
 # ---------------------------------------------------------------------------
 
-def _variogram_row(v: Variogram, x: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """gamma(x - points[j]) for every j, bit for bit the entries of the
-    dense matrix gamma(x_i - x_j).  numpy's einsum, which the kinds with a
-    sigma use, sums in another order for one or two vectors than for three
-    or more, so a shorter row is evaluated padded with zero vectors."""
-    diff = x - points
-    if len(diff) < 3:
-        diff = np.vstack([diff, np.zeros((3 - len(diff), 2))])
-    return v(diff)[:len(points)]
-
-
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor of cov; on failure, of cov with a growing jitter on
     its diagonal.  A retry writes d0 + jitter into cov's diagonal from a
@@ -225,14 +216,14 @@ def _anchored_cholesky(v: Variogram, points: np.ndarray) -> np.ndarray:
     for bit.  Each gamma(x_i - x_j) is the dense matrix's entry bit for
     bit, since x_j - x_i is -(x_i - x_j) exactly, every variogram kind is
     even in its argument bit for bit (hypot, and a quadratic form of
-    products), and a block holds four vectors or more (or the one zero
-    vector of a 1 x 1 matrix).  At the peak, C, the factorization's work
-    copy and the factor are alive: three n x n arrays.  The allocator
-    keeps the temporaries of a block, so blocks are 2^14 difference
-    vectors (256 kB): on the 1961 sites of the disk they left the peak RSS
-    10 MB lower than blocks of 2^18, and filled C no slower."""
+    products), and a vector's value does not depend on its batch.  At the
+    peak, C, the factorization's work copy and the factor are alive: three
+    n x n arrays.  The allocator keeps the temporaries of a block, so
+    blocks are 2^14 difference vectors (256 kB): on the 1961 sites of the
+    disk they left the peak RSS 10 MB lower than blocks of 2^18, and
+    filled C no slower."""
     n = len(points) - 1
-    g0 = _variogram_row(v, points[0], points[1:])
+    g0 = v(points[0] - points[1:])
     cov = np.empty((n, n))
     block = max(1, (1 << 14) // max(n, 1))
     for i0 in range(0, n, block):
@@ -367,7 +358,7 @@ def _extremal_functions(v, points, n_rep, seed):
     draws = accepted = 0
     # the drift 0.5 gamma(x_k - x_j) at the `band` sites j before each site
     # k (site 0 stands in for j < 0), those of the first block tested, in
-    # one evaluation for the run: at least 63 vectors, as _variogram_row asks
+    # one evaluation for the run
     band = _SITE_BLOCK - 1
     before = np.maximum(np.arange(n)[:, None] + np.arange(-band, 0), 0)
     near = 0.5 * v((points[:, None, :] - points[before]).reshape(-1, 2)).reshape(n, band)
@@ -399,7 +390,7 @@ def _extremal_functions(v, points, n_rep, seed):
             rows = active
             while True:
                 if lo < known:
-                    drift[:known] = 0.5 * _variogram_row(v, points[k], points[:known])
+                    drift[:known] = 0.5 * v(points[k] - points[:known])
                     known = 0
                 ok = (w - anchor - drift[lo:hi] - log_gam < log_z[rows, lo:hi]).all(axis=1)
                 if not ok.any():
@@ -415,7 +406,7 @@ def _extremal_functions(v, points, n_rep, seed):
             accepted += rows.size
             if rows.size:
                 if tail is None:
-                    tail = 0.5 * _variogram_row(v, points[k], points[k + 1:])
+                    tail = 0.5 * v(points[k] - points[k + 1:])
                 z_full = np.empty((rows.size, head_dim + tail_dim))
                 z_full[:, :head_dim] = z
                 for i, r in enumerate(rows):
@@ -452,7 +443,7 @@ def _spectral_maxima(n_rep, seed, n_points, n, draw):
 def _truncated_spectral(v, points, n_rep, seed, n_points):
     n = len(points)
     sampler = _GaussianSampler(v, points)
-    half_var = 0.5 * _variogram_row(v, points[0], points)  # Var W(x_i) / 2 anchored at site 0
+    half_var = 0.5 * v(points[0] - points)  # Var W(x_i) / 2 anchored at site 0
 
     def draw(rng, gams):  # log Y, whose maximum is the log of Z
         log_y = sampler.values(rng.standard_normal((n_points, sampler.dim(n - 1))), 0, n)
@@ -727,16 +718,19 @@ def gev_transform(sample: FieldSample, p: GevParams) -> FieldSample:
     )
 
 
-def region_grid(region: Region, lam: float, spacing_factor: int = 50) -> Grid:
+# grid intervals across the region's diameter: region_grid's spacing, and
+# the coarsest that mc_normalized_loss accepts
+_SPACING_FACTOR = 50
+
+
+def region_grid(region: Region, lam: float) -> Grid:
     """Grid covering the lam-scaled region, centered, with spacing
-    diameter / spacing_factor."""
+    diameter / _SPACING_FACTOR."""
     if not lam > 0.0:
         raise DomainError(f"lam must be > 0, got {lam}")
-    if not 0.0 < spacing_factor < math.inf:
-        raise DomainError(f"spacing_factor must be finite and > 0, got {spacing_factor}")
     diameter = region.max_distance() * lam
-    spacing = diameter / spacing_factor
-    half = region.scaled_size * lam
+    spacing = diameter / _SPACING_FACTOR
+    half = region.R * lam
     if region.shape == "square":
         half *= 0.5
     count = int(math.floor(2.0 * half / spacing + 1e-9)) + 1
@@ -745,11 +739,10 @@ def region_grid(region: Region, lam: float, spacing_factor: int = 50) -> Grid:
     return Grid(origin=origin, nx=count, ny=count, spacing=spacing)
 
 
-def grid_region_mask(grid: Grid, region: Region, lam: float, center=None) -> np.ndarray:
-    """Boolean mask of grid points inside the lam-scaled region."""
-    if center is None:
-        center = grid.center
-    return region.contains(grid.points(), center=center, extra_scale=lam)
+def grid_region_mask(grid: Grid, region: Region, lam: float) -> np.ndarray:
+    """Boolean mask of grid points inside the lam-scaled region centered at
+    the grid center."""
+    return region.contains(grid.points(), center=grid.center, extra_scale=lam)
 
 
 def mc_normalized_loss(samples: List[FieldSample], region: Region, lam: float, beta: float):
@@ -760,13 +753,14 @@ def mc_normalized_loss(samples: List[FieldSample], region: Region, lam: float, b
         raise DomainError("no samples given")
     grid = samples[0].grid
     diameter = region.max_distance() * lam
-    if grid.spacing > diameter / 50.0 * (1.0 + 1e-9):
+    if grid.spacing > diameter / _SPACING_FACTOR * (1.0 + 1e-9):
         raise DomainError(
-            f"grid spacing {grid.spacing} exceeds diameter/50 = {diameter / 50.0}"
+            f"grid spacing {grid.spacing} exceeds diameter/{_SPACING_FACTOR} = "
+            f"{diameter / _SPACING_FACTOR}"
         )
     # coverage: the scaled region's bounding box must sit inside the grid
     cx, cy = grid.center
-    half = region.scaled_size * lam if region.shape == "disk" else 0.5 * region.scaled_size * lam
+    half = region.R * lam if region.shape == "disk" else 0.5 * region.R * lam
     lo_x, lo_y = grid.origin
     hi_x = lo_x + (grid.nx - 1) * grid.spacing
     hi_y = lo_y + (grid.ny - 1) * grid.spacing
@@ -786,6 +780,7 @@ def mc_normalized_loss(samples: List[FieldSample], region: Region, lam: float, b
 
 
 _MEASURES = ("mean", "variance", "var", "es")
+_N_BOOT = 200  # bootstrap resamples of mc_risk's standard error
 
 
 def _risk_stat(losses: np.ndarray, measure: str, alpha: Optional[float]) -> float:
@@ -804,10 +799,10 @@ def mc_risk(
     losses,
     measure: str,
     alpha: Optional[float] = None,
-    n_boot: int = 200,
     seed: int = 0,
 ) -> McEstimate:
-    """Empirical risk estimate with a bootstrap standard error.
+    """Empirical risk estimate with a bootstrap standard error over
+    _N_BOOT resamples.
 
     ``var`` is the empirical quantile inf{x : F(x) >= alpha}; ``es`` is the
     conditional mean above it.  Tail measures carry a precision warning
@@ -832,8 +827,8 @@ def mc_risk(
 
     estimate = _risk_stat(losses, measure, alpha)
     rng = np.random.default_rng(seed)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
         resample = losses[rng.integers(0, losses.size, size=losses.size)]
         boots[b] = _risk_stat(resample, measure, alpha)
     return McEstimate(estimate, float(np.std(boots, ddof=1)), warning)

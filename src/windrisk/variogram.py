@@ -10,9 +10,22 @@ Four kinds are supported:
 The two power parametrizations are both first-class because both are in
 common use; they coincide for m = kappa^{-psi}.  Radial (univariate)
 evaluation is defined only for isotropic models, where gamma depends on
-the input through its Euclidean norm alone.  Every isotropic model is then
-a power of the distance, gamma_u(h) = (h / s)^psi, whose scale s and
-exponent psi :attr:`Variogram.radial_scale` returns.
+the input through its Euclidean norm alone, and is radial(h) = gamma((h, 0))
+bit for bit.  Every isotropic model is then a power of the distance,
+gamma_u(h) = (h / s)^psi, whose scale s and exponent psi
+:attr:`Variogram.radial_scale` returns.
+
+Each kind's formula is written once, elementwise (``Variogram._gamma``),
+so a vector's value does not depend on the batch it comes in: a single
+call, a row of the simulators' matrices and one lag of an array of lags
+round alike.  The quadratic form is summed pairwise,
+((x s00) x + (x s01) y) + ((y s10) x + (y s11) y), which is the order in
+which numpy's einsum sums one or two vectors, so the single-vector values
+of earlier versions keep every bit: a dependence or covariance query
+inside the binomial table's cancellation band can change its outcome on a
+last-bit change of gamma.  A scalar is evaluated as a 1-element array,
+since numpy rounds a power of a float64 scalar through libm's pow, not
+through its array loop.
 """
 
 from __future__ import annotations
@@ -78,27 +91,27 @@ class Variogram:
 
     # -- evaluation --------------------------------------------------------
 
-    def __call__(self, x) -> float:
-        """gamma_W(x) for a 2-vector (or batch of row vectors)."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[-1] != 2:
-            raise DomainError(f"expected 2-vectors, got shape {x.shape}")
+    def _gamma(self, x: np.ndarray, y) -> np.ndarray:
+        """gamma((x_i, y_i)) elementwise over float arrays."""
         # a value past the double range is inf, and its dependence 0
         with np.errstate(over="ignore"):
             if self.kind == "power":
-                out = (np.hypot(pts[:, 0], pts[:, 1]) / self.kappa) ** self.psi
-            elif self.kind == "power_m":
-                out = self.m * np.hypot(pts[:, 0], pts[:, 1]) ** self.psi
-            else:
-                quad = np.einsum("ij,jk,ik->i", pts, self._sigma_inv, pts)
-                quad = np.maximum(quad, 0.0)
-                if self.kind == "quadratic_form":
-                    out = quad
-                else:
-                    out = self.m * quad ** (self.psi / 2.0)
-        return float(out[0]) if squeeze else out
+                return (np.hypot(x, y) / self.kappa) ** self.psi
+            if self.kind == "power_m":
+                return self.m * np.hypot(x, y) ** self.psi
+            s = self._sigma_inv
+            quad = (x * s[0, 0] * x + x * s[0, 1] * y) + (y * s[1, 0] * x + y * s[1, 1] * y)
+            quad = np.maximum(quad, 0.0)
+            return quad if self.kind == "quadratic_form" else self.m * quad ** (self.psi / 2.0)
+
+    def __call__(self, x):
+        """gamma_W(x) for a 2-vector, or an (n, 2) batch of row vectors."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2,) and (x.ndim != 2 or x.shape[1] != 2):
+            raise DomainError(f"expected a 2-vector or an (n, 2) batch, got shape {x.shape}")
+        pts = np.atleast_2d(x)
+        out = self._gamma(pts[:, 0], pts[:, 1])
+        return float(out[0]) if x.ndim == 1 else out
 
     @property
     def is_isotropic(self) -> bool:
@@ -110,8 +123,9 @@ class Variogram:
             and abs(s[0, 0] - s[1, 1]) <= _SPD_TOL * abs(s[0, 0])
         )
 
-    def radial(self, h) -> float:
-        """Univariate gamma_{W,u}(h) for isotropic models, h >= 0."""
+    def radial(self, h):
+        """Univariate gamma_{W,u}(h) = gamma((h, 0)) for isotropic models,
+        h >= 0."""
         h_arr = np.asarray(h, dtype=float)
         if np.any(h_arr < 0.0):
             raise DomainError("radial lag h must be >= 0")
@@ -119,16 +133,8 @@ class Variogram:
             raise UnsupportedVariogramError(
                 f"radial evaluation undefined for anisotropic {self.kind}"
             )
-        with np.errstate(over="ignore"):  # inf past the double range, as in __call__
-            if self.kind == "power":
-                out = (h_arr / self.kappa) ** self.psi
-            elif self.kind == "power_m":
-                out = self.m * h_arr**self.psi
-            else:
-                c = self.sigma[0, 0]  # Sigma = c * I here
-                quad = h_arr**2 / c
-                out = quad if self.kind == "quadratic_form" else self.m * quad ** (self.psi / 2.0)
-        return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
+        out = self._gamma(np.atleast_1d(h_arr), 0.0)
+        return float(out[0]) if h_arr.ndim == 0 else out
 
     @property
     def radial_scale(self) -> tuple[float, float]:

@@ -148,11 +148,6 @@ class TestIntegrate:
         res = integrate(lambda x: x ** (-0.5) * np.exp(-x), 0.0, math.inf)
         assert res.value == pytest.approx(gamma(0.5), rel=1e-6)
 
-    def test_log_map(self):
-        spec = QuadSpec(infinite_map="log")
-        res = integrate(lambda x: np.exp(-x), 0.0, math.inf, spec)
-        assert res.value == pytest.approx(1.0, rel=1e-6)
-
     def test_breakpoints_catch_narrow_peak(self):
         # a spike at x = 7 of width 1e-3 is invisible to the initial panels;
         # a ladder of breakpoints bracketing its scales pins it down
@@ -198,8 +193,6 @@ class TestIntegrate:
             QuadSpec(rel_tol=0.0)
         with pytest.raises(DomainError):
             QuadSpec(max_subdivisions=0)
-        with pytest.raises(DomainError):
-            QuadSpec(infinite_map="sinh")
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(DomainError):

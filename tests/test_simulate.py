@@ -604,14 +604,14 @@ class TestPairwiseVariogram:
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_short_rows_match_the_matrix(self, length):
-        # einsum, in the kinds with a sigma, sums one or two vectors in
-        # another order than three or more
+        # the simulators evaluate rows of one, two or three vectors, which
+        # must round as the matrix's entries do
         v = quadratic_form(np.array([[1.3, -0.4], [-0.4, 0.9]]))
         points = np.random.default_rng(9).uniform(-5.0, 5.0, (200, 2))
         gamma = _pairwise_variogram(v, points)
         for i in range(200 - length):
             cols = slice(i + 1, i + 1 + length)
-            assert np.array_equal(sim._variogram_row(v, points[i], points[cols]), gamma[i, cols])
+            assert np.array_equal(v(points[i] - points[cols]), gamma[i, cols])
 
 
 class TestSchlather:
@@ -786,11 +786,6 @@ class TestNormalizedLoss:
             assert grid.spacing <= region.max_distance() * lam / 50.0 * (1 + 1e-12)
             mask = grid_region_mask(grid, region, lam)
             assert mask.sum() > 1900  # ~ pi/4 of 51^2
-
-    @pytest.mark.parametrize("factor", [0, -5, math.inf, math.nan])
-    def test_region_grid_rejects_a_spacing_factor_not_finite_and_positive(self, factor):
-        with pytest.raises(DomainError, match="spacing_factor"):
-            region_grid(disk(1.0), 1.0, spacing_factor=factor)
 
 
 class TestMcRisk:

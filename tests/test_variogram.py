@@ -137,3 +137,57 @@ def test_radial_scale_rejects_anisotropic():
 
 def test_radial_scale_past_the_double_range_is_inf():
     assert power_m(1e-100, 0.1).radial_scale == (np.inf, 0.1)
+
+
+KINDS = ["power", "power_m", "quadratic_form", "anisotropic_power"]
+_SIGMA = [[1.7, -0.6], [-0.6, 0.8]]
+
+
+def _model(kind, sigma):
+    return {"power": power(1.7, 0.8), "power_m": power_m(0.4, 1.3),
+            "quadratic_form": quadratic_form(sigma),
+            "anisotropic_power": anisotropic_power(1.2, sigma, 1.4)}[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 2), (3,), (1, 3), ()])
+def test_input_that_is_not_2_vectors_is_rejected(kind, shape):
+    with pytest.raises(DomainError, match="2-vector"):
+        _model(kind, _SIGMA)(np.arange(float(np.prod(shape))).reshape(shape))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_value_does_not_depend_on_the_batch(kind):
+    # a vector's value, bit for bit, alone, in a pair and in a batch of 5000
+    x = np.random.default_rng(11).normal(size=(5000, 2)) * 4.0
+    v = _model(kind, _SIGMA)
+    batch = v(x)
+    assert np.array_equal([v(d) for d in x], batch)
+    assert np.array_equal(np.concatenate([v(x[i:i + 2]) for i in range(0, 5000, 2)]), batch)
+
+    iso = _model(kind, 2.5 * np.eye(2))
+    h = np.abs(x[:, 0])
+    radial = iso.radial(h)
+    assert np.array_equal([iso.radial(float(t)) for t in h], radial)
+    assert np.array_equal(iso(np.column_stack([h, 0.0 * h])), radial)
+
+
+@pytest.mark.parametrize("kind", ["quadratic_form", "anisotropic_power"])
+def test_single_vector_keeps_the_einsum_bits(kind):
+    # Earlier versions summed x' Sigma^-1 x with einsum, and a dependence or
+    # covariance query inside the binomial table's cancellation band can
+    # change its outcome on a last-bit change of gamma; so a single vector
+    # keeps einsum's bits (its pairwise order), which the order
+    # s00 x x + 2 s01 x y + s11 y y does not.
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        a = rng.normal(size=(2, 2))
+        d = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if kind == "quadratic_form":
+            v = quadratic_form(a @ a.T + 0.1 * np.eye(2))
+        else:
+            v = anisotropic_power(rng.uniform(0.1, 3.0), a @ a.T + 0.1 * np.eye(2),
+                                  rng.uniform(0.1, 2.0))
+        quad = np.maximum(np.einsum("ij,jk,ik->i", d[None], v._sigma_inv, d[None]), 0.0)
+        want = quad if kind == "quadratic_form" else v.m * quad ** (v.psi / 2.0)
+        assert v(d) == want[0]
