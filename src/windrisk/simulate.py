@@ -32,15 +32,16 @@ which is used instead of a dense factorization; all other variograms go
 through an anchored-covariance Cholesky factor with jitter-and-retry.
 There is one factor per (variogram, sites): the covariance is filled in
 row blocks straight from the variogram, its lower triangle only, with no
-dense variogram matrix beside it, so the covariance, the factorization's
-work copy and the factor are the three n x n arrays alive at the peak.
-The last factor is kept, read-only, and the exact and truncated methods
-on the same variogram and sites share it; it takes 30.7 MB at 1961 sites
-and 134 MB at 4096.  The exact method evaluates the drift gamma(x_k - x_j)
-of site k only where its tests reach, the truncated method only the row
-of site 0.  A row, a block and a single vector of gamma round alike (the
-variogram's value does not depend on its batch), so every partial
-evaluation is the dense matrix's entry bit for bit.
+dense variogram matrix beside it, into the array that a blocked Cholesky
+factorization then overwrites with the factor, so the factor is the one
+n x n array alive at the peak.  The last factor is kept, read-only, and
+the exact and truncated methods on the same variogram and sites share
+it; it takes 30.7 MB at 1961 sites and 134 MB at 4096.  The exact method
+evaluates the drift gamma(x_k - x_j) of site k only where its tests
+reach, the truncated method only the row of site 0.  A row, a block and
+a single vector of gamma round alike (the variogram's value does not
+depend on its batch), so every partial evaluation is the dense matrix's
+entry bit for bit.
 
 A truncated-spectral fallback (fixed number of Poisson points) is kept
 for speed comparisons; its bias is reported empirically through the
@@ -71,9 +72,14 @@ replicate's own stream, which nothing else reads.
 Reproducibility
 ---------------
 Every replicate owns an independent child stream spawned from
-``numpy.random.SeedSequence(seed)``; replicate r consumes only its own
-stream in a fixed order, so serial and batched executions produce
-bit-identical values per replicate index.
+``numpy.random.SeedSequence(seed)``, and replicate r consumes only its own
+stream in a fixed order.  A run is repeated bit for bit.  Across values
+of n_rep, replicate r takes the same draws and the same accept/reject
+decisions; its values are bit-identical for the truncated, Smith, tube
+and Schlather generators, and within rounding for exact Brown-Resnick,
+whose replicates are evaluated in lockstep by matrix products that round
+with the number of candidates in the batch (up to 4.9e-15 relative on
+600 disk sites at psi 1, 1.5 and 2).
 """
 
 from __future__ import annotations
@@ -184,24 +190,63 @@ class McEstimate(NamedTuple):
 # Gaussian machinery
 # ---------------------------------------------------------------------------
 
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    """Cholesky factor of cov; on failure, of cov with a growing jitter on
-    its diagonal.  A retry writes d0 + jitter into cov's diagonal from a
-    saved copy d0 of it, so it costs no copy of cov, and the diagonal is
-    put back before return; cov must therefore be writable."""
-    scale = max(float(np.trace(cov)) / max(len(cov), 1), 1.0)
-    diag = np.diag_indices_from(cov)
-    d0 = cov[diag]
-    try:
-        for exponent in (None, -12, -10, -8):
-            if exponent is not None:
-                cov[diag] = d0 + scale * 10.0 ** exponent
-            try:
-                return np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                pass
-    finally:
-        cov[diag] = d0
+# columns per block of the in-place Cholesky factorization.  Filled and
+# factored on the 1960 anchored sites of the disk (one BLAS thread), blocks
+# of 64, 128, 256 and 512 took 0.186, 0.166, 0.179 and 0.232 s and raised
+# the peak RSS by 30.4, 31.4, 37.4 and 42.5 MB, against 0.182-0.195 s and
+# 94.6 MB for a covariance beside np.linalg.cholesky's copy and factor
+_FACTOR_BLOCK = 128
+
+
+def _factor_in_place(a: np.ndarray) -> None:
+    """Overwrite the lower triangle of the symmetric a with its Cholesky
+    factor L, and zero the strict upper triangle; LinAlgError if a is not
+    positive definite, with a then partly overwritten.
+
+    Right-looking, _FACTOR_BLOCK columns at a time (Golub & Van Loan,
+    Matrix Computations, 4.2): the diagonal block L11 by np.linalg.cholesky,
+    the panel below it as A21 L11^-T, then the trailing lower triangle
+    less the panel's outer product, one block column at a time, so that
+    the largest temporary is a block column.  The updates also reach the
+    strict upper part of the diagonal blocks, which L11 then overwrites,
+    and np.linalg.cholesky reads the lower triangle of its block alone."""
+    n = len(a)
+    for c in range(0, n, _FACTOR_BLOCK):
+        ce = min(c + _FACTOR_BLOCK, n)
+        l11 = np.linalg.cholesky(a[c:ce, c:ce])
+        a[c:ce, c:ce] = l11
+        panel = a[ce:, c:ce]
+        panel[...] = panel @ np.linalg.inv(l11).T
+        for d in range(ce, n, _FACTOR_BLOCK):
+            de = min(d + _FACTOR_BLOCK, n)
+            a[d:, d:de] -= panel[d - ce:] @ panel[d - ce:de - ce].T
+    # row by row: np.triu_indices' two index arrays would take as much
+    # memory as the matrix
+    for i in range(n - 1):
+        a[i, i + 1:] = 0.0
+
+
+def _cholesky_with_jitter(fill, n: int) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric n x n matrix C whose lower
+    triangle ``fill(a)`` writes into an n x n array a of zeros (what it
+    writes above the diagonal is ignored); on failure, of C with a growing
+    jitter on its diagonal.  C is factored in place in a, the one n x n
+    array, so a failed attempt leaves a partly overwritten, and each retry
+    fills it again before it adds the jitter."""
+    # zeros, not np.empty: the updates reach the strict upper part of the
+    # diagonal blocks, where stale pages could hold nan or inf
+    a = np.zeros((n, n))
+    fill(a)
+    scale = max(float(np.trace(a)) / max(n, 1), 1.0)
+    for exponent in (None, -12, -10, -8):
+        if exponent is not None:
+            fill(a)
+            a[np.diag_indices(n)] += scale * 10.0 ** exponent
+        try:
+            _factor_in_place(a)
+            return a
+        except np.linalg.LinAlgError:
+            pass
     raise ConvergenceError("covariance factorization failed even with jitter")
 
 
@@ -211,29 +256,30 @@ def _anchored_cholesky(v: Variogram, points: np.ndarray) -> np.ndarray:
 
     C is filled a block of rows at a time straight from the variogram,
     with the arithmetic of the dense form and no matrix of gamma beside
-    it, and only on and below its diagonal: np.linalg.cholesky reads the
-    lower triangle alone, so the factor is the one of the full matrix bit
-    for bit.  Each gamma(x_i - x_j) is the dense matrix's entry bit for
+    it, and only on and below its diagonal, which is all the factorization
+    reads.  Each gamma(x_i - x_j) is the dense matrix's entry bit for
     bit, since x_j - x_i is -(x_i - x_j) exactly, every variogram kind is
     even in its argument bit for bit (hypot, and a quadratic form of
-    products), and a vector's value does not depend on its batch.  At the
-    peak, C, the factorization's work copy and the factor are alive: three
-    n x n arrays.  The allocator keeps the temporaries of a block, so
-    blocks are 2^14 difference vectors (256 kB): on the 1961 sites of the
-    disk they left the peak RSS 10 MB lower than blocks of 2^18, and
-    filled C no slower."""
+    products), and a vector's value does not depend on its batch.  C is
+    factored in place (:func:`_cholesky_with_jitter`), so the factor is
+    the one n x n array alive at the peak.  The allocator keeps the
+    temporaries of a block, so blocks are 2^14 difference vectors
+    (256 kB): on the 1961 sites of the disk they left the peak RSS 10 MB
+    lower than blocks of 2^18, and filled C no slower."""
     n = len(points) - 1
     g0 = v(points[0] - points[1:])
-    cov = np.empty((n, n))
     block = max(1, (1 << 14) // max(n, 1))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        diff = points[1 + i0:1 + i1, None, :] - points[None, 1:1 + i1, :]
-        rows = cov[i0:i1, :i1]
-        np.add(g0[i0:i1, None], g0[None, :i1], out=rows)
-        rows -= v(diff.reshape(-1, 2)).reshape(i1 - i0, i1)
-        rows *= 0.5
-    return _cholesky_with_jitter(cov)
+
+    def fill(cov):
+        for i0 in range(0, n, block):
+            i1 = min(i0 + block, n)
+            diff = points[1 + i0:1 + i1, None, :] - points[None, 1:1 + i1, :]
+            rows = cov[i0:i1, :i1]
+            np.add(g0[i0:i1, None], g0[None, :i1], out=rows)
+            rows -= v(diff.reshape(-1, 2)).reshape(i1 - i0, i1)
+            rows *= 0.5
+
+    return _cholesky_with_jitter(fill, n)
 
 
 # the one factor kept between calls, (key, read-only factor): exact and
@@ -423,20 +469,38 @@ def _extremal_functions(v, points, n_rep, seed):
     return np.exp(log_z), {"spectral_draws": draws, "accepted": accepted}
 
 
+# spectral points per draw of the truncated generators: a chunk's values
+# are a (chunk, sites) array, not one of (n_points, sites)
+_POINT_CHUNK = 128
+
+
 def _spectral_maxima(n_rep, seed, n_points, n, draw):
     """Per-site maxima (n_rep, n) of n_points spectral draws a replicate,
     and the fraction of sites whose maximum came from the last tenth of
-    them.  ``draw(rng, gams)`` gives a replicate's (n_points, n) values at
-    its Poisson points ``gams``, which its stream gives first."""
+    them.  ``draw(rng, gams)`` gives a replicate's (len(gams), n) values at
+    the Poisson points ``gams``, which its stream gives first, all of them.
+
+    The points are drawn _POINT_CHUNK at a time.  numpy's Generator fills
+    an array in row-major order, so the chunks take the normals of one
+    (n_points, dim) draw in the same order.  A site's maximum and its
+    point are replaced only where a chunk holds a strictly greater value,
+    which keeps the first point that attains the maximum, as np.argmax
+    over all points would."""
     if n_points < 1:
         raise DomainError("n_points must be >= 1")
-    out = _replicate_array((n_rep, n))
+    out = _replicate_array((n_rep, n), fill=-np.inf)
     late = 0
+    sites = np.arange(n)
     for r, rng in enumerate(_replicate_rngs(seed, n_rep)):
-        y = draw(rng, np.cumsum(rng.exponential(size=n_points)))
-        argmax = np.argmax(y, axis=0)
-        out[r] = y[argmax, np.arange(n)]
-        late += int(np.sum(argmax + 1 > 0.9 * n_points))
+        gams = np.cumsum(rng.exponential(size=n_points))
+        best, first = out[r], np.zeros(n, dtype=np.intp)
+        for i in range(0, n_points, _POINT_CHUNK):
+            y = draw(rng, gams[i:i + _POINT_CHUNK])
+            argmax = np.argmax(y, axis=0)
+            top = y[argmax, sites]
+            up = top > best
+            best[up], first[up] = top[up], argmax[up] + i
+        late += int(np.sum(first + 1 > 0.9 * n_points))
     return out, late / (n_rep * n)
 
 
@@ -446,7 +510,7 @@ def _truncated_spectral(v, points, n_rep, seed, n_points):
     half_var = 0.5 * v(points[0] - points)  # Var W(x_i) / 2 anchored at site 0
 
     def draw(rng, gams):  # log Y, whose maximum is the log of Z
-        log_y = sampler.values(rng.standard_normal((n_points, sampler.dim(n - 1))), 0, n)
+        log_y = sampler.values(rng.standard_normal((len(gams), sampler.dim(n - 1))), 0, n)
         log_y -= half_var
         log_y -= np.log(gams)[:, None]
         return log_y
@@ -657,23 +721,24 @@ def simulate_schlather(
     n = len(pts)
     if n > _MAX_DENSE_POINTS:
         raise DomainError(f"grid too large for dense factorization ({n})")
-    # the lower triangle of the correlation matrix, a block of rows at a
-    # time, as in _anchored_cholesky: no matrix of distances beside it
-    corr = np.empty((n, n))
     block = max(1, (1 << 14) // max(n, 1))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        diff = pts[i0:i1, None, :] - pts[None, :i1, :]
-        rows = np.asarray(correlation(np.hypot(diff[..., 0], diff[..., 1])), dtype=float)
-        if rows.shape != (i1 - i0, i1):
-            raise DomainError("correlation function must evaluate elementwise on distances")
-        corr[i0:i1, :i1] = rows
-    chol = _cholesky_with_jitter(corr)
-    del corr  # not needed by the draws
+
+    def fill(corr):
+        # the lower triangle of the correlation matrix, a block of rows at
+        # a time, as in _anchored_cholesky: no matrix of distances beside it
+        for i0 in range(0, n, block):
+            i1 = min(i0 + block, n)
+            diff = pts[i0:i1, None, :] - pts[None, :i1, :]
+            rows = np.asarray(correlation(np.hypot(diff[..., 0], diff[..., 1])), dtype=float)
+            if rows.shape != (i1 - i0, i1):
+                raise DomainError("correlation function must evaluate elementwise on distances")
+            corr[i0:i1, :i1] = rows
+
+    chol = _cholesky_with_jitter(fill, n)
     c = math.sqrt(2.0 * math.pi)
 
     def draw(rng, gams):
-        return c * np.maximum(rng.standard_normal((n_points, n)) @ chol.T, 0.0) / gams[:, None]
+        return c * np.maximum(rng.standard_normal((len(gams), n)) @ chol.T, 0.0) / gams[:, None]
 
     values, late = _spectral_maxima(n_rep, seed, n_points, n, draw)
     meta = {"method": "schlather_truncated", "late_update_fraction": late,

@@ -125,7 +125,7 @@ class Variogram:
 
     def radial(self, h):
         """Univariate gamma_{W,u}(h) = gamma((h, 0)) for isotropic models,
-        h >= 0."""
+        h >= 0; inf at h = inf."""
         h_arr = np.asarray(h, dtype=float)
         if np.any(h_arr < 0.0):
             raise DomainError("radial lag h must be >= 0")
@@ -133,8 +133,12 @@ class Variogram:
             raise UnsupportedVariogramError(
                 f"radial evaluation undefined for anisotropic {self.kind}"
             )
-        out = self._gamma(np.atleast_1d(h_arr), 0.0)
-        return float(out[0]) if h_arr.ndim == 0 else out
+        h_arr = np.atleast_1d(h_arr)
+        # the quadratic form's cross terms are inf * 0 = nan at (inf, 0)
+        infinite = np.isinf(h_arr)
+        out = self._gamma(np.where(infinite, 0.0, h_arr), 0.0)
+        out[infinite] = np.inf
+        return float(out[0]) if np.ndim(h) == 0 else out
 
     @property
     def radial_scale(self) -> tuple[float, float]:

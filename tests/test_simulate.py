@@ -169,6 +169,46 @@ class TestBrownResnick:
             joint_se = math.sqrt(pe * (1 - pe) / len(Ze) + pt * (1 - pt) / len(Zt))
             assert abs(pe - pt) <= 3.0 * joint_se
 
+    @pytest.mark.parametrize("psi", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("method", ["extremal_functions", "truncated_spectral"])
+    def test_replicate_alone_and_in_a_batch(self, monkeypatch, method, psi):
+        # replicate r takes the same draws and decisions alone and among
+        # n_rep; exact values may round apart, since the replicates share
+        # matrix products whose rounding depends on how many rows they have
+        v, points, seed, n_rep = power(1.0, psi), _EQUIVALENCE_SITES, 5, 4
+        batch, meta = brown_resnick_at(v, points, n_rep, seed, method=method, n_points=300,
+                                       return_meta=True)
+        streams = sim._replicate_rngs(seed, n_rep)
+        counts = []
+        for r in range(n_rep):
+            monkeypatch.setattr(sim, "_replicate_rngs", lambda *args, r=r: streams[r:r + 1])
+            alone, alone_meta = brown_resnick_at(v, points, 1, seed, method=method, n_points=300,
+                                                 return_meta=True)
+            if method == "truncated_spectral":
+                assert np.array_equal(alone[0], batch[r])
+                counts.append(round(alone_meta["late_update_fraction"] * len(points)))
+            else:
+                np.testing.assert_allclose(alone[0], batch[r], rtol=1e-12, atol=0.0)
+                counts.append((alone_meta["spectral_draws"], alone_meta["accepted"]))
+        if method == "truncated_spectral":
+            assert sum(counts) == round(meta["late_update_fraction"] * n_rep * len(points))
+        else:
+            assert tuple(map(sum, zip(*counts))) == (meta["spectral_draws"], meta["accepted"])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 128])
+    def test_truncated_points_in_chunks(self, monkeypatch, chunk):
+        # the spectral points drawn a chunk at a time give the late-update
+        # fraction of all of them drawn at once, and the maxima within the
+        # rounding of matrix products with fewer rows
+        run = functools.partial(brown_resnick_at, power(1.0, 1.0), _EQUIVALENCE_SITES, 3, 41,
+                                method="truncated_spectral", n_points=300, return_meta=True)
+        monkeypatch.setattr(sim, "_POINT_CHUNK", 300)
+        want, want_meta = run()
+        monkeypatch.setattr(sim, "_POINT_CHUNK", chunk)
+        got, got_meta = run()
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert got_meta == want_meta
+
     def test_truncated_reports_bias_diagnostic(self):
         v = power(1.0, 1.0)
         _, meta = brown_resnick_at(
@@ -229,7 +269,7 @@ def _full_head_extremal_functions(v, points, n_rep, seed):
         g0 = gamma_mat[0]
         cov = 0.5 * (g0[1:, None] + g0[None, 1:] - gamma_mat[1:, 1:])
         field, dim = np.zeros((n, n - 1)), (lambda k: k)
-        field[1:] = sim._cholesky_with_jitter(cov)
+        field[1:] = sim._cholesky_with_jitter(lambda a: np.copyto(a, cov), n - 1)
     out = np.empty((n_rep, n))
     draws = accepted = 0
     for r, rng in enumerate(sim._replicate_rngs(seed, n_rep)):
@@ -509,6 +549,7 @@ class TestMixedMovingMaximaValidation:
 
 
 _ANISOTROPIC = anisotropic_power(0.7, np.array([[2.0, 0.5], [0.5, 1.0]]), 1.5)
+_FACTOR_SITES = Grid(origin=(0.0, 0.0), nx=16, ny=17, spacing=0.25).points()
 
 
 class TestGaussianFactor:
@@ -521,6 +562,15 @@ class TestGaussianFactor:
     def _run(v, points, method):
         return brown_resnick_at(v, points, 3, seed=31, method=method, n_points=40,
                                 return_meta=True)
+
+    @staticmethod
+    def _anchored_covariance(v, points):
+        gamma = _pairwise_variogram(v, points)
+        return 0.5 * (gamma[0, 1:, None] + gamma[0, None, 1:] - gamma[1:, 1:])
+
+    @staticmethod
+    def _residual(chol, cov):
+        return np.abs(chol @ chol.T - cov).max() / np.abs(cov).max()
 
     def test_cached_runs_equal_uncached_runs(self, monkeypatch):
         other = _EQUIVALENCE_SITES[40:131]
@@ -558,9 +608,10 @@ class TestGaussianFactor:
         assert other is not chol and sim._cached_factor[1] is other
 
     def test_factor_build_peaks_below_three_matrices(self, monkeypatch):
-        # the covariance and the factor, and the fill's small blocks; a dense
-        # variogram matrix beside them would make three traced n x n arrays
-        # (the factorization's work copy is not traced)
+        # the covariance, factored in place, and the fill's and the
+        # factorization's block temporaries; a covariance and a factor beside
+        # it would make two traced n x n arrays, and a dense variogram matrix
+        # a third
         import tracemalloc
 
         monkeypatch.setattr(sim, "_cached_factor", (None, None))
@@ -572,22 +623,49 @@ class TestGaussianFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * matrix_bytes
+        assert peak < 1.5 * matrix_bytes
 
     def test_jitter_retry_for_a_duplicated_site(self, monkeypatch):
         v, points = power(1.0, 1.0), np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
-        gamma = _pairwise_variogram(v, points)
-        cov = 0.5 * (gamma[0, 1:, None] + gamma[0, None, 1:] - gamma[1:, 1:])
+        cov = self._anchored_covariance(v, points)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(cov)
         jittered = cov.copy()
         jittered[np.diag_indices_from(jittered)] += max(np.trace(cov) / len(cov), 1.0) * 1e-12
         want = np.linalg.cholesky(jittered)
-        before = cov.copy()
-        assert np.array_equal(sim._cholesky_with_jitter(cov), want)
-        assert np.array_equal(cov, before)  # the diagonal is put back
+        # three anchored sites are one block, factored by np.linalg.cholesky
+        assert np.array_equal(sim._cholesky_with_jitter(lambda a: np.copyto(a, cov), 3), want)
         monkeypatch.setattr(sim, "_cached_factor", (None, None))
         assert np.array_equal(sim._GaussianSampler(v, points).chol, want)
+
+    @pytest.mark.parametrize("psi", [1.0, 1.9])
+    @pytest.mark.parametrize("n", [130, 257])
+    def test_blocked_factor_residual(self, monkeypatch, n, psi):
+        # more than one block of columns, and not a multiple of the block
+        v, points = power(1.0, psi), _FACTOR_SITES[:n + 1]
+        monkeypatch.setattr(sim, "_cached_factor", (None, None))
+        chol = sim._GaussianSampler(v, points).chol
+        assert chol.shape == (n, n) and not np.triu(chol, 1).any()
+        assert self._residual(chol, self._anchored_covariance(v, points)) <= 1e-14
+
+    def test_jitter_retry_after_the_first_block(self):
+        # a site repeated at index 200 of the covariance: the failing pivot
+        # lies in the second block, so the retry fills the half-overwritten
+        # array again
+        v, points = power(1.0, 1.0), _FACTOR_SITES[:258].copy()
+        points[201] = points[40]
+        cov = self._anchored_covariance(v, points)
+        fills = []
+
+        def fill(a):
+            fills.append(len(fills))
+            np.copyto(a, cov)
+
+        chol = sim._cholesky_with_jitter(fill, len(cov))
+        assert fills == [0, 1]  # one retry, with the jitter scale * 1e-12
+        jittered = cov + max(np.trace(cov) / len(cov), 1.0) * 1e-12 * np.eye(len(cov))
+        assert not np.triu(chol, 1).any()
+        assert self._residual(chol, jittered) <= 1e-14
 
 
 class TestPairwiseVariogram:
@@ -663,20 +741,24 @@ class TestSchlather:
             simulate_schlather(self.correlation, g, 2, seed=24, n_points=n_points)
 
     def test_factor_is_the_dense_matrix_factor(self, monkeypatch):
-        # the blockwise lower-triangle fill gives the factor of the dense
-        # correlation matrix bit for bit, so the values are those of it
+        # the blockwise fill writes the dense correlation matrix's lower
+        # triangle bit for bit, all the factorization reads, so the factor
+        # is that of the dense matrix
         g = Grid(origin=(0.3, -0.2), nx=13, ny=17, spacing=0.37)
         dist = _pairwise_variogram(lambda d: np.hypot(d[:, 0], d[:, 1]), g.points())
-        factors = []
+        fills = []
         factor = sim._cholesky_with_jitter
 
-        def recorded(cov):
-            factors.append(factor(cov))
-            return factors[-1]
+        def recorded(fill, n):
+            fills.append((fill, n))
+            return factor(fill, n)
 
         monkeypatch.setattr(sim, "_cholesky_with_jitter", recorded)
         simulate_schlather(self.correlation, g, 2, seed=25, n_points=10)
-        assert np.array_equal(factors[0], np.linalg.cholesky(self.correlation(dist)))
+        (fill, n), = fills
+        written = np.zeros((n, n))
+        fill(written)
+        assert np.array_equal(np.tril(written), np.tril(self.correlation(dist)))
 
     def test_non_elementwise_correlation_rejected(self):
         g = Grid(origin=(0.0, 0.0), nx=3, ny=3, spacing=1.0)
@@ -684,9 +766,10 @@ class TestSchlather:
             simulate_schlather(lambda d: 0.5, g, 2, seed=26)
 
     def test_correlation_build_peaks_below_three_matrices(self):
-        # the correlation matrix and its factor, and the fill's small blocks;
-        # a dense distance matrix beside them would make three traced n x n
-        # arrays (the factorization's work copy is not traced)
+        # the correlation matrix, factored in place, and the fill's and the
+        # factorization's block temporaries; a correlation matrix and a
+        # factor beside it would make two traced n x n arrays, and a dense
+        # distance matrix a third
         import tracemalloc
 
         grid = Grid(origin=(0.0, 0.0), nx=44, ny=44, spacing=0.1)
@@ -697,7 +780,7 @@ class TestSchlather:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * matrix_bytes
+        assert peak < 1.5 * matrix_bytes
 
 
 class TestGevTransform:

@@ -46,6 +46,20 @@ def test_value_past_the_double_range_is_inf_without_a_warning(v):
             assert v.radial(1e200) == np.inf
 
 
+@pytest.mark.parametrize("v", [power(1.7, 0.8), power_m(0.4, 1.9), quadratic_form(3.0 * np.eye(2)),
+                               anisotropic_power(1.2, 0.5 * np.eye(2), 1.4)],
+                         ids=["power", "power_m", "quadratic_form", "anisotropic_power"])
+def test_radial_at_an_infinite_lag_is_inf_without_a_warning(v):
+    # the quadratic form's cross terms would be inf * 0 = nan at (inf, 0)
+    h = np.array([0.0, 2.0, np.inf, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert v.radial(np.inf) == np.inf
+        got = v.radial(h)
+    assert got[2] == np.inf
+    assert np.array_equal(got[[0, 1, 3]], v.radial(h[[0, 1, 3]]))
+
+
 def test_power_parametrizations_match():
     # m = kappa^-psi makes the two power forms identical
     kappa, psi = 2.5, 1.3

@@ -1,9 +1,10 @@
-"""Compare the one_off_queries outcomes, or the study_sweep CSVs, of two
-windrisk source trees.
+"""Compare the one_off_queries outcomes, the study_sweep CSVs, or the
+mc_oracle simulations of two windrisk source trees.
 
     python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC \
         [--seeds 1 4711 90210 7] [--passes 0 1 2 3] [--rel-tol 3e-9 1e-9]
     python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC --study [--variants 0 1 ...]
+    python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC --mc [--seeds 1 4711] [--passes 0 1 2 3]
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``windrisk`` package.  For every seed and pass, the queries of
@@ -30,8 +31,22 @@ largest relative gap, per psi and over the variants, between each tree's
 CLI cells and the same tree's per-power ``dep_measure_from_gamma`` calls,
 which the CLI's one batched call per psi must stay within rounding of.
 
-The exit status is 1 when an outcome or a value changed.  ``perfbench/`` is
-read from this repository and is not changed.
+``--mc`` runs each simulator of ``perfbench.workloads.McOracle`` (Smith,
+tube, exact Brown-Resnick at psi 1 and 2, truncated Brown-Resnick) on the
+inputs of every seed and pass, alone in a fresh interpreter with BLAS
+pinned to one thread, so that its peak resident memory is its own; the
+two trees take turns on each input.  (The workload takes the simulators'
+inputs from the pass alone; the seed only seeds its bootstrap, so a
+second seed repeats the runs.)  It prints, per
+simulator, the runs whose counters differ (``spectral_draws`` and
+``accepted`` of the exact method, ``late_update_fraction`` of the
+truncated one), the runs whose values are bit-identical and the largest
+relative value change, and each tree's median peak RSS (``ru_maxrss``,
+which includes the interpreter and the imports) and time.
+
+The exit status is 1 when an outcome or a value changed, or with ``--mc``
+when a counter changed.  ``perfbench/`` is read from this repository and
+is not changed.
 """
 
 import argparse
@@ -40,8 +55,11 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from collections import Counter, defaultdict
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -125,6 +143,41 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
+# one simulator's run on one tree: a JSON line (counters, seconds, peak RSS
+# in MB) on stdout, and the (n_rep, sites) values in an .npy file
+_MC_RUNNER = r"""
+import json, resource, sys, time
+from pathlib import Path
+import numpy as np
+import windrisk as wr
+from perfbench.workloads import TUBE_RADIUS, McOracle
+
+if not Path(wr.__file__).resolve().is_relative_to(sys.argv[2]):
+    raise SystemExit(f"imported windrisk from {wr.__file__}, not from {sys.argv[2]}")
+seed, k, name, values_path = json.loads(sys.argv[1])
+oracle = McOracle(seed, k, "full", Path(values_path).parent)
+oracle.setup()
+n_rep, sim_seed = oracle.reps[name], oracle.seeds[name]
+t0 = time.perf_counter()
+# the calls of McOracle.run, with the Brown-Resnick counters returned
+if name in ("smith", "tube"):
+    simulate = wr.simulate_smith if name == "smith" else wr.simulate_tube
+    shape = np.eye(2) if name == "smith" else TUBE_RADIUS
+    samples = simulate(shape, oracle.grid, n_rep, sim_seed)
+    values, meta = np.stack([s.values.ravel() for s in samples]), {}
+else:
+    psi = 2.0 if name == "br_psi2" else 1.0
+    method = "truncated_spectral" if name == "br_truncated" else "extremal_functions"
+    values, meta = wr.brown_resnick_at(wr.power(1.0, psi), oracle.sites, n_rep, sim_seed,
+                                       method=method, return_meta=True)
+dt = time.perf_counter() - t0
+np.save(values_path, values)
+print(json.dumps([meta, dt, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]))
+"""
+
+MC_SIMULATORS = ("smith", "tube", "br_psi1", "br_psi2", "br_truncated")
+
+
 def _run(runner, src: Path, arg):
     """The JSON lines a runner prints in a fresh interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(REPO)]),
@@ -151,6 +204,45 @@ def run_study(src: Path, variants):
     tree."""
     return {(variant, label): (code, rows, dt, gaps)
             for variant, label, code, rows, dt, gaps in _run(_STUDY_RUNNER, src, variants)}
+
+
+def run_mc(srcs, seeds, passes, tmp: Path):
+    """{tree: {(simulator, seed, pass): (counters, values, seconds, peak RSS
+    MB)}}, one fresh interpreter per tree, simulator and input; the trees
+    take turns on each input, so that their timings see the same host."""
+    runs = {tree: {} for tree in srcs}
+    for name in MC_SIMULATORS:
+        for seed in seeds:
+            for k in passes:
+                for tree, src in srcs.items():
+                    path = tmp / f"{tree}-{name}-{seed}-{k}.npy"
+                    (meta, dt, rss), = _run(_MC_RUNNER, src, [seed, k, name, str(path)])
+                    meta.pop("method", None)
+                    runs[tree][name, seed, k] = (meta, np.load(path), dt, rss)
+                    path.unlink()
+    return runs
+
+
+def compare_mc(parent, change):
+    """Counter changes, value changes, peak RSS and time of each simulator."""
+    counters_changed = False
+    for name in MC_SIMULATORS:
+        keys = [key for key in parent if key[0] == name]
+        moved = [key for key in keys if parent[key][0] != change[key][0]]
+        same = sum(np.array_equal(parent[key][1], change[key][1]) for key in keys)
+        max_rel = max(float(np.max(np.abs(change[key][1] - parent[key][1])
+                                   / np.maximum(np.abs(parent[key][1]), 1e-300)))
+                      for key in keys)
+        cells = [f"{tree} {statistics.median(runs[key][3] for key in keys):.1f} MB, "
+                 f"{statistics.median(runs[key][2] for key in keys):.3f} s"
+                 for tree, runs in (("parent", parent), ("change", change))]
+        print(f"{name}: {len(keys)} runs, counters differ in {len(moved)}, values "
+              f"bit-identical in {same} (max relative change {max_rel:.3g}); "
+              f"median peak RSS and time: {'; '.join(cells)}")
+        for key in moved[:10]:
+            print(f"    seed {key[1]} pass {key[2]}: {parent[key][0]} -> {change[key][0]}")
+        counters_changed = counters_changed or bool(moved)
+    return counters_changed
 
 
 def compare_study(parent, change):
@@ -247,12 +339,23 @@ def main(argv=None):
                         help="compare the study_sweep CLI outputs instead")
     parser.add_argument("--variants", type=int, nargs="+", default=list(range(8)),
                         help="study variants for --study (default: 0 .. 7)")
+    parser.add_argument("--mc", action="store_true",
+                        help="compare the mc_oracle simulators' counters and values instead")
     args = parser.parse_args(argv)
+    if args.study and args.mc:
+        parser.error("--study and --mc exclude each other")
     tols = [None] + args.rel_tol
-    trees = {}
-    for tree, src in (("parent", args.parent_src), ("change", args.change_src)):
+    for src in (args.parent_src, args.change_src):
         if not (src / "windrisk" / "__init__.py").is_file():
             parser.error(f"{src} holds no windrisk package")
+    if args.mc:
+        srcs = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = run_mc(srcs, args.seeds, args.passes, Path(tmp))
+        print(f"{len(args.seeds)} seeds x {len(args.passes)} passes")
+        return 1 if compare_mc(runs["parent"], runs["change"]) else 0
+    trees = {}
+    for tree, src in (("parent", args.parent_src), ("change", args.change_src)):
         trees[tree] = (run_study(src.resolve(), args.variants) if args.study else
                        run_tree(src.resolve(), args.seeds, args.passes, tols))
     if args.study:
