@@ -9,6 +9,7 @@ from .dependence import (
     dep_measure,
     dep_measure_from_gamma,
     extremal_coefficient,
+    mean_cost,
     var_gev,
     var_simple,
 )
@@ -43,7 +44,6 @@ from .risk import (
     asymptotic_cov_integral,
     clt_approx,
     es_asymptotic,
-    mean_cost,
     r2,
     r2_curves,
     var_asymptotic,

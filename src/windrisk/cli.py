@@ -316,8 +316,8 @@ def cmd_r2curves(block: dict):
     power = _power(block["beta"], _gev_params(block["gev"]))
     lams = block["lam"]
     if isinstance(lams, dict):
-        lams = np.geomspace(float(lams["min"]), float(lams["max"]),
-                            _integer(lams["count"], "lam.count", 1)).tolist()
+        ends = [_lams([lams[end]], f"lam.{end}")[0] for end in ("min", "max")]
+        lams = np.geomspace(*ends, _integer(lams["count"], "lam.count", 1)).tolist()
     lams = _lams(lams, "lam")
     regions = [Region(str(shape), float(block["R"])) for shape in _list(block["shapes"], "shapes")]
     psis = _list(block["psi"], "psi")
@@ -369,7 +369,7 @@ def cmd_riskreport(block: dict):
 def cmd_simulate(block: dict):
     beta = _integer(block["beta"], "beta", 1)
     region = _region(block["region"])
-    lam = float(block["lam"])
+    lam = _lams([block["lam"]], "lam")[0]
     grid = simulate.region_grid(region, lam)
     n_rep = _integer(block["n_rep"], "n_rep", 2)  # the loss variance needs two
     seed = _integer(block["seed"], "seed", 0)

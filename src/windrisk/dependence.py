@@ -66,17 +66,23 @@ in s go through one routine, :func:`_line_integrals`, which takes the
 integrand as kernel(s, h) over arrays of s > 0 and, a fixed block of lags
 at a time, integrates their s > 0 half-lines as the rows of one
 :func:`integrate_rows` call, one row component per ordered pair.
+
+Every covariance is read from one :class:`CovModel` per (p1, p2, QuadSpec),
+which owns the certified table of cov(h) that :mod:`windrisk.risk`
+integrates; :func:`covariance_model` keeps the 16 latest for all callers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .errors import DomainError, WindriskError
+from .errors import ConvergenceError, DomainError, WindriskError
 from .numerics import (
     DEFAULT_QUAD,
     QuadResult,
@@ -98,7 +104,9 @@ __all__ = [
     "var_simple",
     "cov_gev",
     "var_gev",
-    "first_moment",
+    "mean_cost",
+    "CovModel",
+    "covariance_model",
     "dep_measure",
     "dep_measure_from_gamma",
     "extremal_coefficient",
@@ -486,90 +494,226 @@ def _lattice_forms(g, sig_index, blocks, rest1, rest2, sh, log_d):
     return forms
 
 
-def _cov_at(p1, p2, spec: QuadSpec):
+# ---------------------------------------------------------------------------
+# the covariance model and its table
+# ---------------------------------------------------------------------------
+
+# Chebyshev points of the first kind on [-1, 1] (none at a piece's edges,
+# so h = 0 is never a node), and the map from node values to coefficients,
+# c_j = (2 - [j = 0]) / n * sum_k T_j(x_k) y_k by the discrete orthogonality
+_CHEB_N = 21
+_CHEB_X = chebyshev.chebpts1(_CHEB_N)
+_TO_COEFS = chebyshev.chebvander(_CHEB_X, _CHEB_N - 1).T * (2.0 / _CHEB_N)
+_TO_COEFS[0] /= 2.0
+# check points: every other extremum of T_n, each between two neighbouring
+# nodes, where the interpolation error of a smooth function peaks
+_CHECK_X = np.cos(np.arange(1, _CHEB_N, 2) * np.pi / _CHEB_N)
+# the covariance moves on the scale h ~ 1 and has decayed by h ~ 15
+_TABLE_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0)
+_MAX_BISECTIONS = 8
+_MAX_DOUBLINGS = 10
+# past the table's range cov <= _TAIL * rel_tol * var, below the absolute
+# floors of the r2 (1e-3) and K (1e-1) integrals of windrisk.risk
+_TAIL = 1e-6
+
+
+@dataclass(frozen=True, eq=False)
+class _CovTable:
+    """cov(h) of one pair of power fields as a piecewise Chebyshev interpolant.
+
+    Piece i covers [edges[i], edges[i+1]] and holds the Chebyshev
+    coefficients of log cov, or of cov itself where a node value is not
+    positive (``log_fit`` False).
+    Below SMALL_H the closed-form variance is returned, as by the model;
+    from ``edges[-1]`` on, 0.  ``worst_miss`` is the largest relative
+    difference between the interpolant and the model at the check points.
+    """
+
+    variance: float
+    edges: np.ndarray
+    coefs: np.ndarray
+    log_fit: np.ndarray
+    worst_miss: float
+
+    def __call__(self, h) -> np.ndarray:
+        h = np.asarray(h, dtype=float)
+        out = np.where(h < SMALL_H, self.variance, 0.0)
+        inside = (h >= SMALL_H) & (h < self.edges[-1])
+        hi = h[inside]
+        piece = np.searchsorted(self.edges, hi, side="right") - 1
+        lo, up = self.edges[piece], self.edges[piece + 1]
+        y = chebyshev.chebval((2.0 * hi - lo - up) / (up - lo), self.coefs[piece].T,
+                              tensor=False)
+        logs = self.log_fit[piece]
+        y[logs] = np.exp(y[logs])
+        out[inside] = y
+        return out
+
+
+class CovModel:
     """Cov(Z(x1)^beta1, Z(x2)^beta2) as a function of the variogram-root lag
-    h = sqrt(gamma(x2 - x1)), returned as a QuadResult.
+    h = sqrt(gamma(x2 - x1)), the one place it is evaluated.
 
     ``p1`` and ``p2`` are PowerSpecs, or sequences of PowerSpecs of one
-    length whose entries are paired in order.  The function takes a scalar
-    lag or an array of lags, and the fields of its QuadResult have the
-    lags' shape, behind a leading axis of the pairs for sequences.  The
-    derivative tables and the variances are built once, so the returned
-    function is the single place the covariance is evaluated: the
-    closed-form variance below SMALL_H, its limit 0 at an infinite lag, the
-    Hoeffding line integral in between, all lags and pairs in one call of
-    :func:`_line_integrals`, so each lag's value is the one it gets alone,
-    and the first lag that fails raises the error it raises alone.  A
-    pair's line integral is the sum of the s > 0 half-lines of its ordered
-    components (p1, p2) and (p2, p1), both on one row, or, where both sides
-    share a derivative table, of the one component (p1, p1) counted twice.
-    A pair's value at a lag whose row converges in its first wave is the
-    one it gets alone too where the pairs' exponent tables do not nest, and
-    within rounding of it where they do, since their kernel then shares the
-    widest pair's terms (see :func:`_pair_kernel`); where the row refines,
-    the pairs share the mesh their worst one asks for.
+    length whose entries are paired in order.  The constructor checks the
+    moments of ``p1`` then ``p2`` and computes the closed-form ``variance``
+    (an array over the pairs for sequences).  Called with a lag or an
+    array of lags, the model gives a QuadResult whose fields have the
+    lags' shape, behind a leading axis of the pairs for sequences: the
+    variance below SMALL_H, 0 at an infinite lag, DomainError at NaN, and
+    in between the sum of each pair's ordered half-lines (see the module
+    docstring), all lags and pairs in one call of :func:`_line_integrals`,
+    so each lag's value is the one it gets alone (within rounding where the
+    pairs' exponent tables nest, see :func:`_pair_kernel`), and the first
+    lag that fails raises the error it raises alone.  ``table``, of a
+    single pair, is built when first read.
     """
-    vector = not isinstance(p1, PowerSpec)
-    pairs = list(zip(p1, p2)) if vector else [(p1, p2)]
-    # each pair's two ordered components, one index twice for a shared table
-    tables, variances, first, second = [], [], [], []
-    for q1, q2 in pairs:
-        table = _derivative_table(q1)
-        _, d1, b1 = table
-        _, d2, b2 = table if q2 == q1 else _derivative_table(q2)
-        with np.errstate(over="ignore"):  # a weight past the double range is reported below
-            wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
-        variances.append(math.fsum(_finite(wts * _log_power_cov(b1, b2).ravel(),
-                                           "a variance term")))
-        first.append(len(tables))
-        tables.append((d1, b1, d2, b2))
-        if q2 != q1:
-            tables.append((d2, b2, d1, b1))
-        second.append(len(tables) - 1)
-    width = len(pairs)
-    at_zero = QuadResult(np.array(variances) if vector else variances[0], 0.0, 0)
-    at_infinity = QuadResult(0.0, 0.0, 0)
-    pair_kernel = _pair_kernel(tables)
 
-    def kernel(s, h):
-        if len(s) <= _CHUNK_NODES:
-            return pair_kernel(s, h)
-        return np.concatenate([pair_kernel(s[i:i + _CHUNK_NODES], h[i:i + _CHUNK_NODES])
-                               for i in range(0, len(s), _CHUNK_NODES)], axis=1)
+    def __init__(self, p1, p2, spec: QuadSpec):
+        self.p1, self.p2, self.spec = p1, p2, spec
+        self._vector = not isinstance(p1, PowerSpec)
+        sides = (p1, p2) if self._vector else ((p1,), (p2,))
+        for q in [*sides[0], *sides[1]]:
+            _require_moments(q, 2)
+        # each pair's two ordered components, one index twice for a shared table
+        tables, variances, first, second = [], [], [], []
+        for q1, q2 in zip(*sides):
+            table = _derivative_table(q1)
+            _, d1, b1 = table
+            _, d2, b2 = table if q2 == q1 else _derivative_table(q2)
+            with np.errstate(over="ignore"):  # a weight past the double range is reported below
+                wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
+            variances.append(math.fsum(_finite(wts * _log_power_cov(b1, b2).ravel(),
+                                               "a variance term")))
+            first.append(len(tables))
+            tables.append((d1, b1, d2, b2))
+            if q2 != q1:
+                tables.append((d2, b2, d1, b1))
+            second.append(len(tables) - 1)
+        self._tables, self._first, self._second = tables, first, second
+        self.variance = np.array(variances) if self._vector else variances[0]
 
-    def fold(r) -> QuadResult:
-        """The pairs' results from a lag's result over the components."""
-        parts = (r.value[first] + r.value[second], r.err_estimate[first] + r.err_estimate[second],
-                 r.absolute_mode[first] | r.absolute_mode[second])
-        value, err, absolute = parts if vector else (x[0].item() for x in parts)
-        return QuadResult(value, err, r.subdivisions, absolute)
+    @functools.cached_property
+    def _kernel(self):
+        """The pairs' kernel at the nodes s, h, in chunks of _CHUNK_NODES."""
+        kernel = _pair_kernel(self._tables)
+        return lambda s, h: kernel(s, h) if len(s) <= _CHUNK_NODES else np.concatenate(
+            [kernel(s[i:i + _CHUNK_NODES], h[i:i + _CHUNK_NODES])
+             for i in range(0, len(s), _CHUNK_NODES)], axis=1)
 
-    def cov(h) -> QuadResult:
+    def __call__(self, h) -> QuadResult:
         h = np.asarray(h, dtype=float)
+        if np.isnan(h).any():
+            raise DomainError(f"variogram-root lag must not be NaN, got {h}")
         flat = h.ravel().tolist()
-        # the closed form below SMALL_H and the limit 0 at an infinite lag
-        far = map(fold, _line_integrals(
-            kernel, [lag for lag in flat if SMALL_H <= lag < math.inf], spec, len(tables)))
-        results = (at_zero if lag < SMALL_H else at_infinity if lag == math.inf else next(far)
-                   for lag in flat)
-        if not vector:
-            if h.ndim == 0:
-                return next(results)
-            results = list(results)
-            return QuadResult(*(np.array([getattr(r, f.name) for r in results]).reshape(h.shape)
-                                for f in fields(QuadResult)))
-        # each field a (pairs, lags) array, filled a block of lags at a time
-        columns = [np.zeros((width, len(flat)), dtype) for dtype in (float, float, int, bool)]
-        for j, r in enumerate(results):
-            for column, f in zip(columns, fields(QuadResult)):
-                column[:, j] = getattr(r, f.name)
-        return QuadResult(*(c.reshape((width,) + h.shape) for c in columns))
+        first, second = self._first, self._second
+        far = _line_integrals(self._kernel, [lag for lag in flat if SMALL_H <= lag < math.inf],
+                              self.spec, len(self._tables))
+        # each field a (pairs, lags) array: the closed form below SMALL_H, the
+        # limit 0 at an infinite lag, and a pair's components summed between
+        value, err = np.zeros((2, len(first), len(flat)))
+        subdivisions = np.zeros(value.shape, int)
+        absolute = np.zeros(value.shape, bool)
+        for j, lag in enumerate(flat):
+            if lag < SMALL_H:
+                value[:, j] = self.variance
+            elif lag < math.inf:
+                r = next(far)
+                value[:, j] = r.value[first] + r.value[second]
+                err[:, j] = r.err_estimate[first] + r.err_estimate[second]
+                subdivisions[:, j] = r.subdivisions
+                absolute[:, j] = r.absolute_mode[first] | r.absolute_mode[second]
+        parts = [x.reshape(value.shape[:self._vector] + h.shape)
+                 for x in (value, err, subdivisions, absolute)]
+        return QuadResult(*(x.item() for x in parts) if parts[0].ndim == 0 else parts)
 
-    return cov
+    @functools.cached_property
+    def table(self) -> _CovTable:
+        """The certified covariance table of the pair, built a bisection
+        level at a time: one call of the model gives every piece of the
+        level its nodes and its check points, at _CHECK_X, against which
+        its fit is compared; each lag gets the value it gets alone.  A
+        piece that misses by more than rel_tol/10 relative (to at least the
+        tail floor _TAIL * rel_tol * var) is bisected into the next level;
+        at _MAX_BISECTIONS levels the leftmost piece that misses raises
+        ConvergenceError, with the direct value at its worst miss.  The
+        range is doubled from 24 until cov <= _TAIL * rel_tol * var.
+        """
+        spec, variance = self.spec, self.variance
+        floor = max(_TAIL * spec.rel_tol * variance, np.finfo(float).tiny)
+
+        edges = list(_TABLE_EDGES)
+        for _ in range(_MAX_DOUBLINGS):
+            if abs(self(edges[-1]).value) <= _TAIL * spec.rel_tol * variance:
+                break
+            edges.append(2.0 * edges[-1])
+        else:
+            raise ConvergenceError(
+                f"covariance has not decayed to {_TAIL * spec.rel_tol:g} of the "
+                f"variance by lag h = {edges[-1]!r}",
+                best_estimate=self(edges[-1]).value,
+            )
+
+        pieces = []
+        worst = 0.0
+        level = list(zip(edges, edges[1:]))
+        for depth in range(_MAX_BISECTIONS + 1):
+            # one covariance call for the nodes and check points of every piece
+            # of the level, each piece's nodes then its check points
+            points = [lo + 0.5 * (hi - lo) * (x + 1.0)
+                      for lo, hi in level for x in (_CHEB_X, _CHECK_X)]
+            values = self(np.concatenate(points)).value
+            bisected = []
+            for i, (lo, hi) in enumerate(level):
+                start = i * (_CHEB_N + len(_CHECK_X))
+                at_nodes = values[start:start + _CHEB_N]
+                direct = values[start + _CHEB_N:start + _CHEB_N + len(_CHECK_X)]
+                log_fit = bool(np.all(at_nodes > 0.0))
+                piece = _CovTable(variance, np.array([lo, hi]),
+                                  (_TO_COEFS @ (np.log(at_nodes) if log_fit else at_nodes))[None],
+                                  np.array([log_fit]), 0.0)
+                checks = points[2 * i + 1]
+                fit = piece(checks)
+                miss = np.abs(fit - direct) / np.maximum(np.abs(direct), floor)
+                if miss.max() <= 0.1 * spec.rel_tol:
+                    pieces.append(piece)
+                    worst = max(worst, float(miss.max()))
+                elif depth == _MAX_BISECTIONS:  # the leftmost piece that misses at the last level
+                    j = int(np.argmax(miss))
+                    raise ConvergenceError(
+                        f"covariance table missed by {miss[j]:.3g} relative at "
+                        f"h = {float(checks[j])!r} after {depth} bisections",
+                        best_estimate=float(direct[j]),
+                        err_estimate=float(abs(fit[j] - direct[j])),
+                    )
+                else:
+                    mid = 0.5 * (lo + hi)
+                    bisected += [(lo, mid), (mid, hi)]
+            level = bisected
+            if not level:
+                break
+        pieces.sort(key=lambda pc: pc.edges[0])
+
+        return _CovTable(
+            variance=variance,
+            edges=np.array([pc.edges[0] for pc in pieces] + [edges[-1]]),
+            coefs=np.concatenate([pc.coefs for pc in pieces]),
+            log_fit=np.concatenate([pc.log_fit for pc in pieces]),
+            worst_miss=worst,
+        )
 
 
-def first_moment(p: PowerSpec) -> float:
-    """E[Z(0)^beta] for either margin mode."""
+# named apart from the dep_measure*, cov_*, g_* and var_* functions that
+# perfbench's tracer counts as the public dependence calls
+@functools.lru_cache(maxsize=16)
+def covariance_model(p1, p2, spec: QuadSpec) -> CovModel:
+    """CovModel(p1, p2, spec) of PowerSpecs or tuples of them, kept for 16."""
+    return CovModel(p1, p2, spec)
+
+
+def mean_cost(p: PowerSpec) -> float:
+    """E[C(0)] = E[Z(0)^beta], f(1) + sum_k d_k M(b_k): the binomial-gamma
+    sum for GEV margins, Gamma(1 - beta) for simple margins."""
     _require_moments(p, 1)
     f1, d, b = _derivative_table(p)
     m = [np.euler_gamma if bk == 0.0 else (gamma(1.0 - bk) - 1.0) / bk for bk in b]
@@ -578,8 +722,7 @@ def first_moment(p: PowerSpec) -> float:
 
 def var_gev(p: PowerSpec) -> float:
     """Var(Z(0)^beta): the covariance at lag 0, for either margin mode."""
-    _require_moments(p, 2)
-    return _cov_at(p, p, DEFAULT_QUAD)(0.0).value
+    return covariance_model(p, p, DEFAULT_QUAD).variance
 
 
 def cov_gev(
@@ -591,10 +734,9 @@ def cov_gev(
     spec: QuadSpec = DEFAULT_QUAD,
 ) -> float:
     """Cov(Z(x1)^beta1, Z(x2)^beta2) with per-site power and margin specs."""
-    _require_moments(p1, 2)
-    _require_moments(p2, 2)
+    cov = covariance_model(p1, p2, spec)
     h = math.sqrt(v(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)))
-    return _cov_at(p1, p2, spec)(h).value
+    return cov(h).value
 
 
 def dep_measure(
@@ -632,7 +774,7 @@ def dep_measure_from_gamma(p: PowerSpec | Sequence[PowerSpec], gamma_value,
         raise DomainError(f"variogram value must be >= 0, got {gamma_value}")
     if isinstance(p, PowerSpec):
         return _dependence(p, gamma_value, spec)
-    powers = list(p)
+    powers = tuple(p)
     if not powers:
         return np.empty((0,) + np.shape(gamma_value))
     try:
@@ -642,12 +784,9 @@ def dep_measure_from_gamma(p: PowerSpec | Sequence[PowerSpec], gamma_value,
 
 
 def _dependence(p, gamma_value, spec: QuadSpec):
-    """Correlations of a PowerSpec, or of a list of them, at variogram values."""
-    powers = [p] if isinstance(p, PowerSpec) else p
-    for q in powers:
-        _require_moments(q, 2)
-    cov = _cov_at(p, p, spec)
-    variance = cov(0.0).value
+    """Correlations of a PowerSpec, or of a tuple of them, at variogram values."""
+    cov = covariance_model(p, p, spec)
+    variance = cov.variance
     if not np.all(np.asarray(variance) > 0.0):
         raise DomainError(f"degenerate power field (variance {variance}); beta=0?")
     if not isinstance(p, PowerSpec):

@@ -72,8 +72,8 @@ np.empty(1 << 19)
 class QuadSpec:
     """Accuracy contract for adaptive quadrature.
 
-    rel_tol          relative accuracy target for the error estimate
-    abs_floor        absolute fallback target: a result is also accepted
+    rel_tol          relative accuracy target for the error estimate, finite, > 0
+    abs_floor        absolute fallback target, >= 0: a result is also accepted
                      once its absolute error estimate drops below this
                      floor, so near-zero integrals (and outer integrals of
                      noisy inner evaluations) do not stall on the relative
@@ -88,8 +88,10 @@ class QuadSpec:
     max_subdivisions: int = 400
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be > 0")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not self.abs_floor >= 0.0:
+            raise DomainError(f"abs_floor must be >= 0, got {self.abs_floor}")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 

@@ -3,12 +3,12 @@
 For a region A (disk or square) dilated by lambda and a cost field
 C = Z^beta, the covariance of C at two sites depends on them only through
 the variogram-root lag h = sqrt(gamma(x2 - x1)).  Each (PowerSpec,
-QuadSpec) therefore gets one covariance table: a piecewise Chebyshev
-interpolant of log cov(h) whose nodes come from the Hoeffding line
-integrals of :mod:`windrisk.dependence`, certified at points between the
-nodes against the same integrals.  The variance of the normalized loss
-reduces to a single integral of that table against the distance density
-f of A, which integrates to one:
+QuadSpec) therefore gets one covariance table, owned by its
+:class:`~windrisk.dependence.CovModel`: a piecewise Chebyshev interpolant
+of log cov(h) whose nodes come from the Hoeffding line integrals,
+certified at points between the nodes against the same integrals.  The
+variance of the normalized loss reduces to a single integral of that
+table against the distance density f of A, which integrates to one:
 
     R2(lambda A) = int f(u, R) cov(sqrt(gamma_u(lambda u))) du.
 
@@ -21,16 +21,14 @@ asymptotic closed forms below implement.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
-from .dependence import SMALL_H, PowerSpec, _cov_at, _require_moments, first_moment
+from .dependence import PowerSpec, covariance_model, mean_cost
 from .errors import ConvergenceError, DomainError, WindriskError
 from .geometry import Region, disk_distance_density, square_distance_density
 from .numerics import DEFAULT_QUAD, QuadSpec, integrate_rows, norm_pdf, norm_quantile
@@ -116,146 +114,6 @@ class CltApprox:
         return self.mean + norm_pdf(norm_quantile(alpha)) / (1.0 - alpha) * self.sd
 
 
-def mean_cost(p: PowerSpec) -> float:
-    """E[C(0)] = E[Z(0)^beta]; the binomial-gamma sum for GEV margins,
-    Gamma(1 - beta) for simple margins."""
-    return first_moment(p)
-
-
-# ---------------------------------------------------------------------------
-# the covariance table
-# ---------------------------------------------------------------------------
-
-# Chebyshev points of the first kind on [-1, 1] (none at a piece's edges,
-# so h = 0 is never a node), and the map from node values to coefficients,
-# c_j = (2 - [j = 0]) / n * sum_k T_j(x_k) y_k by the discrete orthogonality
-_CHEB_N = 21
-_CHEB_X = chebyshev.chebpts1(_CHEB_N)
-_TO_COEFS = chebyshev.chebvander(_CHEB_X, _CHEB_N - 1).T * (2.0 / _CHEB_N)
-_TO_COEFS[0] /= 2.0
-# check points: every other extremum of T_n, each between two neighbouring
-# nodes, where the interpolation error of a smooth function peaks
-_CHECK_X = np.cos(np.arange(1, _CHEB_N, 2) * np.pi / _CHEB_N)
-# the covariance moves on the scale h ~ 1 and has decayed by h ~ 15
-_TABLE_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0)
-_MAX_BISECTIONS = 8
-_MAX_DOUBLINGS = 10
-# past the table's range cov <= _TAIL * rel_tol * var, below the absolute
-# floors of the r2 (1e-3) and K (1e-1) integrals
-_TAIL = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class _CovTable:
-    """cov(h) of one power field as a piecewise Chebyshev interpolant.
-
-    Piece i covers [edges[i], edges[i+1]] and holds the Chebyshev
-    coefficients of log cov, or of cov itself where a node value is not
-    positive (``log_fit`` False).
-    Below SMALL_H the closed-form variance is returned, as by ``_cov_at``;
-    from ``edges[-1]`` on, 0.  ``worst_miss`` is the largest relative
-    difference between the interpolant and ``_cov_at`` at the check points.
-    """
-
-    variance: float
-    edges: np.ndarray
-    coefs: np.ndarray
-    log_fit: np.ndarray
-    worst_miss: float
-
-    def __call__(self, h) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
-        out = np.where(h < SMALL_H, self.variance, 0.0)
-        inside = (h >= SMALL_H) & (h < self.edges[-1])
-        hi = h[inside]
-        piece = np.searchsorted(self.edges, hi, side="right") - 1
-        lo, up = self.edges[piece], self.edges[piece + 1]
-        y = chebyshev.chebval((2.0 * hi - lo - up) / (up - lo), self.coefs[piece].T,
-                              tensor=False)
-        logs = self.log_fit[piece]
-        y[logs] = np.exp(y[logs])
-        out[inside] = y
-        return out
-
-
-@functools.lru_cache(maxsize=16)
-def _cov_table(p: PowerSpec, spec: QuadSpec) -> _CovTable:
-    """The certified covariance table of Z^beta; callers check the moments.
-
-    The table is built a bisection level at a time: one ``_cov_at`` call
-    gives every piece of the level its nodes and its check points, at
-    _CHECK_X, against which its fit is compared; each lag gets the value
-    it gets alone.  A piece that misses by more than rel_tol/10 relative
-    (to at least the tail floor _TAIL * rel_tol * var) is bisected into
-    the next level; at _MAX_BISECTIONS levels the leftmost piece that
-    misses raises ConvergenceError, with the direct value at its worst
-    miss.  The range is doubled from 24 until cov <= _TAIL * rel_tol * var.
-    """
-    cov = _cov_at(p, p, spec)
-    variance = cov(0.0).value
-    floor = max(_TAIL * spec.rel_tol * variance, np.finfo(float).tiny)
-
-    edges = list(_TABLE_EDGES)
-    for _ in range(_MAX_DOUBLINGS):
-        if abs(cov(edges[-1]).value) <= _TAIL * spec.rel_tol * variance:
-            break
-        edges.append(2.0 * edges[-1])
-    else:
-        raise ConvergenceError(
-            f"covariance has not decayed to {_TAIL * spec.rel_tol:g} of the "
-            f"variance by lag h = {edges[-1]!r}",
-            best_estimate=cov(edges[-1]).value,
-        )
-
-    pieces = []
-    worst = 0.0
-    level = list(zip(edges, edges[1:]))
-    for depth in range(_MAX_BISECTIONS + 1):
-        # one covariance call for the nodes and check points of every piece
-        # of the level, each piece's nodes then its check points
-        points = [lo + 0.5 * (hi - lo) * (x + 1.0)
-                  for lo, hi in level for x in (_CHEB_X, _CHECK_X)]
-        values = cov(np.concatenate(points)).value
-        bisected = []
-        for i, (lo, hi) in enumerate(level):
-            start = i * (_CHEB_N + len(_CHECK_X))
-            at_nodes = values[start:start + _CHEB_N]
-            direct = values[start + _CHEB_N:start + _CHEB_N + len(_CHECK_X)]
-            log_fit = bool(np.all(at_nodes > 0.0))
-            piece = _CovTable(variance, np.array([lo, hi]),
-                              (_TO_COEFS @ (np.log(at_nodes) if log_fit else at_nodes))[None],
-                              np.array([log_fit]), 0.0)
-            checks = points[2 * i + 1]
-            fit = piece(checks)
-            miss = np.abs(fit - direct) / np.maximum(np.abs(direct), floor)
-            if miss.max() <= 0.1 * spec.rel_tol:
-                pieces.append(piece)
-                worst = max(worst, float(miss.max()))
-            elif depth == _MAX_BISECTIONS:  # the leftmost piece that misses at the last level
-                j = int(np.argmax(miss))
-                raise ConvergenceError(
-                    f"covariance table missed by {miss[j]:.3g} relative at "
-                    f"h = {float(checks[j])!r} after {depth} bisections",
-                    best_estimate=float(direct[j]),
-                    err_estimate=float(abs(fit[j] - direct[j])),
-                )
-            else:
-                mid = 0.5 * (lo + hi)
-                bisected += [(lo, mid), (mid, hi)]
-        level = bisected
-        if not level:
-            break
-    pieces.sort(key=lambda pc: pc.edges[0])
-
-    return _CovTable(
-        variance=variance,
-        edges=np.array([pc.edges[0] for pc in pieces] + [edges[-1]]),
-        coefs=np.concatenate([pc.coefs for pc in pieces]),
-        log_fit=np.concatenate([pc.log_fit for pc in pieces]),
-        worst_miss=worst,
-    )
-
-
 def r2(q: RiskQuery, lam: float) -> float:
     """Var(L_N(lambda A, C)) for A a disk or square, by the 1-D reduction;
     the one-row case of :func:`r2_curves`."""
@@ -277,7 +135,7 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
     for lam in lams:
         _require_positive_lam(lam)
     scales = [v.radial_scale for v in variograms]
-    _require_moments(power, 2)
+    cov = covariance_model(power, power, quad)
     out = np.zeros((len(variograms), len(lams)))
     if not out.size:
         return out
@@ -290,7 +148,7 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
 
     # the distance density integrates to one, so the squared mean drops out
     # and the density is integrated against the covariance itself
-    table = _cov_table(power, quad)
+    table = cov.table
     row_lams = np.tile(lams, len(variograms))
 
     def integrand(h, rows):
@@ -337,11 +195,11 @@ def asymptotic_cov_integral(
     past the double range raises DomainError.
     """
     s, psi = v.radial_scale
-    _require_moments(p, 2)
+    cov = covariance_model(p, p, spec)
     if p.is_simple and p.beta == 0.0:
         return 0.0
 
-    table = _cov_table(p, spec)
+    table = cov.table
     H = float(table.edges[-1])
     if 2.0 / psi * math.log(H) > 63.0 * math.log(2.0):
         raise ConvergenceError(

@@ -533,6 +533,7 @@ class TestInvalidValues:
         ("depsurface", {"psi": [1.0], "beta": [1e300], "distances": [0.0, 1.0]}),
         ("simulate", {"n_rep": 1e300}),
         ("riskreport", {"kappa": 1e200}),
+        ("depsurface", {"rel_tol": math.inf}),
     ])
     def test_exits_2(self, tmp_path, command, block):
         cfg = tmp_path / "c.json"
@@ -540,6 +541,20 @@ class TestInvalidValues:
         assert main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 2
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command, block", [
+        ("simulate", {"lam": math.inf}),
+        ("r2curves", {"lam": {"min": -1, "max": 0.5, "count": 3}}),
+    ], ids=["simulate-inf", "r2curves-negative-min"])
+    def test_bad_lam_exits_2_with_one_line_naming_lam(self, tmp_path, capsys, command, block):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({command: block}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "lam" in lines[0]
 
     def test_smith_kappa_squared_past_the_double_range_exits_2_without_a_warning(self,
                                                                                    tmp_path):

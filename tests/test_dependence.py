@@ -507,7 +507,7 @@ class TestDepMeasure:
     @pytest.mark.parametrize("p", [PowerSpec.gev(12, GevParams(ETA, TAU, XI)),
                                    PowerSpec.simple(0.25)], ids=["gev12", "simple0.25"])
     def test_infinite_lag_has_the_limit_zero(self, p):
-        cov = dependence._cov_at(p, p, QuadSpec())
+        cov = dependence.CovModel(p, p, QuadSpec())
         assert cov(math.inf) == QuadResult(0.0, 0.0, 0)
         lags = np.array([0.0, 1.0, math.inf])
         batch = cov(lags)
@@ -517,6 +517,14 @@ class TestDepMeasure:
             warnings.simplefilter("error")
             assert dep_measure_from_gamma(p, math.inf) == 0.0
             assert dep_measure_from_gamma(p, np.array([1.0, math.inf]))[1] == 0.0
+
+    def test_nan_lag_rejected(self, paper_gev):
+        # a site with a NaN coordinate has a NaN lag: an error, not a value
+        p = PowerSpec.gev(2, paper_gev)
+        with pytest.raises(DomainError, match="NaN"):
+            cov_gev(p, p, power(1.0, 1.0), [math.nan, 0.0], [0.0, 0.0])
+        with pytest.raises(DomainError, match="NaN"):
+            dependence.CovModel(p, p, QuadSpec())(np.array([1.0, math.nan]))
 
     def test_distance_whose_variogram_overflows_has_dependence_zero(self, paper_gev):
         # gamma = (1e200)^2 is past the double range: inf, with no warning
@@ -552,7 +560,7 @@ class TestXiZero:
 
     def test_error_estimate_returned(self):
         # lag 1 of the psi = 1 variogram at unit distance
-        res = dependence._cov_at(gumbel(1), gumbel(1), QuadSpec())(1.0)
+        res = dependence.CovModel(gumbel(1), gumbel(1), QuadSpec())(1.0)
         assert res.value > 0.0
         assert res.err_estimate < 1e-2 * res.value
 
@@ -662,7 +670,8 @@ class TestHoeffdingCovariance:
 
         for module in (dependence, risk):
             monkeypatch.setattr(module, "integrate_rows", computed)
-            monkeypatch.setattr(module, "_cov_at", computed)
+        monkeypatch.setattr(dependence, "_derivative_table", computed)
+        monkeypatch.setattr(dependence.CovModel, "__call__", computed)
         p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))  # the spec itself is valid
         v = power(1.0, 1.0)
         q = RiskQuery(region=disk(1.0), power=p, variogram=v)
@@ -741,7 +750,7 @@ class TestBatchedCovariance:
     def test_array_of_lags_equals_each_lag_alone(self, monkeypatch, name, chunk):
         monkeypatch.setattr(dependence, "_CHUNK_NODES", chunk)
         p1, p2 = self.CASES[name]
-        cov = dependence._cov_at(p1, p2, QuadSpec())
+        cov = dependence.CovModel(p1, p2, QuadSpec())
         batch = cov(self.LAGS)
         alone = [cov(h) for h in self.LAGS]
         assert batch.value.shape == self.LAGS.shape
@@ -763,7 +772,7 @@ class TestBatchedCovariance:
 
         monkeypatch.setattr(dependence, "integrate_rows", counted)
         p = PowerSpec.gev(3, paper_gev)
-        res = dependence._cov_at(p, p, QuadSpec())(lags)
+        res = dependence.CovModel(p, p, QuadSpec())(lags)
         assert sum(rows) == 0
         assert res.value.shape == lags.shape
         assert np.all(res.value == var_gev(p))
@@ -772,7 +781,7 @@ class TestBatchedCovariance:
     def test_study_grid_needs_refinement_waves(self, paper_gev):
         # some lag is refined past its initial panels
         p = PowerSpec.gev(6, paper_gev)
-        res = dependence._cov_at(p, p, QuadSpec())(self.LAGS)
+        res = dependence.CovModel(p, p, QuadSpec())(self.LAGS)
         assert (res.subdivisions > initial_subdivisions(self.LAGS)).any()
 
     @pytest.mark.parametrize("name", ["gev6", "simple0.25", "mixed"])
@@ -785,7 +794,7 @@ class TestBatchedCovariance:
         ordered = [(d1, b1, d2, b2)] + ([(d2, b2, d1, b1)] if p1 != p2 else [])
         kernel = dependence._pair_kernel(ordered)
         lags = [0.1, 1.0, 4.0]
-        cov = dependence._cov_at(p1, p2, QuadSpec())
+        cov = dependence.CovModel(p1, p2, QuadSpec())
         for lag in lags:
             row = dependence.integrate_rows(
                 lambda x, r: kernel(x, np.full_like(x, lag)), 0.0, math.inf,
@@ -813,11 +822,11 @@ class TestBatchedCovariance:
         monkeypatch.setattr(dependence, "integrate_rows", watched)
         powers = [PowerSpec.gev(beta, paper_gev) for beta in range(1, 13)]
         lags = self.LAGS[2:]
-        dependence._cov_at(powers, powers, QuadSpec())(lags)
+        dependence.CovModel(powers, powers, QuadSpec())(lags)
         assert calls == [10, 10, 10, 10]  # 120 lanes of 12 components a block
         calls.clear()
         p1, p2 = self.CASES["mixed"]
-        dependence._cov_at(p1, p2, QuadSpec())(lags)
+        dependence.CovModel(p1, p2, QuadSpec())(lags)
         assert calls == [len(lags)]  # two components a lag: one block
         calls.clear()
         g_simple(0.1, 0.3, 2.0)
@@ -833,7 +842,7 @@ class TestBatchedCovariance:
         # a budget of one split per half-line at a tight tolerance: short
         # lags fail, long ones converge
         p = PowerSpec.gev(6, GevParams(ETA, TAU, XI))
-        cov = dependence._cov_at(p, p, QuadSpec(rel_tol=1e-11, max_subdivisions=9))
+        cov = dependence.CovModel(p, p, QuadSpec(rel_tol=1e-11, max_subdivisions=9))
         errors = {}
         for h in self.LAGS:
             try:
@@ -867,16 +876,36 @@ class TestBatchedCovariance:
         from windrisk.cli import main
 
         built = []
-        original = dependence._cov_at
+        original = dependence.CovModel.__call__
 
-        def counted(p1, p2, spec):
-            built.append((p1, p2))
-            return original(p1, p2, spec)
+        def counted(cov, h):
+            built.append((cov.p1, cov.p2))
+            return original(cov, h)
 
-        monkeypatch.setattr(dependence, "_cov_at", counted)
+        monkeypatch.setattr(dependence.CovModel, "__call__", counted)
         assert main(["depsurface", "--out", str(tmp_path / "dep.csv")]) == 0
         assert len(built) == 4
         assert all(p1 == p2 and [p.beta for p in p1] == list(range(1, 13)) for p1, p2 in built)
+
+    def test_default_depsurface_sets_up_one_covariance_for_its_four_psi(self, tmp_path,
+                                                                       monkeypatch):
+        # the psi share the twelve powers and the tolerance, so the later
+        # three find the first one's model in the cache
+        from windrisk.cli import main
+
+        built = []
+        original = dependence.CovModel.__init__
+
+        def counted(cov, p1, p2, spec):
+            built.append((p1, p2))
+            original(cov, p1, p2, spec)
+
+        dependence.covariance_model.cache_clear()
+        monkeypatch.setattr(dependence.CovModel, "__init__", counted)
+        assert main(["depsurface", "--out", str(tmp_path / "dep.csv")]) == 0
+        assert len(built) == 1
+        p1, p2 = built[0]
+        assert p1 == p2 and [p.beta for p in p1] == list(range(1, 13))
 
 
 class TestPowersOnOneMesh:
@@ -911,7 +940,7 @@ class TestPowersOnOneMesh:
         alone = np.array([dep_measure_from_gamma(p, gammas, spec) for p in self.POWERS])
         np.testing.assert_allclose(batch, alone, rtol=2.0 * spec.rel_tol, atol=0.0)
         # the shared mesh of a lag is the one its worst power asks for
-        cov = dependence._cov_at(self.POWERS, self.POWERS, spec)(np.sqrt(gammas))
+        cov = dependence.CovModel(self.POWERS, self.POWERS, spec)(np.sqrt(gammas))
         refined = cov.subdivisions.max(axis=0) > initial_subdivisions(np.sqrt(gammas))
         assert refined.any()
         np.testing.assert_allclose(batch[:, ~refined], alone[:, ~refined], rtol=1e-10, atol=0.0)

@@ -193,6 +193,13 @@ class TestIntegrate:
             QuadSpec(rel_tol=0.0)
         with pytest.raises(DomainError):
             QuadSpec(max_subdivisions=0)
+        for rel_tol in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="rel_tol"):
+                QuadSpec(rel_tol=rel_tol)
+        for abs_floor in (-1e-12, math.nan):
+            with pytest.raises(DomainError, match="abs_floor"):
+                QuadSpec(abs_floor=abs_floor)
+        assert QuadSpec(abs_floor=0.0).abs_floor == 0.0
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(DomainError):

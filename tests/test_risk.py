@@ -1,7 +1,8 @@
 """Spatial risk measures: mean cost, variance reduction, asymptotics."""
 
-import functools
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from windrisk import (
     var_gev,
     var_simple,
 )
-from windrisk import risk
+from windrisk import dependence, risk
+from windrisk.dependence import covariance_model
 from windrisk.geometry import disk_distance_density
 from windrisk.numerics import QuadResult, integrate
 
@@ -171,12 +173,12 @@ class TestR2Curves:
         assert calls == [len(self.VARIOGRAMS) * len(self.LAMS)]
 
     def test_empty_grid_computes_nothing(self, paper_power, monkeypatch):
-        monkeypatch.setattr(risk, "_cov_table", self.never)
+        monkeypatch.setattr(dependence.CovModel, "table", property(self.never))
         assert r2_curves(disk(1.0), paper_power, [], self.LAMS).shape == (0, len(self.LAMS))
         assert r2_curves(disk(1.0), paper_power, self.VARIOGRAMS, []).shape == (5, 0)
 
     def test_inputs_checked_before_computing(self, paper_power, monkeypatch):
-        monkeypatch.setattr(risk, "_cov_table", self.never)
+        monkeypatch.setattr(dependence.CovModel, "table", property(self.never))
         with pytest.raises(DomainError):
             r2_curves(disk(1.0), paper_power, self.VARIOGRAMS, [1.0, 0.0])
         aniso = anisotropic_power(1.0, [[1.0, 0.2], [0.2, 1.0]], 1.0)
@@ -355,6 +357,20 @@ class TestIsotropicKinds:
                                        r2_curves(region, p, [equivalent], lams), rtol=1e-12)
 
 
+class FakeCovModel(dependence.CovModel):
+    """The model of simple 0.25 with the covariance ``cov(h)`` in place of
+    its line integrals, and ``cov(0)`` as its variance, as a synthetic
+    covariance for the table builder."""
+
+    def __init__(self, cov, spec=QuadSpec()):
+        super().__init__(PowerSpec.simple(0.25), PowerSpec.simple(0.25), spec)
+        self.cov = cov
+        self.variance = float(cov(0.0))
+
+    def __call__(self, h):
+        return QuadResult(self.cov(h), 0.0, 0)
+
+
 class TestCovTable:
     """r2 and K read one certified table of cov(h) per (PowerSpec, QuadSpec)."""
 
@@ -371,8 +387,8 @@ class TestCovTable:
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_direct_evaluation(self, name):
         p, spec = self.CASES[name], QuadSpec()
-        table = risk._cov_table(p, spec)
-        cov = risk._cov_at(p, p, spec)
+        cov = covariance_model(p, p, spec)
+        table = cov.table
         # lags off the nodes, from below SMALL_H to past the table's range
         lags = np.concatenate([[0.0, 1e-7, 1e-5], np.geomspace(1e-3, 30.0, 47)])
         direct = np.array([cov(h).value for h in lags])
@@ -385,42 +401,35 @@ class TestCovTable:
 
     def test_one_table_per_power_and_spec(self):
         p = PowerSpec.gev(1, GevParams(ETA, TAU, XI))
-        assert risk._cov_table(p, QuadSpec()) is risk._cov_table(p, QuadSpec())
-        assert risk._cov_table(p, QuadSpec()) is not risk._cov_table(p, QuadSpec(rel_tol=1e-8))
+        assert covariance_model(p, p, QuadSpec()) is covariance_model(p, p, QuadSpec())
+        assert covariance_model(p, p, QuadSpec()).table is covariance_model(p, p, QuadSpec()).table
+        assert (covariance_model(p, p, QuadSpec()).table
+                is not covariance_model(p, p, QuadSpec(rel_tol=1e-8)).table)
 
     def test_default_r2curves_builds_one_table(self, tmp_path, monkeypatch):
         from windrisk.cli import main
 
         evaluations = []
-        original = risk._cov_at
+        original = dependence.CovModel.__call__
 
-        def counted(p1, p2, spec):
-            cov = original(p1, p2, spec)
+        def counted(cov, h):
+            evaluations.extend(np.ravel(h))
+            return original(cov, h)
 
-            def counted_cov(h):
-                evaluations.extend(np.ravel(h))
-                return cov(h)
-
-            return counted_cov
-
-        risk._cov_table.cache_clear()
-        monkeypatch.setattr(risk, "_cov_at", counted)
+        covariance_model.cache_clear()
+        monkeypatch.setattr(dependence.CovModel, "__call__", counted)
         assert main(["r2curves", "--out", str(tmp_path / "r2.csv")]) == 0
-        assert risk._cov_table.cache_info().misses == 1
+        assert covariance_model.cache_info().misses == 1
         assert len(evaluations) <= 500
 
-    def test_sign_change_fits_the_covariance_itself(self, monkeypatch):
+    def test_sign_change_fits_the_covariance_itself(self):
         # a covariance that turns negative at h = 3 (as a non-monotone cost
         # can): the pieces with a non-positive node fit cov, not log cov
         def synthetic(h):
             return 10.0 * np.exp(-np.square(h) / 8.0) * (1.0 - np.asarray(h) / 3.0)
 
-        def fake_cov_at(p1, p2, spec):
-            return lambda h: QuadResult(synthetic(h), 0.0, 0)
-
-        monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
         spec = QuadSpec()
-        table = risk._cov_table.__wrapped__(PowerSpec.simple(0.25), spec)
+        table = FakeCovModel(synthetic, spec).table
         assert table.log_fit.any() and not table.log_fit.all()
         lags = np.linspace(0.01, 23.99, 301)
         floor = 1e-6 * spec.rel_tol * 10.0
@@ -428,25 +437,19 @@ class TestCovTable:
             np.abs(table(lags) - synthetic(lags)),
             spec.rel_tol * np.maximum(np.abs(synthetic(lags)), floor))
 
-    def test_unfittable_covariance_diagnosed(self, monkeypatch):
+    def test_unfittable_covariance_diagnosed(self):
         # a jump no polynomial piece resolves: bisection gives up with the
         # direct value at the worst check point
-        def fake_cov_at(p1, p2, spec):
-            return lambda h: QuadResult(
-                np.exp(-np.square(h) / 8.0) * np.where(np.asarray(h) < 0.3, 2.0, 1.0), 0.0, 0)
+        def jump(h):
+            return np.exp(-np.square(h) / 8.0) * np.where(np.asarray(h) < 0.3, 2.0, 1.0)
 
-        monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
         with pytest.raises(ConvergenceError) as err:
-            risk._cov_table.__wrapped__(PowerSpec.simple(0.25), QuadSpec())
+            FakeCovModel(jump).table
         assert err.value.best_estimate is not None and err.value.err_estimate > 0.0
 
-    def test_range_doubles_until_the_covariance_has_decayed(self, monkeypatch):
-        def fake_cov_at(p1, p2, spec):
-            return lambda h: QuadResult(np.exp(-np.asarray(h) / 20.0), 0.0, 0)
-
-        monkeypatch.setattr(risk, "_cov_at", fake_cov_at)
+    def test_range_doubles_until_the_covariance_has_decayed(self):
         spec = QuadSpec()
-        table = risk._cov_table.__wrapped__(PowerSpec.simple(0.25), spec)
+        table = FakeCovModel(lambda h: np.exp(-np.asarray(h) / 20.0), spec).table
         # exp(-h/20) <= 1e-6 rel_tol first at h = 24 * 2^5
         assert table.edges[-1] == 768.0
         lags = np.geomspace(1e-3, 767.0, 101)
@@ -455,23 +458,20 @@ class TestCovTable:
     def test_plane_integral_ends_where_the_table_does(self, monkeypatch):
         # with psi = 2 and kappa = 1 the lag is the distance, and the table
         # of exp(-h/20) reaches 768: K = 2 pi int u exp(-u/20) du = 800 pi
-        monkeypatch.setattr(risk, "_cov_at", lambda p1, p2, spec:
-                            lambda h: QuadResult(np.exp(-np.asarray(h) / 20.0), 0.0, 0))
-        monkeypatch.setattr(risk, "_cov_table", functools.lru_cache(risk._cov_table.__wrapped__))
+        monkeypatch.setattr(risk, "covariance_model", lambda p1, p2, spec:
+                            FakeCovModel(lambda h: np.exp(-np.asarray(h) / 20.0), spec))
         k_num = asymptotic_cov_integral(PowerSpec.simple(0.25), power(1.0, 2.0))
         assert k_num == pytest.approx(800.0 * math.pi, rel=3e-7)
 
-    def test_undecayed_covariance_diagnosed(self, monkeypatch):
-        monkeypatch.setattr(risk, "_cov_at",
-                            lambda p1, p2, spec: lambda h: QuadResult(1.0, 0.0, 0))
+    def test_undecayed_covariance_diagnosed(self):
         with pytest.raises(ConvergenceError) as err:
-            risk._cov_table.__wrapped__(PowerSpec.simple(0.25), QuadSpec())
+            FakeCovModel(lambda h: 1.0).table
         assert err.value.best_estimate == 1.0
 
     def test_r2_matches_an_integral_of_direct_values(self, paper_gev):
         p = PowerSpec.gev(1, paper_gev)
         v = power(1.0, 1.0)
-        cov = risk._cov_at(p, p, QuadSpec())
+        cov = dependence.CovModel(p, p, QuadSpec())
 
         def direct(h):
             return np.array([cov(x).value for x in np.ravel(h)]).reshape(np.shape(h))
@@ -482,3 +482,17 @@ class TestCovTable:
                 lambda h: disk_distance_density(h, 1.0) * direct(np.sqrt(v.radial(lam * h))),
                 0.0, 2.0, QuadSpec(rel_tol=1e-10)).value
             assert r2(q, lam) == pytest.approx(expected, rel=3e-7)
+
+
+def test_risk_imports_no_private_name_of_dependence():
+    # the covariance, its table and the rule below SMALL_H have one owner,
+    # the dependence module's CovModel; risk reads them through it
+    tree = ast.parse(Path(risk.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "dependence"
+                for alias in node.names]
+    assert imported
+    assert [name for name in imported if name.startswith("_") or name == "SMALL_H"] == []
+    assert not any(isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   and isinstance(node.value, ast.Name) and node.value.id == "dependence"
+                   for node in ast.walk(tree))
