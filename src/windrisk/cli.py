@@ -244,10 +244,8 @@ def _lams(values, path) -> list:
 
 
 def _power(beta, params) -> PowerSpec:
-    """The integral damage power ``beta`` of GEV margins, with a finite variance."""
-    power = PowerSpec.gev(_integer(beta, "beta", 1), params)
-    dependence._require_moments(power, 2)
-    return power
+    """The integral damage power ``beta`` of GEV margins."""
+    return PowerSpec.gev(_integer(beta, "beta", 1), params)
 
 
 def _max_distance(max_by_psi, psi: float) -> float:
@@ -291,7 +289,10 @@ def _distance_grid(block, psi) -> list:
 def cmd_depsurface(block: dict):
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
     params = _gev_params(block["gev"])
-    powers = [_power(b, params) for b in _list(block["beta"], "beta")]
+    powers = tuple(_power(b, params) for b in _list(block["beta"], "beta"))
+    # the model the run reads, built here: a power with no finite variance
+    # or no lag covariances (Gumbel margins, beta >= 2) raises DomainError
+    dependence.covariance_model(powers, powers, spec)
     kappa = float(block["kappa"])
     variograms = [variogram.power(kappa, float(psi)) for psi in _list(block["psi"], "psi")]
     grids = [_distance_grid(block["distances"], v.psi) for v in variograms]
@@ -314,6 +315,7 @@ def cmd_depsurface(block: dict):
 def cmd_r2curves(block: dict):
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
     power = _power(block["beta"], _gev_params(block["gev"]))
+    dependence.covariance_model(power, power, spec)  # as in cmd_depsurface
     lams = block["lam"]
     if isinstance(lams, dict):
         ends = [_lams([lams[end]], f"lam.{end}")[0] for end in ("min", "max")]
@@ -337,6 +339,7 @@ def cmd_r2curves(block: dict):
 def cmd_riskreport(block: dict):
     spec = QuadSpec(rel_tol=float(block["rel_tol"]))
     p = _power(block["beta"], _gev_params(block["gev"]))
+    dependence.covariance_model(p, p, spec)  # as in cmd_depsurface
     regions = [_region(b) for b in _list(block["regions"], "regions")]
     lams = _lams(block["lam"], "lam")
     for region in regions:

@@ -11,8 +11,9 @@ described by the derivative of its margin transform, a short table
                                           b_k = (beta - k) xi,   k = 0 .. beta-1
     Gumbel margins (xi = 0), beta = 1     the single entry (tau, 0)
 
-Gumbel margins with beta >= 2 have no such table; their operations raise
-DomainError.  Hoeffding's identity (Hoeffding 1940; Lehmann 1966),
+Gumbel margins with beta >= 2 have no such table: their lag covariances
+raise DomainError, while their mean and variance compute (below).
+Hoeffding's identity (Hoeffding 1940; Lehmann 1966),
 
     Cov(f(Z1), f(Z2)) = int int f'(z1) f'(z2) [F(z1, z2) - F(z1) F(z2)] dz1 dz2,
 
@@ -47,14 +48,18 @@ highest power hold each lower power's on one GEV margin, its terms are
 formed once a node and each covariance's form is the product of its
 weights with the block of those terms that holds them, within rounding of
 its form alone; otherwise each covariance's bilinear form follows on its
-own.  At lag 0 the same table gives
-the variance and the mean in closed form,
+own.
 
-    Var = sum_jk d_j d_k V(b_j, b_k),   V(b, c) = [Gamma(1-b-c) - Gamma(1-b) Gamma(1-c)] / (b c),
-    E f(Z) = f(1) + sum_k d_k M(b_k),  M(b) = (Gamma(1-b) - 1) / b,
-
-with V(0, 0) = pi^2/6 and M(0) = Euler's gamma (the b -> 0 limits, where
-(z^b - 1)/b becomes log z).
+The mean and the variance at one site come from one positive quadrature
+rule instead: with y = log(1/Z), 1/Z ~ Exp(1), E g(Z) = int g(e^-y)
+e^(y - e^y) dy, and on GEV margins Z_gev = eta - tau y exprel(-xi y) is
+smooth through xi = 0.  The trapezoid rule in t, y = sinh(t), at step
+0.05 evaluates it in log space (log weights log(0.05 cosh t) + y - e^y,
+each cost as log |f| and its sign), from y = -max(800, 40/rho), where the
+variance's terms decay like e^(rho y), rho = 1 - 2 beta xi (1 - 2 beta
+for simple margins), to y = 6.7, where the weight is below e^-800.  The
+variance is taken centred, sum w (f - m)^2, and the covariance of two
+costs at one site as sum w (f1 - m1)(f2 - m2), so no sum cancels.
 
 The exponent function is symmetric in its two arguments (Husler & Reiss
 1989), so exchanging the sites takes theta to 1/theta and s to -s: each
@@ -87,9 +92,7 @@ from .numerics import (
     DEFAULT_QUAD,
     QuadResult,
     QuadSpec,
-    digamma,
     exprel,
-    gamma,
     gamma_values,
     integrate_rows,
     norm_cdf,
@@ -116,28 +119,17 @@ __all__ = [
 # pair function is continuous at 0 and differs from its limit by O(h) there
 SMALL_H = 1e-6
 
-# zeta(n)/n, n = 2..39, of the series of log Gamma(1 - x), as the double
-# quotient of the doubles zeta(n) and n; used where |b| + |c| <=
-# _SERIES_RADIUS, so the terms fall below 2^-70 of the first
-_SERIES_RADIUS = 0.25
-_LGAMMA_SERIES = (
-    0.8224670334241132, 0.40068563438653143, 0.27058080842778454, 0.207385551028674,
-    0.16955717699740822, 0.14404989676884614, 0.12550966952474304, 0.11133426586956469,
-    0.10009945751278179, 0.09095401714582904, 0.083353840546109, 0.0769325164113522,
-    0.07143294629536134, 0.06666870588242046, 0.06250095514121304, 0.05882397865868458,
-    0.055555767627403614, 0.05263167937961666, 0.05000004769810169, 0.04761907033014223,
-    0.04545455629320467, 0.04347826605304026, 0.04166666915034121, 0.04000000119214014,
-    0.03846153903467519, 0.037037037312989324, 0.03571428584733336, 0.034482758684919304,
-    0.03333333336437758, 0.03225806453115041, 0.03125000000727597, 0.030303030306558048,
-    0.029411764707594344, 0.02857142857226011, 0.027777777778181998, 0.027027027027223673,
-    0.02631578947377995, 0.025641025641072283,
-)
-# the series as a bilinear form in the powers b^i, c^l (see _log_power_cov):
-# M_il = zeta(n)/n C(n, i + 1) with n = i + l + 2 <= 39
-_LGAMMA_PAIRS = np.array([[_LGAMMA_SERIES[i + l] * math.comb(i + l + 2, i + 1)
-                           if i + l < len(_LGAMMA_SERIES) else 0.0
-                           for l in range(len(_LGAMMA_SERIES))]
-                          for i in range(len(_LGAMMA_SERIES))])
+# the moment rule (see the module docstring): t = k _RULE_STEP from the
+# left end of the least tail rate the moment checks let through, 2^-53 (at
+# y = -40 2^53), to y = 6.7; a moment reads the nodes from its own left end
+_RULE_STEP = 0.05
+_RULE_T = _RULE_STEP * np.arange(math.floor(-math.asinh(40.0 * 2.0**53) / _RULE_STEP),
+                                 math.ceil(math.asinh(6.7) / _RULE_STEP) + 1)
+_RULE_Y = np.sinh(_RULE_T)
+# the log weights less their term y, which each moment adds to the cost's
+# slope in y before the product with y (see _scaled_cost)
+_RULE_LOG_J = np.log(_RULE_STEP * np.cosh(_RULE_T)) - np.exp(_RULE_Y)
+_RULE_ROOT_W = np.exp(0.5 * (_RULE_LOG_J + _RULE_Y))
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +138,13 @@ _LGAMMA_PAIRS = np.array([[_LGAMMA_SERIES[i + l] * math.comb(i + l + 2, i + 1)
 
 @dataclass(frozen=True)
 class GevParams:
-    """GEV margin triple: location eta, scale tau, shape xi.
+    """GEV margin triple: location eta, scale tau, shape xi, kept as floats,
+    so an integer eta computes as the float one does.
 
-    xi = 0 (Gumbel margins) is accepted.  The closed-form operations support
-    it for beta = 1, where f'(z) = tau / z; with beta >= 2 they raise
-    DomainError (the binomial table needs xi != 0).
+    xi = 0 (Gumbel margins) is accepted.  The mean and the variance compute
+    at every power; the lag covariances only at beta = 1, where
+    f'(z) = tau / z: with beta >= 2 they raise DomainError (the binomial
+    table needs xi != 0).
     """
 
     eta: float
@@ -158,6 +152,8 @@ class GevParams:
     xi: float
 
     def __post_init__(self):
+        for name in ("eta", "tau", "xi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not self.tau > 0.0:
             raise DomainError(f"tau must be > 0, got {self.tau}")
 
@@ -258,43 +254,46 @@ def cov_simple(
 # ---------------------------------------------------------------------------
 
 def _require_moments(p: PowerSpec, order: int):
-    """DomainError unless E|Z^beta|^order is finite and the margin
-    transform has a derivative table."""
+    """DomainError unless E|f(Z)|^order is finite and a GEV power is at
+    most 1024, the one check of every operation's domain."""
     if p.is_simple:
         if not p.beta * order < 1.0:
             raise DomainError(f"simple margins require beta < {1.0 / order:g}, got {p.beta}")
         return
+    # the weights beta C(beta-1, j) sum to beta 2^(beta-1), so the largest
+    # is at least 2^(beta-1): from beta = 1025 on it is past the double range
+    if p.beta > 1024:
+        raise DomainError(f"beta > 1024 overflows the double range for {p.margin}")
     if not p.beta * p.margin.xi * order < 1.0:
         raise DomainError(
             f"moment condition beta*xi < {1.0 / order:g} violated: "
             f"beta={p.beta}, xi={p.margin.xi}"
         )
-    if p.margin.xi == 0.0 and p.beta >= 2:
-        raise DomainError(f"Gumbel margins (xi = 0) support beta = 1 only, got beta={p.beta}")
 
 
 def _finite(values, what):
     """``values`` unchanged; DomainError if one is not a finite double, as
     where a high power of the margin leaves the double range."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DomainError(f"{what} of the power field is not a finite double "
                           "(beta too high for the margin?)")
     return values
 
 
 def _derivative_table(p: PowerSpec):
-    """(f(1), d, b) with f'(z) = sum_k d_k z^(b_k - 1) for the transform f
-    taking a standard Frechet value to the power of the margin."""
+    """(d, b) with f'(z) = sum_k d_k z^(b_k - 1) for the transform f taking
+    a standard Frechet value to the power of the margin, after the moment
+    check of the lag covariances; DomainError for Gumbel margins with
+    beta >= 2, which have no table."""
+    _require_moments(p, 2)
     if p.is_simple:
-        return 1.0, np.array([p.beta]), np.array([p.beta])
+        return np.array([p.beta]), np.array([p.beta])
     beta, m = int(p.beta), p.margin
-    # the weights beta C(beta-1, j) sum to beta 2^(beta-1), so the largest
-    # is at least 2^(beta-1): from beta = 1025 on it is past the double range
-    if beta > 1024:
-        raise DomainError(f"beta > 1024 overflows the double range for {m}")
+    if m.xi == 0.0 and beta >= 2:
+        raise DomainError(f"Gumbel margins (xi = 0) have lag covariances for beta = 1 only, "
+                          f"got beta={beta}")
     k = np.arange(beta)
     try:
-        f1 = m.eta ** beta
         if beta <= 1:  # f(z) = eta + tau (z^xi - 1)/xi, also at xi = 0
             d = np.full(beta, m.tau)
         else:
@@ -303,41 +302,67 @@ def _derivative_table(p: PowerSpec):
                           for j in range(beta)])
     except OverflowError as exc:  # a float power past the double range
         raise DomainError(f"beta={beta} overflows the double range for {m}") from exc
-    return (_finite(f1, "f(1)"), _finite(d, "a derivative-table entry"),
-            _finite((beta - k) * m.xi, "an exponent"))
+    return _finite(d, "a derivative-table entry"), _finite((beta - k) * m.xi, "an exponent")
 
 
-def _log_power_cov(b1, b2):
-    """V(b, c) = Cov((Z^b - 1)/b, (Z^c - 1)/c) for standard Frechet Z and
-    every pair (b, c) of the exponent tables b1 x b2, as an (n1, n2) array,
-    where (Z^0 - 1)/0 stands for log Z.
+def _rule_nodes(order: int, *powers) -> slice:
+    """The nodes of the moment rule for the order-th moments of the powers'
+    costs, from the left end y = -max(800, 40/rho): rho is the least
+    1 - order beta xi (1 - order beta for simple margins), the rate of the
+    terms' decay e^(rho y) as y -> -inf."""
+    rho = min(1.0 - p.beta * (1.0 if p.is_simple else p.margin.xi) * order for p in powers)
+    return slice(int(np.searchsorted(_RULE_Y, -max(800.0, 40.0 / rho))), None)
 
-    The closed form [Gamma(1-b-c) - Gamma(1-b) Gamma(1-c)] / (b c) cancels
-    as b, c -> 0.  There V = Gamma(1-b) Gamma(1-c) expm1(b c q) / (b c) with
-    b c q = log Gamma(1-b-c) - log Gamma(1-b) - log Gamma(1-c), and the
-    series log Gamma(1-x) = gamma_E x + sum_n zeta(n) x^n / n gives
-    q = sum_n zeta(n)/n P_n with P_n = ((b+c)^n - b^n - c^n) / (b c)
-    = sum_(k=1..n-1) C(n, k) b^(k-1) c^(n-1-k): the bilinear form
-    sum_il M_il b^i c^l of _LGAMMA_PAIRS, whose terms shrink like
-    (|b| + |c|)^(i+l).  Gamma is evaluated once per distinct argument, and
-    psi only where one power is 0 away from the series.
-    """
-    b, c = b1[:, None], b2[None, :]
-    g_b, g_c = gamma_values(1.0 - b), gamma_values(1.0 - c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = (gamma_values(1.0 - (b + c)) - g_b * g_c) / (b * c)
-    near = np.abs(b) + np.abs(c) <= _SERIES_RADIUS
-    # one power 0: Cov(Z^b, log Z) / b = -Gamma(1-b) (psi(1-b) + gamma_E) / b
-    for i, j in zip(*np.nonzero(((b == 0.0) != (c == 0.0)) & ~near)):
-        x, g = (b1[i], g_b[i, 0]) if b2[j] == 0.0 else (b2[j], g_c[0, j])
-        v[i, j] = -g * (digamma(1.0 - x) + np.euler_gamma) / x
-    if near.any():
-        bn, cn = np.broadcast_to(b, v.shape)[near], np.broadcast_to(c, v.shape)[near]
-        n = len(_LGAMMA_SERIES)
-        q = ((np.vander(bn, n, increasing=True) @ _LGAMMA_PAIRS)
-             * np.vander(cn, n, increasing=True)).sum(axis=1)
-        v[near] = (g_b * g_c)[near] * q * exprel(bn * cn * q)
-    return v
+
+def _scaled_cost(p: PowerSpec, nodes: slice, k: float):
+    """(u, top): u = w^k f e^-top at the nodes of the moment rule, where
+    top is the largest log(w^k |f|), so that |u| <= 1, for the cost f of
+    ``p``.  log |f| = slope y + rest, with the slope -beta on simple margins
+    and -beta xi on GEV margins with xi > 0: it is added to the weight's k
+    before the product with y, so that where |y| reaches 40/rho the terms do
+    not lose |y| ulps to the cancelling growth of f and decay of w."""
+    y = _RULE_Y[nodes]
+    slope, rest, sign = -p.beta, 0.0, 1.0
+    if not p.is_simple:
+        m = p.margin
+        # Z_gev = eta - tau y exprel(-xi y) = eta + (tau/xi) expm1(-xi y); below
+        # |xi| = 1e-290 the exprel factor is 1 to the last bit at every node
+        z = (m.eta - m.tau * y if abs(m.xi) < 1e-290 else
+             m.eta + np.expm1(-m.xi * y) * (m.tau / m.xi))
+        slope, rest = 0.0, np.log(np.abs(z))
+        if p.beta % 2:
+            sign = np.sign(z)
+        if m.xi > 0.0:
+            # log Z_gev = -xi y + log(Z_gev e^(xi y)); past e^700, where
+            # e^(-xi y) leaves the double range, Z_gev e^(xi y) is
+            # c + (eta - c) e^(xi y) with c = tau/xi
+            slope = -p.beta * m.xi
+            rest += m.xi * y
+            if m.xi * y[0] < -700.0:
+                far, c = m.xi * y < -700.0, m.tau / m.xi
+                rest[far] = np.log(c + (m.eta - c) * np.exp(m.xi * y[far]))
+        rest *= p.beta
+    terms = k * _RULE_LOG_J[nodes] + (k + slope) * y + rest
+    top = terms.max()
+    return sign * np.exp(terms - top), top
+
+
+def _site_cov(p1: PowerSpec, p2: PowerSpec) -> float:
+    """Cov(f1(Z), f2(Z)) of the costs of p1 and p2 at one site by the
+    moment rule, sum w (f1 - m1)(f2 - m2), for powers whose second moments
+    are finite; a constant cost (beta = 0) has covariance 0."""
+    if p1.beta == 0 or p2.beta == 0:
+        return 0.0
+    nodes = _rule_nodes(2, p1, p2)
+    root_w = _RULE_ROOT_W[nodes]
+    sides = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for p in (p1,) if p2 == p1 else (p1, p2):
+            u, top = _scaled_cost(p, nodes, 0.5)
+            u -= root_w * np.dot(root_w, u)  # sqrt(w) (f - m) e^-top
+            sides.append((u, top))
+        (u1, top1), (u2, top2) = sides[0], sides[-1]
+        return float(np.dot(u1, u2) * np.exp(top1 + top2))
 
 
 # the covariance kernel takes the nodes of a wave in chunks of this many, to
@@ -524,7 +549,7 @@ class _CovTable:
     Piece i covers [edges[i], edges[i+1]] and holds the Chebyshev
     coefficients of log cov, or of cov itself where a node value is not
     positive (``log_fit`` False).
-    Below SMALL_H the closed-form variance is returned, as by the model;
+    Below SMALL_H the variance is returned, as by the model;
     from ``edges[-1]`` on, 0.  ``worst_miss`` is the largest relative
     difference between the interpolant and the model at the check points.
     """
@@ -555,9 +580,11 @@ class CovModel:
     h = sqrt(gamma(x2 - x1)), the one place it is evaluated.
 
     ``p1`` and ``p2`` are PowerSpecs, or sequences of PowerSpecs of one
-    length whose entries are paired in order.  The constructor checks the
-    moments of ``p1`` then ``p2`` and computes the closed-form ``variance``
-    (an array over the pairs for sequences).  Called with a lag or an
+    length whose entries are paired in order.  The constructor builds the
+    derivative tables pair by pair, ``p1``'s then ``p2``'s, which raise
+    DomainError before any quadrature where the lag covariances are not
+    defined, and computes the ``variance`` by the moment rule (an array
+    over the pairs for sequences).  Called with a lag or an
     array of lags, the model gives a QuadResult whose fields have the
     lags' shape, behind a leading axis of the pairs for sequences: the
     variance below SMALL_H, 0 at an infinite lag, DomainError at NaN, and
@@ -573,18 +600,14 @@ class CovModel:
         self.p1, self.p2, self.spec = p1, p2, spec
         self._vector = not isinstance(p1, PowerSpec)
         sides = (p1, p2) if self._vector else ((p1,), (p2,))
-        for q in [*sides[0], *sides[1]]:
-            _require_moments(q, 2)
         # each pair's two ordered components, one index twice for a shared table
         tables, variances, first, second = [], [], [], []
         for q1, q2 in zip(*sides):
-            table = _derivative_table(q1)
-            _, d1, b1 = table
-            _, d2, b2 = table if q2 == q1 else _derivative_table(q2)
+            d1, b1 = _derivative_table(q1)
+            d2, b2 = (d1, b1) if q2 == q1 else _derivative_table(q2)
             with np.errstate(over="ignore"):  # a weight past the double range is reported below
-                wts = _finite(np.outer(d1, d2).ravel(), "a pairwise weight")
-            variances.append(math.fsum(_finite(wts * _log_power_cov(b1, b2).ravel(),
-                                               "a variance term")))
+                _finite(np.outer(d1, d2), "a pairwise weight")
+            variances.append(_finite(_site_cov(q1, q2), "the variance"))
             first.append(len(tables))
             tables.append((d1, b1, d2, b2))
             if q2 != q1:
@@ -609,7 +632,7 @@ class CovModel:
         first, second = self._first, self._second
         far = _line_integrals(self._kernel, [lag for lag in flat if SMALL_H <= lag < math.inf],
                               self.spec, len(self._tables))
-        # each field a (pairs, lags) array: the closed form below SMALL_H, the
+        # each field a (pairs, lags) array: the variance below SMALL_H, the
         # limit 0 at an infinite lag, and a pair's components summed between
         value, err = np.zeros((2, len(first), len(flat)))
         subdivisions = np.zeros(value.shape, int)
@@ -638,7 +661,11 @@ class CovModel:
         at _MAX_BISECTIONS levels the leftmost piece that misses raises
         ConvergenceError, with the direct value at its worst miss.  The
         range is doubled from 24 until cov <= _TAIL * rel_tol * var.
+        A model of several pairs raises DomainError.
         """
+        if self._vector:
+            raise DomainError("the covariance table is built for a single pair, "
+                              "not a sequence of them")
         spec, variance = self.spec, self.variance
         floor = max(_TAIL * spec.rel_tol * variance, np.finfo(float).tiny)
 
@@ -712,17 +739,19 @@ def covariance_model(p1, p2, spec: QuadSpec) -> CovModel:
 
 
 def mean_cost(p: PowerSpec) -> float:
-    """E[C(0)] = E[Z(0)^beta], f(1) + sum_k d_k M(b_k): the binomial-gamma
-    sum for GEV margins, Gamma(1 - beta) for simple margins."""
+    """E[C(0)] = E[Z(0)^beta] by the moment rule, sum w f (see the module
+    docstring), for either margin mode; Gumbel margins at every power."""
     _require_moments(p, 1)
-    f1, d, b = _derivative_table(p)
-    m = [np.euler_gamma if bk == 0.0 else (gamma(1.0 - bk) - 1.0) / bk for bk in b]
-    return f1 + math.fsum(_finite(d * m, "a mean term"))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u, top = _scaled_cost(p, _rule_nodes(1, p), 1.0)
+        return _finite(float(u.sum() * np.exp(top)), "the mean")
 
 
 def var_gev(p: PowerSpec) -> float:
-    """Var(Z(0)^beta): the covariance at lag 0, for either margin mode."""
-    return covariance_model(p, p, DEFAULT_QUAD).variance
+    """Var(Z(0)^beta) by the moment rule, sum w (f - m)^2, for either margin
+    mode; Gumbel margins at every power."""
+    _require_moments(p, 2)
+    return _finite(_site_cov(p, p), "the variance")
 
 
 def cov_gev(

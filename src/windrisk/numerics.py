@@ -2,9 +2,8 @@
 
 The special functions need numpy alone: ``scaled_normal_tail`` comes from
 a piecewise polynomial table of erfcx, ``norm_quantile`` from Wichura's
-AS241 and a Newton step, ``digamma`` from the recurrence and the asymptotic
-series, and ``gamma_values`` from ``math.gamma`` once per distinct
-argument.
+AS241 and a Newton step, and ``gamma_values`` from ``math.gamma`` once per
+distinct argument.
 
 Everything downstream (dependence integrals, distance-density integrals,
 radial covariance integrals) funnels through :func:`integrate_rows`, a
@@ -36,7 +35,6 @@ __all__ = [
     "QuadSpec",
     "QuadResult",
     "DEFAULT_QUAD",
-    "digamma",
     "exprel",
     "gamma",
     "gamma_values",
@@ -134,44 +132,6 @@ def gamma_values(x) -> np.ndarray:
         except OverflowError:
             known[v] = math.inf
     return np.array([known[v] for v in flat]).reshape(x.shape)
-
-
-# the root of digamma, as a sum of two doubles
-_DIGAMMA_ROOT = 1.4616321449683622
-_DIGAMMA_ROOT_LO = 9.549995429965697e-17
-# B_2k / 2k, k = 1..7, of psi(z) = log z - 1/2z - sum_k B_2k / (2k z^2k); at
-# z >= 20 the first term left out is below 1e-18 of psi'(z)
-_DIGAMMA_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
-                   -691.0 / 32760.0, 1.0 / 12.0)
-
-
-def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0, to a few ulps relative.
-
-    The upward recurrence psi(x) = psi(x + n) - sum_k 1/(x + k) reaches
-    z = x + n >= 20, where the asymptotic series holds.  Both are taken as
-    differences from the root r of psi, psi(x) = psi(x) - psi(r), with the
-    same n for r and y = x - r: each term of the difference is y times a
-    positive factor, so nothing cancels and psi keeps its relative
-    accuracy at the root.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    y = (x - _DIGAMMA_ROOT) - _DIGAMMA_ROOT_LO
-    n = math.ceil(20.0 - min(x, _DIGAMMA_ROOT))  # both z and z0 reach 20
-    z, z0 = x + n, _DIGAMMA_ROOT + n
-    # 1/(r + k) - 1/(x + k) for the recurrence, log(z/z0) and 1/(2 z0) - 1/(2 z)
-    terms = [y / ((x + k) * (_DIGAMMA_ROOT + k)) for k in range(n)]
-    terms.append(math.log1p(y / z0))
-    q = y / (z * z0)  # 1/z0 - 1/z
-    terms.append(0.5 * q)
-    # -c (z^-m - z0^-m) = c q sum_i z^-i z0^-(m-1-i), m = 2k
-    p, p0 = 1.0 / z, 1.0 / z0
-    for k, c in enumerate(_DIGAMMA_SERIES, 1):
-        m = 2 * k
-        terms.append(c * q * sum(p**i * p0 ** (m - 1 - i) for i in range(m)))
-    return math.fsum(terms)
 
 
 # E(a) = erfcx(a/sqrt(2))/2 for a >= 0, so that Phi(-a) = E(a) exp(-a^2/2), is

@@ -287,12 +287,6 @@ class TestCovSimple:
         assert 0.0 < c2 < c1
 
 
-class TestLogGammaSeries:
-    def test_zeta_quotients_are_scipys(self):
-        n = np.arange(2.0, 40.0)
-        np.testing.assert_array_equal(np.array(dependence._LGAMMA_SERIES), zeta(n) / n)
-
-
 class TestBCoeff:
     def test_diagonal_top(self):
         p = PowerSpec.gev(2, GevParams(ETA, TAU, XI))
@@ -397,18 +391,17 @@ class TestVarGev:
         )
 
     def test_weights_past_the_double_range_raise_without_a_warning(self, paper_gev):
-        # at beta 100 the pairwise weights d_j d_k overflow
+        # at beta 100 the variance is past the double range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="pairwise weight"):
+            with pytest.raises(DomainError, match="the variance"):
                 var_gev(PowerSpec.gev(100, paper_gev))
 
     @pytest.mark.parametrize("beta", [100, 200, 400])
     def test_moments_past_the_double_range_raise(self, paper_gev, beta):
-        # at the paper margin the variance terms leave the double range from
-        # beta = 86, the mean terms from 171, the derivative table from 186
-        # and f(1) = eta^beta from 209: each is DomainError, not inf - inf in
-        # fsum or the OverflowError of a float power
+        # at the paper margin the variance leaves the double range from
+        # beta = 96 and the mean from 191: each is DomainError, not inf or
+        # the OverflowError of a float power
         p = PowerSpec.gev(beta, paper_gev)
         with pytest.raises(DomainError):
             var_gev(p)
@@ -419,23 +412,15 @@ class TestVarGev:
     @pytest.mark.parametrize("beta", [1025, 10**300])
     def test_beta_past_the_binomial_range_raises_before_the_table(self, beta):
         # a weight beta C(beta-1, j) is at least 2^(beta-1): even where the
-        # margin's powers are small the table is rejected before it is built
+        # margin's powers are small the table is rejected before it is built,
+        # and the moments, which need no table, are rejected by the same check
         p = PowerSpec.gev(beta, GevParams(0.01, 0.01, -0.2))
         with pytest.raises(DomainError):
             dependence._derivative_table(p)
-        with pytest.raises(DomainError):
-            var_gev(p)
+        for moment in (var_gev, mean_cost):
+            with pytest.raises(DomainError, match="beta > 1024"):
+                moment(p)
 
-    def test_beta_forty_keeps_its_value(self, paper_gev):
-        # beta 40 is computed, not refused by the overflow guards.  The
-        # binomial table cancels here, so the variance pinned is the
-        # rounding noise of the Gamma values (math.gamma's), not the true
-        # variance: the test below holds the 80-digit value
-        p = PowerSpec.gev(40, paper_gev)
-        assert var_gev(p) == pytest.approx(6.873362306010234e127, rel=1e-14)
-        assert mean_cost(p) == pytest.approx(2.6374528111882373e62, rel=1e-14)
-
-    @pytest.mark.xfail(strict=True, reason="the binomial table cancels at beta 40 (ROADMAP item 1)")
     def test_beta_forty_matches_80_digits(self, paper_gev):
         # the closed forms of the variance and the mean evaluated at 80
         # digits (mpmath) from the same doubles eta, tau, xi
@@ -664,20 +649,30 @@ class TestHoeffdingCovariance:
         assert mean_cost(p) == pytest.approx(ETA + np.euler_gamma * TAU, rel=1e-13)
         assert var_gev(p) == pytest.approx(TAU**2 * math.pi**2 / 6.0, rel=1e-13)
 
-    def test_gumbel_beta_two_rejected_before_computing(self, monkeypatch):
+    def test_gumbel_beta_two_moments(self):
+        # the cost is X^2 with X = eta - tau Y, where Y = log(1/Z) has
+        # E Y = -gamma, Var Y = pi^2/6 and the cumulants (-1)^n (n-1)! zeta(n)
+        # from n = 2 on, those of minus a standard Gumbel variable
+        p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))
+        mu = ETA + TAU * np.euler_gamma
+        k2, k3, k4 = (TAU**2 * math.pi**2 / 6.0, TAU**3 * 2.0 * zeta(3.0),
+                      TAU**4 * math.pi**4 / 15.0)
+        assert mean_cost(p) == pytest.approx(mu**2 + k2, rel=1e-14)
+        assert var_gev(p) == pytest.approx(k4 + 4.0 * k3 * mu + 2.0 * k2**2 + 4.0 * k2 * mu**2,
+                                           rel=1e-13)
+
+    def test_gumbel_beta_two_lag_operations_rejected_before_computing(self, monkeypatch):
         def computed(*args, **kwargs):
             pytest.fail("computed for an unsupported margin")
 
         for module in (dependence, risk):
             monkeypatch.setattr(module, "integrate_rows", computed)
-        monkeypatch.setattr(dependence, "_derivative_table", computed)
+        monkeypatch.setattr(dependence, "_site_cov", computed)
         monkeypatch.setattr(dependence.CovModel, "__call__", computed)
         p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))  # the spec itself is valid
         v = power(1.0, 1.0)
         q = RiskQuery(region=disk(1.0), power=p, variogram=v)
         for op in (
-            lambda: var_gev(p),
-            lambda: mean_cost(p),
             lambda: cov_gev(p, p, v, [0.0, 0.0], [1.0, 0.0]),
             lambda: dep_measure(p, v, [0.0, 0.0], [1.0, 0.0]),
             lambda: r2(q, 1.0),
@@ -687,9 +682,8 @@ class TestHoeffdingCovariance:
             with pytest.raises(DomainError):
                 op()
 
-    # exact variances from the binomial moment sums in 60-digit arithmetic;
-    # near xi = 0 the closed-form bracket of each table pair cancels, so
-    # these pin its series form (the beta = 3 case cancels most)
+    # exact variances from the binomial moment sums in 60-digit arithmetic,
+    # which cancel in double precision near xi = 0 (the beta = 3 case most)
     @pytest.mark.parametrize("beta, xi, exact, rel", [
         (1, 1e-4, 14.808280426029092806, 1e-12),
         (1, -1e-4, 14.800534886540138766, 1e-12),
@@ -789,8 +783,8 @@ class TestBatchedCovariance:
         # a same-power value is twice the s > 0 row of its one pair, and a
         # mixed pair's the sum of the s > 0 rows of (p1, p2) and (p2, p1)
         p1, p2 = self.CASES[name]
-        _, d1, b1 = dependence._derivative_table(p1)
-        _, d2, b2 = dependence._derivative_table(p2)
+        d1, b1 = dependence._derivative_table(p1)
+        d2, b2 = dependence._derivative_table(p2)
         ordered = [(d1, b1, d2, b2)] + ([(d2, b2, d1, b1)] if p1 != p2 else [])
         kernel = dependence._pair_kernel(ordered)
         lags = [0.1, 1.0, 4.0]
@@ -834,8 +828,8 @@ class TestBatchedCovariance:
         assert lowest and min(lowest) >= 0.0
 
     def test_mixed_pair_has_a_distinct_exponent_sum_per_term(self):
-        _, _, b1 = dependence._derivative_table(self.CASES["mixed"][0])
-        _, _, b2 = dependence._derivative_table(self.CASES["mixed"][1])
+        _, b1 = dependence._derivative_table(self.CASES["mixed"][0])
+        _, b2 = dependence._derivative_table(self.CASES["mixed"][1])
         assert np.unique(np.add.outer(b1, b2)).size == b1.size * b2.size
 
     def test_first_failing_lag_raises_its_own_error(self):
@@ -957,7 +951,7 @@ class TestPowersOnOneMesh:
         """Nodes s, h out to h = 48 and s h = 4.8e6, the twelve GEV powers'
         pairs at shape xi, their kernel values together, on the lattice of
         power 12's tables, and each pair's own."""
-        tables = [dependence._derivative_table(PowerSpec.gev(beta, GevParams(ETA, TAU, xi)))[1:]
+        tables = [dependence._derivative_table(PowerSpec.gev(beta, GevParams(ETA, TAU, xi)))
                   for beta in range(1, 13)]
         pairs = [(d, b, d, b) for d, b in tables]
         s, h = np.meshgrid(TestPairKernel.S, TestPairKernel.LAGS + [48.0])
@@ -1006,7 +1000,7 @@ class TestPowersOnOneMesh:
         pairs = []
         for spec in specs:
             p1, p2 = spec if isinstance(spec, tuple) else (spec, spec)
-            pairs.append(dependence._derivative_table(p1)[1:] + dependence._derivative_table(p2)[1:])
+            pairs.append(dependence._derivative_table(p1) + dependence._derivative_table(p2))
         s = np.r_[TestPairKernel.S, TestPairKernel.S]
         h = np.repeat([0.3, 3.0], len(TestPairKernel.S))
         together = dependence._pair_kernel(pairs)(s, h)
@@ -1100,8 +1094,8 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_the_per_term_form(self, name):
-        _, d1, b1 = dependence._derivative_table(self.CASES[name][0])
-        _, d2, b2 = dependence._derivative_table(self.CASES[name][1])
+        d1, b1 = dependence._derivative_table(self.CASES[name][0])
+        d2, b2 = dependence._derivative_table(self.CASES[name][1])
         kernel = dependence._pair_kernel([(d1, b1, d2, b2)])
         s, h = np.meshgrid(self.S, self.LAGS)
         s, h = s.ravel(), h.ravel()
@@ -1115,8 +1109,8 @@ class TestPairKernel:
     @pytest.mark.parametrize("name", list(CASES))
     def test_swapped_pair_at_s_is_the_pair_at_minus_s(self, name):
         # exchanging the sites maps s to -s: k[p2,p1](s, h) = k[p1,p2](-s, h)
-        _, d1, b1 = dependence._derivative_table(self.CASES[name][0])
-        _, d2, b2 = dependence._derivative_table(self.CASES[name][1])
+        d1, b1 = dependence._derivative_table(self.CASES[name][0])
+        d2, b2 = dependence._derivative_table(self.CASES[name][1])
         swapped = dependence._pair_kernel([(d2, b2, d1, b1)])
         s, h = np.meshgrid(self.S, [0.05, 1.0, 8.0])
         s, h = s.ravel(), h.ravel()
@@ -1130,8 +1124,8 @@ class TestPairKernel:
         # one independent check of the half-line form: scipy's quad of the
         # per-term form over the whole line, split at +-each breakpoint
         p1, p2 = self.CASES[name]
-        _, d1, b1 = dependence._derivative_table(p1)
-        _, d2, b2 = dependence._derivative_table(p2)
+        d1, b1 = dependence._derivative_table(p1)
+        d2, b2 = dependence._derivative_table(p2)
         spec = QuadSpec()
         for distance in (0.09, 1.0, 16.0):
             h = math.sqrt(distance)
@@ -1149,7 +1143,7 @@ class TestPairKernel:
     def test_each_node_is_independent_of_the_others(self):
         # power 12 alone, and all twelve powers on power 12's lattice, in
         # halves, in chunks of one panel's 15 nodes and in pairs of nodes
-        tables = [dependence._derivative_table(self.CASES[f"gev{beta}"][0])[1:]
+        tables = [dependence._derivative_table(self.CASES[f"gev{beta}"][0])
                   for beta in range(1, 13)]
         pairs = [(d, b, d, b) for d, b in tables]
         s = np.r_[self.S, self.S]

@@ -10,7 +10,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import digamma as scipy_digamma
 from scipy.special import exprel as scipy_exprel
 from scipy.special import ndtri
 
@@ -27,7 +26,6 @@ from windrisk import (
 )
 from windrisk.numerics import (
     _panel_estimates,
-    digamma,
     exprel,
     gamma_values,
     scaled_normal_tail,
@@ -397,8 +395,8 @@ class TestScaledNormalTail:
 
 
 def _table_arguments():
-    """The arguments 1 - b and 1 - b - c that the covariance's Gamma and psi
-    see: GEV tables b = (beta - k) xi and simple margins b = beta."""
+    """The arguments 1 - b and 1 - b - c that the covariance kernel's Gamma
+    sees: GEV tables b = (beta - k) xi and simple margins b = beta."""
     exponents = []
     for beta in range(1, 13):
         for xi in np.linspace(-0.45, 0.45 / beta, 61).tolist():
@@ -410,22 +408,6 @@ def _table_arguments():
 
 
 class TestGammaAndDigamma:
-    def test_digamma_matches_50_digit_values(self):
-        singles, _ = _table_arguments()
-        x = np.concatenate([singles, 1.4616321449683622 + np.linspace(-1e-6, 1e-6, 201),
-                            np.linspace(0.5, 40.0, 3951), [1e5, 1e300]])
-        with mpmath.workdps(50):
-            ref = np.array([float(mpmath.digamma(mpmath.mpf(v))) for v in x.tolist()])
-        np.testing.assert_allclose([digamma(v) for v in x.tolist()], ref, rtol=4e-16, atol=0.0)
-        # scipy's digamma is off by up to 3.8e-16 on the table arguments
-        np.testing.assert_allclose([digamma(v) for v in singles.tolist()],
-                                   scipy_digamma(singles), rtol=8e-16, atol=0.0)
-
-    def test_digamma_domain(self):
-        for bad in (0.0, -1.5, math.nan):
-            with pytest.raises(DomainError):
-                digamma(bad)
-
     def test_gamma_values_is_math_gamma_of_each_argument(self):
         singles, pairs = _table_arguments()
         x = np.concatenate([singles, pairs])

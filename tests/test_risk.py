@@ -406,6 +406,11 @@ class TestCovTable:
         assert (covariance_model(p, p, QuadSpec()).table
                 is not covariance_model(p, p, QuadSpec(rel_tol=1e-8)).table)
 
+    def test_a_model_of_several_pairs_has_no_table(self):
+        powers = tuple(PowerSpec.gev(b, GevParams(ETA, TAU, XI)) for b in (1, 2))
+        with pytest.raises(DomainError, match="single pair"):
+            dependence.CovModel(powers, powers, QuadSpec()).table
+
     def test_default_r2curves_builds_one_table(self, tmp_path, monkeypatch):
         from windrisk.cli import main
 
