@@ -50,6 +50,32 @@ weights with the block of those terms that holds them, within rounding of
 its form alone; otherwise each covariance's bilinear form follows on its
 own.
 
+The GEV table alternates in sign, and for small |xi| or a high power its
+sums cancel to rounding noise that no quadrature can refine.  A router
+(:func:`_cancels`) sends each pair of tables whose rounding bound
+
+    B = eps sum_jk |e_j e_k| (|Gamma(1-b_j-b_k)| + |Gamma(1-b_j) Gamma(1-b_k)|) / Var,
+
+e = d/b, Var the variance (sqrt(Var1 Var2) for a mixed pair), exceeds
+rel_tol/30 to the nested kernel instead, a property of the input.  It
+keeps the r integral of Hoeffding's identity, in y = log(C1/r):
+
+    cov = int h ds int dy (z1 f1'(z1)) (z2 f2'(z2)) e^(-e^y) (-expm1(-e^y gap/C1)),
+
+z1 = r = C1 e^-y and z2 = r theta.  Every factor is positive but z f'(z),
+whose sign is that of f': on GEV margins z f'(z) = beta tau Z_gev^(beta-1)
+z^xi, negative where Z_gev < 0 and beta - 1 is odd, and a negative simple
+power.  The inner integral takes the moment rule's nodes (below) at
+stride 2, step 0.1 in t (stride 1 where an odd power of a negative Z_gev
+reaches the terms that count, whose sum then cancels), in log space below
+each node's largest term, less the leading nodes whose terms a bound puts
+below e^-45 of the peak (:func:`_first_inner_node`); the outer integral
+is the table's, over the
+same half-lines and breakpoints.  Pairs are routed one by one inside one
+kernel call, and the lattice and the bilinear forms see only the pairs on
+the table path, so a call none of whose pairs is routed, as on every
+study margin, keeps its values bit for bit.
+
 The mean and the variance at one site come from one positive quadrature
 rule instead: with y = log(1/Z), 1/Z ~ Exp(1), E g(Z) = int g(e^-y)
 e^(y - e^y) dy, and on GEV margins Z_gev = eta - tau y exprel(-xi y) is
@@ -305,6 +331,61 @@ def _derivative_table(p: PowerSpec):
     return _finite(d, "a derivative-table entry"), _finite((beta - k) * m.xi, "an exponent")
 
 
+# a pair of tables whose rounding bound passes this share of rel_tol takes
+# the nested kernel (see the module docstring)
+_NESTED_SHARE = 1.0 / 30.0
+
+
+# the least value of Gamma on (0, inf), at 1.4616...
+_GAMMA_MIN = 0.8856031944108887
+
+
+def _cancels(d1, b1, d2, b2, scale: float, limit: float) -> bool:
+    """Whether the rounding bound of a pair of derivative tables relative
+    to ``scale``, the variance (sqrt(Var1 Var2) for a mixed pair),
+
+        B = eps sum_jk |e_j e_k| (|Gamma(1-b_j-b_k)| + |Gamma(1-b_j) Gamma(1-b_k)|) / scale,
+
+    e = d/b, exceeds ``limit``.  B bounds the rounding of the variance's
+    table form sum_jk e_j e_k (Gamma(1-b_j-b_k) - Gamma(1-b_j) Gamma(1-b_k)),
+    since f(z) = f0 + sum_k e_k z^b_k and E Z^b = Gamma(1-b).  Its double
+    sum is formed only where two bounds from single sums do not decide:
+    every argument is positive (b < 1/2), where Gamma is at least
+    _GAMMA_MIN and log-convex, so Gamma(1-b_j-b_k) <= sqrt(Gamma(1-2b_j)
+    Gamma(1-2b_k)).  A table with an exponent 0 (Gumbel margins, a
+    constant cost) has one term, which does not cancel."""
+    if not scale > 0.0:  # a constant cost: no cancellation to bound
+        return False
+    sides = []
+    for d, b in ((d1, b1), (d2, b2)):
+        # sum |e| and its sums with Gamma(1 - b) and sqrt Gamma(1 - 2b), in
+        # floats: the tables are short and numpy's calls cost more than the sums
+        b = b.tolist()
+        if 0.0 in b:
+            return False
+        e = [abs(x / y) for x, y in zip(d.tolist(), b)]
+        sides.append((sum(e), sum(x * abs(_gamma(1.0 - y)) for x, y in zip(e, b)),
+                      sum(x * math.sqrt(_gamma(1.0 - 2.0 * y)) for x, y in zip(e, b))))
+    (sum1, single1, root1), (sum2, single2, root2) = sides
+    eps = np.finfo(float).eps / scale
+    upper = eps * (root1 * root2 + single1 * single2)
+    lower = eps * (_GAMMA_MIN * sum1 * sum2 + single1 * single2)
+    if upper <= limit or lower > limit:
+        return lower > limit
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e1, e2 = np.abs(d1 / b1), np.abs(d2 / b2)
+        return bool(eps * (e1 @ np.abs(gamma_values(1.0 - np.add.outer(b1, b2))) @ e2
+                           + single1 * single2) > limit)
+
+
+def _gamma(x: float) -> float:
+    """math.gamma, inf past the double range."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def _rule_nodes(order: int, *powers) -> slice:
     """The nodes of the moment rule for the order-th moments of the powers'
     costs, from the left end y = -max(800, 40/rho): rho is the least
@@ -374,13 +455,154 @@ def _site_cov(p1: PowerSpec, p2: PowerSpec) -> float:
 _CHUNK_NODES = 960
 
 
+def _derivative_side(p: PowerSpec, y):
+    """One side of the nested kernel at the inner nodes y: (slope, rest,
+    power, lead, r, q), with z f'(z) = e^(slope u + rest) zf^power at
+    u = log z = v - y, where zf = lead + r q(v) at the outer values v,
+    lead and r over the inner nodes (power 0: simple margins and beta = 1
+    have no zf).
+
+    Simple margins: z f'(z) = beta z^beta (a negative beta is taken up in
+    the kernel's sign).  GEV margins: z f'(z) = beta tau Z_gev^(beta-1)
+    z^xi, with Z_gev = eta + (tau/xi) expm1(xi u); with xi > 0 the factor
+    taken is zf = Z_gev e^(-xi u) = eta + (eta - tau/xi) expm1(-xi u) and
+    the slope is beta xi, else zf = Z_gev and the slope xi (0, with
+    Z_gev = eta + tau u, below |xi| = 1e-290, as in :func:`_scaled_cost`).
+    Since expm1(a + b) = expm1(a) + e^a expm1(b), lead is zf at v = 0 and
+    each node costs one product and one sum, no exponential.  zf is
+    monotone in u and has the sign of Z_gev."""
+    if p.is_simple:
+        return p.beta, math.log(abs(p.beta)), 0, None, None, None
+    m, beta = p.margin, int(p.beta)
+    rest = math.log(beta * m.tau)
+    if abs(m.xi) < 1e-290:
+        slope, sigma, k, lead, r = 0.0, 0.0, m.tau, m.eta - m.tau * y, np.ones_like(y)
+    else:
+        # zf = eta + k expm1(sigma (v - y)) = lead + e^(-sigma y) k expm1(sigma v)
+        sigma, k = (-m.xi, m.eta - m.tau / m.xi) if m.xi > 0.0 else (m.xi, m.tau / m.xi)
+        slope = beta * m.xi if m.xi > 0.0 else m.xi
+        lead, r = m.eta + k * np.expm1(-sigma * y), np.exp(-sigma * y)
+
+    def q(v):
+        return k * (v if sigma == 0.0 else np.expm1(sigma * v))
+
+    return slope, rest, beta - 1, lead, r, q
+
+
+# the nested kernel drops the leading inner nodes whose terms are below this
+# (in log) relative to the peak's at every outer node: e^-45 each, at most
+# 3e-18 together
+_NEGLIGIBLE = -45.0
+
+
+def _first_inner_node(base, leads) -> int:
+    """The first inner node the nested kernel keeps, given each zf's
+    (lead, power log |lead|) in ``leads``: nodes left of the peak of the
+    terms at v = 0 (log C1 = 0, sh = 0), where zf = lead, drop while their
+    terms relative to the peak's are below _NEGLIGIBLE at every outer node.
+    log C1 >= 0 and sh >= 0, so v >= 0 at both sides; each zf is monotone
+    in u and, positive at the peak, positive on its left (u larger):
+    increasing and concave (then the log ratio of a node left of the peak
+    to the peak falls with v, so it is largest at v = 0) or decreasing
+    (then it is below 0).  So the relative term of a node left of the peak
+    is at most its base relative to the peak's plus power times the
+    positive part of the log ratio of the leads."""
+    peak = int(np.argmax(base + sum(log for _, log in leads)))
+    if any(not lead[peak] > 0.0 for lead, _ in leads):
+        return 0
+    bound = base[:peak] - base[peak]
+    for _, log in leads:
+        bound += np.maximum(log[:peak] - log[peak], 0.0)
+    return int(np.argmax(np.append(bound, 0.0) > _NEGLIGIBLE))
+
+
+def _nested_form(p1: PowerSpec, p2: PowerSpec):
+    """The nested kernel of the ordered pair (p1, p2), as form(sh, log_c1,
+    log_q1): its Hoeffding integrand over h at nodes s >= 0 given sh, log C1
+    and log(gap/C1) there (see the module docstring), the inner integral in
+    y by the moment rule's nodes from p1's and p2's left end of the second
+    moments, at stride 2 (step 0.1 in t) unless an odd power of a negative
+    zf reaches the terms that count, whose sum then cancels (stride 1),
+    less the negligible leading nodes (:func:`_first_inner_node`).  Each
+    node's terms are summed in log space below their largest, times
+    -expm1(-x)/x in (0, 1], x = (gap/C1) e^y, and the sign of z1 f1'(z1)
+    z2 f2'(z2): negative where one Z_gev < 0 with an odd beta - 1 or a
+    simple power is negative."""
+    nodes = _rule_nodes(2, p1, p2)
+    y = _RULE_Y[nodes]
+    sides = [_derivative_side(p1, y)]
+    sides.append(sides[0] if p2 == p1 else _derivative_side(p2, y))
+    (slope1, rest1, power1, *_), (slope2, rest2, power2, *_) = sides
+    # the rule's log weights with their factor e^y, the y slopes and the
+    # constant factors
+    base = _RULE_LOG_J[nodes] + (1.0 - slope1 - slope2) * y + rest1 + rest2
+    zfs = [(power, lead, r, q) for _, _, power, lead, r, q in sides if power]
+    with np.errstate(divide="ignore"):  # zf = 0 is a zero of the derivative
+        logs = [power * np.log(np.abs(lead)) for power, lead, _, _ in zfs]
+    # zf is least at v = 0, so its negative nodes there hold all others'
+    at_zero = base + sum(logs)
+    counts = at_zero - at_zero.max() > _NEGLIGIBLE
+    stride = 1 if any(power % 2 and (lead[counts] < 0.0).any()
+                      for power, lead, _, _ in zfs) else 2
+    first = _first_inner_node(base[::stride], [(lead[::stride], log[::stride])
+                                               for (_, lead, _, _), log in zip(zfs, logs)])
+    kept = slice(first * stride, None, stride)
+    base, y = base[kept, None] + math.log(stride), y[kept]
+    # each zf's lead and r as columns over the kept nodes
+    zfs = [(power, lead[kept, None], r[kept, None], q) for power, lead, r, q in zfs]
+    e_y = np.exp(y)[:, None]
+    sign = math.copysign(1.0, p1.beta) * math.copysign(1.0, p2.beta)
+    tiny = np.finfo(float).tiny
+
+    def form(sh, log_c1, log_q1):
+        # each array below is (inner nodes, outer nodes), formed in place
+        zfs_at = []
+        for (power, lead, r, q), v in zip(zfs, [log_c1, log_c1 + sh] if power1 else [log_c1 + sh]):
+            zf = r * q(v)
+            zf += lead
+            # zf is monotone in u: its least value is at the last inner node
+            zfs_at.append((power, zf, bool(power % 2 and zf[-1].min() < 0.0)))
+        if len(zfs_at) == 2 and power1 == power2:  # one power of the product
+            (_, zf1, negative1), (_, zf2, negative2) = zfs_at
+            zf1 *= zf2
+            zfs_at = [(power1, zf1, negative1 or negative2)]
+        signs, terms = sign, None
+        with np.errstate(divide="ignore"):  # zf = 0 is a zero of the derivative
+            for power, zf, negative in zfs_at:
+                if negative:
+                    signs = signs * np.sign(zf)
+                np.log(np.abs(zf, out=zf), out=zf)
+                zf *= power
+                terms = zf if terms is None else np.add(terms, zf, out=terms)
+        if terms is None:
+            terms = np.zeros((len(y), len(sh)))
+        terms += base
+        top = terms.max(axis=0)
+        terms -= top
+        scaled = np.exp(terms, out=terms)
+        # -expm1(-x)/x is 1 to the last bit below the least normal x
+        x = e_y * np.exp(log_q1)
+        np.maximum(x, tiny, out=x)
+        factor = np.expm1(np.negative(x), out=np.empty_like(x))
+        factor /= x
+        scaled *= factor
+        if not np.isscalar(signs) or signs < 0.0:
+            scaled *= signs
+        return np.exp(log_q1 + (slope1 + slope2) * log_c1 + slope2 * sh + top) * -scaled.sum(axis=0)
+
+    return form
+
+
 def _pair_kernel(pairs):
-    """The Hoeffding integrands of the covariances of several pairs of
-    derivative tables ``pairs``, a sequence of (d1, b1, d2, b2), as
-    kernel(s, h): h times each integrand at the nodes s >= 0 of lags h
-    (arrays of one shape), a (len(pairs), n) array.  The values at s < 0
-    are those of the swapped pairs (d2, b2, d1, b1) at -s (see the module
-    docstring), so the kernel is only evaluated on the half-line s >= 0.
+    """The Hoeffding integrands of the covariances of several ordered pairs
+    ``pairs``, each a pair of derivative tables (d1, b1, d2, b2) or of
+    PowerSpecs (p1, p2), as kernel(s, h): h times each integrand at the
+    nodes s >= 0 of lags h (arrays of one shape), a (len(pairs), n) array.
+    The values at s < 0 are those of the swapped pairs (d2, b2, d1, b1) at
+    -s (see the module docstring), so the kernel is only evaluated on the
+    half-line s >= 0.  A pair of PowerSpecs takes the nested form of the
+    module docstring (:func:`_nested_form`); the rest of this docstring is
+    about the pairs of tables, which it does not touch.
 
     The work that does not depend on the powers is done once a node: sh,
     log D, the scaled normal tail, the gap, L and -L/q, and one exprel per
@@ -405,7 +627,10 @@ def _pair_kernel(pairs):
     magnitude, and the common factor is no subnormal where the value is a
     normal double.  A node's value does not depend on the other nodes.
     """
-    pairs = [(d1, b1.tolist(), d2, b2.tolist()) for d1, b1, d2, b2 in pairs]
+    nested = [k for k, pair in enumerate(pairs) if isinstance(pair[0], PowerSpec)]
+    tabled = [k for k in range(len(pairs)) if k not in nested]
+    nested_forms = [_nested_form(*pairs[k]) for k in nested]
+    pairs = [(d1, b1.tolist(), d2, b2.tolist()) for d1, b1, d2, b2 in (pairs[k] for k in tabled)]
     # the distinct exponent sums of all the pairs
     sums = sorted({x + y for _, b1, _, b2 in pairs for x in b1 for y in b2})
     where = {v: i for i, v in enumerate(sums)}
@@ -442,15 +667,21 @@ def _pair_kernel(pairs):
         # below it exprel(sig L) is 1 at either q and -L/q rounds to 1
         neg_q = -np.maximum(np.exp(log_q), 1e-300)
         L = np.log1p(neg_q)
+        out = np.empty((len(tabled) + len(nested), len(s)))
+        for k, form in zip(nested, nested_forms):
+            # C1 = D e^L, and gap/C1 = q e^-L
+            out[k] = h * form(sh, log_d + L, log_q - L)
+        if not tabled:
+            return out
         neg_l_by_q = L / neg_q
         g = exprel(sig_values * L)
         if lattice is not None:
             sig_index, blocks, log_scale, top1, top2, rest1, rest2 = lattice
             form = _lattice_forms(g, sig_index, blocks, rest1, rest2, sh, log_d)
             form *= neg_l_by_q
-            return h * np.exp(log_scale + (top1 + top2) * log_d + top2 * sh + log_q) * form
-        out = np.empty((len(forms), len(s)))
-        for k, (sig_index, weights, log_scale, top1, top2, rest1, rest2) in enumerate(forms):
+            out[tabled] = h * np.exp(log_scale + (top1 + top2) * log_d + top2 * sh + log_q) * form
+            return out
+        for k, (sig_index, weights, log_scale, top1, top2, rest1, rest2) in zip(tabled, forms):
             form = _bilinear_form(g, sig_index, weights, rest1, rest2, sh, log_d)
             # D^top1 (1 + theta)^top2 = D^(top1 + top2) theta^top2
             form *= neg_l_by_q
@@ -584,7 +815,9 @@ class CovModel:
     derivative tables pair by pair, ``p1``'s then ``p2``'s, which raise
     DomainError before any quadrature where the lag covariances are not
     defined, and computes the ``variance`` by the moment rule (an array
-    over the pairs for sequences).  Called with a lag or an
+    over the pairs for sequences); a pair whose tables cancel
+    (:func:`_cancels` at rel_tol/30) takes the nested kernel of the module
+    docstring, the others their tables.  Called with a lag or an
     array of lags, the model gives a QuadResult whose fields have the
     lags' shape, behind a leading axis of the pairs for sequences: the
     variance below SMALL_H, 0 at an infinite lag, DomainError at NaN, and
@@ -608,10 +841,12 @@ class CovModel:
             with np.errstate(over="ignore"):  # a weight past the double range is reported below
                 _finite(np.outer(d1, d2), "a pairwise weight")
             variances.append(_finite(_site_cov(q1, q2), "the variance"))
+            scale = variances[-1] if q2 == q1 else math.sqrt(var_gev(q1) * var_gev(q2))
+            nested = _cancels(d1, b1, d2, b2, scale, spec.rel_tol * _NESTED_SHARE)
             first.append(len(tables))
-            tables.append((d1, b1, d2, b2))
+            tables.append((q1, q2) if nested else (d1, b1, d2, b2))
             if q2 != q1:
-                tables.append((d2, b2, d1, b1))
+                tables.append((q2, q1) if nested else (d2, b2, d1, b1))
             second.append(len(tables) - 1)
         self._tables, self._first, self._second = tables, first, second
         self.variance = np.array(variances) if self._vector else variances[0]

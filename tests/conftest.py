@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr
+from scipy.special import exprel, log_ndtr
 
-from windrisk import DEFAULT_QUAD, DomainError, GevParams, PowerSpec, Variogram, dependence, gamma
+from windrisk import (DEFAULT_QUAD, DomainError, GevParams, PowerSpec, QuadSpec, Variogram,
+                      dependence, gamma)
 
 # parameters of the reference wind study
 ETA, TAU, XI = 30.0, 3.0, -0.2
@@ -58,6 +59,72 @@ def g_simple(beta1: float, beta2: float, h: float, spec=DEFAULT_QUAD) -> float:
 
     r = next(dependence._line_integrals(kernel, [h], spec, len(b2)))
     return float(r.value[0] + r.value[-1])
+
+
+# the oracle's inner rule: the trapezoid rule in t, y = sinh(t), at step
+# 0.025 from y = -800 to 7, a quarter of the library's inner step
+_ORACLE_T = 0.025 * np.arange(math.floor(-math.asinh(800.0) / 0.025),
+                              math.ceil(math.asinh(7.0) / 0.025) + 1)
+_ORACLE_Y = np.sinh(_ORACLE_T)
+_ORACLE_LOG_W = np.log(0.025 * np.cosh(_ORACLE_T)) - np.exp(_ORACLE_Y)
+
+
+def _log_z_derivative(p: PowerSpec, log_z):
+    """(log |z f'(z)|, sign) of the cost f of p at z = exp(log_z)."""
+    if p.is_simple:
+        return math.log(abs(p.beta)) + p.beta * log_z, math.copysign(1.0, p.beta)
+    m = p.margin
+    with np.errstate(over="ignore"):
+        z_gev = m.eta + m.tau * (log_z if m.xi == 0.0 else np.expm1(m.xi * log_z) / m.xi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_abs_z = np.log(np.abs(z_gev))
+        # past the double range z_gev = z^xi (tau/xi + (eta - tau/xi) z^-xi), xi > 0
+        far = np.isinf(z_gev)
+        if far.any():
+            log_abs_z[far] = (m.xi * log_z + np.log(m.tau / m.xi + (m.eta - m.tau / m.xi)
+                                                    * np.exp(-m.xi * log_z)))[far]
+    log_abs = math.log(p.beta * m.tau) + (p.beta - 1) * log_abs_z + m.xi * log_z
+    return log_abs, np.sign(z_gev) ** (p.beta - 1)
+
+
+def cov_oracle(p1: PowerSpec, p2: PowerSpec, h: float, spec=QuadSpec(rel_tol=1e-11)) -> float:
+    """Cov(f1(Z(x1)), f2(Z(x2))) of the costs of p1 and p2 at
+    variogram-root lag h > 0 from Hoeffding's nested form
+
+        cov = int ds h theta int dr r f1'(r) f2'(r theta) e^(-C1/r) (-expm1(-gap/r)),
+
+    theta = e^(s h), with C1 and gap from scipy's log_ndtr, the inner
+    integral in y = log(C1/r) by the trapezoid rule above (each node in log
+    space below the node's largest term) and the outer by the library's
+    line integrals over s > 0, the ordered pairs (p1, p2) and (p2, p1) as
+    two components: positive integrands throughout, and no derivative
+    table, so it is a reference where the table's sums cancel."""
+    if h < dependence.SMALL_H:
+        raise DomainError(f"the oracle takes lags h >= {dependence.SMALL_H}, got {h}")
+    order = [(p1, p2), (p2, p1)]
+
+    def kernel(s, h):
+        sh = (s * h)[:, None]
+        w, v = h[:, None] / 2.0 + s[:, None], h[:, None] / 2.0 - s[:, None]
+        log_c1 = np.logaddexp(log_ndtr(w), log_ndtr(v) - sh)
+        log_gap = np.logaddexp(log_ndtr(-w), log_ndtr(-v) - sh)
+        log_z1 = log_c1 - _ORACLE_Y
+        # -expm1(-x) = x exprel(-x), x = e^y gap/C1, with log x in the terms
+        log_x = log_gap - log_c1 + _ORACLE_Y
+        factor = exprel(-np.exp(log_x))
+        out = []
+        for q1, q2 in order:
+            # r^2 theta f1'(r) f2'(r theta) = (z1 f1'(z1)) (z2 f2'(z2)), z1 = r, z2 = r theta
+            log1, sign1 = _log_z_derivative(q1, log_z1)
+            log2, sign2 = _log_z_derivative(q2, log_z1 + sh)
+            terms = _ORACLE_LOG_W + log_x + log1 + log2
+            top = terms.max(axis=1, keepdims=True)
+            inner = (sign1 * sign2 * np.exp(terms - top) * factor).sum(axis=1)
+            out.append(h * np.exp(top[:, 0]) * inner)
+        return np.array(out)
+
+    r = next(dependence._line_integrals(kernel, [h], spec, 2))
+    return float(r.value.sum())
 
 
 class RoughPast(Variogram):

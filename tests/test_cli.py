@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from windrisk import (
     GevParams,
     PowerSpec,
+    QuadSpec,
     dep_measure_from_gamma,
     mean_cost,
     power,
@@ -24,7 +25,7 @@ from windrisk import dependence, simulate
 from windrisk.cli import DEFAULT_CONFIG, load_config, main, normalize_config
 from windrisk.errors import ConfigError, ConvergenceError
 
-from conftest import ETA, TAU, XI, RoughPast
+from conftest import ETA, TAU, XI, RoughPast, cov_oracle
 
 
 SMALL_DEPSURFACE = {
@@ -192,16 +193,18 @@ class TestDepsurface:
         assert read_csv(out) == (["psi", "beta", "distance", "dependence"], [])
 
     def test_first_failing_power_in_config_order_decides(self, tmp_path, capsys):
-        # near xi = 0 the binomial table fails from beta 9 on: beta 1
-        # converges, and beta 10's own error ends the run
-        margin = {"eta": ETA, "tau": TAU, "xi": -0.043}
+        # below the kernels' rounding noise, at rel_tol 1e-14, beta 1
+        # converges and beta 10's own error ends the run
+        margin = {"eta": ETA, "tau": TAU, "xi": XI}
         distances = [0.0, 0.5, 1.0, 3.0, 7.0]
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"depsurface": {
-            "gev": margin, "psi": [1.0], "beta": [1, 10, 12, 9], "distances": distances}}))
+            "gev": margin, "psi": [1.0], "beta": [1, 10, 12, 9], "distances": distances,
+            "rel_tol": 1e-14}}))
         p = PowerSpec.gev(10, GevParams(**margin))
         with pytest.raises(ConvergenceError) as alone:
-            dep_measure_from_gamma(p, [power(1.0, 1.0).radial(d) for d in distances])
+            dep_measure_from_gamma(p, [power(1.0, 1.0).radial(d) for d in distances],
+                                   QuadSpec(rel_tol=1e-14))
         assert main(["depsurface", "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 3
         assert not (tmp_path / "o.csv").exists()
@@ -209,6 +212,25 @@ class TestDepsurface:
             f"numerical non-convergence: {alone.value}\n"
             f"best_estimate: {alone.value.best_estimate!r}\n"
             f"err_estimate: {alone.value.err_estimate!r}\n")
+
+    def test_cancelling_powers_meet_the_oracle(self, tmp_path):
+        # near xi = 0 the binomial table cancels from beta 9 on; those powers
+        # take the nested kernel, and every cell meets rel_tol against the
+        # oracle (the CSV carries 12 significant digits)
+        margin = {"eta": ETA, "tau": TAU, "xi": -0.043}
+        distances = [0.0, 0.5, 1.0, 3.0, 7.0]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"depsurface": {
+            "gev": margin, "psi": [1.0], "beta": [1, 10, 12, 9], "distances": distances}}))
+        out = tmp_path / "o.csv"
+        assert main(["depsurface", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out)[1]
+        assert [int(r[1]) for r in rows] == [b for b in (1, 10, 12, 9) for _ in distances]
+        for _, beta, distance, dep in rows:
+            p = PowerSpec.gev(int(beta), GevParams(**margin))
+            h = math.sqrt(power(1.0, 1.0).radial(float(distance)))
+            expected = 1.0 if h == 0.0 else cov_oracle(p, p, h) / var_gev(p)
+            assert float(dep) == pytest.approx(expected, rel=3e-7)
 
     def test_writer_memory_does_not_grow_with_the_rows(self, tmp_path):
         # rows drawn from a generator are written one at a time

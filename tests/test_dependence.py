@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy import special
 from scipy.special import exprel, gammaln, log_ndtr, ndtr, zeta
 
 from windrisk import (
@@ -39,7 +40,7 @@ from windrisk import (
 )
 from windrisk import dependence, risk
 
-from conftest import ETA, TAU, XI, g_simple
+from conftest import ETA, TAU, XI, cov_oracle, g_simple
 
 
 def g_gev(p: PowerSpec, h: float) -> float:
@@ -525,16 +526,15 @@ class TestDepMeasure:
             dep_measure_from_gamma(PowerSpec.gev(1, paper_gev), gamma_value)
 
     @pytest.mark.parametrize("beta, xi", [(10, -0.043), (12, -0.066)])
-    def test_table_cancellation_stops_on_roundoff(self, beta, xi):
-        # the binomial table's rounding noise at small |xi| can never meet
-        # rel_tol; QUADPACK's roundoff test ends the row well before the
-        # 400-subdivision budget (59 and 56 subdivisions at lag 1)
+    def test_table_cancellation_computes_by_the_nested_kernel(self, beta, xi):
+        # the binomial table's rounding noise at small |xi| could never meet
+        # rel_tol (the row stopped on roundoff); the nested kernel takes these
+        # pairs and meets it against the oracle in its first waves
         p = PowerSpec.gev(beta, GevParams(ETA, TAU, xi))
-        with pytest.raises(ConvergenceError, match="stopped by roundoff") as err:
-            dep_measure_from_gamma(p, 1.0)
-        subdivisions = int(str(err.value).split(" after ")[1].split()[0])
-        assert subdivisions < 100
-        assert err.value.best_estimate > 0.0 and err.value.err_estimate > 0.0
+        cov = dependence.CovModel(p, p, QuadSpec())(1.0)
+        assert cov.subdivisions < 100
+        assert cov.value == pytest.approx(cov_oracle(p, p, 1.0), rel=QuadSpec().rel_tol)
+        assert dep_measure_from_gamma(p, 1.0) == cov.value / var_gev(p)
 
 
 class TestXiZero:
@@ -1008,20 +1008,35 @@ class TestPowersOnOneMesh:
             assert together[k].tolist() == dependence._pair_kernel([pair])(s, h)[0].tolist()
 
     def test_a_failing_batch_raises_the_first_failing_power_error(self):
-        # near xi = 0 the binomial table's integrands are rounding noise from
-        # beta 9 on: beta 1 converges, and beta 10 decides, as when the
-        # powers are evaluated one at a time
-        margin = GevParams(ETA, TAU, -0.043)
-        powers = [PowerSpec.gev(beta, margin) for beta in (1, 10, 12)]
+        # below the kernels' rounding noise, at rel_tol 1e-14, beta 1
+        # converges and beta 10 stops on roundoff: beta 10 decides, as when
+        # the powers are evaluated one at a time
+        spec = QuadSpec(rel_tol=1e-14)
+        powers = [PowerSpec.gev(beta, GevParams(ETA, TAU, XI)) for beta in (1, 10, 12)]
         gammas = self.gammas(1.0, 100.0)
-        dep_measure_from_gamma(powers[0], gammas)
-        with pytest.raises(ConvergenceError) as alone:
-            dep_measure_from_gamma(powers[1], gammas)
+        dep_measure_from_gamma(powers[0], gammas, spec)
+        with pytest.raises(ConvergenceError, match="stopped by roundoff") as alone:
+            dep_measure_from_gamma(powers[1], gammas, spec)
         with pytest.raises(ConvergenceError) as batch:
-            dep_measure_from_gamma(powers, gammas)
+            dep_measure_from_gamma(powers, gammas, spec)
         assert str(batch.value) == str(alone.value)
         assert batch.value.best_estimate == alone.value.best_estimate
         assert batch.value.err_estimate == alone.value.err_estimate
+
+    def test_cancelling_powers_compute_in_the_batch(self):
+        # near xi = 0 the binomial table cancels from beta 9 on: those powers
+        # take the nested kernel inside the batch's one kernel call, and every
+        # power meets rel_tol against the oracle, at its own call's value
+        # within the tolerance
+        margin = GevParams(ETA, TAU, -0.043)
+        powers = [PowerSpec.gev(beta, margin) for beta in (1, 10, 12)]
+        lags = np.array([0.3, 1.0, 4.0])
+        batch = dep_measure_from_gamma(powers, lags ** 2)
+        for p, row in zip(powers, batch):
+            alone = dep_measure_from_gamma(p, lags ** 2)
+            assert row == pytest.approx(alone, rel=1e-6)
+            reference = [cov_oracle(p, p, h) / var_gev(p) for h in lags]
+            assert row == pytest.approx(reference, rel=QuadSpec().rel_tol)
 
     def test_peak_memory_stays_at_one_block(self):
         import tracemalloc
@@ -1154,6 +1169,141 @@ class TestPairKernel:
                 apart = np.concatenate([kernel(s[i:i + size], h[i:i + size])
                                         for i in range(0, len(s), size)], axis=1)
                 assert together.tolist() == apart.tolist()
+
+
+def nested_rows(cov):
+    """The ordered pairs of a CovModel that take the nested kernel."""
+    return [row for row in cov._tables if isinstance(row[0], PowerSpec)]
+
+
+def mp_nested_cov(p: PowerSpec, h: float) -> float:
+    """Cov(f(Z1), f(Z2)) of a GEV power at lag h by mpmath's double
+    integral of Hoeffding's nested form, Gauss-Legendre in s > 0 (both
+    half-lines, one power) and in y = log(C1/r), at 15 digits."""
+    import mpmath as mp
+
+    eta, tau, xi, h = (mp.mpf(x) for x in (p.margin.eta, p.margin.tau, p.margin.xi, h))
+
+    def g(log_z):  # z f'(z)
+        return (p.beta * tau * (eta + tau * mp.expm1(xi * log_z) / xi) ** (p.beta - 1)
+                * mp.exp(xi * log_z))
+
+    def outer(s):
+        w, v = h / 2 + s, h / 2 - s
+        c1 = mp.ncdf(w) + mp.ncdf(v) * mp.exp(-s * h)
+        q = (mp.ncdf(-w) + mp.ncdf(-v) * mp.exp(-s * h)) / c1
+        log_c1 = mp.log(c1)
+        return h * mp.quad(lambda y: g(log_c1 - y) * g(log_c1 + s * h - y) * mp.exp(-mp.exp(y))
+                           * -mp.expm1(-q * mp.exp(y)), [-120, -40, -20, -8, 0, 3, 7],
+                           method="gauss-legendre", maxdegree=3)
+
+    with mp.workdps(15):
+        edges = sorted({mp.mpf(0), h / 2, 1, 2, 4} | {mp.mpf(2) ** k / h for k in range(-3, 7)})
+        return float(2 * mp.quad(outer, edges, method="gauss-legendre", maxdegree=3))
+
+
+class TestNestedKernel:
+    """Pairs whose derivative table cancels take the nested kernel; it
+    meets the oracle of tests/conftest.py, which meets mpmath."""
+
+    LAGS = (1e-3, 0.1, 1.0, 4.0)
+
+    @pytest.mark.parametrize("h", [0.1, 1.0])
+    def test_oracle_matches_an_mpmath_double_integral(self, h):
+        p = PowerSpec.gev(10, GevParams(ETA, TAU, -0.043))
+        assert cov_oracle(p, p, h) == pytest.approx(mp_nested_cov(p, h), rel=1e-10)
+
+    @pytest.mark.parametrize("beta, xi", [(10, -0.043), (11, -1.06e-4), (12, -0.066),
+                                          (40, -0.2)])
+    def test_cancelling_tables_meet_the_oracle(self, beta, xi):
+        p = PowerSpec.gev(beta, GevParams(ETA, TAU, xi))
+        spec = QuadSpec()
+        cov = dependence.CovModel(p, p, spec)
+        assert len(nested_rows(cov)) == 1
+        values = cov(np.array(self.LAGS)).value
+        reference = [cov_oracle(p, p, h) for h in self.LAGS]
+        assert values == pytest.approx(reference, rel=spec.rel_tol)
+        dep = dep_measure_from_gamma(p, np.square(self.LAGS))
+        assert np.all((dep >= 0.0) & (dep <= 1.0))
+        assert np.all(np.diff(dep) <= 0.0)
+
+    def test_a_table_path_case_meets_the_oracle_to_1e_10(self, paper_gev):
+        p = PowerSpec.gev(6, paper_gev)
+        cov = dependence.CovModel(p, p, QuadSpec(rel_tol=1e-10))
+        assert not nested_rows(cov)
+        values = cov(np.array(self.LAGS)).value
+        assert values == pytest.approx([cov_oracle(p, p, h) for h in self.LAGS], rel=1e-10)
+
+    @pytest.mark.parametrize("beta", range(1, 13))
+    def test_study_margins_keep_the_table(self, paper_gev, beta):
+        p = PowerSpec.gev(beta, paper_gev)
+        assert not nested_rows(dependence.CovModel(p, p, QuadSpec()))
+
+    def test_a_gumbel_power_keeps_its_one_term_table(self):
+        p = PowerSpec.gev(1, GevParams(ETA, TAU, 0.0))
+        assert not nested_rows(dependence.CovModel(p, p, QuadSpec(rel_tol=1e-14)))
+
+    @pytest.mark.parametrize("p1, p2", [
+        (PowerSpec.gev(2, GevParams(1.0, 3.0, 0.1)), PowerSpec.gev(2, GevParams(1.0, 3.0, 0.1))),
+        (PowerSpec.gev(3, GevParams(ETA, TAU, XI)), PowerSpec.gev(3, GevParams(ETA, TAU, XI))),
+        (PowerSpec.gev(4, GevParams(-5.0, 2.0, -0.1)),
+         PowerSpec.gev(4, GevParams(-5.0, 2.0, -0.1))),
+        (PowerSpec.gev(3, GevParams(ETA, TAU, XI)), PowerSpec.gev(2, GevParams(25.0, 2.0, 0.1))),
+        (PowerSpec.simple(-0.5), PowerSpec.simple(0.3)),
+        (PowerSpec.gev(1, GevParams(ETA, TAU, 0.2)), PowerSpec.simple(0.25)),
+    ], ids=["z-negative-even", "paper-odd", "z-negative-odd", "mixed-gev", "mixed-simple",
+            "gev-and-simple"])
+    def test_the_nested_kernel_is_the_table_where_neither_cancels(self, monkeypatch, p1, p2):
+        # every pair routed: the sign of f' (negative where Z_gev < 0 and
+        # beta - 1 is odd, or a simple power is negative) and both ordered
+        # half-lines of a mixed pair give the table's value
+        spec = QuadSpec(rel_tol=1e-11)
+        lags = np.array([0.05, 0.7, 2.5])
+        table = dependence.CovModel(p1, p2, spec)(lags).value
+        monkeypatch.setattr(dependence, "_NESTED_SHARE", 0.0)
+        cov = dependence.CovModel(p1, p2, spec)
+        assert len(nested_rows(cov)) == (1 if p1 == p2 else 2)
+        assert cov(lags).value == pytest.approx(table, rel=1e-9)
+
+    def test_a_sign_change_in_the_bulk_takes_the_full_rule(self, monkeypatch):
+        # Z_gev < 0 with probability 0.31 at beta 4 (an odd beta - 1): the
+        # inner sum cancels, and the rule's every node keeps it at the table's
+        # value (every other node missed it by 1.1e-9)
+        p = PowerSpec.gev(4, GevParams(0.5, 3.0, -0.3))
+        spec = QuadSpec(rel_tol=1e-12)
+        lags = np.array([0.01, 0.3, 2.0])
+        monkeypatch.setattr(dependence, "_NESTED_SHARE", math.inf)
+        table = dependence.CovModel(p, p, spec)(lags).value
+        monkeypatch.setattr(dependence, "_NESTED_SHARE", 0.0)
+        assert dependence.CovModel(p, p, spec)(lags).value == pytest.approx(table, rel=1e-11)
+
+    def test_the_routing_bound_decides_as_its_double_sum(self):
+        # the single-sum bounds that spare the double sum decide as it does
+        eps = np.finfo(float).eps
+        for beta, xi in [(1, -0.2), (6, -0.2), (12, -0.2), (10, -0.043), (11, -1.06e-4),
+                         (6, 0.05), (2, 0.2), (9, -0.09)]:
+            p = PowerSpec.gev(beta, GevParams(ETA, TAU, xi))
+            d, b = dependence._derivative_table(p)
+            e = np.abs(d / b)
+            total = (e @ np.abs(special.gamma(1.0 - np.add.outer(b, b))) @ e
+                     + (e @ np.abs(special.gamma(1.0 - b))) ** 2)
+            bound = eps * total / var_gev(p)
+            for limit in (bound / 1.001, bound * 1.001, 1e-8, 1e-12):
+                assert dependence._cancels(d, b, d, b, var_gev(p), limit) == (bound > limit)
+
+    def test_cancelling_pairs_in_a_sequence_model(self):
+        # a batch routes pair by pair: the cancelling power takes the nested
+        # kernel, the others keep their tables and their bits
+        margin = GevParams(ETA, TAU, -0.043)
+        powers = (PowerSpec.gev(1, margin), PowerSpec.gev(10, margin))
+        cov = dependence.CovModel(powers, powers, QuadSpec())
+        assert nested_rows(cov) == [(powers[1], powers[1])]
+        lags = np.array([0.5, 2.0])
+        together = cov(lags).value
+        alone = dependence.CovModel(powers[0], powers[0], QuadSpec())(lags).value
+        assert together[0].tolist() == alone.tolist()
+        assert together[1] == pytest.approx([cov_oracle(powers[1], powers[1], h) for h in lags],
+                                            rel=QuadSpec().rel_tol)
 
 
 class TestDependenceProperties:

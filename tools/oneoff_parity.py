@@ -18,7 +18,8 @@ It prints, per tolerance, the outcome changes, counted on one line by
 direction (value -> error, error -> value, error -> another error) and then
 listed, the value changes (count and largest
 relative difference of the queries that succeed in both trees) and, per
-outcome, each tree's query count and median time.
+outcome, each tree's query count, median time and total time (a slow
+failing tail shows in the total, which the median hides).
 
 ``--study`` runs instead the CLI commands of the study variants of
 ``perfbench.workloads.study_commands`` (all 8 by default), in-process as the
@@ -320,7 +321,7 @@ def compare(parent, change, tol):
         for tree in ("parent", "change"):
             t = times[tree].get(outcome, [])
             median = f"{1e3 * statistics.median(t):.2f} ms" if t else "-"
-            cells.append(f"{tree} {len(t)} at {median}")
+            cells.append(f"{tree} {len(t)} at {median} (total {sum(t):.3f} s)")
         print(f"  {outcome}: " + ", ".join(cells))
     return bool(outcome_changes) or n_value_changes > 0
 
