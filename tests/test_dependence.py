@@ -1214,7 +1214,7 @@ class TestNestedKernel:
         assert cov_oracle(p, p, h) == pytest.approx(mp_nested_cov(p, h), rel=1e-10)
 
     @pytest.mark.parametrize("beta, xi", [(10, -0.043), (11, -1.06e-4), (12, -0.066),
-                                          (40, -0.2)])
+                                          (40, -0.2), (46, -0.2)])
     def test_cancelling_tables_meet_the_oracle(self, beta, xi):
         p = PowerSpec.gev(beta, GevParams(ETA, TAU, xi))
         spec = QuadSpec()
