@@ -31,7 +31,6 @@ from .numerics import (
     DEFAULT_QUAD,
     QuadResult,
     QuadSpec,
-    gamma,
     integrate,
     integrate_rows,
     norm_cdf,

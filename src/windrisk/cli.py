@@ -291,7 +291,7 @@ def cmd_depsurface(block: dict):
     params = _gev_params(block["gev"])
     powers = tuple(_power(b, params) for b in _list(block["beta"], "beta"))
     # the model the run reads, built here: a power with no finite variance
-    # or no lag covariances (Gumbel margins, beta >= 2) raises DomainError
+    # raises DomainError
     dependence.covariance_model(powers, powers, spec)
     kappa = float(block["kappa"])
     variograms = [variogram.power(kappa, float(psi)) for psi in _list(block["psi"], "psi")]

@@ -11,8 +11,9 @@ described by the derivative of its margin transform, a short table
                                           b_k = (beta - k) xi,   k = 0 .. beta-1
     Gumbel margins (xi = 0), beta = 1     the single entry (tau, 0)
 
-Gumbel margins with beta >= 2 have no such table: their lag covariances
-raise DomainError, while their mean and variance compute (below).
+Gumbel margins with beta >= 2 have no such table, and a high power can
+put an entry, or the product d_j d_k of two, past the double range; those
+pairs take the nested kernel below.
 Hoeffding's identity (Hoeffding 1940; Lehmann 1966),
 
     Cov(f(Z1), f(Z2)) = int int f'(z1) f'(z2) [F(z1, z2) - F(z1) F(z2)] dz1 dz2,
@@ -51,14 +52,17 @@ its form alone; otherwise each covariance's bilinear form follows on its
 own.
 
 The GEV table alternates in sign, and for small |xi| or a high power its
-sums cancel to rounding noise that no quadrature can refine.  A router
-(:func:`_cancels`) sends each pair of tables whose rounding bound
+sums cancel to rounding noise that no quadrature can refine.  One rule
+picks each pair's kernel: a pair takes the table only where both tables
+exist and their entries and pairwise weights are finite doubles, and
+:func:`_cancels` does not send it, for a rounding bound
 
     B = eps sum_jk |e_j e_k| (|Gamma(1-b_j-b_k)| + |Gamma(1-b_j) Gamma(1-b_k)|) / Var,
 
-e = d/b, Var the variance (sqrt(Var1 Var2) for a mixed pair), exceeds
-rel_tol/30 to the nested kernel instead, a property of the input.  It
-keeps the r integral of Hoeffding's identity, in y = log(C1/r):
+e = d/b, Var the variance (sqrt(Var1 Var2) for a mixed pair), past
+rel_tol/30, a property of the input; every other pair takes the nested
+kernel.  It keeps the r integral of Hoeffding's identity, in
+y = log(C1/r):
 
     cov = int h ds int dy (z1 f1'(z1)) (z2 f2'(z2)) e^(-e^y) (-expm1(-e^y gap/C1)),
 
@@ -167,10 +171,10 @@ class GevParams:
     """GEV margin triple: location eta, scale tau, shape xi, kept as floats,
     so an integer eta computes as the float one does.
 
-    xi = 0 (Gumbel margins) is accepted.  The mean and the variance compute
-    at every power; the lag covariances only at beta = 1, where
-    f'(z) = tau / z: with beta >= 2 they raise DomainError (the binomial
-    table needs xi != 0).
+    xi = 0 (Gumbel margins) is accepted, and every operation computes at
+    every power: beta = 1 by its one-entry table f'(z) = tau / z, higher
+    powers, which have no binomial table, by the nested kernel (see the
+    module docstring).
     """
 
     eta: float
@@ -309,26 +313,25 @@ def _finite(values, what):
 def _derivative_table(p: PowerSpec):
     """(d, b) with f'(z) = sum_k d_k z^(b_k - 1) for the transform f taking
     a standard Frechet value to the power of the margin, after the moment
-    check of the lag covariances; DomainError for Gumbel margins with
-    beta >= 2, which have no table."""
+    check of the lag covariances; None where no table of finite doubles
+    exists: Gumbel margins with beta >= 2, or an entry or an exponent past
+    the double range."""
     _require_moments(p, 2)
     if p.is_simple:
         return np.array([p.beta]), np.array([p.beta])
     beta, m = int(p.beta), p.margin
-    if m.xi == 0.0 and beta >= 2:
-        raise DomainError(f"Gumbel margins (xi = 0) have lag covariances for beta = 1 only, "
-                          f"got beta={beta}")
-    k = np.arange(beta)
+    if beta == 1:  # f(z) = eta + tau (z^xi - 1)/xi, also at xi = 0
+        return np.array([m.tau]), np.array([m.xi])
+    if m.xi == 0.0:
+        return None
+    a, c = m.eta - m.tau / m.xi, m.tau / m.xi
     try:
-        if beta <= 1:  # f(z) = eta + tau (z^xi - 1)/xi, also at xi = 0
-            d = np.full(beta, m.tau)
-        else:
-            a, c = m.eta - m.tau / m.xi, m.tau / m.xi
-            d = np.array([beta * math.comb(beta - 1, j) * a**j * c ** (beta - 1 - j) * m.tau
-                          for j in range(beta)])
-    except OverflowError as exc:  # a float power past the double range
-        raise DomainError(f"beta={beta} overflows the double range for {m}") from exc
-    return _finite(d, "a derivative-table entry"), _finite((beta - k) * m.xi, "an exponent")
+        d = np.array([beta * math.comb(beta - 1, j) * a**j * c ** (beta - 1 - j) * m.tau
+                      for j in range(beta)])
+    except OverflowError:  # a float power past the double range
+        return None
+    b = (beta - np.arange(beta)) * m.xi
+    return (d, b) if np.isfinite(d).all() and np.isfinite(b).all() else None
 
 
 # a pair of tables whose rounding bound passes this share of rel_tol takes
@@ -395,33 +398,36 @@ def _rule_nodes(order: int, *powers) -> slice:
     return slice(int(np.searchsorted(_RULE_Y, -max(800.0, 40.0 / rho))), None)
 
 
+def _gev_factor(m: GevParams, y):
+    """(lead, sigma, k): the factor zf(u) = eta + k expm1(sigma u) of the
+    cost's derivative on GEV margins (see :func:`_derivative_side`) and its
+    value lead at u = log z = -y, the nodes y of the moment rule: Z_gev,
+    with sigma = xi and k = tau/xi, or for xi > 0 Z_gev e^(xi y), with
+    sigma = -xi and k = eta - tau/xi, finite at every node; below
+    |xi| = 1e-290, where the exprel factor of Z_gev = eta - tau y
+    exprel(-xi y) is 1 to the last bit at every node, Z_gev = eta + tau u
+    (sigma = 0, k = tau)."""
+    if abs(m.xi) < 1e-290:
+        return m.eta - m.tau * y, 0.0, m.tau
+    sigma, k = (-m.xi, m.eta - m.tau / m.xi) if m.xi > 0.0 else (m.xi, m.tau / m.xi)
+    return m.eta + k * np.expm1(-sigma * y), sigma, k
+
+
 def _scaled_cost(p: PowerSpec, nodes: slice, k: float):
     """(u, top): u = w^k f e^-top at the nodes of the moment rule, where
     top is the largest log(w^k |f|), so that |u| <= 1, for the cost f of
     ``p``.  log |f| = slope y + rest, with the slope -beta on simple margins
-    and -beta xi on GEV margins with xi > 0: it is added to the weight's k
-    before the product with y, so that where |y| reaches 40/rho the terms do
-    not lose |y| ulps to the cancelling growth of f and decay of w."""
+    and -beta xi on GEV margins with xi > 0 (log |Z_gev| = -xi y + log |zf|,
+    :func:`_gev_factor`): it is added to the weight's k before the product
+    with y, so that where |y| reaches 40/rho the terms do not lose |y| ulps
+    to the cancelling growth of f and decay of w."""
     y = _RULE_Y[nodes]
     slope, rest, sign = -p.beta, 0.0, 1.0
     if not p.is_simple:
-        m = p.margin
-        # Z_gev = eta - tau y exprel(-xi y) = eta + (tau/xi) expm1(-xi y); below
-        # |xi| = 1e-290 the exprel factor is 1 to the last bit at every node
-        z = (m.eta - m.tau * y if abs(m.xi) < 1e-290 else
-             m.eta + np.expm1(-m.xi * y) * (m.tau / m.xi))
-        slope, rest = 0.0, np.log(np.abs(z))
+        zf = _gev_factor(p.margin, y)[0]
+        slope, rest = (-p.beta * p.margin.xi if p.margin.xi > 0.0 else 0.0), np.log(np.abs(zf))
         if p.beta % 2:
-            sign = np.sign(z)
-        if m.xi > 0.0:
-            # log Z_gev = -xi y + log(Z_gev e^(xi y)); past e^700, where
-            # e^(-xi y) leaves the double range, Z_gev e^(xi y) is
-            # c + (eta - c) e^(xi y) with c = tau/xi
-            slope = -p.beta * m.xi
-            rest += m.xi * y
-            if m.xi * y[0] < -700.0:
-                far, c = m.xi * y < -700.0, m.tau / m.xi
-                rest[far] = np.log(c + (m.eta - c) * np.exp(m.xi * y[far]))
+            sign = np.sign(zf)
         rest *= p.beta
     terms = k * _RULE_LOG_J[nodes] + (k + slope) * y + rest
     top = terms.max()
@@ -467,26 +473,22 @@ def _derivative_side(p: PowerSpec, y):
     z^xi, with Z_gev = eta + (tau/xi) expm1(xi u); with xi > 0 the factor
     taken is zf = Z_gev e^(-xi u) = eta + (eta - tau/xi) expm1(-xi u) and
     the slope is beta xi, else zf = Z_gev and the slope xi (0, with
-    Z_gev = eta + tau u, below |xi| = 1e-290, as in :func:`_scaled_cost`).
+    Z_gev = eta + tau u, below |xi| = 1e-290, :func:`_gev_factor`).
     Since expm1(a + b) = expm1(a) + e^a expm1(b), lead is zf at v = 0 and
     each node costs one product and one sum, no exponential.  zf is
     monotone in u and has the sign of Z_gev."""
     if p.is_simple:
         return p.beta, math.log(abs(p.beta)), 0, None, None, None
     m, beta = p.margin, int(p.beta)
-    rest = math.log(beta * m.tau)
-    if abs(m.xi) < 1e-290:
-        slope, sigma, k, lead, r = 0.0, 0.0, m.tau, m.eta - m.tau * y, np.ones_like(y)
-    else:
-        # zf = eta + k expm1(sigma (v - y)) = lead + e^(-sigma y) k expm1(sigma v)
-        sigma, k = (-m.xi, m.eta - m.tau / m.xi) if m.xi > 0.0 else (m.xi, m.tau / m.xi)
-        slope = beta * m.xi if m.xi > 0.0 else m.xi
-        lead, r = m.eta + k * np.expm1(-sigma * y), np.exp(-sigma * y)
+    # zf = eta + k expm1(sigma (v - y)) = lead + e^(-sigma y) k expm1(sigma v)
+    lead, sigma, k = _gev_factor(m, y)
+    slope = 0.0 if sigma == 0.0 else beta * m.xi if m.xi > 0.0 else m.xi
+    r = np.exp(-sigma * y)
 
     def q(v):
         return k * (v if sigma == 0.0 else np.expm1(sigma * v))
 
-    return slope, rest, beta - 1, lead, r, q
+    return slope, math.log(beta * m.tau), beta - 1, lead, r, q
 
 
 # the nested kernel drops the leading inner nodes whose terms are below this
@@ -811,13 +813,15 @@ class CovModel:
     h = sqrt(gamma(x2 - x1)), the one place it is evaluated.
 
     ``p1`` and ``p2`` are PowerSpecs, or sequences of PowerSpecs of one
-    length whose entries are paired in order.  The constructor builds the
-    derivative tables pair by pair, ``p1``'s then ``p2``'s, which raise
-    DomainError before any quadrature where the lag covariances are not
-    defined, and computes the ``variance`` by the moment rule (an array
-    over the pairs for sequences); a pair whose tables cancel
-    (:func:`_cancels` at rel_tol/30) takes the nested kernel of the module
-    docstring, the others their tables.  Called with a lag or an
+    length whose entries are paired in order.  The constructor checks the
+    moments pair by pair, ``p1``'s then ``p2``'s, which raise DomainError
+    before any quadrature where the lag covariances are not defined, and
+    computes the ``variance`` by the moment rule (an array over the pairs
+    for sequences).  It is the one place that picks a pair's kernel: the
+    pair takes its derivative tables where both exist, their entries and
+    pairwise weights are finite doubles and they do not cancel
+    (:func:`_cancels` at rel_tol/30), and the nested kernel of the module
+    docstring otherwise.  Called with a lag or an
     array of lags, the model gives a QuadResult whose fields have the
     lags' shape, behind a leading axis of the pairs for sequences: the
     variance below SMALL_H, 0 at an infinite lag, DomainError at NaN, and
@@ -836,13 +840,16 @@ class CovModel:
         # each pair's two ordered components, one index twice for a shared table
         tables, variances, first, second = [], [], [], []
         for q1, q2 in zip(*sides):
-            d1, b1 = _derivative_table(q1)
-            d2, b2 = (d1, b1) if q2 == q1 else _derivative_table(q2)
-            with np.errstate(over="ignore"):  # a weight past the double range is reported below
-                _finite(np.outer(d1, d2), "a pairwise weight")
+            table1 = _derivative_table(q1)
+            table2 = table1 if q2 == q1 else _derivative_table(q2)
             variances.append(_finite(_site_cov(q1, q2), "the variance"))
             scale = variances[-1] if q2 == q1 else math.sqrt(var_gev(q1) * var_gev(q2))
-            nested = _cancels(d1, b1, d2, b2, scale, spec.rel_tol * _NESTED_SHARE)
+            nested = table1 is None or table2 is None
+            if not nested:
+                (d1, b1), (d2, b2) = table1, table2
+                with np.errstate(over="ignore"):  # a weight past the double range
+                    nested = (not np.isfinite(np.outer(d1, d2)).all()
+                              or _cancels(d1, b1, d2, b2, scale, spec.rel_tol * _NESTED_SHARE))
             first.append(len(tables))
             tables.append((q1, q2) if nested else (d1, b1, d2, b2))
             if q2 != q1:

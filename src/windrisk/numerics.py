@@ -36,7 +36,6 @@ __all__ = [
     "QuadResult",
     "DEFAULT_QUAD",
     "exprel",
-    "gamma",
     "gamma_values",
     "norm_cdf",
     "norm_pdf",
@@ -108,17 +107,6 @@ class QuadResult:
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-def gamma(x: float) -> float:
-    """Gamma function for real arguments away from the poles 0, -1, -2, ..."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma pole at x={x}")
-    try:
-        return math.gamma(x)
-    except (ValueError, OverflowError) as exc:  # pragma: no cover - guarded above
-        raise DomainError(f"gamma undefined or overflowing at x={x}") from exc
-
 
 def gamma_values(x) -> np.ndarray:
     """Gamma elementwise on an array of arguments away from the poles, from

@@ -21,11 +21,9 @@ call, a row of the simulators' matrices and one lag of an array of lags
 round alike.  The quadratic form is summed pairwise,
 ((x s00) x + (x s01) y) + ((y s10) x + (y s11) y), which is the order in
 which numpy's einsum sums one or two vectors, so the single-vector values
-of earlier versions keep every bit: a dependence or covariance query
-inside the binomial table's cancellation band can change its outcome on a
-last-bit change of gamma.  A scalar is evaluated as a 1-element array,
-since numpy rounds a power of a float64 scalar through libm's pow, not
-through its array loop.
+of earlier versions keep every bit.  A scalar is evaluated as a 1-element
+array, since numpy rounds a power of a float64 scalar through libm's pow,
+not through its array loop.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import exprel, log_ndtr
 
 from windrisk import (DEFAULT_QUAD, DomainError, GevParams, PowerSpec, QuadSpec, Variogram,
-                      dependence, gamma)
+                      dependence)
 
 # parameters of the reference wind study
 ETA, TAU, XI = 30.0, 3.0, -0.2
@@ -42,7 +42,7 @@ def g_simple(beta1: float, beta2: float, h: float, spec=DEFAULT_QUAD) -> float:
     if h < 0.0:
         raise DomainError(f"h must be >= 0, got {h}")
     if h < dependence.SMALL_H:
-        return gamma(1.0 - beta1 - beta2)
+        return math.gamma(1.0 - beta1 - beta2)
     sig = float(beta1) + float(beta2)
     lg2 = math.lgamma(2.0 - sig)
     lg1 = math.lgamma(1.0 - sig)

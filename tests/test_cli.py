@@ -495,6 +495,42 @@ class TestDefaultDepsurface:
                      str(tmp_path / "o.csv")]) == 2
 
 
+class TestGumbelMargins:
+    def test_power_two_exits_0_with_the_library_values(self, tmp_path):
+        # Gumbel margins (xi = 0) from beta 2 on take the nested kernel: each
+        # command computes, and every cell carries 12 significant digits of
+        # the library's value
+        p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))
+        gumbel = {"gev": {"eta": ETA, "tau": TAU, "xi": 0.0}}
+        v = power(1.0, 1.0)
+
+        def run(command, block):
+            cfg, out = tmp_path / f"{command}.json", tmp_path / f"{command}.csv"
+            cfg.write_text(json.dumps({command: {**gumbel, **block}}))
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            return read_csv(out)
+
+        _, rows = run("depsurface", {"psi": [1.0], "beta": [2], "distances": [0.0, 0.5, 1.0, 3.0]})
+        assert len(rows) == 4
+        for _, _, distance, dep in rows:
+            lib = dep_measure_from_gamma(p, v.radial(float(distance)))
+            assert float(dep) == float(f"{lib:.11e}")
+        _, rows = run("r2curves", {"psi": [1.0], "beta": 2, "shapes": ["disk"], "lam": [0.5, 2.0]})
+        assert len(rows) == 2
+        for _, _, lam, cell in rows:
+            lib = risk.r2(RiskQuery(region=disk(1.0), power=p, variogram=v), float(lam))
+            assert float(cell) == float(f"{lib:.11e}")
+        header, rows = run("riskreport", {"beta": 2, "lam": [10.0], "alpha": [0.95]})
+        q = RiskQuery(region=disk(1.0), power=p, variogram=v)
+        lib = {"mean": mean_cost(p), "clt_sd": clt_approx(q, 10.0).sd,
+               "var_asym_0.95": var_asymptotic(q, 10.0), "es_asym_0.95": es_asymptotic(q, 10.0)}
+        (row,) = rows
+        cells = dict(zip(header, row))
+        assert set(lib) | {"region", "lam"} == set(header)
+        for name, value in lib.items():
+            assert float(cells[name]) == float(f"{value:.11e}"), name
+
+
 class TestInvalidValues:
     @pytest.mark.parametrize("command, block", [
         ("riskreport", {"alpha": [1.0]}),
@@ -516,9 +552,6 @@ class TestInvalidValues:
         ("depsurface", {"gev": {"eta": 30, "tau": 3, "xi": 0.3}, "beta": [2]}),
         ("r2curves", {"gev": {"eta": 30, "tau": 3, "xi": 0.3}, "beta": 2}),
         ("riskreport", {"gev": {"eta": 30, "tau": 3, "xi": 0.3}, "beta": 2}),
-        ("depsurface", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": [2]}),
-        ("r2curves", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": 2}),
-        ("riskreport", {"gev": {"eta": 30, "tau": 3, "xi": 0.0}, "beta": 2}),
         ("depsurface", {"distances": [-1.0, 1.0]}),
         ("depsurface", {"distances": [math.nan]}),
         ("r2curves", {"lam": [0.0]}),

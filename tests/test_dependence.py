@@ -27,7 +27,6 @@ from windrisk import (
     dep_measure_from_gamma,
     disk,
     extremal_coefficient,
-    gamma,
     mean_cost,
     norm_cdf,
     norm_pdf,
@@ -38,7 +37,7 @@ from windrisk import (
     var_gev,
     var_simple,
 )
-from windrisk import dependence, risk
+from windrisk import dependence
 
 from conftest import ETA, TAU, XI, cov_oracle, g_simple
 
@@ -193,10 +192,10 @@ class TestBivariateCoeffs:
 
 class TestGSimple:
     def test_zero_lag_branch(self):
-        assert g_simple(0.2, 0.1, 0.0) == pytest.approx(gamma(0.7), rel=1e-14)
+        assert g_simple(0.2, 0.1, 0.0) == pytest.approx(math.gamma(0.7), rel=1e-14)
         for beta in (-1.0, -0.5, 0.1, 0.25, 0.4):
             assert g_simple(beta, beta, 0.0) == pytest.approx(
-                gamma(1.0 - 2.0 * beta), rel=1e-14
+                math.gamma(1.0 - 2.0 * beta), rel=1e-14
             )
 
     def test_zeroth_moments(self):
@@ -232,8 +231,8 @@ class TestGSimple:
         c1 = ndtr(w) + ndtr(v) / theta
         c2 = ndtr(w) * ndtr(v) / theta**2
         c3 = np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) / (h * theta)
-        return h * theta ** (b2 + 1.0) * (c2 * c1 ** (sig - 2.0) * gamma(2.0 - sig)
-                                          + c3 * c1 ** (sig - 1.0) * gamma(1.0 - sig))
+        return h * theta ** (b2 + 1.0) * (c2 * c1 ** (sig - 2.0) * math.gamma(2.0 - sig)
+                                          + c3 * c1 ** (sig - 1.0) * math.gamma(1.0 - sig))
 
     def test_swapped_kernel_at_s_is_the_kernel_at_minus_s(self, monkeypatch):
         # the two components g_simple integrates over s > 0 are its
@@ -271,7 +270,7 @@ class TestGSimple:
 class TestCovSimple:
     def test_same_site(self):
         v = power(1.0, 1.0)
-        expected = gamma(0.5) - gamma(0.75) ** 2
+        expected = math.gamma(0.5) - math.gamma(0.75) ** 2
         assert cov_simple(0.25, 0.25, v, [1.0, 2.0], [1.0, 2.0]) == pytest.approx(
             expected, rel=1e-12
         )
@@ -329,7 +328,7 @@ class TestGGev:
         total = 0.0
         for k1 in range(3):
             for k2 in range(3):
-                total += b_coeff(k1, k2, p) * gamma(1.0 - XI * (4 - k1 - k2))
+                total += b_coeff(k1, k2, p) * math.gamma(1.0 - XI * (4 - k1 - k2))
         assert g_gev(p, 0.0) == pytest.approx(total, rel=1e-12)
 
     def test_beta_one_hand_expansion(self, paper_gev):
@@ -369,7 +368,7 @@ class TestGGev:
 class TestVarGev:
     def test_beta_one_closed_form(self, paper_gev):
         p = PowerSpec.gev(1, paper_gev)
-        expected = 225.0 * (gamma(1.4) - gamma(1.2) ** 2)
+        expected = 225.0 * (math.gamma(1.4) - math.gamma(1.2) ** 2)
         assert var_gev(p) == pytest.approx(expected, rel=1e-12)
 
     def test_beta_zero_internal(self, paper_gev):
@@ -483,7 +482,7 @@ class TestDepMeasure:
     def test_simple_margin_mode(self):
         p = PowerSpec.simple(0.25)
         val = dep_measure_from_gamma(p, 4.0)
-        expected = (g_simple(0.25, 0.25, 2.0) - gamma(0.75) ** 2) / var_simple(0.25)
+        expected = (g_simple(0.25, 0.25, 2.0) - math.gamma(0.75) ** 2) / var_simple(0.25)
         assert val == pytest.approx(expected, rel=1e-10)
 
     def test_degenerate_power_rejected(self):
@@ -661,26 +660,21 @@ class TestHoeffdingCovariance:
         assert var_gev(p) == pytest.approx(k4 + 4.0 * k3 * mu + 2.0 * k2**2 + 4.0 * k2 * mu**2,
                                            rel=1e-13)
 
-    def test_gumbel_beta_two_lag_operations_rejected_before_computing(self, monkeypatch):
-        def computed(*args, **kwargs):
-            pytest.fail("computed for an unsupported margin")
-
-        for module in (dependence, risk):
-            monkeypatch.setattr(module, "integrate_rows", computed)
-        monkeypatch.setattr(dependence, "_site_cov", computed)
-        monkeypatch.setattr(dependence.CovModel, "__call__", computed)
-        p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))  # the spec itself is valid
+    def test_gumbel_beta_two_lag_operations_compute(self):
+        # Gumbel powers from beta 2 on have no binomial table and take the
+        # nested kernel: the same five operations return finite values
+        p = PowerSpec.gev(2, GevParams(ETA, TAU, 0.0))
         v = power(1.0, 1.0)
         q = RiskQuery(region=disk(1.0), power=p, variogram=v)
-        for op in (
-            lambda: cov_gev(p, p, v, [0.0, 0.0], [1.0, 0.0]),
-            lambda: dep_measure(p, v, [0.0, 0.0], [1.0, 0.0]),
-            lambda: r2(q, 1.0),
-            lambda: asymptotic_cov_integral(p, v),
-            lambda: clt_approx(q, 10.0),
-        ):
-            with pytest.raises(DomainError):
-                op()
+        variance = var_gev(p)
+        cov = cov_gev(p, p, v, [0.0, 0.0], [1.0, 0.0])
+        assert 0.0 < cov < variance
+        assert dep_measure(p, v, [0.0, 0.0], [1.0, 0.0]) == cov / variance
+        assert 0.0 < r2(q, 1.0) < variance
+        k = asymptotic_cov_integral(p, v)
+        assert math.isfinite(k) and k > 0.0
+        assert clt_approx(q, 10.0).sd == pytest.approx(math.sqrt(k / (100.0 * math.pi)),
+                                                       rel=1e-12)
 
     # exact variances from the binomial moment sums in 60-digit arithmetic,
     # which cancel in double precision near xi = 0 (the beta = 3 case most)
@@ -1242,6 +1236,56 @@ class TestNestedKernel:
     def test_a_gumbel_power_keeps_its_one_term_table(self):
         p = PowerSpec.gev(1, GevParams(ETA, TAU, 0.0))
         assert not nested_rows(dependence.CovModel(p, p, QuadSpec(rel_tol=1e-14)))
+
+    @pytest.mark.parametrize("beta", [2, 3, 6, 12])
+    def test_gumbel_powers_take_the_nested_kernel_and_meet_the_oracle(self, beta):
+        p = gumbel(beta)
+        assert dependence._derivative_table(p) is None
+        spec = QuadSpec()
+        cov = dependence.CovModel(p, p, spec)
+        assert len(nested_rows(cov)) == 1
+        values = cov(np.array(self.LAGS)).value
+        assert values == pytest.approx([cov_oracle(p, p, h) for h in self.LAGS],
+                                       rel=spec.rel_tol)
+
+    # xi through 0 at |xi| <= 1e-12: the table cancels, its entries or their
+    # pairwise products leave the double range (the entries from about
+    # |xi| = 1e-30 at beta 12) or it does not exist (xi = 0), and the nested
+    # kernel takes every case
+    SMALL_XI = (-1e-12, -1e-100, 0.0, 1e-300, 1e-100, 1e-30, 1e-12)
+
+    @pytest.mark.parametrize("beta", [2, 4, 12, 40])
+    def test_dependence_is_continuous_in_xi_through_zero(self, beta):
+        powers = [PowerSpec.gev(beta, GevParams(ETA, TAU, xi)) for xi in self.SMALL_XI]
+        assert all(len(nested_rows(dependence.CovModel(p, p, QuadSpec()))) == 1 for p in powers)
+        deps = [dep_measure_from_gamma(p, 1.0) for p in powers]
+        gumbel_dep = deps[self.SMALL_XI.index(0.0)]
+        assert deps == pytest.approx([gumbel_dep] * len(deps), rel=3e-13)
+        p = gumbel(beta)
+        assert gumbel_dep == pytest.approx(cov_oracle(p, p, 1.0) / var_gev(p),
+                                           rel=QuadSpec().rel_tol)
+
+    @pytest.mark.parametrize("beta", range(88, 96))
+    def test_paper_powers_past_the_weights_range_meet_the_oracle(self, paper_gev, beta):
+        # the table exists, but its pairwise weights d_j d_k leave the double
+        # range while the variance stays finite
+        p = PowerSpec.gev(beta, paper_gev)
+        d, _ = dependence._derivative_table(p)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.outer(d, d)).all()
+        spec = QuadSpec()
+        cov = dependence.CovModel(p, p, spec)
+        assert len(nested_rows(cov)) == 1
+        lags = self.LAGS
+        if beta == 95:
+            # at a variance of 1.4e307 the quadrature's mapped integrand at
+            # h = 1e-3, about h cov times the Jacobian of the half-line's map,
+            # leaves the double range
+            with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
+                cov(lags[0])
+            lags = lags[1:]
+        values = cov(np.array(lags)).value
+        assert values == pytest.approx([cov_oracle(p, p, h) for h in lags], rel=spec.rel_tol)
 
     @pytest.mark.parametrize("p1, p2", [
         (PowerSpec.gev(2, GevParams(1.0, 3.0, 0.1)), PowerSpec.gev(2, GevParams(1.0, 3.0, 0.1))),

@@ -21,7 +21,6 @@ from windrisk import (
     clt_approx,
     disk,
     es_asymptotic,
-    gamma,
     mean_cost,
     norm_pdf,
     power,
@@ -44,10 +43,10 @@ from conftest import ETA, TAU, XI, RoughPast
 
 class TestMeanCost:
     def test_simple_mode(self):
-        assert mean_cost(PowerSpec.simple(0.5)) == pytest.approx(gamma(0.5), rel=1e-14)
+        assert mean_cost(PowerSpec.simple(0.5)) == pytest.approx(math.gamma(0.5), rel=1e-14)
 
     def test_gev_beta_one(self, paper_gev):
-        expected = 45.0 - 15.0 * gamma(1.2)
+        expected = 45.0 - 15.0 * math.gamma(1.2)
         assert mean_cost(PowerSpec.gev(1, paper_gev)) == pytest.approx(expected, rel=1e-13)
 
     def test_xi_minus_one_collapses(self):

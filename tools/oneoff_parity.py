@@ -2,7 +2,7 @@
 mc_oracle simulations of two windrisk source trees.
 
     python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC \
-        [--seeds 1 4711 90210 7] [--passes 0 1 2 3] [--rel-tol 3e-9 1e-9]
+        [--seeds 1 4711 90210 7] [--passes 0 1 2 3] [--rel-tol 3e-9 1e-9] [--oracle]
     python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC --study [--variants 0 1 ...]
     python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC --mc [--seeds 1 4711] [--passes 0 1 2 3]
 
@@ -20,6 +20,14 @@ listed, the value changes (count and largest
 relative difference of the queries that succeed in both trees) and, per
 outcome, each tree's query count, median time and total time (a slow
 failing tail shows in the total, which the median hides).
+
+``--oracle`` also checks every query whose outcome went from an error to a
+value against ``cov_oracle`` of ``tests/conftest.py`` (Hoeffding's nested
+form at a quarter of the library's inner step), run on the changed tree:
+it prints, per tolerance, how many there are, the largest relative gap
+of the value to the oracle (the oracle's covariance divided by
+``var_gev`` for a dependence query) and how many gaps pass the
+tolerance, with the largest few listed.
 
 ``--study`` runs instead the CLI commands of the study variants of
 ``perfbench.workloads.study_commands`` (all 8 by default), in-process as the
@@ -88,6 +96,42 @@ for seed in seeds:
                     value, outcome = None, type(exc).__name__
                 dt = time.perf_counter() - t0
                 print(json.dumps([seed, k, tol, outcome, value, dt]))
+"""
+
+
+# the oracle of the queries given as (seed, pass, index) in a JSON list: the
+# default rel_tol, then a JSON line (seed, pass, index, oracle value) per
+# query, on stdout
+_ORACLE_RUNNER = r"""
+import json, math, sys
+from pathlib import Path
+import numpy as np
+import windrisk as wr
+from perfbench.workloads import QUERIES_PER_PASS, draw_queries
+
+if not Path(wr.__file__).resolve().is_relative_to(sys.argv[2]):
+    raise SystemExit(f"imported windrisk from {wr.__file__}, not from {sys.argv[2]}")
+sys.path.insert(0, "tests")
+from conftest import cov_oracle
+
+print(json.dumps(wr.DEFAULT_QUAD.rel_tol))
+drawn = {}
+for seed, k, i in json.loads(sys.argv[1]):
+    if (seed, k) not in drawn:
+        drawn[seed, k] = draw_queries(seed, k, QUERIES_PER_PASS["full"])
+    name, args = drawn[seed, k][i]
+    if name == "cov_simple":
+        p1 = p2 = wr.PowerSpec.simple(args[0])
+        v, x1, x2 = args[2:]
+    elif name == "cov_gev":
+        p1, p2, v, x1, x2 = args
+    else:
+        p1, v, x1, x2 = args
+        p2 = p1
+    reference = cov_oracle(p1, p2, math.sqrt(float(v(np.asarray(x2) - np.asarray(x1)))))
+    if name == "dep_measure":
+        reference /= wr.var_gev(p1)
+    print(json.dumps([seed, k, i, reference]))
 """
 
 
@@ -289,6 +333,27 @@ def compare_study(parent, change):
     return changed
 
 
+def check_oracle(src: Path, parent, change, tols):
+    """The relative gap of each error -> value query's value to the oracle,
+    per tolerance, the oracle run once a query on the changed tree."""
+    new = {tol: [(key[0], key[1], i, c[1]) for key in sorted(k for k in parent if k[2] == tol)
+                 for i, (p, c) in enumerate(zip(parent[key], change[key]))
+                 if p[0] != "ok" and c[0] == "ok"] for tol in tols}
+    queries = sorted({(seed, k, i) for values in new.values() for seed, k, i, _ in values})
+    default_tol, *references = _run(_ORACLE_RUNNER, src, queries)
+    oracle = {(seed, k, i): reference for seed, k, i, reference in references}
+    print("oracle gaps of the error -> value queries:")
+    for tol, values in new.items():
+        rel_tol = default_tol if tol is None else tol
+        gaps = sorted(((abs(value - oracle[seed, k, i]) / abs(oracle[seed, k, i]), seed, k, i)
+                       for seed, k, i, value in values), reverse=True)
+        largest = f"{gaps[0][0]:.3g}" if gaps else "-"
+        print(f"  rel_tol {'default' if tol is None else tol}: {len(gaps)} queries, largest "
+              f"relative gap {largest}, {sum(g > rel_tol for g, *_ in gaps)} past rel_tol")
+        for gap, seed, k, i in gaps[:5]:
+            print(f"    seed {seed} pass {k} query {i}: {gap:.3g}")
+
+
 def compare(parent, change, tol):
     """Outcome changes, value changes and per-outcome times at one tolerance."""
     outcome_changes = []
@@ -340,6 +405,8 @@ def main(argv=None):
                         help="compare the study_sweep CLI outputs instead")
     parser.add_argument("--variants", type=int, nargs="+", default=list(range(8)),
                         help="study variants for --study (default: 0 .. 7)")
+    parser.add_argument("--oracle", action="store_true",
+                        help="check the error -> value queries against tests' cov_oracle")
     parser.add_argument("--mc", action="store_true",
                         help="compare the mc_oracle simulators' counters and values instead")
     args = parser.parse_args(argv)
@@ -363,6 +430,8 @@ def main(argv=None):
         return 1 if compare_study(trees["parent"], trees["change"]) else 0
     print(f"{len(args.seeds)} seeds x {len(args.passes)} passes")
     changed = [compare(trees["parent"], trees["change"], tol) for tol in tols]
+    if args.oracle:
+        check_oracle(args.change_src.resolve(), trees["parent"], trees["change"], tols)
     return 1 if any(changed) else 0
 
 
