@@ -87,7 +87,9 @@ smooth through xi = 0.  The trapezoid rule in t, y = sinh(t), at step
 0.05 evaluates it in log space (log weights log(0.05 cosh t) + y - e^y,
 each cost as log |f| and its sign), from y = -max(800, 40/rho), where the
 variance's terms decay like e^(rho y), rho = 1 - 2 beta xi (1 - 2 beta
-for simple margins), to y = 6.7, where the weight is below e^-800.  The
+for simple margins), or from left of the terms' peak where it lies past
+that end (near y = eta/tau - 2 beta for small |xi|), to y = 6.7, where
+the weight is below e^-800.  The
 variance is taken centred, sum w (f - m)^2, and the covariance of two
 costs at one site as sum w (f1 - m1)(f2 - m2), so no sum cancels.
 
@@ -393,9 +395,44 @@ def _rule_nodes(order: int, *powers) -> slice:
     """The nodes of the moment rule for the order-th moments of the powers'
     costs, from the left end y = -max(800, 40/rho): rho is the least
     1 - order beta xi (1 - order beta for simple margins), the rate of the
-    terms' decay e^(rho y) as y -> -inf."""
+    terms' decay e^(rho y) as y -> -inf.  Where the terms of a GEV power
+    peak left of that end (:func:`_peak_start`), the rule starts left of
+    their peak instead."""
+    first = _rule_start(order, *powers)
+    return slice(min([first] + [_peak_start(order, p, first) for p in powers
+                                if not p.is_simple]), None)
+
+
+def _rule_start(order: int, *powers) -> int:
+    """The first node of the moment rule at y = -max(800, 40/rho)."""
     rho = min(1.0 - p.beta * (1.0 if p.is_simple else p.margin.xi) * order for p in powers)
-    return slice(int(np.searchsorted(_RULE_Y, -max(800.0, 40.0 / rho))), None)
+    return int(np.searchsorted(_RULE_Y, -max(800.0, 40.0 / rho)))
+
+
+def _peak_start(order: int, p: PowerSpec, first: int) -> int:
+    """The first node of the moment rule for the order-th moment of the
+    GEV power p: ``first``, unless the terms w |Z_gev|^(order beta) still
+    rise leftwards there, which puts their peak past it (near
+    y = eta/tau - order beta for small |xi|, so Gumbel or small |xi| with
+    beta in the hundreds and a small tau/eta); then the first node whose
+    term is within e^-40 of the peak's.  The log of the terms is
+    y - e^y + order beta log |Z_gev|, whose slope in y is
+    1 - e^y - order beta tau e^(-xi y) / Z_gev, and it is concave, so it
+    has one peak: Z_gev is concave for xi <= 0, and for xi > 0 the slope
+    falls from rho as y grows."""
+    m, k = p.margin, order * p.beta
+    # the slope is below 0 where Z_gev > 0 and (1 - e^y) Z_gev < k tau e^(-xi y),
+    # with lead = Z_gev e^(xi y) for xi > 0 and lead = Z_gev otherwise
+    end = float(_RULE_Y[first])
+    lead = float(_gev_factor(m, end)[0])
+    tilt = 1.0 if m.xi > 0.0 or abs(m.xi) < 1e-290 else math.exp(-m.xi * end)
+    if not (lead > 0.0 and (1.0 - math.exp(end)) * lead < k * m.tau * tilt):
+        return first
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = _RULE_Y[:first]
+        log_z = np.log(np.abs(_gev_factor(m, y)[0])) - (m.xi * y if m.xi > 0.0 else 0.0)
+        terms = _RULE_LOG_J[:first] + y + k * log_z
+    return int(np.argmax(terms > terms.max() - 40.0))
 
 
 def _gev_factor(m: GevParams, y):
@@ -524,7 +561,9 @@ def _nested_form(p1: PowerSpec, p2: PowerSpec):
     and log(gap/C1) there (see the module docstring), the inner integral in
     y by the moment rule's nodes from p1's and p2's left end of the second
     moments, at stride 2 (step 0.1 in t) unless an odd power of a negative
-    zf reaches the terms that count, whose sum then cancels (stride 1),
+    zf reaches the terms that count, whose sum then cancels, or the rule
+    starts left of its usual end at a far peak of the terms
+    (:func:`_peak_start`), about as wide as the step there (stride 1),
     less the negligible leading nodes (:func:`_first_inner_node`).  Each
     node's terms are summed in log space below their largest, times
     -expm1(-x)/x in (0, 1], x = (gap/C1) e^y, and the sign of z1 f1'(z1)
@@ -544,8 +583,8 @@ def _nested_form(p1: PowerSpec, p2: PowerSpec):
     # zf is least at v = 0, so its negative nodes there hold all others'
     at_zero = base + sum(logs)
     counts = at_zero - at_zero.max() > _NEGLIGIBLE
-    stride = 1 if any(power % 2 and (lead[counts] < 0.0).any()
-                      for power, lead, _, _ in zfs) else 2
+    stride = 1 if nodes.start < _rule_start(2, p1, p2) or any(
+        power % 2 and (lead[counts] < 0.0).any() for power, lead, _, _ in zfs) else 2
     first = _first_inner_node(base[::stride], [(lead[::stride], log[::stride])
                                                for (_, lead, _, _), log in zip(zfs, logs)])
     kept = slice(first * stride, None, stride)

@@ -12,36 +12,46 @@ lets the analytic modules pin golden values against this module.
 
 Most candidates are rejected (about 97% on a 1961-site disk with psi = 1),
 so a candidate for site k is tested before it is fully evaluated: the
-anchor W_k first, then sites k-1, k-2, ..., 0 in blocks of _SITE_BLOCK,
-and the candidate is dropped at the first block where it reaches the
-running maximum.  Site j of the Cholesky field reads only the first j
-normals and row j-1 of the lower-triangular factor, so a block costs its
-own rows and nothing else.  This is exact: a candidate is accepted iff it
-stays below the maximum at every site < k, whichever order the sites are
-tested in, and the normals of every candidate are still drawn in full and
-in the same order, so each replicate consumes its stream exactly as a
-full-head test would.  Only the accepted candidates are extended to the
-sites after k; at the sites before k they lie below the maximum and
-change nothing.  ``return_meta`` reports the number of spectral draws and
-of accepted candidates.
+anchor W_k and the _SITE_BLOCK - 1 sites before it first, whose drift is
+tabled for the run, then the sites before those, in blocks of _SITE_BLOCK
+(in one block on the rank-2 path, whose rows are cheap), and the
+candidate is dropped at the first block where it reaches the running
+maximum.  Site j of the Cholesky field reads only the first j normals and
+row j-1 of the lower-triangular factor, so a block costs its own rows and
+nothing else.  This is exact: a candidate is accepted iff it stays below
+the maximum at every site < k, whichever order the sites are tested in,
+and the normals of every candidate are still drawn in full and in the
+same order, so each replicate consumes its stream exactly as a full-head
+test would.  Only the accepted candidates are extended to the sites after
+k; at the sites before k they lie below the maximum and change nothing.
+They are extended a window at a time, the sites of one block row of the
+factor: an accepted candidate raises the maximum at once at the later
+sites of its window, which the window's next tests read, and at the
+sites past the window only when the window is done (or when a block row's
+worth of candidates waits), all waiting candidates in one product, since
+no test before then reads the maximum there.  The maximum is exact in
+any order, so the draws, decisions and counters are those of one
+candidate at a time.  ``return_meta`` reports the number of spectral
+draws and of accepted candidates.
 
 Spectral functions use a centred Gaussian field with the target variogram,
 anchored at the first site.  Exact quadratic variograms (the Smith case)
 admit a rank-two representation W(x) = (x - x0)' Q^(1/2) z, z ~ N(0, I2),
 which is used instead of a dense factorization; all other variograms go
 through an anchored-covariance Cholesky factor with jitter-and-retry.
-There is one factor per (variogram, sites): the covariance is filled in
-row blocks straight from the variogram, its lower triangle only, with no
-dense variogram matrix beside it, into the array that a blocked Cholesky
-factorization then overwrites with the factor, so the factor is the one
-n x n array alive at the peak.  The last factor is kept, read-only, and
+There is one factor per (variogram, sites), kept as its lower block rows:
+each block row of the covariance is filled straight from the variogram,
+up to its diagonal block, with no dense variogram matrix beside it, and
+is reduced in place against the finished rows above it (left-looking),
+so no n x n array is ever made.  The last factor is kept, read-only, and
 the exact and truncated methods on the same variogram and sites share
-it; it takes 30.7 MB at 1961 sites and 134 MB at 4096.  The exact method
-evaluates the drift gamma(x_k - x_j) of site k only where its tests
-reach, the truncated method only the row of site 0.  A row, a block and
-a single vector of gamma round alike (the variogram's value does not
-depend on its batch), so every partial evaluation is the dense matrix's
-entry bit for bit.
+it; it takes 16.4 MB at 1961 sites and 69 MB at 4096 (30.7 MB and
+134 MB as one n x n array).  The exact method evaluates the drift
+gamma(x_k - x_j) of site k only where its tests and its window reach,
+the truncated method only the row of site 0.  A row, a block and a
+single vector of gamma round alike (the variogram's value does not depend
+on its batch), so every partial evaluation is the dense matrix's entry
+bit for bit.
 
 A truncated-spectral fallback (fixed number of Poisson points) is kept
 for speed comparisons; its bias is reported empirically through the
@@ -78,8 +88,8 @@ of n_rep, replicate r takes the same draws and the same accept/reject
 decisions; its values are bit-identical for the truncated, Smith, tube
 and Schlather generators, and within rounding for exact Brown-Resnick,
 whose replicates are evaluated in lockstep by matrix products that round
-with the number of candidates in the batch (up to 4.9e-15 relative on
-600 disk sites at psi 1, 1.5 and 2).
+with the number of candidates in the batch (up to 3.4e-14 relative on
+600 disk sites at psi 1, 1.5 and 2, 8 replicates alone and together).
 """
 
 from __future__ import annotations
@@ -190,96 +200,123 @@ class McEstimate(NamedTuple):
 # Gaussian machinery
 # ---------------------------------------------------------------------------
 
-# columns per block of the in-place Cholesky factorization.  Filled and
-# factored on the 1960 anchored sites of the disk (one BLAS thread), blocks
-# of 64, 128, 256 and 512 took 0.186, 0.166, 0.179 and 0.232 s and raised
-# the peak RSS by 30.4, 31.4, 37.4 and 42.5 MB, against 0.182-0.195 s and
-# 94.6 MB for a covariance beside np.linalg.cholesky's copy and factor
+# rows per block row of the Cholesky factor, which is kept as its lower
+# block rows.  Filled and factored on the 1960 anchored sites of the disk
+# (one BLAS thread, best of 5), blocks of 64 and 128 took 0.235 and
+# 0.222 s and hold 15.9 and 16.4 MB (n (n + block) / 2 doubles); solving
+# with each L_jj when it is needed, not with its kept inverse, took 0.32 s
 _FACTOR_BLOCK = 128
 
 
-def _factor_in_place(a: np.ndarray) -> None:
-    """Overwrite the lower triangle of the symmetric a with its Cholesky
-    factor L, and zero the strict upper triangle; LinAlgError if a is not
-    positive definite, with a then partly overwritten.
+def _factor_block_rows(fill, n: int, jitter: float) -> list:
+    """The block rows of the lower Cholesky factor L of C + jitter I (see
+    :func:`_cholesky_with_jitter`); LinAlgError if it is not positive
+    definite.
 
-    Right-looking, _FACTOR_BLOCK columns at a time (Golub & Van Loan,
-    Matrix Computations, 4.2): the diagonal block L11 by np.linalg.cholesky,
-    the panel below it as A21 L11^-T, then the trailing lower triangle
-    less the panel's outer product, one block column at a time, so that
-    the largest temporary is a block column.  The updates also reach the
-    strict upper part of the diagonal blocks, which L11 then overwrites,
-    and np.linalg.cholesky reads the lower triangle of its block alone."""
-    n = len(a)
-    for c in range(0, n, _FACTOR_BLOCK):
-        ce = min(c + _FACTOR_BLOCK, n)
-        l11 = np.linalg.cholesky(a[c:ce, c:ce])
-        a[c:ce, c:ce] = l11
-        panel = a[ce:, c:ce]
-        panel[...] = panel @ np.linalg.inv(l11).T
-        for d in range(ce, n, _FACTOR_BLOCK):
-            de = min(d + _FACTOR_BLOCK, n)
-            a[d:, d:de] -= panel[d - ce:] @ panel[d - ce:de - ce].T
-    # row by row: np.triu_indices' two index arrays would take as much
-    # memory as the matrix
-    for i in range(n - 1):
-        a[i, i + 1:] = 0.0
+    Left-looking by block rows (Golub & Van Loan, Matrix Computations,
+    4.2): block row i, C[r0:r1, :r1] as ``fill`` gives it, is reduced in
+    place against the finished rows above it.  Its part left of the
+    diagonal block is found block column by block column, as
+    (C_ij - L_i[:, :c0] L_j[:, :c0]^T) L_jj^-T, and the diagonal block is
+    then the Cholesky factor of C_ii - L_i[:, :r0] L_i[:, :r0]^T, by
+    np.linalg.cholesky, which reads its lower triangle alone and returns
+    zeros above the diagonal.  The largest temporary is a block's square;
+    the L_jj^-T of the finished rows are kept until the factor is done."""
+    rows, inv_t = [], []
+    for r0 in range(0, n, _FACTOR_BLOCK):
+        r1 = min(r0 + _FACTOR_BLOCK, n)
+        row = fill(r0, r1)
+        if jitter:
+            row[:, r0:r1][np.diag_indices(r1 - r0)] += jitter
+        for c0, above, inv in zip(range(0, r0, _FACTOR_BLOCK), rows, inv_t):
+            part = row[:, c0:c0 + _FACTOR_BLOCK]
+            if c0:
+                part -= row[:, :c0] @ above[:, :c0].T
+            part[...] = part @ inv
+        diag = row[:, r0:r1]
+        if r0:
+            diag -= row[:, :r0] @ row[:, :r0].T
+        diag[...] = np.linalg.cholesky(diag)
+        rows.append(row)
+        if r1 < n:
+            inv_t.append(np.linalg.inv(diag).T)
+    return rows
 
 
-def _cholesky_with_jitter(fill, n: int) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric n x n matrix C whose lower
-    triangle ``fill(a)`` writes into an n x n array a of zeros (what it
-    writes above the diagonal is ignored); on failure, of C with a growing
-    jitter on its diagonal.  C is factored in place in a, the one n x n
-    array, so a failed attempt leaves a partly overwritten, and each retry
-    fills it again before it adds the jitter."""
-    # zeros, not np.empty: the updates reach the strict upper part of the
-    # diagonal blocks, where stale pages could hold nan or inf
-    a = np.zeros((n, n))
-    fill(a)
-    scale = max(float(np.trace(a)) / max(n, 1), 1.0)
+def _cholesky_with_jitter(fill, diag: np.ndarray) -> tuple:
+    """The lower Cholesky factor L of the symmetric n x n matrix C with
+    diagonal ``diag``, kept as its block rows: block row i holds
+    L[r0:r1, :r1], r0 = i _FACTOR_BLOCK, r1 = min(r0 + _FACTOR_BLOCK, n),
+    zeros above the diagonal, which is n (n + _FACTOR_BLOCK) / 2 doubles
+    at most and no n x n array.  ``fill(r0, r1)`` returns C[r0:r1, :r1] as
+    a new array (what it holds above the diagonal is ignored), which
+    becomes block row i.  On failure, L is that of C plus a growing jitter
+    scale * 10^e on its diagonal, scale = max(trace C / n, 1) and e = -12,
+    -10, then -8; each attempt fills C again, a block row at a time."""
+    n = len(diag)
+    scale = max(float(np.sum(diag)) / max(n, 1), 1.0)
     for exponent in (None, -12, -10, -8):
-        if exponent is not None:
-            fill(a)
-            a[np.diag_indices(n)] += scale * 10.0 ** exponent
         try:
-            _factor_in_place(a)
-            return a
+            return tuple(_factor_block_rows(
+                fill, n, 0.0 if exponent is None else scale * 10.0 ** exponent))
         except np.linalg.LinAlgError:
             pass
     raise ConvergenceError("covariance factorization failed even with jitter")
 
 
-def _anchored_cholesky(v: Variogram, points: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the covariance of W at points[1:] for W anchored
-    at points[0], C_ij = (gamma_i0 + gamma_j0 - gamma_ij) / 2.
+def _factor_product(rows, z: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
+    """Write z[:, :b] @ L[a:b, :b].T, the rows a..b-1 of the factor L kept
+    as block rows (:func:`_cholesky_with_jitter`) applied to the draws z,
+    into out, shape (len(z), b - a).  Each block row's part takes only the
+    columns its last row reaches: of the zeros above the diagonal of L it
+    reads those inside its diagonal block alone.  Since row j of L is 0
+    past column j, row j of the result depends on z[:, :j + 1] alone."""
+    for i in range(a // _FACTOR_BLOCK, -(-b // _FACTOR_BLOCK)):
+        r0 = i * _FACTOR_BLOCK
+        s0, s1 = max(a, r0), min(b, r0 + _FACTOR_BLOCK)
+        out[:, s0 - a:s1 - a] = z[:, :s1] @ rows[i][s0 - r0:s1 - r0, :s1].T
 
-    C is filled a block of rows at a time straight from the variogram,
-    with the arithmetic of the dense form and no matrix of gamma beside
-    it, and only on and below its diagonal, which is all the factorization
-    reads.  Each gamma(x_i - x_j) is the dense matrix's entry bit for
-    bit, since x_j - x_i is -(x_i - x_j) exactly, every variogram kind is
-    even in its argument bit for bit (hypot, and a quadratic form of
-    products), and a vector's value does not depend on its batch.  C is
-    factored in place (:func:`_cholesky_with_jitter`), so the factor is
-    the one n x n array alive at the peak.  The allocator keeps the
-    temporaries of a block, so blocks are 2^14 difference vectors
-    (256 kB): on the 1961 sites of the disk they left the peak RSS 10 MB
-    lower than blocks of 2^18, and filled C no slower."""
+
+# difference vectors per block of the covariance fill, whose temporaries
+# the allocator keeps: blocks of 2^14 left the peak RSS on the 1961 sites
+# of the disk 10 MB lower than blocks of 2^18 and filled C no slower, and
+# 2^13 (128 kB) took the traced peak of the factor build at 1023 anchored
+# sites from 0.757 to 0.726 of an n x n matrix, in the same time
+_FILL_VECTORS = 1 << 13
+
+
+def _anchored_cholesky(v: Variogram, points: np.ndarray) -> tuple:
+    """Cholesky factor of the covariance of W at points[1:] for W anchored
+    at points[0], C_ij = (gamma_i0 + gamma_j0 - gamma_ij) / 2, as block
+    rows (:func:`_cholesky_with_jitter`).
+
+    Each block row of C is filled straight from the variogram, with the
+    arithmetic of the dense form and no matrix of gamma beside it, and
+    only up to its diagonal block, which is all the factorization reads.
+    Each gamma(x_i - x_j) is the dense matrix's entry bit for bit, since
+    x_j - x_i is -(x_i - x_j) exactly, every variogram kind is even in its
+    argument bit for bit (hypot, and a quadratic form of products), and a
+    vector's value does not depend on its batch."""
     n = len(points) - 1
     g0 = v(points[0] - points[1:])
-    block = max(1, (1 << 14) // max(n, 1))
 
-    def fill(cov):
-        for i0 in range(0, n, block):
-            i1 = min(i0 + block, n)
-            diff = points[1 + i0:1 + i1, None, :] - points[None, 1:1 + i1, :]
-            rows = cov[i0:i1, :i1]
-            np.add(g0[i0:i1, None], g0[None, :i1], out=rows)
-            rows -= v(diff.reshape(-1, 2)).reshape(i1 - i0, i1)
-            rows *= 0.5
+    def fill(r0, r1):
+        rows = np.empty((r1 - r0, r1))
+        step = max(1, _FILL_VECTORS // r1)
+        for i0 in range(r0, r1, step):
+            i1 = min(i0 + step, r1)
+            diff = points[1 + i0:1 + i1, None, :] - points[None, 1:1 + r1, :]
+            part = rows[i0 - r0:i1 - r0]
+            np.add(g0[i0:i1, None], g0[None, :r1], out=part)
+            part -= v(diff.reshape(-1, 2)).reshape(i1 - i0, r1)
+            part *= 0.5
+        return rows
 
-    return _cholesky_with_jitter(fill, n)
+    # C's diagonal by the same arithmetic, gamma at the zero vector
+    diag = g0 + g0
+    diag -= v(np.zeros((n, 2)))
+    diag *= 0.5
+    return _cholesky_with_jitter(fill, diag)
 
 
 # the one factor kept between calls, (key, read-only factor): exact and
@@ -288,11 +325,12 @@ def _anchored_cholesky(v: Variogram, points: np.ndarray) -> np.ndarray:
 _cached_factor: tuple = (None, None)
 
 
-def _cholesky_factor(v: Variogram, points: np.ndarray) -> np.ndarray:
-    """The anchored Cholesky factor of (v, points), built once.  The key is
-    the variogram's parameters and the sites' shape and bytes (a Variogram
-    with a sigma array cannot be hashed).  The old factor is dropped
-    before a new one is built, so two are never alive at once."""
+def _cholesky_factor(v: Variogram, points: np.ndarray) -> tuple:
+    """The anchored Cholesky factor of (v, points), built once, its block
+    rows read-only.  The key is the variogram's parameters and the sites'
+    shape and bytes (a Variogram with a sigma array cannot be hashed).  The
+    old factor is dropped before a new one is built, so two are never
+    alive at once."""
     global _cached_factor
     key = (v.kind, v.psi, v.kappa, v.m, None if v.sigma is None else v.sigma.tobytes(),
            points.shape, points.tobytes())
@@ -301,7 +339,8 @@ def _cholesky_factor(v: Variogram, points: np.ndarray) -> np.ndarray:
         return chol
     _cached_factor = (None, None)
     chol = _anchored_cholesky(v, points)
-    chol.setflags(write=False)
+    for rows in chol:
+        rows.setflags(write=False)
     _cached_factor = (key, chol)
     return chol
 
@@ -364,7 +403,7 @@ class _GaussianSampler:
         if v.is_quadratic:
             self.proj = _quadratic_projection(v, points)
             self.chol = None
-            self.block = max(len(points), 1)  # cheap rows: one block per test
+            self.block = max(len(points), 1)  # cheap rows: the rest in one block
         else:
             self.chol = _cholesky_factor(v, points)
             self.proj = None
@@ -379,20 +418,88 @@ class _GaussianSampler:
         needs at least dim(hi - 1) columns and later columns are ignored.
 
         The Cholesky path multiplies rows lo-1 .. hi-2 of L by the first
-        hi-1 columns of z, _SITE_BLOCK rows at a time, each block with only
-        the columns its last row reaches: of the zeros above the diagonal of
-        L it reads only those inside each block.  Because site j depends on
-        z[:j] alone, the field at a few sites of a draw costs a few rows,
-        which is what lets the exact simulator reject a candidate before its
-        whole head is known.  The rank-2 path is one product.
+        hi-1 columns of z (:func:`_factor_product`).  Because site j
+        depends on z[:j] alone, the field at a few sites of a draw costs a
+        few rows, which is what lets the exact simulator reject a candidate
+        before its whole head is known.  The rank-2 path is one product.
         """
         if self.chol is None:
             return z @ self.proj[lo:hi].T
-        out = np.zeros((len(z), hi - lo))
-        for a in range(max(lo, 1), hi, _SITE_BLOCK):
-            b = min(a + _SITE_BLOCK, hi)
-            out[:, a - lo:b - lo] = z[:, :b - 1] @ self.chol[a - 1:b - 1, :b - 1].T
+        out = np.empty((len(z), hi - lo))
+        a = max(lo, 1)
+        out[:, :a - lo] = 0.0
+        _factor_product(self.chol, z, a - 1, hi - 1, out[:, a - lo:])
         return out
+
+
+class _DeferredTails:
+    """The accepted exact candidates whose values at the sites from ``end``
+    on, past their window of sites, are not applied yet: their replicates,
+    normals, anchors, log Gamma and sites k, at most _FACTOR_BLOCK of them.
+    :meth:`apply` takes them all to sites end .. n-1 in one product, block
+    row by block row of L, where each candidate alone would read all of
+    them for itself."""
+
+    def __init__(self, v: Variogram, points: np.ndarray, chol, log_z: np.ndarray):
+        self.v, self.points, self.chol, self.log_z = v, points, chol, log_z
+        # np.empty maps no page before a candidate is held
+        self.z = np.empty((_FACTOR_BLOCK, len(points) - 1))
+        self.reps = np.empty(_FACTOR_BLOCK, dtype=np.intp)
+        self.anchor, self.log_gam = np.empty(_FACTOR_BLOCK), np.empty(_FACTOR_BLOCK)
+        self.sites = []  # (k, start, stop): the rows of the candidates of site k
+        self.count = 0
+
+    def add(self, k: int, end: int, rows, z_full, anchor, log_gam) -> None:
+        """Hold the candidates of site k accepted in one round, applying
+        the held ones whenever _FACTOR_BLOCK are held."""
+        done = 0
+        while done < len(rows):
+            c = self.count
+            take = min(_FACTOR_BLOCK - c, len(rows) - done)
+            part = slice(done, done + take)
+            self.reps[c:c + take], self.z[c:c + take] = rows[part], z_full[part]
+            self.anchor[c:c + take], self.log_gam[c:c + take] = anchor[part, 0], log_gam[part, 0]
+            self.sites.append((k, c, c + take))
+            self.count, done = c + take, done + take
+            if self.count == _FACTOR_BLOCK:
+                self.apply(end)
+
+    def apply(self, end: int) -> None:
+        """Raise the maximum at sites end .. n-1 to the held candidates'
+        values there, log W - W_k - gamma(x_k - x_j) / 2 - log Gamma, in
+        the order of operations of a candidate's own tail."""
+        c, n = self.count, len(self.points)
+        if not c:
+            return
+        log_y = np.empty((c, n - end))
+        _factor_product(self.chol, self.z[:c], end - 1, n - 1, log_y)
+        log_y -= self.anchor[:c, None]
+        for k, start, stop in self.sites:
+            log_y[start:stop] -= 0.5 * self.v(self.points[k] - self.points[end:])
+        log_y -= self.log_gam[:c, None]
+        # a replicate may hold several candidates: their maximum first
+        order = np.argsort(self.reps[:c], kind="stable")
+        reps = self.reps[order]
+        starts = np.flatnonzero(np.diff(reps, prepend=-1))
+        top = np.maximum.reduceat(log_y[order], starts, axis=0)
+        reps = reps[starts]
+        self.log_z[reps, end:] = np.maximum(self.log_z[reps, end:], top)
+        self.sites, self.count = [], 0
+
+
+def _band_drift(v: Variogram, points: np.ndarray, band: int) -> np.ndarray:
+    """The drift 0.5 gamma(x_k - x_j) at the ``band`` sites j before each
+    site k (site 0 stands in for j < 0), shape (n, band), evaluated for
+    _FILL_VECTORS difference vectors at a time."""
+    n = len(points)
+    near = np.empty((n, band))
+    step = max(1, _FILL_VECTORS // band)
+    for k0 in range(0, n, step):
+        k1 = min(k0 + step, n)
+        before = np.maximum(np.arange(k0, k1)[:, None] + np.arange(-band, 0), 0)
+        diff = points[k0:k1, None, :] - points[before]
+        near[k0:k1] = 0.5 * v(diff.reshape(-1, 2)).reshape(k1 - k0, band)
+    return near
 
 
 def _extremal_functions(v, points, n_rep, seed):
@@ -402,21 +509,30 @@ def _extremal_functions(v, points, n_rep, seed):
     sampler = _GaussianSampler(v, points)
     rngs = _replicate_rngs(seed, n_rep)
     draws = accepted = 0
-    # the drift 0.5 gamma(x_k - x_j) at the `band` sites j before each site
-    # k (site 0 stands in for j < 0), those of the first block tested, in
-    # one evaluation for the run
+    # the drift at the band of sites of the first block tested, one table
+    # for the run
     band = _SITE_BLOCK - 1
-    before = np.maximum(np.arange(n)[:, None] + np.arange(-band, 0), 0)
-    near = 0.5 * v((points[:, None, :] - points[before]).reshape(-1, 2)).reshape(n, band)
+    near = _band_drift(v, points, band)
+    # an accepted candidate raises the maximum at once only at the sites
+    # before `end`, the end of its window: the sites of a block row of L
+    # (of all sites on the rank-2 path).  Its values from `end` on wait in
+    # `deferred` until the last site of the window is done, since no test
+    # before then reads the maximum there
+    window = n if sampler.chol is None else _FACTOR_BLOCK
+    end = min(1 + window, n)
+    deferred = _DeferredTails(v, points, sampler.chol, log_z)
 
     for k in range(n):
+        if k == end:
+            deferred.apply(end)
+            end = min(end + window, n)
         gam = np.array([rng.exponential() for rng in rngs])
         active = np.flatnonzero(-np.log(gam) > log_z[:, k])
         if not active.size:
             continue
         # drift[known:k] holds the drift at the sites j < k of the band; the
         # rest of the head is evaluated when a test first reaches past it,
-        # and the tail j > k at the first accepted candidate
+        # and the window's sites after k at the first accepted candidate
         known = max(k - band, 0)
         drift, tail = np.empty(k), None
         drift[known:] = near[k, band - (k - known):]
@@ -427,10 +543,11 @@ def _extremal_functions(v, points, n_rep, seed):
             for i, r in enumerate(active):
                 rngs[r].standard_normal(out=z[i])
             log_gam = np.log(gam[active])[:, None]
-            # the first block ends at the anchor site k; sites k-1, k-2, ...,
-            # 0 are then tested a block at a time, and the candidates that a
-            # block rejects leave rows, z, anchor and log_gam together
-            lo, hi = max(k + 1 - sampler.block, 0), k
+            # the first block is the band, ending at the anchor site k; the
+            # sites before it are then tested a block at a time, and the
+            # candidates that a block rejects leave rows, z, anchor and
+            # log_gam together
+            lo, hi = max(k + 1 - _SITE_BLOCK, 0), k
             w = sampler.values(z, lo, k + 1)
             anchor, w = w[:, -1:], w[:, :-1]
             rows = active
@@ -452,16 +569,18 @@ def _extremal_functions(v, points, n_rep, seed):
             accepted += rows.size
             if rows.size:
                 if tail is None:
-                    tail = 0.5 * v(points[k] - points[k + 1:])
+                    tail = 0.5 * v(points[k] - points[k + 1:end])
                 z_full = np.empty((rows.size, head_dim + tail_dim))
                 z_full[:, :head_dim] = z
                 for i, r in enumerate(rows):
                     rngs[r].standard_normal(out=z_full[i, head_dim:])
                 # an accepted candidate lies below the maximum at sites < k
                 # and equals -log(gam) at site k; only the tail can change
-                log_y = sampler.values(z_full, k + 1, n) - anchor - tail
+                log_y = sampler.values(z_full, k + 1, end) - anchor - tail
                 log_z[rows, k] = np.maximum(log_z[rows, k], -log_gam[:, 0])
-                log_z[rows, k + 1:] = np.maximum(log_z[rows, k + 1:], log_y - log_gam)
+                log_z[rows, k + 1:end] = np.maximum(log_z[rows, k + 1:end], log_y - log_gam)
+                if end < n:
+                    deferred.add(k, end, rows, z_full, anchor, log_gam)
             for r in active:
                 gam[r] += rngs[r].exponential()
             active = active[-np.log(gam[active]) > log_z[active, k]]
@@ -721,24 +840,31 @@ def simulate_schlather(
     n = len(pts)
     if n > _MAX_DENSE_POINTS:
         raise DomainError(f"grid too large for dense factorization ({n})")
-    block = max(1, (1 << 14) // max(n, 1))
 
-    def fill(corr):
-        # the lower triangle of the correlation matrix, a block of rows at
-        # a time, as in _anchored_cholesky: no matrix of distances beside it
-        for i0 in range(0, n, block):
-            i1 = min(i0 + block, n)
-            diff = pts[i0:i1, None, :] - pts[None, :i1, :]
-            rows = np.asarray(correlation(np.hypot(diff[..., 0], diff[..., 1])), dtype=float)
-            if rows.shape != (i1 - i0, i1):
-                raise DomainError("correlation function must evaluate elementwise on distances")
-            corr[i0:i1, :i1] = rows
+    def correlate(dist):
+        rows = np.asarray(correlation(dist), dtype=float)
+        if rows.shape != dist.shape:
+            raise DomainError("correlation function must evaluate elementwise on distances")
+        return rows
 
-    chol = _cholesky_with_jitter(fill, n)
+    def fill(r0, r1):
+        # a block row of the correlation matrix, up to its diagonal block,
+        # in blocks of rows as in _anchored_cholesky: no matrix of distances
+        rows = np.empty((r1 - r0, r1))
+        step = max(1, _FILL_VECTORS // r1)
+        for i0 in range(r0, r1, step):
+            i1 = min(i0 + step, r1)
+            diff = pts[i0:i1, None, :] - pts[None, :r1, :]
+            rows[i0 - r0:i1 - r0] = correlate(np.hypot(diff[..., 0], diff[..., 1]))
+        return rows
+
+    chol = _cholesky_with_jitter(fill, correlate(np.zeros(n)))
     c = math.sqrt(2.0 * math.pi)
 
     def draw(rng, gams):
-        return c * np.maximum(rng.standard_normal((len(gams), n)) @ chol.T, 0.0) / gams[:, None]
+        y = np.empty((len(gams), n))
+        _factor_product(chol, rng.standard_normal((len(gams), n)), 0, n, y)
+        return c * np.maximum(y, 0.0) / gams[:, None]
 
     values, late = _spectral_maxima(n_rep, seed, n_points, n, draw)
     meta = {"method": "schlather_truncated", "late_update_fraction": late,

@@ -16,6 +16,7 @@ from windrisk import (
     PowerSpec,
     WindriskError,
     dep_measure,
+    dep_measure_from_gamma,
     dependence,
     mean_cost,
     power,
@@ -194,3 +195,39 @@ def test_an_integer_eta_computes_as_the_float_one(beta):
             dependence.covariance_model.cache_clear()  # each computes its own model
             outcomes.append(_outcome(lambda: op(p)))
         assert outcomes[0] == outcomes[1]
+
+
+def _far_peak_moments(eta: float, tau: float, beta: int):
+    """(mean, variance) of the cost (eta - tau y)^beta on Gumbel margins,
+    y = -log Z, from mpmath quad of int (eta - tau y)^(k beta) e^(y - e^y) dy,
+    each integrand scaled by its value at its peak near y = eta/tau - k beta
+    and split at the peak and 100 and 300 on either side of it."""
+    with mpmath.workdps(20):
+        eta, tau = mpmath.mpf(eta), mpmath.mpf(tau)
+
+        def raw(k):
+            def log_term(y):
+                return y - mpmath.exp(y) + k * beta * mpmath.log(eta - tau * y)
+
+            peak = eta / tau - k * beta
+            top = log_term(min(peak, 0))
+            cuts = sorted(c for c in (peak + d for d in (-4000, -300, -100, 0, 100, 300)) if c < 0)
+            return mpmath.quad(lambda y: mpmath.exp(log_term(y) - top), cuts + [0, 6]) \
+                * mpmath.exp(top)
+
+        mean = raw(1)
+        return mean, raw(2) - mean**2
+
+
+def test_moments_and_dependence_with_the_peak_past_the_rule_end():
+    # Gumbel beta 1024 with tau/eta = 1e-3: the variance's terms peak near
+    # y = eta/tau - 2 beta = -1048, left of the rule's usual end y = -800.
+    # There the step 0.05 in t is about one width of the peak (0.043), so
+    # the variance comes within 3.4e-7, not 1e-12
+    p = PowerSpec.gev(1024, GevParams(1.0, 0.001, 0.0))
+    mean, variance = _far_peak_moments(1.0, 0.001, 1024)
+    assert abs(mean_cost(p) - mean) <= 1e-12 * mean
+    assert abs(var_gev(p) - variance) <= 5e-7 * variance
+    deps = [dep_measure_from_gamma(p, g) for g in (1e-5, 1e-3, 0.1, 1.0, 4.0, 25.0)]
+    assert all(0.0 <= d <= 1.0 for d in deps)
+    assert deps == sorted(deps, reverse=True)

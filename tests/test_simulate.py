@@ -269,7 +269,7 @@ def _full_head_extremal_functions(v, points, n_rep, seed):
         g0 = gamma_mat[0]
         cov = 0.5 * (g0[1:, None] + g0[None, 1:] - gamma_mat[1:, 1:])
         field, dim = np.zeros((n, n - 1)), (lambda k: k)
-        field[1:] = sim._cholesky_with_jitter(lambda a: np.copyto(a, cov), n - 1)
+        field[1:] = np.linalg.cholesky(cov)
     out = np.empty((n_rep, n))
     draws = accepted = 0
     for r, rng in enumerate(sim._replicate_rngs(seed, n_rep)):
@@ -316,6 +316,14 @@ class TestExtremalFunctionsEquivalence:
         ring = 5.0 * np.column_stack([np.cos(angle), np.sin(angle)])
         points = np.vstack([[0.0, 0.0], ring, [0.05, 0.0]])
         self._check(power(1.0, 1.0), points, seed=64, n_rep=20)
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_matches_full_head_reference_in_small_windows(self, monkeypatch, block):
+        # windows of `block` sites, and at most `block` accepted candidates
+        # waiting for the sites past their window, applied early when full
+        monkeypatch.setattr(sim, "_FACTOR_BLOCK", block)
+        monkeypatch.setattr(sim, "_cached_factor", (None, None))
+        self._check(power(1.0, 1.0), _EQUIVALENCE_SITES, seed=7, n_rep=10)
 
     @staticmethod
     def _check(v, points, seed, n_rep=3):
@@ -602,16 +610,15 @@ class TestGaussianFactor:
     def test_one_read_only_factor_per_variogram_and_sites(self, monkeypatch):
         monkeypatch.setattr(sim, "_cached_factor", (None, None))
         chol = sim._GaussianSampler(power(1.0, 1.0), self.SITES).chol
-        assert not chol.flags.writeable
+        assert not any(rows.flags.writeable for rows in chol)
         assert sim._GaussianSampler(power(1.0, 1.0), self.SITES.copy()).chol is chol
         other = sim._GaussianSampler(power(1.0, 1.5), self.SITES).chol
         assert other is not chol and sim._cached_factor[1] is other
 
     def test_factor_build_peaks_below_three_matrices(self, monkeypatch):
-        # the covariance, factored in place, and the fill's and the
-        # factorization's block temporaries; a covariance and a factor beside
-        # it would make two traced n x n arrays, and a dense variogram matrix
-        # a third
+        # the factor's block rows, half an n x n matrix and a block, and the
+        # fill's and the factorization's block temporaries; a covariance
+        # matrix factored in place would make one traced n x n array
         import tracemalloc
 
         monkeypatch.setattr(sim, "_cached_factor", (None, None))
@@ -623,7 +630,7 @@ class TestGaussianFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * matrix_bytes
+        assert peak < 0.75 * matrix_bytes
 
     def test_jitter_retry_for_a_duplicated_site(self, monkeypatch):
         v, points = power(1.0, 1.0), np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
@@ -634,38 +641,56 @@ class TestGaussianFactor:
         jittered[np.diag_indices_from(jittered)] += max(np.trace(cov) / len(cov), 1.0) * 1e-12
         want = np.linalg.cholesky(jittered)
         # three anchored sites are one block, factored by np.linalg.cholesky
-        assert np.array_equal(sim._cholesky_with_jitter(lambda a: np.copyto(a, cov), 3), want)
+        rows = sim._cholesky_with_jitter(lambda r0, r1: cov[r0:r1, :r1].copy(), np.diag(cov))
+        assert np.array_equal(_dense_factor(rows), want)
         monkeypatch.setattr(sim, "_cached_factor", (None, None))
-        assert np.array_equal(sim._GaussianSampler(v, points).chol, want)
+        assert np.array_equal(_dense_factor(sim._GaussianSampler(v, points).chol), want)
 
     @pytest.mark.parametrize("psi", [1.0, 1.9])
     @pytest.mark.parametrize("n", [130, 257])
     def test_blocked_factor_residual(self, monkeypatch, n, psi):
-        # more than one block of columns, and not a multiple of the block
+        # more than one block row, and not a multiple of the block
         v, points = power(1.0, psi), _FACTOR_SITES[:n + 1]
         monkeypatch.setattr(sim, "_cached_factor", (None, None))
         chol = sim._GaussianSampler(v, points).chol
-        assert chol.shape == (n, n) and not np.triu(chol, 1).any()
-        assert self._residual(chol, self._anchored_covariance(v, points)) <= 1e-14
+        block = sim._FACTOR_BLOCK
+        assert [rows.shape for rows in chol] == [
+            (min(r0 + block, n) - r0, min(r0 + block, n)) for r0 in range(0, n, block)]
+        dense = _dense_factor(chol)
+        assert not np.triu(dense, 1).any()
+        assert self._residual(dense, self._anchored_covariance(v, points)) <= 1e-14
 
     def test_jitter_retry_after_the_first_block(self):
         # a site repeated at index 200 of the covariance: the failing pivot
-        # lies in the second block, so the retry fills the half-overwritten
-        # array again
+        # lies in the second block row, so the first attempt fills two block
+        # rows and the retry, with the jitter, fills all three again
         v, points = power(1.0, 1.0), _FACTOR_SITES[:258].copy()
         points[201] = points[40]
         cov = self._anchored_covariance(v, points)
         fills = []
 
-        def fill(a):
-            fills.append(len(fills))
-            np.copyto(a, cov)
+        def fill(r0, r1):
+            if r0 == 0:
+                fills.append(0)
+            fills[-1] += 1
+            return cov[r0:r1, :r1].copy()
 
-        chol = sim._cholesky_with_jitter(fill, len(cov))
-        assert fills == [0, 1]  # one retry, with the jitter scale * 1e-12
+        chol = _dense_factor(sim._cholesky_with_jitter(fill, np.diag(cov)))
+        assert fills == [2, 3]  # one retry, with the jitter scale * 1e-12
         jittered = cov + max(np.trace(cov) / len(cov), 1.0) * 1e-12 * np.eye(len(cov))
         assert not np.triu(chol, 1).any()
         assert self._residual(chol, jittered) <= 1e-14
+
+
+def _dense_factor(rows):
+    """The n x n lower factor L whose block rows the simulators keep."""
+    n = rows[-1].shape[1] if rows else 0
+    dense = np.zeros((n, n))
+    r0 = 0
+    for block in rows:
+        dense[r0:r0 + len(block), :block.shape[1]] = block
+        r0 += len(block)
+    return dense
 
 
 class TestPairwiseVariogram:
@@ -741,24 +766,30 @@ class TestSchlather:
             simulate_schlather(self.correlation, g, 2, seed=24, n_points=n_points)
 
     def test_factor_is_the_dense_matrix_factor(self, monkeypatch):
-        # the blockwise fill writes the dense correlation matrix's lower
-        # triangle bit for bit, all the factorization reads, so the factor
-        # is that of the dense matrix
+        # each block row of the fill holds the dense correlation matrix's
+        # rows bit for bit up to the diagonal, all the factorization reads,
+        # and the diagonal it is given is the matrix's, so the factor is
+        # that of the dense matrix
         g = Grid(origin=(0.3, -0.2), nx=13, ny=17, spacing=0.37)
-        dist = _pairwise_variogram(lambda d: np.hypot(d[:, 0], d[:, 1]), g.points())
+        corr = self.correlation(_pairwise_variogram(lambda d: np.hypot(d[:, 0], d[:, 1]),
+                                                    g.points()))
         fills = []
         factor = sim._cholesky_with_jitter
 
-        def recorded(fill, n):
-            fills.append((fill, n))
-            return factor(fill, n)
+        def recorded(fill, diag):
+            fills.append((fill, diag))
+            return factor(fill, diag)
 
         monkeypatch.setattr(sim, "_cholesky_with_jitter", recorded)
         simulate_schlather(self.correlation, g, 2, seed=25, n_points=10)
-        (fill, n), = fills
-        written = np.zeros((n, n))
-        fill(written)
-        assert np.array_equal(np.tril(written), np.tril(self.correlation(dist)))
+        (fill, diag), = fills
+        n = len(diag)
+        assert n == len(corr) and np.array_equal(diag, np.diag(corr))
+        for r0 in range(0, n, sim._FACTOR_BLOCK):
+            r1 = min(r0 + sim._FACTOR_BLOCK, n)
+            assert np.array_equal(np.tril(fill(r0, r1), r0), np.tril(corr[r0:r1, :r1], r0))
+        np.testing.assert_allclose(_dense_factor(factor(fill, diag)), np.linalg.cholesky(corr),
+                                   rtol=0.0, atol=1e-13)
 
     def test_non_elementwise_correlation_rejected(self):
         g = Grid(origin=(0.0, 0.0), nx=3, ny=3, spacing=1.0)
@@ -766,10 +797,9 @@ class TestSchlather:
             simulate_schlather(lambda d: 0.5, g, 2, seed=26)
 
     def test_correlation_build_peaks_below_three_matrices(self):
-        # the correlation matrix, factored in place, and the fill's and the
-        # factorization's block temporaries; a correlation matrix and a
-        # factor beside it would make two traced n x n arrays, and a dense
-        # distance matrix a third
+        # the factor's block rows, half an n x n matrix and a block, and the
+        # fill's and the factorization's block temporaries; a correlation
+        # matrix factored in place would make one traced n x n array
         import tracemalloc
 
         grid = Grid(origin=(0.0, 0.0), nx=44, ny=44, spacing=0.1)
@@ -780,7 +810,7 @@ class TestSchlather:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * matrix_bytes
+        assert peak < 0.75 * matrix_bytes
 
 
 class TestGevTransform:

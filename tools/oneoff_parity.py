@@ -5,6 +5,7 @@ mc_oracle simulations of two windrisk source trees.
         [--seeds 1 4711 90210 7] [--passes 0 1 2 3] [--rel-tol 3e-9 1e-9] [--oracle]
     python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC --study [--variants 0 1 ...]
     python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC --mc [--seeds 1 4711] [--passes 0 1 2 3]
+    python tools/oneoff_parity.py PARENT_SRC CHANGE_SRC --mc --fixtures
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``windrisk`` package.  For every seed and pass, the queries of
@@ -52,6 +53,13 @@ simulator, the runs whose counters differ (``spectral_draws`` and
 truncated one), the runs whose values are bit-identical and the largest
 relative value change, and each tree's median peak RSS (``ru_maxrss``,
 which includes the interpreter and the imports) and time.
+
+``--mc --fixtures`` runs instead the exact Brown-Resnick samples of the
+``loss25`` and ``loss50`` fixtures of ``tests/test_acceptance.py`` (1961
+disk sites, 500 replicates, the fixtures' seeds), the largest
+simulations of the test suite, once per tree in a fresh interpreter, and
+prints the same lines for them: their counters, value changes, peak RSS
+and time are measured directly, not through the spread of mc_oracle.
 
 The exit status is 1 when an outcome or a value changed, or with ``--mc``
 when a counter changed.  ``perfbench/`` is read from this repository and
@@ -222,6 +230,31 @@ print(json.dumps([meta, dt, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss /
 
 MC_SIMULATORS = ("smith", "tube", "br_psi1", "br_psi2", "br_truncated")
 
+# one acceptance fixture's exact sample on one tree, as _MC_RUNNER prints
+# and saves a simulator's run
+_FIXTURE_RUNNER = r"""
+import json, resource, sys, time
+from pathlib import Path
+import numpy as np
+import windrisk as wr
+
+if not Path(wr.__file__).resolve().is_relative_to(sys.argv[2]):
+    raise SystemExit(f"imported windrisk from {wr.__file__}, not from {sys.argv[2]}")
+lam, n_rep, seed, values_path = json.loads(sys.argv[1])
+# the sites of tests/test_acceptance.py::_br_disk_losses
+disk = wr.disk(1.0)
+grid = wr.region_grid(disk, lam)
+sites = grid.points()[wr.grid_region_mask(grid, disk, lam)]
+t0 = time.perf_counter()
+values, meta = wr.brown_resnick_at(wr.power(1.0, 1.0), sites, n_rep, seed, return_meta=True)
+dt = time.perf_counter() - t0
+np.save(values_path, values)
+print(json.dumps([meta, dt, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]))
+"""
+
+# the loss samples of tests/test_acceptance.py: (lam, replicates, seed)
+FIXTURES = {"loss25": (25.0, 500, 202525), "loss50": (50.0, 500, 202550)}
+
 
 def _run(runner, src: Path, arg):
     """The JSON lines a runner prints in a fresh interpreter on ``src``."""
@@ -251,27 +284,37 @@ def run_study(src: Path, variants):
             for variant, label, code, rows, dt, gaps in _run(_STUDY_RUNNER, src, variants)}
 
 
-def run_mc(srcs, seeds, passes, tmp: Path):
-    """{tree: {(simulator, seed, pass): (counters, values, seconds, peak RSS
-    MB)}}, one fresh interpreter per tree, simulator and input; the trees
-    take turns on each input, so that their timings see the same host."""
+def mc_jobs(seeds, passes, fixtures: bool):
+    """(key, runner, argument) of each run: (simulator, seed, pass) with
+    the mc_oracle simulators, or (fixture, seed, 0) with ``fixtures``; the
+    runner's argument takes the path of the values last."""
+    if fixtures:
+        return [((name, seed, 0), _FIXTURE_RUNNER, [lam, n_rep, seed])
+                for name, (lam, n_rep, seed) in FIXTURES.items()]
+    return [((name, seed, k), _MC_RUNNER, [seed, k, name])
+            for name in MC_SIMULATORS for seed in seeds for k in passes]
+
+
+def run_mc(srcs, jobs, tmp: Path):
+    """{tree: {key: (counters, values, seconds, peak RSS MB)}}, one fresh
+    interpreter per tree and job; the trees take turns on each job, so
+    that their timings see the same host."""
     runs = {tree: {} for tree in srcs}
-    for name in MC_SIMULATORS:
-        for seed in seeds:
-            for k in passes:
-                for tree, src in srcs.items():
-                    path = tmp / f"{tree}-{name}-{seed}-{k}.npy"
-                    (meta, dt, rss), = _run(_MC_RUNNER, src, [seed, k, name, str(path)])
-                    meta.pop("method", None)
-                    runs[tree][name, seed, k] = (meta, np.load(path), dt, rss)
-                    path.unlink()
+    for key, runner, arg in jobs:
+        for tree, src in srcs.items():
+            path = tmp / f"{tree}-{'-'.join(map(str, key))}.npy"
+            (meta, dt, rss), = _run(runner, src, arg + [str(path)])
+            meta.pop("method", None)
+            runs[tree][key] = (meta, np.load(path), dt, rss)
+            path.unlink()
     return runs
 
 
 def compare_mc(parent, change):
-    """Counter changes, value changes, peak RSS and time of each simulator."""
+    """Counter changes, value changes, peak RSS and time of each simulator
+    or fixture."""
     counters_changed = False
-    for name in MC_SIMULATORS:
+    for name in dict.fromkeys(key[0] for key in parent):
         keys = [key for key in parent if key[0] == name]
         moved = [key for key in keys if parent[key][0] != change[key][0]]
         same = sum(np.array_equal(parent[key][1], change[key][1]) for key in keys)
@@ -409,9 +452,13 @@ def main(argv=None):
                         help="check the error -> value queries against tests' cov_oracle")
     parser.add_argument("--mc", action="store_true",
                         help="compare the mc_oracle simulators' counters and values instead")
+    parser.add_argument("--fixtures", action="store_true",
+                        help="with --mc, the acceptance tests' loss samples instead")
     args = parser.parse_args(argv)
     if args.study and args.mc:
         parser.error("--study and --mc exclude each other")
+    if args.fixtures and not args.mc:
+        parser.error("--fixtures needs --mc")
     tols = [None] + args.rel_tol
     for src in (args.parent_src, args.change_src):
         if not (src / "windrisk" / "__init__.py").is_file():
@@ -419,8 +466,9 @@ def main(argv=None):
     if args.mc:
         srcs = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
         with tempfile.TemporaryDirectory() as tmp:
-            runs = run_mc(srcs, args.seeds, args.passes, Path(tmp))
-        print(f"{len(args.seeds)} seeds x {len(args.passes)} passes")
+            runs = run_mc(srcs, mc_jobs(args.seeds, args.passes, args.fixtures), Path(tmp))
+        print(", ".join(FIXTURES) if args.fixtures else
+              f"{len(args.seeds)} seeds x {len(args.passes)} passes")
         return 1 if compare_mc(runs["parent"], runs["change"]) else 0
     trees = {}
     for tree, src in (("parent", args.parent_src), ("change", args.change_src)):
