@@ -45,8 +45,8 @@ up to its diagonal block, with no dense variogram matrix beside it, and
 is reduced in place against the finished rows above it (left-looking),
 so no n x n array is ever made.  The last factor is kept, read-only, and
 the exact and truncated methods on the same variogram and sites share
-it; it takes 16.4 MB at 1961 sites and 69 MB at 4096 (30.7 MB and
-134 MB as one n x n array).  The exact method evaluates the drift
+it; it takes 16.4 MB at 1961 sites and 69 MB at 4096, about half of an
+n x n array.  The exact method evaluates the drift
 gamma(x_k - x_j) of site k only where its tests and its window reach,
 the truncated method only the row of site 0.  A row, a block and a
 single vector of gamma round alike (the variogram's value does not depend
