@@ -74,11 +74,10 @@ stride 2, step 0.1 in t (stride 1 where an odd power of a negative Z_gev
 reaches the terms that count, whose sum then cancels), in log space below
 each node's largest term, less the leading nodes whose terms a bound puts
 below e^-45 of the peak (:func:`_first_inner_node`); the outer integral
-is the table's, over the
-same half-lines and breakpoints.  Pairs are routed one by one inside one
-kernel call, and the lattice and the bilinear forms see only the pairs on
-the table path, so a call none of whose pairs is routed, as on every
-study margin, keeps its values bit for bit.
+is the table's, on the same half-lines and ladder.  Pairs are routed one
+by one inside one kernel call, and the lattice and the bilinear forms see
+only the pairs on the table path, so a call none of whose pairs is
+routed, as on every study margin, keeps its values bit for bit.
 
 The mean and the variance at one site come from one positive quadrature
 rule instead: with y = log(1/Z), 1/Z ~ Exp(1), E g(Z) = int g(e^-y)
@@ -100,9 +99,16 @@ real line is the s > 0 half-line of the ordered pair (p1, p2) plus that of
 (p2, p1).  Where one power and margin sit at both sites, as in every
 dependence, the two are one half-line counted twice.  The line integrals
 in s go through one routine, :func:`_line_integrals`, which takes the
-integrand as kernel(s, h) over arrays of s > 0 and, a fixed block of lags
-at a time, integrates their s > 0 half-lines as the rows of one
-:func:`integrate_rows` call, one row component per ordered pair.
+integrand as kernel(s, h) over arrays of s > 0, one component per ordered
+pair.  Each half-line, analytic on s > 0 with the scale 1/h and a
+transition near s = h/2, takes the exp-sinh trapezoid rule s h =
+exp((pi/2) sinh t), t in [-4, 3], which converges double-exponentially
+there (Takahasi & Mori 1974, Publ. RIMS 9:721-741), on a ladder of steps
+1/8, 1/16, ..., 1/128 (57 to 897 nodes), each level adding the odd nodes
+of its step.  A lag is accepted at the first level from step 1/16 on
+whose change from the last level, its error estimate, meets rel_tol or
+abs_floor in every component; a fixed block of lags at a time, each
+level is one kernel call over the lags not yet accepted.
 
 Every covariance is read from one :class:`CovModel` per (p1, p2, QuadSpec),
 which owns the certified table of cov(h) that :mod:`windrisk.risk`
@@ -126,7 +132,6 @@ from .numerics import (
     QuadSpec,
     exprel,
     gamma_values,
-    integrate_rows,
     norm_cdf,
     scaled_normal_tail,
 )
@@ -222,13 +227,15 @@ class PowerSpec:
 # line integrals in s = log(theta) / h
 # ---------------------------------------------------------------------------
 
-def _breakpoints(h: float) -> list:
-    """Seeds of the subdivision of a half-line at lag h > 0: the integrands
-    live on scales ~1/h around s=0 plus the Phi transitions near |s| = h/2."""
-    return sorted({bp for bp in (
-        0.25 / h, 1.0 / h, 4.0 / h, 16.0 / h, 1.0, 2.0, h / 2.0, h / 2.0 + 8.0
-    ) if bp > 0.0})
-
+# the exp-sinh ladder (see the module docstring): per level, the s h values
+# exp((pi/2) sinh t) of its new nodes t in [-4, 3] and their weights
+# step (pi/2) cosh t exp((pi/2) sinh t), which are h ds; level 0 has every
+# node of step 1/8, each later level the odd multiples of its halved step
+_LADDER = [(np.exp(0.5 * math.pi * np.sinh(t)),
+            step * 0.5 * math.pi * np.cosh(t) * np.exp(0.5 * math.pi * np.sinh(t)))
+           for step, t in [(0.125, -4.0 + 0.125 * np.arange(57))] + [
+               (2.0**-k, -4.0 + 2.0**-k * (2 * np.arange(7 * 2**(k - 1)) + 1))
+               for k in range(4, 8)]]
 
 # the lags of a line integral are integrated in blocks of at most this many
 # (lag, component) pairs, so memory does not grow with the lag count: ten
@@ -239,29 +246,52 @@ _BLOCK_LANES = 120
 
 def _line_integrals(kernel, lags, spec: QuadSpec, width: int):
     """An iterator of one QuadResult per lag h > 0 of ``lags``: the
-    integral over the half-line s > 0 of ``kernel(s, h)``, a function of
-    arrays s >= 0 and h of one shape that gives a (width, n) array of
-    ``width`` components sharing each lag's mesh, such as the two ordered
-    pairs of a covariance (see the module docstring).  The fields of each
-    result are arrays of the components.
-
-    The lags run in blocks of at most ``_BLOCK_LANES // width``, in order,
-    each integrated when the iterator reaches it, so memory does not grow
-    with the number of lags.  A block's lags are the rows of one
-    :func:`integrate_rows` call, so each lag's value is the one it gets
-    alone, and the first block that fails raises the error of its first
-    failing lag, the one that lag raises alone.
+    integral over s > 0 of ``kernel(s, h)``, which takes arrays s > 0 and h
+    of one shape and gives ``width`` components, such as a covariance's two
+    ordered pairs, on the exp-sinh ladder (see the module docstring).  Its
+    fields are arrays of the components, but ``subdivisions``, the
+    accepting level.  A lag that misses at step 1/128 fails with
+    ConvergenceError, carrying the best estimate and error of its component
+    of the largest error, and a non-finite value with DomainError.  The
+    lags run in blocks of at most ``_BLOCK_LANES // width``, each
+    integrated when the iterator reaches it; a lag's nodes and sums do not
+    depend on the other lags, so its value is the one it gets alone, and a
+    block that fails raises the error of its first failing lag.
     """
     step = max(1, _BLOCK_LANES // width)
     for i in range(0, len(lags), step):
-        block = lags[i:i + step]
-        rows = np.array(block, dtype=float)
-        results = integrate_rows(lambda x, row: kernel(x, rows[row]), 0.0, math.inf,
-                                 [_breakpoints(lag) for lag in block], spec)
-        failed = next((r for r in results if not isinstance(r, QuadResult)), None)
-        if failed is not None:
-            raise failed
-        yield from results
+        hs = np.array(lags[i:i + step], dtype=float)
+        total, err = np.zeros((2, width, len(hs)))
+        accepted = np.zeros(len(hs), int)
+        live, failures = np.arange(len(hs)), {}
+        for level, (sh, weights) in enumerate(_LADDER):
+            h = hs[live, None]
+            values = kernel((sh / h).ravel(), np.repeat(hs[live], len(sh)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = (values.reshape(width, len(live), len(sh)) * (weights / h)).sum(axis=-1)
+                previous = total[:, live]
+                total[:, live] = now = 0.5 * previous + new  # previous is 0 at level 0
+                err[:, live] = change = np.abs(now - previous)
+                done = ((change <= spec.rel_tol * np.abs(now))
+                        | (change <= spec.abs_floor)).all(axis=0)
+            finite = np.isfinite(now).all(axis=0)
+            failures.update((j, DomainError("integrand returned a non-finite value"))
+                            for j in live[~finite])
+            accepted[live[done]] = level
+            live = live[finite & ~(done & (level > 0))]
+            if not live.size:
+                break
+        for j in live:
+            k = int(np.argmax(err[:, j]))
+            best, best_err = float(total[k, j]), float(err[k, j])
+            failures[j] = ConvergenceError(
+                f"quadrature did not converge by step 1/128 (best {best!r}, err {best_err!r})",
+                best_estimate=best, err_estimate=best_err)
+        if failures:
+            raise failures[min(failures)]
+        absolute = ~(err <= spec.rel_tol * np.abs(total))
+        for j in range(len(hs)):
+            yield QuadResult(total[:, j], err[:, j], int(accepted[j]), absolute[:, j])
 
 
 def var_simple(beta: float) -> float:
@@ -489,12 +519,12 @@ def _site_cov(p1: PowerSpec, p2: PowerSpec) -> float:
         return float(np.dot(u1, u2) * np.exp(top1 + top2))
 
 
-# the covariance kernel takes the nodes of a wave in chunks of this many, to
-# keep its arrays small: 64 new panels of 15 nodes, the most one half-line
-# row adds in a wave (9 in its first), so each wave of a lone lag is one
-# call, and no chunk is a lone node (numpy sums the terms of a lone node in
-# another order than those of two or more, in a pair's own form and in the
-# lattice's einsum alike)
+# the covariance kernel takes the nodes of a ladder level in chunks of this
+# many, to keep its arrays small: each level of a lone lag (at most 448 new
+# nodes) is one call, and no chunk is a lone node, since a level's node
+# count is a multiple of 57 or of 56, so never one more than a multiple of
+# 960 (numpy sums the terms of a lone node in another order than those of
+# two or more, in a pair's own form and in the lattice's einsum alike)
 _CHUNK_NODES = 960
 
 
@@ -868,7 +898,8 @@ class CovModel:
     docstring), all lags and pairs in one call of :func:`_line_integrals`,
     so each lag's value is the one it gets alone (within rounding where the
     pairs' exponent tables nest, see :func:`_pair_kernel`), and the first
-    lag that fails raises the error it raises alone.  ``table``, of a
+    lag that fails raises the error it raises alone; ``subdivisions`` is
+    the accepting ladder level (0 without quadrature).  ``table``, of a
     single pair, is built when first read.
     """
 
@@ -1070,15 +1101,14 @@ def dep_measure_from_gamma(p: PowerSpec | Sequence[PowerSpec], gamma_value,
     one covariance evaluation.
 
     ``p`` is a PowerSpec, or a sequence of them: then the result has one
-    row per power, from one covariance evaluation whose quadrature rows
-    carry every power on one mesh per lag.  A power's value lies within
-    rounding of its own call's wherever the lag's rows converge in their
-    first wave (on one GEV margin every power's terms are formed from the
-    highest power's), and within the quadrature tolerance of it elsewhere;
-    it equals its own call's where the powers' exponent tables do not nest,
-    as for simple margins of different powers.  A batch that fails is
-    evaluated again one power at a time, in order, so it raises the error
-    of the first power that fails alone.
+    row per power, from one covariance evaluation that takes each lag up
+    the ladder to the level its slowest power needs.  Where a power alone
+    is accepted at that level too, its value is its own call's, within
+    rounding where the powers' exponent tables nest (on one GEV margin
+    every power's terms are formed from the highest power's); elsewhere it
+    is a finer level's value, within the tolerance of its own.  A batch
+    that fails is evaluated again one power at a time, in order, so it
+    raises the error of the first power that fails alone.
     """
     if not np.all(np.asarray(gamma_value) >= 0.0):
         raise DomainError(f"variogram value must be >= 0, got {gamma_value}")

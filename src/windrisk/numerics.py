@@ -5,11 +5,12 @@ a piecewise polynomial table of erfcx, ``norm_quantile`` from Wichura's
 AS241 and a Newton step, and ``gamma_values`` from ``math.gamma`` once per
 distinct argument.
 
-Everything downstream (dependence integrals, distance-density integrals,
-radial covariance integrals) funnels through :func:`integrate_rows`, a
-globally adaptive Gauss-Kronrod (G7/K15) scheme with a QUADPACK-style error
-estimate that carries many integrands at once, each of one or more
-components on one mesh; :func:`integrate` is its one-integrand call.
+The covariance's half-lines take a fixed exp-sinh ladder of their own
+(:mod:`windrisk.dependence`).  The integrals over distance of
+:mod:`windrisk.risk` go through :func:`integrate_rows`, a globally
+adaptive Gauss-Kronrod (G7/K15) scheme with a QUADPACK-style error
+estimate that carries many integrands at once; :func:`integrate` is its
+one-integrand call.
 Semi-infinite domains are mapped onto t in (0, 1) by the rational change
 of variables
 
@@ -67,7 +68,7 @@ np.empty(1 << 19)
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Accuracy contract for adaptive quadrature.
+    """Accuracy contract for quadrature.
 
     rel_tol          relative accuracy target for the error estimate, finite, > 0
     abs_floor        absolute fallback target, >= 0: a result is also accepted
@@ -75,9 +76,10 @@ class QuadSpec:
                      floor, so near-zero integrals (and outer integrals of
                      noisy inner evaluations) do not stall on the relative
                      criterion
-    max_subdivisions hard cap on interval bisections; a row whose
-                     rounding noise cannot meet the target stops earlier,
-                     on QUADPACK's roundoff test (see integrate_rows)
+    max_subdivisions hard cap on the interval bisections of integrate_rows
+                     (r2 and K; not the covariance's fixed ladder); a row
+                     whose rounding noise cannot meet the target stops
+                     earlier, on QUADPACK's roundoff test
     """
 
     rel_tol: float = 3e-7
@@ -362,16 +364,15 @@ _TINY = np.finfo(float).tiny
 def _panel_estimates(fvals: np.ndarray, half_widths: np.ndarray):
     """Kronrod value and QUADPACK-style error for a batch of panels.
 
-    fvals has shape (K, n_panels, 15), a leading axis per integrand
-    component; half_widths has shape (n_panels,).  Each weighted sum is a
-    numpy sum over one panel's own values, so a panel's estimates do not
-    depend on the other panels or components of the batch.
+    fvals has shape (n_panels, 15) and half_widths (n_panels,).  Each
+    weighted sum is a numpy sum over one panel's own values, so a panel's
+    estimates do not depend on the other panels of the batch.
     """
     resk = (fvals * _WGK).sum(axis=-1)
     resg = (fvals.take(_GAUSS_IDX, axis=-1) * _WG).sum(axis=-1)
     resabs = (np.abs(fvals) * _WGK).sum(axis=-1)
     mean = 0.5 * resk
-    resasc = (np.abs(fvals - mean[..., None]) * _WGK).sum(axis=-1)
+    resasc = (np.abs(fvals - mean[:, None]) * _WGK).sum(axis=-1)
 
     value = resk * half_widths
     resabs = resabs * half_widths
@@ -436,26 +437,17 @@ def integrate(
 
 
 class _Row:
-    """Panel store of one row: t bounds, and per component its Kronrod
-    values and error estimates, kept sorted by lower bound; QUADPACK's
-    roundoff counter iroff2, and the component whose errors picked the
-    panels of the last split."""
+    """Panel store of one row: t bounds, Kronrod values and error
+    estimates, kept sorted by lower bound, and QUADPACK's roundoff counter
+    iroff2."""
 
-    __slots__ = ("lo", "hi", "val", "err", "n_subdiv", "iroff2", "worst")
+    __slots__ = ("lo", "hi", "val", "err", "n_subdiv", "iroff2")
 
     def __init__(self, edges):
         self.lo = np.array(edges[:-1])
         self.hi = np.array(edges[1:])
         self.n_subdiv = len(edges) - 2
         self.iroff2 = 0
-
-
-def _merge(old, new, picked, order):
-    """A component's panel estimates ``old`` after a split: the left halves
-    of ``new`` replace the split panels ``picked``, its right halves are
-    appended, and ``order`` sorts the result by lower bound."""
-    old[picked] = new[0::2]
-    return np.concatenate([old, new[1::2]])[order]
 
 
 def _initial_edges(a, b, t_lo, t_hi, inv, breakpoints):
@@ -473,28 +465,24 @@ def _eval_panels(f, phi, rows, lows, highs, counts):
 
     ``lows``/``highs`` hold the t bounds of ``counts[i]`` consecutive panels
     of row ``rows[i]``, for each i (``rows`` and ``counts`` are lists).
-    Returns (values, errors, finite, vector): values and errors of shape
-    (K, panels) for the K components ``f`` gives at each abscissa,
+    Returns (values, errors, finite): the panels' values and errors, and
     ``finite[i]`` telling whether row ``rows[i]`` had only finite integrand
-    values, and whether ``f`` returned a 2-D (K, n) array rather than n
     values.  The panels of a row that was not finite are estimated from
     zeros, so their discarded estimates raise no floating-point warning.
-    All panels are reduced in one :func:`_panel_estimates` call, each
-    component of each panel from its own values alone.
+    All panels are reduced in one :func:`_panel_estimates` call, each from
+    its own values alone.
     """
     centers = 0.5 * (lows + highs)
     halfw = 0.5 * (highs - lows)
     xs, jac = phi((centers[:, None] + halfw[:, None] * _XGK[None, :]).ravel())
     fv = np.asarray(f(xs, np.repeat(rows, np.multiply(counts, _NPOINTS))), dtype=float) * jac
-    vector = fv.ndim == 2
-    fv = fv.reshape(-1, len(lows), _NPOINTS)
-    finite = np.logical_and.reduceat(np.isfinite(fv).all(axis=(0, 2)),
-                                     np.cumsum(counts) - counts)
+    fv = fv.reshape(len(lows), _NPOINTS)
+    finite = np.logical_and.reduceat(np.isfinite(fv).all(axis=1), np.cumsum(counts) - counts)
     finite = finite.tolist()
     if False in finite:
-        fv[:, np.repeat(np.logical_not(finite), counts)] = 0.0
+        fv[np.repeat(np.logical_not(finite), counts)] = 0.0
     vals, errs = _panel_estimates(fv, halfw)
-    return vals, errs, finite, vector
+    return vals, errs, finite
 
 
 def integrate_rows(
@@ -508,26 +496,23 @@ def integrate_rows(
     one domain, in one loop.
 
     ``f(x, row)`` gets an ndarray of abscissae and, elementwise, the index
-    of the row each one belongs to, and returns the integrand values: n
-    values for n abscissae, or a (K, n) array for rows of K components,
-    such as one integrand per power of a covariance.  ``breakpoints`` holds
-    one sequence per row, as in :func:`integrate`; its length is the number
-    of rows.  Each row keeps its own panels, one mesh for all its
-    components, its own refinement waves, its own acceptance test, its own
+    of the row each one belongs to, and returns the n integrand values.
+    ``breakpoints`` holds one sequence per row, as in :func:`integrate`;
+    its length is the number of rows.  Each row keeps its own panels, its
+    own refinement waves, its own acceptance test, its own
     ``max_subdivisions`` budget and its own roundoff counter, so its result
     is the one it would get alone.  A wave makes one call of ``f`` over
     the new panels of every row still refining, each row's panels
-    consecutive, and its panel sums run over a (K, panels, 15) array.
+    consecutive, and its panel sums run over a (panels, 15) array.
 
-    A row is accepted once every component's error estimate meets
-    ``rel_tol * |total|`` or ``abs_floor``.  Otherwise its worst component,
-    the one furthest past its target, picks the panels to split: those
-    carrying the top half of that component's error, at most 32 a wave.
+    A row is accepted once its error estimate meets ``rel_tol * |total|``
+    or ``abs_floor``.  Otherwise the panels carrying the top half of its
+    error are split, at most 32 a wave.
 
     The roundoff counter is QUADPACK's ``iroff2`` (``dqage``, Piessens et
     al. 1983), updated for every panel a wave splits once the row has more
-    than 10 subdivisions: it counts a split whose halves' error estimates,
-    in the component that picked it, sum to more than the panel's.  A row
+    than 10 subdivisions: it counts a split whose halves' error estimates
+    sum to more than the panel's.  A row
     that is not accepted ends at ``iroff2 >= 20``: refining further only
     resamples the rounding noise of its integrand, which the target is
     below.  QUADPACK's other test, ``iroff1 >= 6`` (a split that moves the
@@ -535,12 +520,10 @@ def integrate_rows(
     out: on the noisy integrands of the binomial table's cancellation band
     it also stops rows that meet their target a few waves later.
 
-    Returns one entry per row: its :class:`QuadResult`, whose value, error
-    estimate and ``absolute_mode`` are arrays of the K components where
-    ``f`` returns a 2-D array, or the error that ended it, a
-    :class:`ConvergenceError` carrying the best estimate and error estimate
-    of its worst component (its message says whether the budget or the
-    roundoff test stopped it) or a :class:`DomainError` for a non-finite
+    Returns one entry per row: its :class:`QuadResult`, or the error that
+    ended it, a :class:`ConvergenceError` carrying the best estimate and
+    error estimate (its message says whether the budget or the roundoff
+    test stopped it) or a :class:`DomainError` for a non-finite
     integrand value.  Once a row has failed, the rows after it are dropped
     and get None: a caller's outcome is decided by its first failing row.
     """
@@ -560,13 +543,13 @@ def integrate_rows(
     todo = [(r, row.lo, row.hi, None) for r, row in enumerate(store)]
     while todo:
         counts = [len(t[1]) for t in todo]
-        vals, errs, finite, vector = _eval_panels(
+        vals, errs, finite = _eval_panels(
             f, phi, [t[0] for t in todo], np.concatenate([t[1] for t in todo]),
             np.concatenate([t[2] for t in todo]), counts)
         live = []
         pos = 0
         for (r, lows, highs, picked), n, ok in zip(todo, counts, finite):
-            v, e = vals[:, pos:pos + n], errs[:, pos:pos + n]
+            v, e = vals[pos:pos + n], errs[pos:pos + n]
             pos += n
             if not ok:
                 failures[r] = DomainError("integrand returned a non-finite value")
@@ -576,37 +559,25 @@ def integrate_rows(
                 row.val, row.err = v, e
             else:
                 if row.n_subdiv > 10:  # halves whose errors outgrow their panel's
-                    halves = e[row.worst]
-                    row.iroff2 += np.count_nonzero(halves[0::2] + halves[1::2]
-                                                   > row.err[row.worst][picked])
+                    row.iroff2 += np.count_nonzero(e[0::2] + e[1::2] > row.err[picked])
                 # left halves replace the split panels, right halves are appended
-                row.hi[picked] = highs[0::2]
+                row.hi[picked], row.val[picked], row.err[picked] = highs[0::2], v[0::2], e[0::2]
                 lo = np.concatenate([row.lo, lows[1::2]])
                 order = np.argsort(lo, kind="stable")
                 row.lo = lo[order]
                 row.hi = np.concatenate([row.hi, highs[1::2]])[order]
-                row.val = [_merge(old, new, picked, order) for old, new in zip(row.val, v)]
-                row.err = [_merge(old, new, picked, order) for old, new in zip(row.err, e)]
+                row.val = np.concatenate([row.val, v[1::2]])[order]
+                row.err = np.concatenate([row.err, e[1::2]])[order]
                 row.n_subdiv += len(picked)
-            # each component's (value, error), and the components that miss
-            sums = [(math.fsum(x.tolist()), math.fsum(y.tolist()))
-                    for x, y in zip(row.val, row.err)]
-            misses = [k for k, (t, te) in enumerate(sums)
-                      if not (te <= spec.rel_tol * abs(t) or te <= spec.abs_floor)]
-            if not misses:
-                totals, total_errs = zip(*sums)
-                absolute = [not te <= spec.rel_tol * abs(t) for t, te in sums]
-                results[r] = (QuadResult(np.array(totals), np.array(total_errs),
-                                         row.n_subdiv, np.array(absolute)) if vector else
-                              QuadResult(totals[0], total_errs[0], row.n_subdiv, absolute[0]))
+            total, total_err = math.fsum(row.val.tolist()), math.fsum(row.err.tolist())
+            if total_err <= spec.rel_tol * abs(total) or total_err <= spec.abs_floor:
+                results[r] = QuadResult(total, total_err, row.n_subdiv,
+                                        not total_err <= spec.rel_tol * abs(total))
             else:
-                # the component furthest past its target
-                worst = max(misses, key=lambda k: sums[k][1] / max(
-                    spec.rel_tol * abs(sums[k][0]), spec.abs_floor, _TINY))
-                live.append((r, worst) + sums[worst])
+                live.append((r, total, total_err))
 
         todo = []
-        for r, worst, total, total_err in live:
+        for r, total, total_err in live:
             if failures and r > min(failures):
                 break  # rows past the first failure are dropped
             row = store[r]
@@ -623,10 +594,8 @@ def integrate_rows(
                     err_estimate=total_err,
                 )
                 continue
-            # split the panels carrying the top half of the worst
-            # component's error, a wave at a time
-            row.worst = worst
-            err = row.err[worst]
+            # split the panels carrying the top half of the error, a wave at a time
+            err = row.err
             budget = min(32, max(1, spec.max_subdivisions - row.n_subdiv))
             order = np.argsort(-err, kind="stable")
             reached = np.flatnonzero(np.cumsum(err[order]) >= 0.5 * total_err)

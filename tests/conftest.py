@@ -7,7 +7,7 @@ import pytest
 from scipy.special import exprel, log_ndtr
 
 from windrisk import (DEFAULT_QUAD, DomainError, GevParams, PowerSpec, QuadSpec, Variogram,
-                      dependence)
+                      dependence, integrate)
 
 # parameters of the reference wind study
 ETA, TAU, XI = 30.0, 3.0, -0.2
@@ -23,6 +23,31 @@ def paper_power(paper_gev) -> PowerSpec:
     return PowerSpec.gev(1, paper_gev)
 
 
+def half_line_breakpoints(h: float) -> list:
+    """Seeds of the adaptive subdivision of a half-line s > 0 at lag h > 0:
+    the integrands live on scales ~1/h around s=0 plus the Phi transitions
+    near s = h/2."""
+    return sorted({bp for bp in (
+        0.25 / h, 1.0 / h, 4.0 / h, 16.0 / h, 1.0, 2.0, h / 2.0, h / 2.0 + 8.0
+    ) if bp > 0.0})
+
+
+def g_simple_kernel(beta1: float, beta2: float, s, h: float):
+    """The integrand of :func:`g_simple` over s of the ordered pair
+    (beta1, beta2) at nodes s and lag h > 0; its values at s < 0 are those
+    of (beta2, beta1) at -s."""
+    sig = float(beta1) + float(beta2)
+    w = h / 2.0 + s
+    lphi_w, lphi_v = log_ndtr(w), log_ndtr(h / 2.0 - s)
+    sh = s * h
+    log_c1 = np.logaddexp(lphi_w, -sh + lphi_v)
+    L1 = (math.lgamma(2.0 - sig) + math.log(h) + lphi_w + lphi_v + (beta2 - 1.0) * sh
+          + (sig - 2.0) * log_c1)
+    L2 = (math.lgamma(1.0 - sig) - 0.5 * w * w - 0.5 * math.log(2.0 * math.pi) + beta2 * sh
+          + (sig - 1.0) * log_c1)
+    return np.exp(L1) + np.exp(L2)
+
+
 def g_simple(beta1: float, beta2: float, h: float, spec=DEFAULT_QUAD) -> float:
     """Pair function g = E[Z1^beta1 Z2^beta2] of a simple Brown-Resnick
     field at variogram-root lag h, from the display form
@@ -30,35 +55,25 @@ def g_simple(beta1: float, beta2: float, h: float, spec=DEFAULT_QUAD) -> float:
         g = int_0^inf theta^b2 [ C2 C1^(b1+b2-2) Gamma(2-b1-b2)
                                + C3 C1^(b1+b2-1) Gamma(1-b1-b2) ] dtheta,   h > 0:
 
-    an oracle independent of the library's Hoeffding kernel.  Since
-    phi(V) = theta phi(W), its coefficients collapse to C2 = Phi(W) Phi(V) /
-    theta^2 and C3 = phi(W) / (h theta), and theta = exp(s h) turns it into
-    a line integral of a positive integrand whose logarithm is cheap and
-    stable.  Its two ordered pairs, (beta1, beta2) and (beta2, beta1), or
-    one counted twice when they are equal, are the components of one
-    s > 0 row of the library's line-integral routine."""
+    an oracle independent of the library's Hoeffding kernel and of its
+    line-integral rule.  Since phi(V) = theta phi(W), its coefficients
+    collapse to C2 = Phi(W) Phi(V) / theta^2 and C3 = phi(W) / (h theta),
+    and theta = exp(s h) turns it into a line integral of a positive
+    integrand whose logarithm is cheap and stable: the s > 0 half-lines of
+    the ordered pairs (beta1, beta2) and (beta2, beta1), or of one counted
+    twice when they are equal, each by one adaptive ``numerics.integrate``
+    call."""
     if not (beta1 < 0.5 and beta2 < 0.5):
         raise DomainError(f"second-moment condition requires beta < 1/2, got {beta1}, {beta2}")
     if h < 0.0:
         raise DomainError(f"h must be >= 0, got {h}")
     if h < dependence.SMALL_H:
         return math.gamma(1.0 - beta1 - beta2)
-    sig = float(beta1) + float(beta2)
-    lg2 = math.lgamma(2.0 - sig)
-    lg1 = math.lgamma(1.0 - sig)
-    b2 = np.array([beta2] if beta1 == beta2 else [beta2, beta1], dtype=float).reshape(-1, 1)
-
-    def kernel(s, h):
-        w = h / 2.0 + s
-        lphi_w, lphi_v = log_ndtr(w), log_ndtr(h / 2.0 - s)
-        sh = s * h
-        log_c1 = np.logaddexp(lphi_w, -sh + lphi_v)
-        L1 = lg2 + np.log(h) + lphi_w + lphi_v + (b2 - 1.0) * sh + (sig - 2.0) * log_c1
-        L2 = lg1 - 0.5 * w * w - 0.5 * math.log(2.0 * math.pi) + b2 * sh + (sig - 1.0) * log_c1
-        return np.exp(L1) + np.exp(L2)
-
-    r = next(dependence._line_integrals(kernel, [h], spec, len(b2)))
-    return float(r.value[0] + r.value[-1])
+    halves = [integrate(lambda s: g_simple_kernel(b1, b2, s, h), 0.0, math.inf, spec,
+                        half_line_breakpoints(h)).value
+              for b1, b2 in ([(beta1, beta2)] if beta1 == beta2
+                             else [(beta1, beta2), (beta2, beta1)])]
+    return float(halves[0] + halves[-1])
 
 
 # the oracle's inner rule: the trapezoid rule in t, y = sinh(t), at step
@@ -95,36 +110,38 @@ def cov_oracle(p1: PowerSpec, p2: PowerSpec, h: float, spec=QuadSpec(rel_tol=1e-
 
     theta = e^(s h), with C1 and gap from scipy's log_ndtr, the inner
     integral in y = log(C1/r) by the trapezoid rule above (each node in log
-    space below the node's largest term) and the outer by the library's
-    line integrals over s > 0, the ordered pairs (p1, p2) and (p2, p1) as
-    two components: positive integrands throughout, and no derivative
-    table, so it is a reference where the table's sums cancel."""
+    space below the node's largest term) and the outer over the s > 0
+    half-lines of the ordered pairs (p1, p2) and (p2, p1), or of one
+    counted twice when they are equal, each by one adaptive
+    ``numerics.integrate`` call: positive integrands throughout, no
+    derivative table and not the library's line-integral rule, so it is a
+    reference where the table's sums cancel.  The integrand is divided by
+    sqrt(Var1 Var2) and the result multiplied by it, so that the mapped
+    integrand stays finite where the variance nears the double range."""
     if h < dependence.SMALL_H:
         raise DomainError(f"the oracle takes lags h >= {dependence.SMALL_H}, got {h}")
-    order = [(p1, p2), (p2, p1)]
+    scale = math.sqrt(dependence.var_gev(p1)) * math.sqrt(dependence.var_gev(p2)) or 1.0
 
-    def kernel(s, h):
+    def kernel(q1, q2, s):
         sh = (s * h)[:, None]
-        w, v = h[:, None] / 2.0 + s[:, None], h[:, None] / 2.0 - s[:, None]
+        w, v = h / 2.0 + s[:, None], h / 2.0 - s[:, None]
         log_c1 = np.logaddexp(log_ndtr(w), log_ndtr(v) - sh)
         log_gap = np.logaddexp(log_ndtr(-w), log_ndtr(-v) - sh)
         log_z1 = log_c1 - _ORACLE_Y
         # -expm1(-x) = x exprel(-x), x = e^y gap/C1, with log x in the terms
         log_x = log_gap - log_c1 + _ORACLE_Y
-        factor = exprel(-np.exp(log_x))
-        out = []
-        for q1, q2 in order:
-            # r^2 theta f1'(r) f2'(r theta) = (z1 f1'(z1)) (z2 f2'(z2)), z1 = r, z2 = r theta
-            log1, sign1 = _log_z_derivative(q1, log_z1)
-            log2, sign2 = _log_z_derivative(q2, log_z1 + sh)
-            terms = _ORACLE_LOG_W + log_x + log1 + log2
-            top = terms.max(axis=1, keepdims=True)
-            inner = (sign1 * sign2 * np.exp(terms - top) * factor).sum(axis=1)
-            out.append(h * np.exp(top[:, 0]) * inner)
-        return np.array(out)
+        # r^2 theta f1'(r) f2'(r theta) = (z1 f1'(z1)) (z2 f2'(z2)), z1 = r, z2 = r theta
+        log1, sign1 = _log_z_derivative(q1, log_z1)
+        log2, sign2 = _log_z_derivative(q2, log_z1 + sh)
+        terms = _ORACLE_LOG_W + log_x + log1 + log2
+        top = terms.max(axis=1, keepdims=True)
+        inner = (sign1 * sign2 * np.exp(terms - top) * exprel(-np.exp(log_x))).sum(axis=1)
+        return h * np.exp(top[:, 0] - math.log(scale)) * inner
 
-    r = next(dependence._line_integrals(kernel, [h], spec, 2))
-    return float(r.value.sum())
+    halves = [integrate(lambda s: kernel(q1, q2, s), 0.0, math.inf, spec,
+                        half_line_breakpoints(h)).value
+              for q1, q2 in ([(p1, p2)] if p1 == p2 else [(p1, p2), (p2, p1)])]
+    return float(halves[0] + halves[-1]) * scale
 
 
 class RoughPast(Variogram):

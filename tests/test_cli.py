@@ -193,18 +193,18 @@ class TestDepsurface:
         assert read_csv(out) == (["psi", "beta", "distance", "dependence"], [])
 
     def test_first_failing_power_in_config_order_decides(self, tmp_path, capsys):
-        # below the kernels' rounding noise, at rel_tol 1e-14, beta 1
-        # converges and beta 10's own error ends the run
+        # below the sums' rounding, at rel_tol 1e-17, beta 1 converges on the
+        # absolute floor and beta 10's own error ends the run
         margin = {"eta": ETA, "tau": TAU, "xi": XI}
         distances = [0.0, 0.5, 1.0, 3.0, 7.0]
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"depsurface": {
             "gev": margin, "psi": [1.0], "beta": [1, 10, 12, 9], "distances": distances,
-            "rel_tol": 1e-14}}))
+            "rel_tol": 1e-17}}))
         p = PowerSpec.gev(10, GevParams(**margin))
         with pytest.raises(ConvergenceError) as alone:
             dep_measure_from_gamma(p, [power(1.0, 1.0).radial(d) for d in distances],
-                                   QuadSpec(rel_tol=1e-14))
+                                   QuadSpec(rel_tol=1e-17))
         assert main(["depsurface", "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 3
         assert not (tmp_path / "o.csv").exists()

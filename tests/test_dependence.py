@@ -39,7 +39,8 @@ from windrisk import (
 )
 from windrisk import dependence
 
-from conftest import ETA, TAU, XI, cov_oracle, g_simple
+from conftest import (ETA, TAU, XI, cov_oracle, g_simple, g_simple_kernel,
+                      half_line_breakpoints)
 
 
 def g_gev(p: PowerSpec, h: float) -> float:
@@ -234,24 +235,16 @@ class TestGSimple:
         return h * theta ** (b2 + 1.0) * (c2 * c1 ** (sig - 2.0) * math.gamma(2.0 - sig)
                                           + c3 * c1 ** (sig - 1.0) * math.gamma(1.0 - sig))
 
-    def test_swapped_kernel_at_s_is_the_kernel_at_minus_s(self, monkeypatch):
-        # the two components g_simple integrates over s > 0 are its
+    def test_swapped_kernel_at_s_is_the_kernel_at_minus_s(self):
+        # the two half-lines g_simple integrates over s > 0 are its
         # display-form kernel of (b1, b2) at s and at -s
-        kernels = []
-        original = dependence._line_integrals
-
-        def captured(kernel, lags, spec, width):
-            kernels.append(kernel)
-            return original(kernel, lags, spec, width)
-
-        monkeypatch.setattr(dependence, "_line_integrals", captured)
         b1, b2 = 0.1, 0.3
         for h in (0.05, 1.0, 8.0):
-            g_simple(b1, b2, h)
             s = np.r_[0.0, np.geomspace(1e-3, min(20.0, 20.0 / h), 100)]
-            pair, swapped = kernels[-1](s, np.full_like(s, h))
-            np.testing.assert_allclose(pair, self.display_kernel(b1, b2, s, h), rtol=1e-13)
-            np.testing.assert_allclose(swapped, self.display_kernel(b1, b2, -s, h), rtol=1e-13)
+            np.testing.assert_allclose(g_simple_kernel(b1, b2, s, h),
+                                       self.display_kernel(b1, b2, s, h), rtol=1e-13)
+            np.testing.assert_allclose(g_simple_kernel(b2, b1, s, h),
+                                       self.display_kernel(b1, b2, -s, h), rtol=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -527,11 +520,11 @@ class TestDepMeasure:
     @pytest.mark.parametrize("beta, xi", [(10, -0.043), (12, -0.066)])
     def test_table_cancellation_computes_by_the_nested_kernel(self, beta, xi):
         # the binomial table's rounding noise at small |xi| could never meet
-        # rel_tol (the row stopped on roundoff); the nested kernel takes these
-        # pairs and meets it against the oracle in its first waves
+        # rel_tol; the nested kernel takes these pairs and meets it against
+        # the oracle at the ladder's first accepting level, step 1/16
         p = PowerSpec.gev(beta, GevParams(ETA, TAU, xi))
         cov = dependence.CovModel(p, p, QuadSpec())(1.0)
-        assert cov.subdivisions < 100
+        assert cov.subdivisions == 1
         assert cov.value == pytest.approx(cov_oracle(p, p, 1.0), rel=QuadSpec().rel_tol)
         assert dep_measure_from_gamma(p, 1.0) == cov.value / var_gev(p)
 
@@ -701,20 +694,34 @@ class TestHoeffdingCovariance:
         assert near_zero == pytest.approx(at_zero, rel=1e-8)
 
 
-def initial_subdivisions(lags):
-    """The subdivisions of each lag's initial half-line panels, one fewer
-    than the panels; 0 below SMALL_H, which takes no quadrature row."""
-    return np.array([len(dependence._breakpoints(h)) if h >= dependence.SMALL_H else 0
-                     for h in lags])
+def kernel_calls(monkeypatch):
+    """A list that records, for each call of the covariance kernels of the
+    models built from here on, (the number of its lags, of its nodes, its
+    least s)."""
+    calls = []
+    original = dependence._pair_kernel
+
+    def recorded(pairs):
+        kernel = original(pairs)
+
+        def watched(s, h):
+            calls.append((np.unique(h).size, s.size, s.min()))
+            return kernel(s, h)
+
+        return watched
+
+    monkeypatch.setattr(dependence, "_pair_kernel", recorded)
+    return calls
 
 
 class TestBatchedCovariance:
-    """The covariance of many lags is one quadrature call a block of lags,
-    each lag one s > 0 row; every lag's result is the one it gets alone,
-    bit for bit."""
+    """The covariance of many lags runs up the exp-sinh ladder a block of
+    lags at a time, each level one kernel call over the block's lags not
+    yet accepted; every lag's result is the one it gets alone, bit for
+    bit."""
 
     # 0, a lag below SMALL_H, and the psi = 2 study grid (sqrt(gamma) is the
-    # distance there), whose shortest lags need refinement waves
+    # distance there)
     LAGS = np.r_[0.0, 0.5 * dependence.SMALL_H, np.geomspace(0.1, 10.0, 40)]
 
     CASES = {
@@ -730,8 +737,8 @@ class TestBatchedCovariance:
                   PowerSpec.gev(2, GevParams(ETA, TAU, 0.1))),
     }
 
-    # the kernel's default chunk, and chunks of one panel, whose edges fall
-    # inside the rows of a wave
+    # the kernel's default chunk, and chunks of 15 nodes, whose edges fall
+    # inside the lags of a level
     @pytest.mark.parametrize("name, chunk", [(name, 960) for name in CASES]
                              + [(name, 15) for name in CASES],
                              ids=list(CASES) + [f"{name}-chunk15" for name in CASES])
@@ -751,26 +758,24 @@ class TestBatchedCovariance:
         np.array([[0.0, 0.5 * dependence.SMALL_H], [0.0, 0.9 * dependence.SMALL_H]]),
     ], ids=["empty", "below-SMALL_H"])
     def test_lags_below_small_h_take_no_quadrature_row(self, monkeypatch, paper_gev, lags):
-        rows = []
-        original = dependence.integrate_rows
-
-        def counted(f, a, b, breakpoints, spec):
-            rows.append(len(breakpoints))
-            return original(f, a, b, breakpoints, spec)
-
-        monkeypatch.setattr(dependence, "integrate_rows", counted)
+        calls = kernel_calls(monkeypatch)
         p = PowerSpec.gev(3, paper_gev)
         res = dependence.CovModel(p, p, QuadSpec())(lags)
-        assert sum(rows) == 0
+        assert calls == []
         assert res.value.shape == lags.shape
         assert np.all(res.value == var_gev(p))
         assert np.all(res.subdivisions == 0)
 
-    def test_study_grid_needs_refinement_waves(self, paper_gev):
-        # some lag is refined past its initial panels
+    def test_a_tighter_tolerance_climbs_the_ladder(self, paper_gev):
+        # the study grid stops at step 1/16 at the default tolerance and
+        # climbs to 1/32 at the benchmark's gate tolerance 1e-9; the lags
+        # below SMALL_H take no level
         p = PowerSpec.gev(6, paper_gev)
-        res = dependence.CovModel(p, p, QuadSpec())(self.LAGS)
-        assert (res.subdivisions > initial_subdivisions(self.LAGS)).any()
+        quadrature = self.LAGS >= dependence.SMALL_H
+        default = dependence.CovModel(p, p, QuadSpec())(self.LAGS).subdivisions
+        tight = dependence.CovModel(p, p, QuadSpec(rel_tol=1e-9))(self.LAGS).subdivisions
+        assert np.all(default[quadrature] == 1) and np.all(tight[quadrature] == 2)
+        assert np.all(default[~quadrature] == 0) and np.all(tight[~quadrature] == 0)
 
     @pytest.mark.parametrize("name", ["gev6", "simple0.25", "mixed"])
     def test_a_value_is_the_sum_of_its_ordered_half_lines(self, name):
@@ -784,42 +789,29 @@ class TestBatchedCovariance:
         lags = [0.1, 1.0, 4.0]
         cov = dependence.CovModel(p1, p2, QuadSpec())
         for lag in lags:
-            row = dependence.integrate_rows(
-                lambda x, r: kernel(x, np.full_like(x, lag)), 0.0, math.inf,
-                [dependence._breakpoints(lag)], QuadSpec())[0]
+            row = next(dependence._line_integrals(kernel, [lag], QuadSpec(), len(ordered)))
             res = cov(lag)
             assert res.value == row.value[0] + row.value[-1]
             assert res.err_estimate == row.err_estimate[0] + row.err_estimate[-1]
             assert res.subdivisions == row.subdivisions
 
-    def test_kernels_see_only_s_above_zero_and_a_block_is_one_call(self, monkeypatch,
+    def test_kernels_see_only_s_above_zero_and_a_level_is_one_call(self, monkeypatch,
                                                                     paper_gev):
-        # every kernel call is on the half-line s >= 0, and each block of
-        # lags is one integrate_rows call
-        calls, lowest = [], []
-        original = dependence.integrate_rows
-
-        def watched(f, a, b, breakpoints, spec):
-            def g(x, row):
-                lowest.append(x.min())
-                return f(x, row)
-
-            calls.append(len(breakpoints))
-            return original(g, a, b, breakpoints, spec)
-
-        monkeypatch.setattr(dependence, "integrate_rows", watched)
+        # every kernel call is on the half-line s > 0, and each level of a
+        # block of lags is one kernel call, the first of 57 nodes a lag
+        monkeypatch.setattr(dependence, "_CHUNK_NODES", 10**9)
+        calls = kernel_calls(monkeypatch)
         powers = [PowerSpec.gev(beta, paper_gev) for beta in range(1, 13)]
         lags = self.LAGS[2:]
         dependence.CovModel(powers, powers, QuadSpec())(lags)
-        assert calls == [10, 10, 10, 10]  # 120 lanes of 12 components a block
+        # 120 lanes of 12 components a block, each accepted at step 1/16
+        assert [(n_lags, n_nodes) for n_lags, n_nodes, _ in calls] == [(10, 570), (10, 560)] * 4
+        assert min(lowest for _, _, lowest in calls) > 0.0
         calls.clear()
         p1, p2 = self.CASES["mixed"]
         dependence.CovModel(p1, p2, QuadSpec())(lags)
-        assert calls == [len(lags)]  # two components a lag: one block
-        calls.clear()
-        g_simple(0.1, 0.3, 2.0)
-        assert calls == [1]
-        assert lowest and min(lowest) >= 0.0
+        assert calls[0][:2] == (len(lags), 57 * len(lags))  # two components a lag: one block
+        assert min(lowest for _, _, lowest in calls) > 0.0
 
     def test_mixed_pair_has_a_distinct_exponent_sum_per_term(self):
         _, b1 = dependence._derivative_table(self.CASES["mixed"][0])
@@ -827,10 +819,13 @@ class TestBatchedCovariance:
         assert np.unique(np.add.outer(b1, b2)).size == b1.size * b2.size
 
     def test_first_failing_lag_raises_its_own_error(self):
-        # a budget of one split per half-line at a tight tolerance: short
-        # lags fail, long ones converge
+        # a rel_tol below the sums' rounding: a lag converges only where two
+        # levels agree to the last bit, and the others fail at step 1/128
+        # with their best estimate, the ladder's value at the default rel_tol
+        # within rounding (the lag's one half-line, counted twice)
         p = PowerSpec.gev(6, GevParams(ETA, TAU, XI))
-        cov = dependence.CovModel(p, p, QuadSpec(rel_tol=1e-11, max_subdivisions=9))
+        default = dependence.CovModel(p, p, QuadSpec())
+        cov = dependence.CovModel(p, p, QuadSpec(rel_tol=1e-17))
         errors = {}
         for h in self.LAGS:
             try:
@@ -842,6 +837,10 @@ class TestBatchedCovariance:
         assert len(failing) == 2 and len(converging) >= 5
         first, second = (errors[h] for h in failing)
         assert first.best_estimate != second.best_estimate
+        assert "did not converge by step 1/128" in str(first)
+        for h in failing:
+            assert 2.0 * errors[h].best_estimate == pytest.approx(default(h).value, rel=1e-12)
+            assert errors[h].err_estimate > 1e-17 * abs(errors[h].best_estimate)
 
         lags = np.r_[converging[-3:], failing[0], converging[:2], failing[1]]
         with pytest.raises(ConvergenceError) as batch:
@@ -897,11 +896,11 @@ class TestBatchedCovariance:
 
 
 class TestPowersOnOneMesh:
-    """A sequence of powers is one covariance evaluation whose quadrature
-    rows carry every power, and whose kernel forms every power's terms
-    from the highest power's: each value is the power's own within
-    rounding where the rows converge in their first wave, and within the
-    tolerance elsewhere."""
+    """A sequence of powers is one covariance evaluation that takes each
+    lag up the ladder to the level its slowest power needs, and whose
+    kernel forms every power's terms from the highest power's: each value
+    is the power's own within rounding where the power alone stops at that
+    level, and within the tolerance elsewhere."""
 
     POWERS = [PowerSpec.gev(beta, GevParams(ETA, TAU, XI)) for beta in range(1, 13)]
 
@@ -921,17 +920,22 @@ class TestPowersOnOneMesh:
         alone = np.array([dep_measure_from_gamma(p, gammas) for p in self.POWERS])
         np.testing.assert_allclose(batch, alone, rtol=1e-10, atol=0.0)
 
-    def test_within_tolerance_where_rows_refine(self):
-        spec = QuadSpec()
+    def test_within_tolerance_where_a_power_alone_stops_lower(self):
+        # at rel_tol 1e-9 some powers stop at step 1/16 where others climb
+        # to 1/32
+        spec = QuadSpec(rel_tol=1e-9)
         gammas = self.gammas(2.0, 10.0)
         batch = dep_measure_from_gamma(self.POWERS, gammas, spec)
         alone = np.array([dep_measure_from_gamma(p, gammas, spec) for p in self.POWERS])
         np.testing.assert_allclose(batch, alone, rtol=2.0 * spec.rel_tol, atol=0.0)
-        # the shared mesh of a lag is the one its worst power asks for
-        cov = dependence.CovModel(self.POWERS, self.POWERS, spec)(np.sqrt(gammas))
-        refined = cov.subdivisions.max(axis=0) > initial_subdivisions(np.sqrt(gammas))
-        assert refined.any()
-        np.testing.assert_allclose(batch[:, ~refined], alone[:, ~refined], rtol=1e-10, atol=0.0)
+        # a lag climbs to the level its slowest power needs
+        lags = np.sqrt(gammas)
+        level = dependence.CovModel(self.POWERS, self.POWERS, spec)(lags).subdivisions[0]
+        own = np.array([dependence.CovModel(p, p, spec)(lags).subdivisions for p in self.POWERS])
+        assert level.tolist() == own.max(axis=0).tolist()
+        lower = own < level
+        assert lower.any() and not lower.all()
+        np.testing.assert_allclose(batch[~lower], alone[~lower], rtol=1e-10, atol=0.0)
 
     def test_a_lag_of_the_batch_is_the_lag_alone(self):
         # the lattice sums each node's terms in one order at any node count
@@ -1002,14 +1006,14 @@ class TestPowersOnOneMesh:
             assert together[k].tolist() == dependence._pair_kernel([pair])(s, h)[0].tolist()
 
     def test_a_failing_batch_raises_the_first_failing_power_error(self):
-        # below the kernels' rounding noise, at rel_tol 1e-14, beta 1
-        # converges and beta 10 stops on roundoff: beta 10 decides, as when
-        # the powers are evaluated one at a time
-        spec = QuadSpec(rel_tol=1e-14)
+        # below the sums' rounding, at rel_tol 1e-17, beta 1 converges on
+        # the absolute floor (its variance is 15) and beta 10 fails at step
+        # 1/128: beta 10 decides, as when the powers are evaluated one at a time
+        spec = QuadSpec(rel_tol=1e-17)
         powers = [PowerSpec.gev(beta, GevParams(ETA, TAU, XI)) for beta in (1, 10, 12)]
         gammas = self.gammas(1.0, 100.0)
         dep_measure_from_gamma(powers[0], gammas, spec)
-        with pytest.raises(ConvergenceError, match="stopped by roundoff") as alone:
+        with pytest.raises(ConvergenceError, match="did not converge by step 1/128") as alone:
             dep_measure_from_gamma(powers[1], gammas, spec)
         with pytest.raises(ConvergenceError) as batch:
             dep_measure_from_gamma(powers, gammas, spec)
@@ -1049,6 +1053,76 @@ class TestPowersOnOneMesh:
         # dependences, a double each per lag and power, and the lag lists)
         block, many = peak(10), peak(400)
         assert many - block <= 400 * 12 * 8 * 5
+
+
+class TestExpSinhLadder:
+    """The fixed exp-sinh rule of the covariance's half-lines: its range in
+    t holds every node that counts, each level adds the odd nodes of its
+    step, and a lag's outcome is its own."""
+
+    # the study powers and the hard cases: far peaks, negative Z_gev, xi > 0
+    SPECS = {
+        **{f"gev{beta}": PowerSpec.gev(beta, GevParams(ETA, TAU, XI)) for beta in range(1, 13)},
+        "simple0.45": PowerSpec.simple(0.45),
+        "simple-1": PowerSpec.simple(-1.0),
+        "gumbel6": gumbel(6),
+        "gumbel1024": PowerSpec.gev(1024, GevParams(1.0, 0.001, 0.0)),
+        "xi0.1-beta4": PowerSpec.gev(4, GevParams(ETA, TAU, 0.1)),
+        "z-negative": PowerSpec.gev(4, GevParams(0.5, 3.0, -0.3)),
+        "gev40": PowerSpec.gev(40, GevParams(ETA, TAU, XI)),
+    }
+    LAGS = (1e-6, 1e-3, 0.1, 1.0, 10.0, 50.0, 200.0, 1e3)
+
+    @staticmethod
+    def trapezoid(kernel, h, t_lo, t_hi, step=1.0 / 32.0):
+        """The exp-sinh trapezoid sum of kernel at lag h over [t_lo, t_hi]."""
+        t = t_lo + step * np.arange(round((t_hi - t_lo) / step) + 1)
+        sh = np.exp(0.5 * math.pi * np.sinh(t))
+        with np.errstate(over="ignore"):
+            weights = step * 0.5 * math.pi * np.cosh(t) * sh / h
+        return (kernel(sh / h, np.full_like(sh, h)) * weights).sum(axis=-1)
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_the_range_in_t_holds_every_node_that_counts(self, name):
+        p = self.SPECS[name]
+        kernel = dependence.CovModel(p, p, QuadSpec())._kernel
+        for h in self.LAGS:
+            narrow = self.trapezoid(kernel, h, -4.0, 3.0)
+            wide = self.trapezoid(kernel, h, -6.0, 6.0)
+            np.testing.assert_allclose(narrow, wide, rtol=1e-14, atol=0.0, err_msg=f"h = {h}")
+
+    def test_each_level_adds_the_odd_nodes_of_its_step(self):
+        assert [len(sh) for sh, _ in dependence._LADDER] == [57, 56, 112, 224, 448]
+        sh = np.concatenate([sh for sh, _ in dependence._LADDER])
+        t = np.sort(np.arcsinh(np.log(sh) / (0.5 * math.pi)))
+        np.testing.assert_allclose(t, np.linspace(-4.0, 3.0, 897), rtol=0.0, atol=1e-13)
+
+    @staticmethod
+    def kernel(s, h):
+        """h e^(-s h), whose half-line integral is 1; from h = 10 a step at
+        s h = 1 in its place, of the same integral, which the ladder cannot
+        resolve to rel_tol 1e-6, and from h = 100 infinite past the step."""
+        out = np.where(h >= 10.0, h * (s * h < 1.0), h * np.exp(-s * h))
+        return np.where((h >= 100.0) & (s * h > 1.0), np.inf, out)[None]
+
+    def test_a_lag_fails_alone_and_the_first_failing_lag_decides(self):
+        spec = QuadSpec(rel_tol=1e-6)
+        for r in dependence._line_integrals(self.kernel, [0.5, 2.0], spec, 1):
+            assert r.value[0] == pytest.approx(1.0, rel=1e-6)
+            assert r.err_estimate[0] <= 1e-6 * r.value[0] and r.subdivisions >= 1
+        with pytest.raises(ConvergenceError, match="did not converge by step 1/128") as step:
+            list(dependence._line_integrals(self.kernel, [10.0], spec, 1))
+        assert step.value.best_estimate == pytest.approx(1.0, rel=0.05)
+        assert step.value.err_estimate > 1e-6
+        with pytest.raises(DomainError, match="non-finite") as infinite:
+            list(dependence._line_integrals(self.kernel, [100.0], spec, 1))
+        for lags, alone in (([0.5, 10.0, 100.0], step.value), ([2.0, 100.0, 10.0], infinite.value)):
+            with pytest.raises(type(alone)) as batch:
+                list(dependence._line_integrals(self.kernel, lags, spec, 1))
+            assert str(batch.value) == str(alone)
+            if isinstance(alone, ConvergenceError):
+                assert batch.value.best_estimate == alone.best_estimate
+                assert batch.value.err_estimate == alone.err_estimate
 
 
 def per_term_kernel(d1, b1, d2, b2, s, h):
@@ -1131,7 +1205,8 @@ class TestPairKernel:
     @pytest.mark.parametrize("name", ["gev4", "simple0.25", "mixed", "mixed-simple-gumbel"])
     def test_cov_gev_is_the_reference_over_the_real_line(self, name):
         # one independent check of the half-line form: scipy's quad of the
-        # per-term form over the whole line, split at +-each breakpoint
+        # per-term form over the whole line, split at +-each breakpoint of
+        # the oracles' half-lines
         p1, p2 = self.CASES[name]
         d1, b1 = dependence._derivative_table(p1)
         d2, b2 = dependence._derivative_table(p2)
@@ -1142,7 +1217,7 @@ class TestPairKernel:
             def f(s):
                 return per_term_kernel(d1, b1, d2, b2, np.array([s]), np.array([h]))[0][0]
 
-            bps = dependence._breakpoints(h)
+            bps = half_line_breakpoints(h)
             edges = [-math.inf] + sorted({0.0, *bps, *(-bp for bp in bps)}) + [math.inf]
             ref = math.fsum(quad(f, lo, hi, epsrel=1e-12, limit=500)[0]
                             for lo, hi in zip(edges, edges[1:]))
@@ -1276,16 +1351,9 @@ class TestNestedKernel:
         spec = QuadSpec()
         cov = dependence.CovModel(p, p, spec)
         assert len(nested_rows(cov)) == 1
-        lags = self.LAGS
-        if beta == 95:
-            # at a variance of 1.4e307 the quadrature's mapped integrand at
-            # h = 1e-3, about h cov times the Jacobian of the half-line's map,
-            # leaves the double range
-            with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
-                cov(lags[0])
-            lags = lags[1:]
-        values = cov(np.array(lags)).value
-        assert values == pytest.approx([cov_oracle(p, p, h) for h in lags], rel=spec.rel_tol)
+        values = cov(np.array(self.LAGS)).value
+        assert values == pytest.approx([cov_oracle(p, p, h) for h in self.LAGS],
+                                       rel=spec.rel_tol)
 
     @pytest.mark.parametrize("p1, p2", [
         (PowerSpec.gev(2, GevParams(1.0, 3.0, 0.1)), PowerSpec.gev(2, GevParams(1.0, 3.0, 0.1))),
@@ -1372,18 +1440,7 @@ class TestDependenceProperties:
         v = power(1.0, psi)
         distances = np.r_[0.0, np.cumsum(gaps)]
         gammas = np.array([v.radial(d) for d in distances])
-        try:
-            dep = dep_measure_from_gamma(p, gammas)
-        except ConvergenceError as batch:
-            # the documented failure (the binomial table cancels at high
-            # powers): it is the error of the first lag that fails alone
-            for g in gammas:
-                try:
-                    dep_measure_from_gamma(p, g)
-                except ConvergenceError as alone:
-                    assert str(batch) == str(alone)
-                    return
-            pytest.fail("the batch failed where every lag converges alone")
+        dep = dep_measure_from_gamma(p, gammas)
         assert dep[0] == 1.0
         assert np.all((dep >= 0.0) & (dep <= 1.0))
         assert np.all(np.diff(dep) <= 0.0)

@@ -297,40 +297,6 @@ class TestIntegrateRows:
     def test_no_rows(self):
         assert integrate_rows(lambda x, row: x, 0.0, 1.0, []) == []
 
-    # two components of one row: one that is 1 in the mapped variable, so it
-    # converges on the initial panels, and one with an x^-1/2 singularity
-    # that needs refinement
-    SMOOTH = staticmethod(lambda x: 1.0 / (1.0 + x) ** 2)
-    SINGULAR = staticmethod(lambda x: x ** (-0.5) * np.exp(-x))
-
-    @pytest.mark.parametrize("first", [0, 1], ids=["smooth-first", "singular-first"])
-    def test_vector_row_splits_on_its_worst_component(self, first):
-        spec = QuadSpec(rel_tol=1e-10)
-        parts = [self.SMOOTH, self.SINGULAR] if first == 0 else [self.SINGULAR, self.SMOOTH]
-        res = integrate_rows(lambda x, row: np.stack([g(x) for g in parts]),
-                             0.0, math.inf, [(1.0,)], spec)[0]
-        alone = [integrate(g, 0.0, math.inf, spec, (1.0,)) for g in parts]
-        smooth, singular = (0, 1) if first == 0 else (1, 0)
-        assert alone[smooth].subdivisions == 1 < alone[singular].subdivisions
-        # one mesh, split where the singular component's error lies: it is
-        # that component's own mesh, so its value is the one it gets alone
-        assert res.subdivisions == alone[singular].subdivisions
-        assert res.value[singular] == alone[singular].value
-        assert res.value.tolist() == pytest.approx([1.0, math.sqrt(math.pi)][::1 - 2 * first],
-                                                   rel=1e-10)
-        # each component meets its own tolerance
-        assert np.all(res.err_estimate <= spec.rel_tol * np.abs(res.value))
-        assert res.absolute_mode.tolist() == [False, False]
-
-    def test_one_component_row_is_the_scalar_row(self):
-        f = self.SINGULAR
-        vector = integrate_rows(lambda x, row: f(x)[None], 0.0, math.inf, [(0.5, 2.0)])[0]
-        scalar = integrate_rows(lambda x, row: f(x), 0.0, math.inf, [(0.5, 2.0)])[0]
-        assert isinstance(scalar.value, float) and vector.value.shape == (1,)
-        assert vector.value[0] == scalar.value
-        assert vector.err_estimate[0] == scalar.err_estimate
-        assert vector.subdivisions == scalar.subdivisions
-
 
 class TestPanelEstimates:
     """Each panel's Kronrod value and error come from its own 15 values

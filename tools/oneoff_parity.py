@@ -22,13 +22,15 @@ relative difference of the queries that succeed in both trees) and, per
 outcome, each tree's query count, median time and total time (a slow
 failing tail shows in the total, which the median hides).
 
-``--oracle`` also checks every query whose outcome went from an error to a
-value against ``cov_oracle`` of ``tests/conftest.py`` (Hoeffding's nested
-form at a quarter of the library's inner step), run on the changed tree:
-it prints, per tolerance, how many there are, the largest relative gap
-of the value to the oracle (the oracle's covariance divided by
-``var_gev`` for a dependence query) and how many gaps pass the
-tolerance, with the largest few listed.
+``--oracle`` also checks every value the changed tree returns against
+``cov_oracle`` of ``tests/conftest.py`` (Hoeffding's nested form at a
+quarter of the library's inner step, its outer integral by adaptive
+Gauss-Kronrod), run once a query on the changed tree: it prints, per
+tolerance, how many values there are, the largest relative gap of a
+value to the oracle (the oracle's covariance divided by ``var_gev`` for a
+dependence query), how many gaps are within the tolerance, and the
+largest few, marking the queries whose outcome went from an error to a
+value.
 
 ``--study`` runs instead the CLI commands of the study variants of
 ``perfbench.workloads.study_commands`` (all 8 by default), in-process as the
@@ -107,9 +109,9 @@ for seed in seeds:
 """
 
 
-# the oracle of the queries given as (seed, pass, index) in a JSON list: the
-# default rel_tol, then a JSON line (seed, pass, index, oracle value) per
-# query, on stdout
+# the oracle of the queries given as (seed, pass, index) in a JSON list on
+# stdin (too many for the command line): the default rel_tol, then a JSON
+# line (seed, pass, index, oracle value) per query, on stdout
 _ORACLE_RUNNER = r"""
 import json, math, sys
 from pathlib import Path
@@ -124,7 +126,7 @@ from conftest import cov_oracle
 
 print(json.dumps(wr.DEFAULT_QUAD.rel_tol))
 drawn = {}
-for seed, k, i in json.loads(sys.argv[1]):
+for seed, k, i in json.load(sys.stdin):
     if (seed, k) not in drawn:
         drawn[seed, k] = draw_queries(seed, k, QUERIES_PER_PASS["full"])
     name, args = drawn[seed, k][i]
@@ -256,15 +258,16 @@ print(json.dumps([meta, dt, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss /
 FIXTURES = {"loss25": (25.0, 500, 202525), "loss50": (50.0, 500, 202550)}
 
 
-def _run(runner, src: Path, arg):
-    """The JSON lines a runner prints in a fresh interpreter on ``src``."""
+def _run(runner, src: Path, arg, stdin=None):
+    """The JSON lines a runner prints in a fresh interpreter on ``src``,
+    given ``arg`` on its command line and ``stdin`` on its input."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(REPO)]),
                PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     cmd = [sys.executable, "-c", runner, json.dumps(arg), str(src)]
     out = subprocess.run(cmd, env=env, cwd=REPO, check=True, capture_output=True,
-                         text=True).stdout
+                         text=True, input=stdin).stdout
     return [json.loads(line) for line in out.splitlines()]
 
 
@@ -377,24 +380,28 @@ def compare_study(parent, change):
 
 
 def check_oracle(src: Path, parent, change, tols):
-    """The relative gap of each error -> value query's value to the oracle,
-    per tolerance, the oracle run once a query on the changed tree."""
-    new = {tol: [(key[0], key[1], i, c[1]) for key in sorted(k for k in parent if k[2] == tol)
-                 for i, (p, c) in enumerate(zip(parent[key], change[key]))
-                 if p[0] != "ok" and c[0] == "ok"] for tol in tols}
-    queries = sorted({(seed, k, i) for values in new.values() for seed, k, i, _ in values})
-    default_tol, *references = _run(_ORACLE_RUNNER, src, queries)
+    """The relative gap of every value of the changed tree to the oracle,
+    per tolerance, the oracle run once a query on the changed tree; the
+    error -> value queries are marked."""
+    values = {tol: [(key[0], key[1], i, c[1], p[0] != "ok")
+                    for key in sorted(k for k in change if k[2] == tol)
+                    for i, (p, c) in enumerate(zip(parent[key], change[key])) if c[0] == "ok"]
+              for tol in tols}
+    queries = sorted({(seed, k, i) for found in values.values() for seed, k, i, *_ in found})
+    default_tol, *references = _run(_ORACLE_RUNNER, src, None, json.dumps(queries))
     oracle = {(seed, k, i): reference for seed, k, i, reference in references}
-    print("oracle gaps of the error -> value queries:")
-    for tol, values in new.items():
+    print("oracle gaps of every value:")
+    for tol, found in values.items():
         rel_tol = default_tol if tol is None else tol
-        gaps = sorted(((abs(value - oracle[seed, k, i]) / abs(oracle[seed, k, i]), seed, k, i)
-                       for seed, k, i, value in values), reverse=True)
+        gaps = sorted(((abs(value - oracle[seed, k, i]) / max(abs(oracle[seed, k, i]), 1e-300),
+                        seed, k, i, new) for seed, k, i, value, new in found), reverse=True)
         largest = f"{gaps[0][0]:.3g}" if gaps else "-"
-        print(f"  rel_tol {'default' if tol is None else tol}: {len(gaps)} queries, largest "
-              f"relative gap {largest}, {sum(g > rel_tol for g, *_ in gaps)} past rel_tol")
-        for gap, seed, k, i in gaps[:5]:
-            print(f"    seed {seed} pass {k} query {i}: {gap:.3g}")
+        print(f"  rel_tol {'default' if tol is None else tol}: {len(gaps)} values, largest "
+              f"relative gap {largest}, {sum(g <= rel_tol for g, *_ in gaps)} within rel_tol "
+              f"({sum(new for *_, new in gaps)} error -> value)")
+        for gap, seed, k, i, new in gaps[:5]:
+            print(f"    seed {seed} pass {k} query {i}: {gap:.3g}"
+                  + (" (error -> value)" if new else ""))
 
 
 def compare(parent, change, tol):
@@ -449,7 +456,7 @@ def main(argv=None):
     parser.add_argument("--variants", type=int, nargs="+", default=list(range(8)),
                         help="study variants for --study (default: 0 .. 7)")
     parser.add_argument("--oracle", action="store_true",
-                        help="check the error -> value queries against tests' cov_oracle")
+                        help="check every value of the changed tree against tests' cov_oracle")
     parser.add_argument("--mc", action="store_true",
                         help="compare the mc_oracle simulators' counters and values instead")
     parser.add_argument("--fixtures", action="store_true",
