@@ -251,8 +251,8 @@ def _line_integrals(kernel, lags, spec: QuadSpec, width: int):
     ordered pairs, on the exp-sinh ladder (see the module docstring).  Its
     fields are arrays of the components, but ``subdivisions``, the
     accepting level.  A lag that misses at step 1/128 fails with
-    ConvergenceError, carrying the best estimate and error of its component
-    of the largest error, and a non-finite value with DomainError.  The
+    ConvergenceError, whose best estimate and error are arrays of the
+    components too, and a non-finite value with DomainError.  The
     lags run in blocks of at most ``_BLOCK_LANES // width``, each
     integrated when the iterator reaches it; a lag's nodes and sums do not
     depend on the other lags, so its value is the one it gets alone, and a
@@ -282,11 +282,8 @@ def _line_integrals(kernel, lags, spec: QuadSpec, width: int):
             if not live.size:
                 break
         for j in live:
-            k = int(np.argmax(err[:, j]))
-            best, best_err = float(total[k, j]), float(err[k, j])
-            failures[j] = ConvergenceError(
-                f"quadrature did not converge by step 1/128 (best {best!r}, err {best_err!r})",
-                best_estimate=best, err_estimate=best_err)
+            failures[j] = ConvergenceError("quadrature did not converge by step 1/128",
+                                           best_estimate=total[:, j], err_estimate=err[:, j])
         if failures:
             raise failures[min(failures)]
         absolute = ~(err <= spec.rel_tol * np.abs(total))
@@ -839,8 +836,8 @@ _CHECK_X = np.cos(np.arange(1, _CHEB_N, 2) * np.pi / _CHEB_N)
 _TABLE_EDGES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0)
 _MAX_BISECTIONS = 8
 _MAX_DOUBLINGS = 10
-# past the table's range cov <= _TAIL * rel_tol * var, below the absolute
-# floors of the r2 (1e-3) and K (1e-1) integrals of windrisk.risk
+# the table reads 0 past its last edge, a piece edge of the r2 and K integrals
+# of windrisk.risk, where cov <= _TAIL * rel_tol * var: below their abs floors
 _TAIL = 1e-6
 
 
@@ -898,7 +895,8 @@ class CovModel:
     docstring), all lags and pairs in one call of :func:`_line_integrals`,
     so each lag's value is the one it gets alone (within rounding where the
     pairs' exponent tables nest, see :func:`_pair_kernel`), and the first
-    lag that fails raises the error it raises alone; ``subdivisions`` is
+    lag that fails raises the error it raises alone (the summed estimates
+    of its pair of the largest error); ``subdivisions`` is
     the accepting ladder level (0 without quadrature).  ``table``, of a
     single pair, is built when first read.
     """
@@ -949,15 +947,22 @@ class CovModel:
         value, err = np.zeros((2, len(first), len(flat)))
         subdivisions = np.zeros(value.shape, int)
         absolute = np.zeros(value.shape, bool)
-        for j, lag in enumerate(flat):
-            if lag < SMALL_H:
-                value[:, j] = self.variance
-            elif lag < math.inf:
-                r = next(far)
-                value[:, j] = r.value[first] + r.value[second]
-                err[:, j] = r.err_estimate[first] + r.err_estimate[second]
-                subdivisions[:, j] = r.subdivisions
-                absolute[:, j] = r.absolute_mode[first] | r.absolute_mode[second]
+        try:
+            for j, lag in enumerate(flat):
+                if lag < SMALL_H:
+                    value[:, j] = self.variance
+                elif lag < math.inf:
+                    r = next(far)
+                    value[:, j] = r.value[first] + r.value[second]
+                    err[:, j] = r.err_estimate[first] + r.err_estimate[second]
+                    subdivisions[:, j] = r.subdivisions
+                    absolute[:, j] = r.absolute_mode[first] | r.absolute_mode[second]
+        except ConvergenceError as exc:
+            # the failing lag's pair of the largest error, summed as its value is
+            sums = [x[first] + x[second] for x in (exc.best_estimate, exc.err_estimate)]
+            best, best_err = (float(x[np.argmax(sums[1])]) for x in sums)
+            raise ConvergenceError(f"{exc} (best {best!r}, err {best_err!r})",
+                                   best_estimate=best, err_estimate=best_err) from None
         parts = [x.reshape(value.shape[:self._vector] + h.shape)
                  for x in (value, err, subdivisions, absolute)]
         return QuadResult(*(x.item() for x in parts) if parts[0].ndim == 0 else parts)

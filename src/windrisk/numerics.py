@@ -1,4 +1,4 @@
-"""Special functions and adaptive quadrature.
+"""Special functions and the tanh-sinh quadrature of finite integrals.
 
 The special functions need numpy alone: ``scaled_normal_tail`` comes from
 a piecewise polynomial table of erfcx, ``norm_quantile`` from Wichura's
@@ -7,19 +7,10 @@ distinct argument.
 
 The covariance's half-lines take a fixed exp-sinh ladder of their own
 (:mod:`windrisk.dependence`).  The integrals over distance of
-:mod:`windrisk.risk` go through :func:`integrate_rows`, a globally
-adaptive Gauss-Kronrod (G7/K15) scheme with a QUADPACK-style error
-estimate that carries many integrands at once; :func:`integrate` is its
-one-integrand call.
-Semi-infinite domains are mapped onto t in (0, 1) by the rational change
-of variables
-
-    x = a + t/(1-t),   dx = dt/(1-t)^2.
-
-Kronrod nodes are interior, so endpoint singularities of the mapped
-integrand are never evaluated directly.  Each panel's estimates are numpy
-sums over its own 15 values, so a panel, and with it a row, gets the same
-estimates in any batch.
+:mod:`windrisk.risk` go through :func:`integrate_rows`, the same kind of
+ladder on finite pieces: a tanh-sinh trapezoid rule at steps 1/2 down to
+1/128 that carries many integrands at once, each with its own pieces and
+its own acceptance.  :func:`integrate` is its one-integrand call.
 """
 
 from __future__ import annotations
@@ -70,29 +61,21 @@ np.empty(1 << 19)
 class QuadSpec:
     """Accuracy contract for quadrature.
 
-    rel_tol          relative accuracy target for the error estimate, finite, > 0
-    abs_floor        absolute fallback target, >= 0: a result is also accepted
-                     once its absolute error estimate drops below this
-                     floor, so near-zero integrals (and outer integrals of
-                     noisy inner evaluations) do not stall on the relative
-                     criterion
-    max_subdivisions hard cap on the interval bisections of integrate_rows
-                     (r2 and K; not the covariance's fixed ladder); a row
-                     whose rounding noise cannot meet the target stops
-                     earlier, on QUADPACK's roundoff test
+    rel_tol    relative accuracy target for the error estimate, finite, > 0
+    abs_floor  absolute fallback target, >= 0: a result is also accepted
+               once its absolute error estimate drops below this floor,
+               so near-zero integrals (and outer integrals of noisy inner
+               evaluations) do not stall on the relative criterion
     """
 
     rel_tol: float = 3e-7
     abs_floor: float = 1e-12
-    max_subdivisions: int = 400
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < math.inf:
             raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if not self.abs_floor >= 0.0:
             raise DomainError(f"abs_floor must be >= 0, got {self.abs_floor}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUAD = QuadSpec()
@@ -100,6 +83,9 @@ DEFAULT_QUAD = QuadSpec()
 
 @dataclass(frozen=True)
 class QuadResult:
+    """A value, its error estimate (its change from the ladder's last
+    level) and the level that accepted it (``subdivisions``)."""
+
     value: float
     err_estimate: float
     subdivisions: int
@@ -305,109 +291,24 @@ def norm_quantile(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7/15 panel rule (QUADPACK dqk15 constants)
+# tanh-sinh ladder
 # ---------------------------------------------------------------------------
 
-_XGK = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-
-# 7-point Gauss weights sit on the odd Kronrod nodes
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-_GAUSS_IDX = np.arange(1, 15, 2)
-
-_NPOINTS = 15
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+def _tanh_sinh_level(step: float, t: np.ndarray):
+    """(left, offset, weight) of the nodes t of one level: a node lies at
+    lo + half offset, offset = 1 + tanh(u), u = (pi/2) sinh t, where left
+    (t < 0), else at hi + half offset, offset = tanh(u) - 1, each exact
+    next to its end; its weight step (pi/2) cosh t / cosh(u)^2 is dx/half."""
+    u = 0.5 * math.pi * np.sinh(t)
+    offset = np.where(t < 0.0, 2.0 / (1.0 + np.exp(-2.0 * u)), -2.0 / (1.0 + np.exp(2.0 * u)))
+    return t < 0.0, offset, step * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
 
 
-def _panel_estimates(fvals: np.ndarray, half_widths: np.ndarray):
-    """Kronrod value and QUADPACK-style error for a batch of panels.
-
-    fvals has shape (n_panels, 15) and half_widths (n_panels,).  Each
-    weighted sum is a numpy sum over one panel's own values, so a panel's
-    estimates do not depend on the other panels of the batch.
-    """
-    resk = (fvals * _WGK).sum(axis=-1)
-    resg = (fvals.take(_GAUSS_IDX, axis=-1) * _WG).sum(axis=-1)
-    resabs = (np.abs(fvals) * _WGK).sum(axis=-1)
-    mean = 0.5 * resk
-    resasc = (np.abs(fvals - mean[:, None]) * _WGK).sum(axis=-1)
-
-    value = resk * half_widths
-    resabs = resabs * half_widths
-    resasc = resasc * half_widths
-    err = np.abs(resk - resg) * half_widths
-    # sharpen the raw difference the way QUADPACK does
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where(resasc > 0.0, resasc * scaled, err)
-    # never report below the rounding noise of the panel sum
-    floor = resabs * (50.0 * _EPS)
-    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(err, floor), err)
-    return value, err
-
-
-def _make_map(a: float, b: float):
-    """Return (phi, inverse) mapping t in [t_lo, t_hi] onto the x domain:
-    the rational map x = a + t/(1-t) for b = inf, else the identity."""
-    if math.isinf(b):
-        def phi(t):
-            om = 1.0 - t
-            return a + t / om, 1.0 / om**2
-
-        def inv(x):
-            u = x - a
-            return u / (1.0 + u)
-        return phi, inv, 0.0, 1.0
-
-    def phi(t):
-        return t, np.ones_like(t)
-
-    def inv(x):
-        return x
-
-    return phi, inv, a, b
+# level 0 has every node of step 1/2 in [-3, 3], each later level the odd
+# multiples of its halved step, down to 1/128: 13, 25, 49, ..., 769 nodes
+_LADDER = [_tanh_sinh_level(0.5, -3.0 + 0.5 * np.arange(13))] + [
+    _tanh_sinh_level(2.0**-k, -3.0 + 2.0**-k * (2 * np.arange(3 * 2**k) + 1))
+    for k in range(2, 8)]
 
 
 def integrate(
@@ -417,72 +318,13 @@ def integrate(
     spec: QuadSpec = DEFAULT_QUAD,
     breakpoints: Sequence[float] = (),
 ) -> QuadResult:
-    """Adaptive Gauss-Kronrod integration of a vectorized integrand.
-
-    ``f`` must accept an ndarray of abscissae and return the integrand
-    values elementwise.  ``b`` may be ``math.inf``, which the rational map
-    of the module docstring brings onto (0, 1).  ``breakpoints`` seed
-    the initial subdivision (in x coordinates) and are clipped to the
-    domain; useful when the caller knows where the integrand is peaked.
-
-    Returns a :class:`QuadResult`; raises :class:`ConvergenceError`, carrying
-    the best estimate and its error estimate, if the subdivision budget is
-    exhausted or the roundoff test of :func:`integrate_rows` stops the
-    refinement.  This is the one-row call of :func:`integrate_rows`.
-    """
+    """The one-row call of :func:`integrate_rows`: ``f`` takes an ndarray
+    of abscissae and returns the integrand values elementwise.  Returns a
+    :class:`QuadResult`, or raises the error of its row."""
     result = integrate_rows(lambda x, row: f(x), a, b, [breakpoints], spec)[0]
     if isinstance(result, WindriskError):
         raise result
     return result
-
-
-class _Row:
-    """Panel store of one row: t bounds, Kronrod values and error
-    estimates, kept sorted by lower bound, and QUADPACK's roundoff counter
-    iroff2."""
-
-    __slots__ = ("lo", "hi", "val", "err", "n_subdiv", "iroff2")
-
-    def __init__(self, edges):
-        self.lo = np.array(edges[:-1])
-        self.hi = np.array(edges[1:])
-        self.n_subdiv = len(edges) - 2
-        self.iroff2 = 0
-
-
-def _initial_edges(a, b, t_lo, t_hi, inv, breakpoints):
-    edges = [t_lo, t_hi]
-    for bp in breakpoints:
-        if a < bp < b or (math.isinf(b) and bp > a):
-            t = float(inv(bp))
-            if t_lo < t < t_hi:
-                edges.append(t)
-    return sorted(set(edges))
-
-
-def _eval_panels(f, phi, rows, lows, highs, counts):
-    """Kronrod values and errors of new panels, with one call of ``f``.
-
-    ``lows``/``highs`` hold the t bounds of ``counts[i]`` consecutive panels
-    of row ``rows[i]``, for each i (``rows`` and ``counts`` are lists).
-    Returns (values, errors, finite): the panels' values and errors, and
-    ``finite[i]`` telling whether row ``rows[i]`` had only finite integrand
-    values.  The panels of a row that was not finite are estimated from
-    zeros, so their discarded estimates raise no floating-point warning.
-    All panels are reduced in one :func:`_panel_estimates` call, each from
-    its own values alone.
-    """
-    centers = 0.5 * (lows + highs)
-    halfw = 0.5 * (highs - lows)
-    xs, jac = phi((centers[:, None] + halfw[:, None] * _XGK[None, :]).ravel())
-    fv = np.asarray(f(xs, np.repeat(rows, np.multiply(counts, _NPOINTS))), dtype=float) * jac
-    fv = fv.reshape(len(lows), _NPOINTS)
-    finite = np.logical_and.reduceat(np.isfinite(fv).all(axis=1), np.cumsum(counts) - counts)
-    finite = finite.tolist()
-    if False in finite:
-        fv[np.repeat(np.logical_not(finite), counts)] = 0.0
-    vals, errs = _panel_estimates(fv, halfw)
-    return vals, errs, finite
 
 
 def integrate_rows(
@@ -492,120 +334,77 @@ def integrate_rows(
     breakpoints: Sequence[Sequence[float]],
     spec: QuadSpec = DEFAULT_QUAD,
 ) -> list:
-    """Adaptive Gauss-Kronrod integration of many integrands ("rows") over
-    one domain, in one loop.
+    """Tanh-sinh integration of many integrands ("rows") over one finite
+    domain [a, b], in one loop.
 
     ``f(x, row)`` gets an ndarray of abscissae and, elementwise, the index
-    of the row each one belongs to, and returns the n integrand values.
-    ``breakpoints`` holds one sequence per row, as in :func:`integrate`;
-    its length is the number of rows.  Each row keeps its own panels, its
-    own refinement waves, its own acceptance test, its own
-    ``max_subdivisions`` budget and its own roundoff counter, so its result
-    is the one it would get alone.  A wave makes one call of ``f`` over
-    the new panels of every row still refining, each row's panels
-    consecutive, and its panel sums run over a (panels, 15) array.
+    of the row each one belongs to, and returns the integrand values.
+    ``breakpoints`` holds one sequence per row: those inside (a, b) split
+    [a, b] into the row's pieces, where the integrand may have a kink or a
+    peak.  Each piece [lo, hi] takes the trapezoid rule in t of
+    x = lo + half (1 + tanh((pi/2) sinh t)), t in [-3, 3], which converges
+    double-exponentially on an integrand analytic inside the piece,
+    singular ends included, and evaluates an end only where rounding puts
+    a node on it (Takahasi & Mori 1974, Publ. RIMS 9:721-741); an
+    integrable end singularity loses what lies within 4e-14 half of its end.  A level of the ladder is one call
+    of ``f`` over the pieces of the rows still live.  A piece's sum runs
+    over its own nodes and a row's value is the math.fsum of its pieces,
+    so a row's result is the one it gets alone.
 
-    A row is accepted once its error estimate meets ``rel_tol * |total|``
-    or ``abs_floor``.  Otherwise the panels carrying the top half of its
-    error are split, at most 32 a wave.
-
-    The roundoff counter is QUADPACK's ``iroff2`` (``dqage``, Piessens et
-    al. 1983), updated for every panel a wave splits once the row has more
-    than 10 subdivisions: it counts a split whose halves' error estimates
-    sum to more than the panel's.  A row
-    that is not accepted ends at ``iroff2 >= 20``: refining further only
-    resamples the rounding noise of its integrand, which the target is
-    below.  QUADPACK's other test, ``iroff1 >= 6`` (a split that moves the
-    value by at most 1e-5 relative and its error by at most 1%), is left
-    out: on the noisy integrands of the binomial table's cancellation band
-    it also stops rows that meet their target a few waves later.
-
-    Returns one entry per row: its :class:`QuadResult`, or the error that
-    ended it, a :class:`ConvergenceError` carrying the best estimate and
-    error estimate (its message says whether the budget or the roundoff
-    test stopped it) or a :class:`DomainError` for a non-finite
-    integrand value.  Once a row has failed, the rows after it are dropped
-    and get None: a caller's outcome is decided by its first failing row.
+    A row is accepted from step 1/4 on, once its change from the last
+    level, its error estimate, meets ``rel_tol * |value|`` or
+    ``abs_floor``; ``subdivisions`` is the accepting level.  Returns one
+    entry per row: its :class:`QuadResult`, or the error that ended it, a
+    :class:`ConvergenceError` carrying the best estimate and error
+    estimate when it still misses at step 1/128, or a :class:`DomainError`
+    for a non-finite integrand value.  Once a row has failed, the rows
+    after it are dropped and get None: a caller's outcome is decided by
+    its first failing row.
     """
-    a = float(a)
-    b = float(b)
-    if not b > a:
-        raise DomainError(f"integration domain requires b > a, got [{a}, {b}]")
-    if math.isinf(a):
-        raise DomainError("lower endpoint must be finite")
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise DomainError(f"integration domain must be finite with b > a, got [{a}, {b}]")
 
-    phi, inv, t_lo, t_hi = _make_map(a, b)
-    store = [_Row(_initial_edges(a, b, t_lo, t_hi, inv, bps)) for bps in breakpoints]
-    results = [None] * len(store)
-    failures = {}
+    edges = [sorted({a, b}.union(x for x in map(float, bps) if a < x < b))
+             for bps in breakpoints]
+    lo = np.array([x for e in edges for x in e[:-1]])
+    hi = np.array([x for e in edges for x in e[1:]])
+    half = 0.5 * (hi - lo)
+    start = np.cumsum([0] + [len(e) - 1 for e in edges])  # row r's pieces: start[r]:start[r + 1]
+    owner = np.repeat(np.arange(len(edges)), np.diff(start))
+    totals = np.zeros(len(lo))
+    previous = [0.0] * len(edges)
+    results = [None] * len(edges)
+    first = len(edges)  # the first failing row
 
-    # the first wave evaluates every row's initial panels
-    todo = [(r, row.lo, row.hi, None) for r, row in enumerate(store)]
-    while todo:
-        counts = [len(t[1]) for t in todo]
-        vals, errs, finite = _eval_panels(
-            f, phi, [t[0] for t in todo], np.concatenate([t[1] for t in todo]),
-            np.concatenate([t[2] for t in todo]), counts)
-        live = []
-        pos = 0
-        for (r, lows, highs, picked), n, ok in zip(todo, counts, finite):
-            v, e = vals[pos:pos + n], errs[pos:pos + n]
-            pos += n
-            if not ok:
-                failures[r] = DomainError("integrand returned a non-finite value")
-                continue
-            row = store[r]
-            if picked is None:
-                row.val, row.err = v, e
-            else:
-                if row.n_subdiv > 10:  # halves whose errors outgrow their panel's
-                    row.iroff2 += np.count_nonzero(e[0::2] + e[1::2] > row.err[picked])
-                # left halves replace the split panels, right halves are appended
-                row.hi[picked], row.val[picked], row.err[picked] = highs[0::2], v[0::2], e[0::2]
-                lo = np.concatenate([row.lo, lows[1::2]])
-                order = np.argsort(lo, kind="stable")
-                row.lo = lo[order]
-                row.hi = np.concatenate([row.hi, highs[1::2]])[order]
-                row.val = np.concatenate([row.val, v[1::2]])[order]
-                row.err = np.concatenate([row.err, e[1::2]])[order]
-                row.n_subdiv += len(picked)
-            total, total_err = math.fsum(row.val.tolist()), math.fsum(row.err.tolist())
-            if total_err <= spec.rel_tol * abs(total) or total_err <= spec.abs_floor:
-                results[r] = QuadResult(total, total_err, row.n_subdiv,
-                                        not total_err <= spec.rel_tol * abs(total))
-            else:
-                live.append((r, total, total_err))
-
-        todo = []
-        for r, total, total_err in live:
-            if failures and r > min(failures):
+    live = list(range(len(edges)))
+    for level, (left, offset, weights) in enumerate(_LADDER):
+        if not live:
+            break
+        pieces = np.concatenate([np.arange(start[r], start[r + 1]) for r in live])
+        x = np.where(left, lo[pieces, None], hi[pieces, None]) + half[pieces, None] * offset
+        values = np.asarray(f(x.ravel(), np.repeat(owner[pieces], len(offset))), dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums = (values.reshape(x.shape) * weights).sum(axis=1) * half[pieces]
+            totals[pieces] = 0.5 * totals[pieces] + sums  # the totals are 0 at level 0
+        for r in live:
+            if r > first:
                 break  # rows past the first failure are dropped
-            row = store[r]
-            if row.n_subdiv >= spec.max_subdivisions:
-                stop = f"did not converge within {spec.max_subdivisions} subdivisions"
-            elif row.iroff2 >= 20:
-                stop = f"stopped by roundoff after {row.n_subdiv} subdivisions"
-            else:
-                stop = None
-            if stop:
-                failures[r] = ConvergenceError(
-                    f"quadrature {stop} (best {total!r}, err {total_err!r})",
-                    best_estimate=total,
-                    err_estimate=total_err,
-                )
+            own = totals[start[r]:start[r + 1]]
+            if not np.isfinite(own).all():
+                results[r] = DomainError("integrand returned a non-finite value")
+                first = r
                 continue
-            # split the panels carrying the top half of the error, a wave at a time
-            err = row.err
-            budget = min(32, max(1, spec.max_subdivisions - row.n_subdiv))
-            order = np.argsort(-err, kind="stable")
-            reached = np.flatnonzero(np.cumsum(err[order]) >= 0.5 * total_err)
-            picked = order[:min(budget, reached[0] + 1 if reached.size else len(order))]
-            lo, hi = row.lo[picked], row.hi[picked]
-            # each split panel's lower bound, midpoint and upper bound
-            edges = np.array([lo, 0.5 * (lo + hi), hi]).T
-            todo.append((r, edges[:, :2].ravel(), edges[:, 1:].ravel(), picked))
-
-    for r, exc in failures.items():
-        results[r] = exc
-    first = min(failures, default=len(results))
+            value = math.fsum(own.tolist())
+            change = abs(value - previous[r])
+            previous[r] = value
+            if level > 0 and (change <= spec.rel_tol * abs(value) or change <= spec.abs_floor):
+                results[r] = QuadResult(value, change, level,
+                                        not change <= spec.rel_tol * abs(value))
+            elif level == len(_LADDER) - 1:
+                results[r] = ConvergenceError(
+                    f"quadrature did not converge by step 1/128 (best {value!r}, err {change!r})",
+                    best_estimate=value, err_estimate=change)
+                first = r
+        live = [r for r in live if r < first and results[r] is None]
     return results[:first + 1] + [None] * (len(results) - first - 1)

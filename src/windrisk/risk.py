@@ -31,7 +31,8 @@ import numpy as np
 from .dependence import PowerSpec, covariance_model, mean_cost
 from .errors import ConvergenceError, DomainError, WindriskError
 from .geometry import Region, disk_distance_density, square_distance_density
-from .numerics import DEFAULT_QUAD, QuadSpec, integrate_rows, norm_pdf, norm_quantile
+from .numerics import (DEFAULT_QUAD, QuadSpec, integrate, integrate_rows, norm_pdf,
+                       norm_quantile)
 from .variogram import Variogram
 
 __all__ = [
@@ -126,7 +127,7 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
     len(lams)) array from one quadrature call.
 
     Each (variogram, lam) pair is one row of :func:`integrate_rows`, with
-    its own breakpoints and mesh, so each value is the one the pair gets
+    its own pieces (below), so each value is the one the pair gets
     alone.  The inputs are checked first; then the first failing row, in
     variogram-major, lam-minor order, raises its own error.
     """
@@ -142,9 +143,9 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
 
     R = region.R
     if region.shape == "disk":
-        density, h_max = (lambda h: disk_distance_density(h, R)), 2.0 * R
+        density, h_max, branch = (lambda h: disk_distance_density(h, R)), 2.0 * R, []
     else:
-        density, h_max = (lambda h: square_distance_density(h, R)), R * math.sqrt(2.0)
+        density, h_max, branch = (lambda h: square_distance_density(h, R)), R * math.sqrt(2.0), [R]
 
     # the distance density integrates to one, so the squared mean drops out
     # and the density is integrated against the covariance itself
@@ -159,18 +160,16 @@ def r2_curves(region: Region, power: PowerSpec, variograms: Sequence[Variogram],
             gammas[at] = v.radial(row_lams[rows[at]] * h[at])
         return density(h) * table(np.sqrt(gammas))
 
-    # seed the subdivision where the pair function still moves: the
-    # covariance decays on the scale sqrt(gamma(lam h)) = t ~ a few, at the
-    # distance s t^(2/psi); a distance past the double range is dropped
+    # the table's edges lie at the distances u = s edge^(2/psi) / lam, where
+    # sqrt(gamma(lam u)) = edge, and the square's density changes branch at
+    # R; a distance outside (0, h_max) or past the double range is dropped
     breakpoints = []
-    for s, psi in scales:
-        ds = []
-        for t in (0.5, 1.0, 2.0, 4.0, 8.0):
-            try:
-                ds.append(s * (t * t) ** (1.0 / psi))
-            except OverflowError:
-                break
-        breakpoints += [[d / lam for d in ds if 0.0 < d / lam < h_max] for lam in lams]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, psi in scales:
+            reach = s * table.edges ** (2.0 / psi)
+            for lam in lams:
+                u = reach / lam
+                breakpoints.append(u[(u > 0.0) & (u < h_max)].tolist() + branch)
     outer = replace(
         quad, abs_floor=max(quad.abs_floor, quad.rel_tol * table.variance * 1e-3)
     )
@@ -207,15 +206,11 @@ def asymptotic_cov_integral(
             f"{H!r} lies at distance {H!r}^(2/psi) s > 2^63 s for psi = {psi!r})"
         )
 
-    def integrand(h, rows):
-        return h ** (4.0 / psi - 1.0) * table(h)
-
     # the far pieces carry a vanishing share of the integral: accept them
     # on an absolute budget tied to the variance scale
     outer = replace(spec, abs_floor=max(spec.abs_floor, spec.rel_tol * table.variance * 0.1))
-    (result,) = integrate_rows(integrand, 0.0, H, [table.edges[1:-1].tolist()], outer)
-    if isinstance(result, WindriskError):
-        raise result
+    result = integrate(lambda h: h ** (4.0 / psi - 1.0) * table(h), 0.0, H, outer,
+                       table.edges[1:-1].tolist())
     k_num = 2.0 * math.pi * s * s * (2.0 / psi) * result.value
     if not k_num < math.inf:
         raise DomainError(f"K = {k_num!r} lies past the double range for {v}")

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import exprel, log_ndtr
 
 from windrisk import (DEFAULT_QUAD, DomainError, GevParams, PowerSpec, QuadSpec, Variogram,
-                      dependence, integrate)
+                      dependence)
 
 # parameters of the reference wind study
 ETA, TAU, XI = 30.0, 3.0, -0.2
@@ -30,6 +31,16 @@ def half_line_breakpoints(h: float) -> list:
     return sorted({bp for bp in (
         0.25 / h, 1.0 / h, 4.0 / h, 16.0 / h, 1.0, 2.0, h / 2.0, h / 2.0 + 8.0
     ) if bp > 0.0})
+
+
+def half_line_integral(f, h: float, spec) -> float:
+    """int_0^inf f(s) ds of a scalar integrand by scipy's quad, on the
+    pieces between the half_line_breakpoints(h) and from the last one to
+    inf, each to the rel_tol and abs_floor of spec: a rule apart from the
+    library's ladders."""
+    edges = [0.0] + half_line_breakpoints(h) + [math.inf]
+    return math.fsum(quad(f, lo, hi, epsabs=spec.abs_floor, epsrel=spec.rel_tol, limit=200)[0]
+                     for lo, hi in zip(edges, edges[1:]))
 
 
 def g_simple_kernel(beta1: float, beta2: float, s, h: float):
@@ -61,16 +72,14 @@ def g_simple(beta1: float, beta2: float, h: float, spec=DEFAULT_QUAD) -> float:
     and theta = exp(s h) turns it into a line integral of a positive
     integrand whose logarithm is cheap and stable: the s > 0 half-lines of
     the ordered pairs (beta1, beta2) and (beta2, beta1), or of one counted
-    twice when they are equal, each by one adaptive ``numerics.integrate``
-    call."""
+    twice when they are equal, each by :func:`half_line_integral`."""
     if not (beta1 < 0.5 and beta2 < 0.5):
         raise DomainError(f"second-moment condition requires beta < 1/2, got {beta1}, {beta2}")
     if h < 0.0:
         raise DomainError(f"h must be >= 0, got {h}")
     if h < dependence.SMALL_H:
         return math.gamma(1.0 - beta1 - beta2)
-    halves = [integrate(lambda s: g_simple_kernel(b1, b2, s, h), 0.0, math.inf, spec,
-                        half_line_breakpoints(h)).value
+    halves = [half_line_integral(lambda s: g_simple_kernel(b1, b2, s, h), h, spec)
               for b1, b2 in ([(beta1, beta2)] if beta1 == beta2
                              else [(beta1, beta2), (beta2, beta1)])]
     return float(halves[0] + halves[-1])
@@ -112,8 +121,8 @@ def cov_oracle(p1: PowerSpec, p2: PowerSpec, h: float, spec=QuadSpec(rel_tol=1e-
     integral in y = log(C1/r) by the trapezoid rule above (each node in log
     space below the node's largest term) and the outer over the s > 0
     half-lines of the ordered pairs (p1, p2) and (p2, p1), or of one
-    counted twice when they are equal, each by one adaptive
-    ``numerics.integrate`` call: positive integrands throughout, no
+    counted twice when they are equal, each by
+    :func:`half_line_integral`: positive integrands throughout, no
     derivative table and not the library's line-integral rule, so it is a
     reference where the table's sums cancel.  The integrand is divided by
     sqrt(Var1 Var2) and the result multiplied by it, so that the mapped
@@ -138,8 +147,7 @@ def cov_oracle(p1: PowerSpec, p2: PowerSpec, h: float, spec=QuadSpec(rel_tol=1e-
         inner = (sign1 * sign2 * np.exp(terms - top) * exprel(-np.exp(log_x))).sum(axis=1)
         return h * np.exp(top[:, 0] - math.log(scale)) * inner
 
-    halves = [integrate(lambda s: kernel(q1, q2, s), 0.0, math.inf, spec,
-                        half_line_breakpoints(h)).value
+    halves = [half_line_integral(lambda s: kernel(q1, q2, np.array([s]))[0], h, spec)
               for q1, q2 in ([(p1, p2)] if p1 == p2 else [(p1, p2), (p2, p1)])]
     return float(halves[0] + halves[-1]) * scale
 

@@ -144,11 +144,10 @@ class TestExitCodes:
 
     def test_nonconvergence_is_3(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
-            "riskreport": {"psi": 0.05, "lam": [10.0], "alpha": [0.95]}
-        }))
-        assert main(["riskreport", "--config", str(cfg), "--out",
-                     str(tmp_path / "o.csv")]) == 3
+        for block in ({"psi": 0.05, "lam": [10.0], "alpha": [0.95]}, {"psi": 0.01}):
+            cfg.write_text(json.dumps({"riskreport": block}))
+            assert main(["riskreport", "--config", str(cfg), "--out",
+                         str(tmp_path / "o.csv")]) == 3
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +297,20 @@ class TestR2Curves:
         assert main(["r2curves", "--out", str(out)]) == 0
         assert rows == [4 * 25, 4 * 25]  # disk and square: every psi and lam
         assert len(read_csv(out)[1]) == 200
+
+    @pytest.mark.parametrize("block", [
+        {"lam": [1e300]}, {"lam": [1e-300]}, {"R": 1e300}, {"R": 1e-300}, {"psi": [0.01]},
+        {"kappa": 1e300}, {"kappa": 1e-300},
+    ], ids=["lam-1e300", "lam-1e-300", "R-1e300", "R-1e-300", "psi-0.01", "kappa-1e300",
+            "kappa-1e-300"])
+    def test_scales_at_the_ends_of_the_double_range_exit_0(self, tmp_path, block):
+        # the table's edges map to distances past the double range or to 0,
+        # and those are dropped
+        cfg, out = tmp_path / "c.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps({"r2curves": block}))
+        assert main(["r2curves", "--config", str(cfg), "--out", str(out)]) == 0
+        r2s = [float(row[3]) for row in read_csv(out)[1]]
+        assert r2s and all(0.0 <= r < math.inf for r in r2s)
 
     def test_first_failing_row_decides(self, tmp_path, monkeypatch, capsys):
         # the psi = 1 variogram made rough from distance 5 on: its rows at
@@ -588,6 +601,9 @@ class TestInvalidValues:
         ("depsurface", {"psi": [1.0], "beta": [1e300], "distances": [0.0, 1.0]}),
         ("simulate", {"n_rep": 1e300}),
         ("riskreport", {"kappa": 1e200}),
+        ("riskreport", {"kappa": 1e300}),
+        ("riskreport", {"lam": [1e300]}),
+        ("riskreport", {"lam": [1e-300]}),
         ("depsurface", {"rel_tol": math.inf}),
     ])
     def test_exits_2(self, tmp_path, command, block):

@@ -821,33 +821,35 @@ class TestBatchedCovariance:
     def test_first_failing_lag_raises_its_own_error(self):
         # a rel_tol below the sums' rounding: a lag converges only where two
         # levels agree to the last bit, and the others fail at step 1/128
-        # with their best estimate, the ladder's value at the default rel_tol
-        # within rounding (the lag's one half-line, counted twice)
-        p = PowerSpec.gev(6, GevParams(ETA, TAU, XI))
-        default = dependence.CovModel(p, p, QuadSpec())
-        cov = dependence.CovModel(p, p, QuadSpec(rel_tol=1e-17))
-        errors = {}
-        for h in self.LAGS:
-            try:
-                cov(h)
-            except ConvergenceError as exc:
-                errors[float(h)] = exc
-        failing = sorted(errors, reverse=True)[:2]
-        converging = [h for h in self.LAGS if float(h) not in errors]
-        assert len(failing) == 2 and len(converging) >= 5
-        first, second = (errors[h] for h in failing)
-        assert first.best_estimate != second.best_estimate
-        assert "did not converge by step 1/128" in str(first)
-        for h in failing:
-            assert 2.0 * errors[h].best_estimate == pytest.approx(default(h).value, rel=1e-12)
-            assert errors[h].err_estimate > 1e-17 * abs(errors[h].best_estimate)
+        # with their best estimate, the covariance at the default rel_tol
+        # within rounding: a same-power lag's one half-line counted twice,
+        # and a mixed pair's two ordered half-lines summed
+        for beta1, beta2 in ((6, 6), (10, 3)):
+            p1, p2 = (PowerSpec.gev(beta, GevParams(ETA, TAU, XI)) for beta in (beta1, beta2))
+            default = dependence.CovModel(p1, p2, QuadSpec())
+            cov = dependence.CovModel(p1, p2, QuadSpec(rel_tol=1e-17))
+            errors = {}
+            for h in self.LAGS:
+                try:
+                    cov(h)
+                except ConvergenceError as exc:
+                    errors[float(h)] = exc
+            failing = sorted(errors, reverse=True)[:2]
+            converging = [h for h in self.LAGS if float(h) not in errors]
+            assert len(failing) == 2 and len(converging) >= 5
+            first, second = (errors[h] for h in failing)
+            assert first.best_estimate != second.best_estimate
+            assert "did not converge by step 1/128" in str(first)
+            for h in failing:
+                assert errors[h].best_estimate == pytest.approx(default(h).value, rel=1e-12)
+                assert errors[h].err_estimate > 1e-17 * abs(errors[h].best_estimate)
 
-        lags = np.r_[converging[-3:], failing[0], converging[:2], failing[1]]
-        with pytest.raises(ConvergenceError) as batch:
-            cov(lags)
-        assert str(batch.value) == str(first)
-        assert batch.value.best_estimate == first.best_estimate
-        assert batch.value.err_estimate == first.err_estimate
+            lags = np.r_[converging[-3:], failing[0], converging[:2], failing[1]]
+            with pytest.raises(ConvergenceError) as batch:
+                cov(lags)
+            assert str(batch.value) == str(first)
+            assert batch.value.best_estimate == first.best_estimate
+            assert batch.value.err_estimate == first.err_estimate
 
     def test_dependence_of_an_array_of_variogram_values(self, paper_gev):
         p = PowerSpec.gev(4, paper_gev)
@@ -1112,8 +1114,10 @@ class TestExpSinhLadder:
             assert r.err_estimate[0] <= 1e-6 * r.value[0] and r.subdivisions >= 1
         with pytest.raises(ConvergenceError, match="did not converge by step 1/128") as step:
             list(dependence._line_integrals(self.kernel, [10.0], spec, 1))
-        assert step.value.best_estimate == pytest.approx(1.0, rel=0.05)
-        assert step.value.err_estimate > 1e-6
+        # the estimates of every component, as a QuadResult's fields
+        assert step.value.best_estimate.shape == step.value.err_estimate.shape == (1,)
+        assert step.value.best_estimate[0] == pytest.approx(1.0, rel=0.05)
+        assert step.value.err_estimate[0] > 1e-6
         with pytest.raises(DomainError, match="non-finite") as infinite:
             list(dependence._line_integrals(self.kernel, [100.0], spec, 1))
         for lags, alone in (([0.5, 10.0, 100.0], step.value), ([2.0, 100.0, 10.0], infinite.value)):
@@ -1121,8 +1125,8 @@ class TestExpSinhLadder:
                 list(dependence._line_integrals(self.kernel, lags, spec, 1))
             assert str(batch.value) == str(alone)
             if isinstance(alone, ConvergenceError):
-                assert batch.value.best_estimate == alone.best_estimate
-                assert batch.value.err_estimate == alone.err_estimate
+                assert batch.value.best_estimate.tolist() == alone.best_estimate.tolist()
+                assert batch.value.err_estimate.tolist() == alone.err_estimate.tolist()
 
 
 def per_term_kernel(d1, b1, d2, b2, s, h):

@@ -1,11 +1,15 @@
 """Spatial risk measures: mean cost, variance reduction, asymptotics."""
 
 import ast
+import bisect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
+from scipy.integrate import IntegrationWarning, quad
 
 from windrisk import (
     CltApprox,
@@ -159,6 +163,27 @@ class TestR2Curves:
         assert curves.shape == (len(self.VARIOGRAMS), len(self.LAMS))
         assert curves.tolist() == alone
 
+    @pytest.mark.parametrize("region", [disk(1.0), square(1.0)], ids=["disk", "square"])
+    def test_rows_split_where_the_table_and_the_density_change(self, region, paper_power,
+                                                               monkeypatch):
+        # a row's pieces meet at the table's edges at distance s edge^(2/psi)
+        # / lam inside (0, h_max), and at R on the square
+        seen = []
+        original = risk.integrate_rows
+
+        def recorded(f, a, b, breakpoints, spec):
+            seen.extend(breakpoints)
+            return original(f, a, b, breakpoints, spec)
+
+        monkeypatch.setattr(risk, "integrate_rows", recorded)
+        r2_curves(region, paper_power, [power(2.0, 1.0), power(1.0, 0.5)], [0.5, 3.7])
+        edges = covariance_model(paper_power, paper_power, QuadSpec()).table.edges
+        h_max = region.max_distance()
+        for breakpoints, (s, psi, lam) in zip(seen, [(2.0, 1.0, 0.5), (2.0, 1.0, 3.7),
+                                                     (1.0, 0.5, 0.5), (1.0, 0.5, 3.7)]):
+            u = [x for x in (s * edges ** (2.0 / psi) / lam).tolist() if 0.0 < x < h_max]
+            assert u and breakpoints == u + ([1.0] if region.shape == "square" else [])
+
     def test_one_quadrature_call(self, paper_power, monkeypatch):
         calls = []
         original = risk.integrate_rows
@@ -213,6 +238,20 @@ class TestAsymptoticCovIntegral:
     def test_slow_decay_diagnosed(self, paper_gev):
         with pytest.raises(ConvergenceError):
             asymptotic_cov_integral(PowerSpec.gev(1, paper_gev), power(1.0, 0.05))
+
+    def test_one_integrate_call_split_at_the_table_edges(self, paper_power, monkeypatch):
+        # through risk's own binding of integrate, which a tracer can wrap
+        calls = []
+        original = risk.integrate
+
+        def counted(f, a, b, spec, breakpoints):
+            calls.append((a, b, list(breakpoints)))
+            return original(f, a, b, spec, breakpoints)
+
+        monkeypatch.setattr(risk, "integrate", counted)
+        asymptotic_cov_integral(paper_power, power(1.0, 1.0))
+        edges = covariance_model(paper_power, paper_power, QuadSpec()).table.edges.tolist()
+        assert calls == [(0.0, edges[-1], edges[1:-1])]
 
     def test_anisotropic_rejected(self, paper_gev):
         v = anisotropic_power(1.0, [[2.0, 0.5], [0.5, 1.0]], 1.0)
@@ -486,6 +525,85 @@ class TestCovTable:
                 lambda h: disk_distance_density(h, 1.0) * direct(np.sqrt(v.radial(lam * h))),
                 0.0, 2.0, QuadSpec(rel_tol=1e-10)).value
             assert r2(q, lam) == pytest.approx(expected, rel=3e-7)
+
+
+def _disk_density(u: float, R: float) -> float:
+    t = u / R
+    return 2.0 * t / R * (2.0 / math.pi * math.acos(t / 2.0)
+                          - t / math.pi * math.sqrt(max(1.0 - t * t / 4.0, 0.0)))
+
+
+def _square_density(u: float, R: float) -> float:
+    t = u / R
+    if t <= 1.0:
+        return (2.0 * math.pi * t - 8.0 * t * t + 2.0 * t**3) / R
+    b = t * t
+    return 2.0 * t / R * (-2.0 - b + 4.0 * math.sqrt(b - 1.0) + 2.0 * math.asin((2.0 - b) / b))
+
+
+def _table_at(table, h: float) -> float:
+    """The covariance table at one lag, read from its pieces' coefficients."""
+    if h < dependence.SMALL_H:
+        return table.variance
+    edges = table.edges.tolist()
+    if h >= edges[-1]:
+        return 0.0
+    i = bisect.bisect_right(edges, h) - 1
+    y = chebyshev.chebval((2.0 * h - edges[i] - edges[i + 1]) / (edges[i + 1] - edges[i]),
+                          table.coefs[i])
+    return math.exp(y) if table.log_fit[i] else float(y)
+
+
+def _quad_pieces(f, edges) -> float:
+    # QUADPACK's roundoff notice on a few pieces next to the square's R is
+    # an aside at epsrel 1e-13: those values agree with the ladder to 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return math.fsum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(edges, edges[1:]))
+
+
+class TestAgainstScipyQuad:
+    """r2 and K within rel_tol of scipy's quad at epsrel 1e-13 over the same
+    covariance table, split where the table's pieces meet (at distance
+    s edge^(2/psi) / lam for r2) and at the square's R, with the distance
+    densities written out in closed form."""
+
+    LAMS = np.geomspace(0.1, 50.0, 25).tolist() + [100.0, 200.0]  # the CLI default and two more
+    PSIS = (0.5, 1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("rel_tol", [3e-7, 1e-9])
+    @pytest.mark.parametrize("shape", ["disk", "square"])
+    def test_r2_curves(self, shape, rel_tol):
+        spec = QuadSpec(rel_tol=rel_tol)
+        region = disk(1.0) if shape == "disk" else square(1.0)
+        density, h_max = ((_disk_density, 2.0) if shape == "disk" else
+                          (_square_density, math.sqrt(2.0)))
+        for beta in (1, 12):
+            p = PowerSpec.gev(beta, GevParams(ETA, TAU, XI))
+            table = covariance_model(p, p, spec).table
+            got = r2_curves(region, p, [power(1.0, psi) for psi in self.PSIS], self.LAMS, spec)
+            for i, psi in enumerate(self.PSIS):
+                for j, lam in enumerate(self.LAMS):
+                    u = table.edges ** (2.0 / psi) / lam
+                    edges = sorted({0.0, h_max, *u[(u > 0.0) & (u < h_max)].tolist(),
+                                    *([1.0] if shape == "square" else [])})
+                    ref = _quad_pieces(
+                        lambda x: density(x, 1.0) * _table_at(table, (lam * x) ** (psi / 2.0)),
+                        edges)
+                    assert got[i, j] == pytest.approx(ref, rel=rel_tol), (beta, psi, lam)
+
+    @pytest.mark.parametrize("rel_tol", [3e-7, 1e-9])
+    def test_asymptotic_cov_integral(self, rel_tol):
+        spec = QuadSpec(rel_tol=rel_tol)
+        for beta in (1, 12):
+            p = PowerSpec.gev(beta, GevParams(ETA, TAU, XI))
+            table = covariance_model(p, p, spec).table
+            for psi in self.PSIS:
+                ref = 2.0 * math.pi * (2.0 / psi) * _quad_pieces(
+                    lambda h: h ** (4.0 / psi - 1.0) * _table_at(table, h), table.edges.tolist())
+                assert asymptotic_cov_integral(p, power(1.0, psi), spec) == pytest.approx(
+                    ref, rel=rel_tol), (beta, psi)
 
 
 def test_risk_imports_no_private_name_of_dependence():

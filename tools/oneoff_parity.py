@@ -24,8 +24,8 @@ failing tail shows in the total, which the median hides).
 
 ``--oracle`` also checks every value the changed tree returns against
 ``cov_oracle`` of ``tests/conftest.py`` (Hoeffding's nested form at a
-quarter of the library's inner step, its outer integral by adaptive
-Gauss-Kronrod), run once a query on the changed tree: it prints, per
+quarter of the library's inner step, its outer integral by scipy's
+``quad``), run once a query on the changed tree: it prints, per
 tolerance, how many values there are, the largest relative gap of a
 value to the oracle (the oracle's covariance divided by ``var_gev`` for a
 dependence query), how many gaps are within the tolerance, and the
